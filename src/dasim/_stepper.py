@@ -1,10 +1,10 @@
 """Cycle-stepped core of the simulator.
 
-One function advances a whole barrier-delimited program segment over
-shared bank/port/backend state. It is written against plain numpy
-arrays so the same code runs either JIT-compiled (numba, used for
-full-cluster runs) or as ordinary Python (small runs, environments
-without numba).
+One function advances a whole barrier-delimited program segment, one
+packed chunk of per-PE op columns, over shared bank/port/backend state.
+It is written against plain numpy arrays so the same code runs either
+JIT-compiled (numba, used for full-cluster runs) or as ordinary Python
+(small runs, environments without numba).
 
 Per cycle, PEs are visited in id order; all shared-resource bookings
 therefore happen in chronological order with PE id as the tie-break,
@@ -52,8 +52,7 @@ ACC_WFI = 4
 
 # stepper exit codes
 STATUS_DONE = 0
-STATUS_REFILL = 1
-STATUS_FAULT = 2
+STATUS_FAULT = 1
 
 DEP_RING = 4096
 BIG = 1 << 62
@@ -79,7 +78,7 @@ def _ins_hit(seed, pe, idx, prob):
 
 @njit(cache=True)
 def step_segment(
-    # per-op arrays for the current chunk, [n_pe, L] / [n_pe]
+    # per-op arrays of the segment, [n_pe, L] / [n_pe]
     op_kind, op_cls, op_lat, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
     # per-PE persistent state
     cursor, abs_idx, t_free, state,
@@ -97,7 +96,7 @@ def step_segment(
     # parameters
     level_lat, class_lat, window, pes_per_tile, banks_per_tile,
     l2_lat, dma_wpc, ins_prob, ins_seed,
-    has_barrier, more_chunks,
+    has_barrier,
     # in/out scalars packed in arrays: clock[0]=now, out[0]=end/fault info
     clock, result,
 ):
@@ -123,9 +122,6 @@ def step_segment(
             # PE can act at `now`
             i = cursor[pe]
             if i >= n_ops[pe]:
-                if more_chunks:
-                    clock[0] = now
-                    return STATUS_REFILL
                 state[pe] = ST_DONE
                 continue
             progressed = True
@@ -283,7 +279,6 @@ def step_segment(
                         acct[q, ACC_WFI] += release - arrival[q] - 1
                         t_free[q] = release
                         state[q] = ST_DONE
-                        cursor[q] += 0  # cursors already final
                     clock[0] = release
                     result[0] = FAULT_NONE
                     return STATUS_DONE

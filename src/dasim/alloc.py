@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .remap import MapConfig, MapKind
+from .remap import MapConfig, MapKind, region_of
 
 
 class AllocationError(Exception):
@@ -43,10 +43,8 @@ class Heap:
     word_bytes: int = 4
     head: Optional[FreeBlock] = None
     regions: dict = field(default_factory=dict)   # base addr -> bound MapConfig
-    events: list = field(default_factory=list)    # (seq, op, addr, size, cfg)
     max_regions: Optional[int] = None
     on_region_pressure: Optional[Callable[[int], None]] = None
-    _seq: int = 0
 
     @property
     def end(self) -> int:
@@ -108,8 +106,6 @@ def das_malloc(heap: Heap, size: int, cfg_request: MapConfig) -> int:
             cfg = MapConfig(kind=cfg_request.kind, p=cfg_request.p, s=cfg_request.s,
                             base_addr=start, size_bytes=eff)
             heap.regions[start] = cfg
-            heap.events.append((heap._seq, "malloc", start, eff, cfg))
-            heap._seq += 1
             if heap.max_regions is not None:
                 live_das = sum(1 for c in heap.regions.values() if c.kind == MapKind.DAS)
                 if live_das > heap.max_regions:
@@ -154,8 +150,6 @@ def das_free(heap: Heap, addr: int) -> None:
     cfg = heap.regions.pop(addr, None)
     if cfg is None:
         raise FreeError(f"0x{addr:x} is not the base of a live region")
-    heap.events.append((heap._seq, "free", addr, cfg.size_bytes, cfg))
-    heap._seq += 1
     _insert_free(heap, addr, cfg.size_bytes)
 
 
@@ -181,7 +175,4 @@ def _insert_free(heap: Heap, start: int, size: int) -> None:
 
 def region_lookup(heap: Heap, addr: int) -> Optional[MapConfig]:
     """Live partitioned region containing addr, if any."""
-    for cfg in heap.regions.values():
-        if cfg.kind == MapKind.DAS and cfg.contains(addr):
-            return cfg
-    return None
+    return region_of(heap.regions.values(), addr)

@@ -1,96 +1,30 @@
-"""Execution of per-PE operation streams against the banked L1.
+"""Execution of packed per-PE programs against the banked L1.
 
-Programs are sequences of abstract loads, stores, compute bursts,
-barriers and DMA handshakes. The engine issues at most one operation
-per PE per cycle in order, tracks a bounded window of outstanding
-memory operations, serializes bank access (one request per cycle per
-bank, FIFO) and throttles traffic at tile boundaries with a limited
-number of ports per hierarchy level. Every cycle of every PE ends up in
-exactly one accounting bucket: issued, LSU, RAW, INS or WFI.
+A program is a list of barrier-delimited phases, each one packed chunk
+of per-PE op columns (loads, stores, compute bursts, barriers and DMA
+handshakes) with addresses already resolved to (bank, level); the
+kernels' PlanBuilder writes them. The engine issues at most one
+operation per PE per cycle in order, tracks a bounded window of
+outstanding memory operations, serializes bank access (one request per
+cycle per bank, FIFO) and throttles traffic at tile boundaries with a
+limited number of ports per hierarchy level. Every cycle of every PE
+ends up in exactly one accounting bucket: issued, LSU, RAW, INS or WFI.
 """
 
-import math
-from dataclasses import dataclass, field, replace
-from enum import IntEnum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
-                       DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START,
-                       K_DMA_WAIT, K_LOAD, K_STORE, ST_RUN, STATUS_DONE,
-                       STATUS_FAULT, STATUS_REFILL, step_segment)
-from .alloc import Heap
-from .remap import MapConfig, MapKind, resolve_array, segment_transfer
+                       DEP_RING, ST_RUN, STATUS_DONE, step_segment)
+from .remap import MapConfig, interleaved, region_of, resolve_array, segment_transfer
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
 
 
-class OpKind(IntEnum):
-    LOAD = K_LOAD
-    STORE = K_STORE
-    COMPUTE = K_COMPUTE
-    BARRIER = K_BARRIER
-    DMA_START = K_DMA_START
-    DMA_WAIT = K_DMA_WAIT
-
-
-class ComputeClass(IntEnum):
-    ALU = 0
-    MAC = 1
-    DIV = 2
-
-
-@dataclass(frozen=True)
-class PeOp:
-    """One abstract operation of a PE stream.
-
-    ``dep`` holds absolute indices of earlier ops in the same stream
-    whose results this op consumes; waiting for a load is an LSU stall,
-    waiting for a compute result a RAW stall. ``count`` batches a run of
-    back-to-back independent computes into one record (one issue slot
-    per cycle each, result ready ``latency`` after the last).
-    """
-
-    kind: OpKind
-    addr: int = 0
-    cls: ComputeClass = ComputeClass.ALU
-    count: int = 1
-    latency: Optional[int] = None
-    arg: int = 0
-    dep: tuple = ()
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if len(self.dep) > 2:
-            raise ValueError("at most two dependences per op")
-
-
-def load(addr: int, dep: tuple = ()) -> PeOp:
-    return PeOp(OpKind.LOAD, addr=addr, dep=dep)
-
-
-def store(addr: int, dep: tuple = ()) -> PeOp:
-    return PeOp(OpKind.STORE, addr=addr, dep=dep)
-
-
-def compute(cls: ComputeClass, count: int = 1, latency: Optional[int] = None,
-            dep: tuple = ()) -> PeOp:
-    return PeOp(OpKind.COMPUTE, cls=cls, count=count, latency=latency, dep=dep)
-
-
-def barrier(bar_id: int) -> PeOp:
-    return PeOp(OpKind.BARRIER, arg=bar_id)
-
-
-def dma_start(transfer_id: int) -> PeOp:
-    return PeOp(OpKind.DMA_START, arg=transfer_id)
-
-
-def dma_wait(transfer_id: int) -> PeOp:
-    return PeOp(OpKind.DMA_WAIT, arg=transfer_id)
+ALLOC_COST = 64     # cycles charged per heap allocation
 
 
 @dataclass(frozen=True)
@@ -105,7 +39,7 @@ class EngineParams:
     in_ports: int = 1               # per tile, per level, requests/cycle in
     dma_words_per_cycle: int = 4    # per backend
     l2_latency: int = 100           # transfer initiation
-    alloc_cost: int = 64            # cycles charged per heap allocation
+    alloc_cost: int = ALLOC_COST    # reported only; PlanBuilder charges ALLOC_COST
     ins_stall_prob: float = 0.0
     ins_seed: int = 0
 
@@ -153,68 +87,19 @@ class DmaTransfer:
     dst: tuple
     segments: list = field(default_factory=list)
 
-    @property
-    def words(self) -> int:
-        return sum(w for _, w in self.segments)
-
 
 def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
                    tid: int, src: tuple, dst: tuple) -> DmaTransfer:
     """Segment a transfer against the mapping region covering its dst."""
-    cfg = None
-    for r in regions:
-        if r.kind == MapKind.DAS and r.bound and r.base_addr <= dst[0] < r.base_addr + r.size_bytes:
-            cfg = r
-            break
-    if cfg is None:
-        cfg = MapConfig(kind=MapKind.INTERLEAVED)
-    else:
-        if dst[1] > cfg.base_addr + cfg.size_bytes:
-            raise ValueError("transfer dst crosses its mapping region")
-    pieces = segment_transfer(topo, cfg, src, dst)
+    cfg = region_of(regions, dst[0])
+    pieces = segment_transfer(topo, cfg or interleaved(), src, dst)
     banks_per_sub = topo.banks_per_tile * topo.tiles_per_subgroup
     segments = []
     for (_, _), (d0, d1) in pieces:
-        bank, _ = resolve_array(topo, [cfg] if cfg.kind == MapKind.DAS else [],
-                                np.array([d0]))
+        bank, _ = resolve_array(topo, [cfg] if cfg else [], np.array([d0]))
         backend = int(bank[0]) // banks_per_sub
         segments.append((backend, (d1 - d0) // topo.word_bytes))
     return DmaTransfer(id=tid, src=src, dst=dst, segments=segments)
-
-
-def transfer_cycles(words: int, words_per_cycle: int) -> int:
-    """Backend occupancy of one segment."""
-    return -(-words // words_per_cycle)
-
-
-@dataclass
-class DmaState:
-    """Backend availability plus completion times of started transfers."""
-
-    backend_next_free: list
-    completed: dict = field(default_factory=dict)
-
-
-def dma_advance(params: EngineParams, state: DmaState, transfer: DmaTransfer,
-                start_cycle: int) -> DmaState:
-    """Book a started transfer onto its backends; returns the new state.
-
-    Segments to distinct backends proceed in parallel; each backend
-    serves its queue in FIFO order. The transfer is complete when the
-    last segment lands.
-    """
-    nxt = list(state.backend_next_free)
-    base = start_cycle + params.l2_latency
-    done = base
-    for backend, words in transfer.segments:
-        st = max(nxt[backend], base)
-        nxt[backend] = st + transfer_cycles(words, params.dma_words_per_cycle)
-        done = max(done, nxt[backend])
-    completed = dict(state.completed)
-    if transfer.id in completed:
-        raise SimulationFault(f"transfer {transfer.id} started twice")
-    completed[transfer.id] = done
-    return DmaState(backend_next_free=nxt, completed=completed)
 
 
 @dataclass
@@ -272,29 +157,17 @@ class PackedChunk:
     cols: dict
     n_ops: np.ndarray
 
-    @property
-    def n_pe(self) -> int:
-        return len(self.n_ops)
-
-    def total_ops(self) -> int:
-        return int(self.n_ops.sum())
-
 
 @dataclass
 class Phase:
     """Segment of the run ending (unless terminal) in a global barrier.
 
-    ``chunks`` is a list of PackedChunk or a zero-argument callable
-    yielding them, so large phases can be generated lazily.
+    ``chunks`` holds exactly one PackedChunk.
     """
 
     name: str
-    chunks: Union[list, Callable[[], Iterable[PackedChunk]]]
+    chunks: list
     barrier: bool = True
-
-    def chunk_iter(self):
-        src = self.chunks() if callable(self.chunks) else self.chunks
-        return iter(src)
 
 
 def make_chunk(columns: list, n_pe: int) -> PackedChunk:
@@ -309,130 +182,6 @@ def make_chunk(columns: list, n_pe: int) -> PackedChunk:
             if name in c and n:
                 cols[name][pe, :n] = c[name]
     return PackedChunk(cols=cols, n_ops=n_ops)
-
-
-def _merge_chunks(old: PackedChunk, cursor: np.ndarray, nxt: PackedChunk) -> PackedChunk:
-    """Remaining tail of ``old`` followed by ``nxt``, re-based per PE."""
-    n_pe = old.n_pe
-    rem = old.n_ops - cursor
-    n_ops = rem + nxt.n_ops
-    cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((n_pe, cap), dtype=_DTYPES[name]) for name in _COLS}
-    cols["lat"][:] = -1
-    for pe in range(n_pe):
-        r = int(rem[pe])
-        for name in _COLS:
-            if r:
-                cols[name][pe, :r] = old.cols[name][pe, cursor[pe]:old.n_ops[pe]]
-            if nxt.n_ops[pe]:
-                cols[name][pe, r:r + nxt.n_ops[pe]] = nxt.cols[name][pe, :nxt.n_ops[pe]]
-    return PackedChunk(cols=cols, n_ops=n_ops)
-
-
-def pack_streams(topo: ClusterTopology, regions: Sequence[MapConfig],
-                 programs: Sequence[Sequence[PeOp]],
-                 phase_names: Optional[Sequence[str]] = None) -> list:
-    """Convert PeOp streams into barrier-delimited packed phases.
-
-    Validates that all streams contain the same barrier id sequence and
-    that every dependence points at an earlier op within the ring span.
-    Load/store addresses are resolved to (bank, level) here; an address
-    outside L1 raises SimulationFault.
-    """
-    n_pe = len(programs)
-    bar_seqs = [[op.arg for op in prog if op.kind == OpKind.BARRIER]
-                for prog in programs]
-    for pe, seq in enumerate(bar_seqs):
-        if seq != bar_seqs[0]:
-            raise SimulationFault(
-                f"inconsistent barrier sequence on PE {pe}: {seq} vs {bar_seqs[0]}")
-    n_bars = len(bar_seqs[0])
-
-    # split each stream at its barriers (barrier goes with the segment before)
-    segments = [[] for _ in range(n_bars + 1)]
-    for pe, prog in enumerate(programs):
-        seg = 0
-        start = 0
-        for idx, op in enumerate(prog):
-            if op.kind == OpKind.BARRIER:
-                segments[seg].append((pe, prog, start, idx + 1))
-                seg += 1
-                start = idx + 1
-        segments[n_bars].append((pe, prog, start, len(prog)))
-
-    phases = []
-    for seg_idx in range(n_bars + 1):
-        terminal = seg_idx == n_bars
-        if terminal and all(s[3] == s[2] for s in segments[seg_idx]):
-            break
-        columns = [None] * n_pe
-        for pe, prog, start, stop in segments[seg_idx]:
-            ops = prog[start:stop]
-            col = {name: np.zeros(len(ops), dtype=_DTYPES[name]) for name in _COLS}
-            col["lat"][:] = -1
-            addr_ix, addrs = [], []
-            for j, op in enumerate(ops):
-                col["kind"][j] = int(op.kind)
-                col["cls"][j] = int(op.cls)
-                if op.kind == OpKind.COMPUTE:
-                    col["arg"][j] = op.count
-                    if op.latency is not None:
-                        col["lat"][j] = op.latency
-                else:
-                    col["arg"][j] = op.arg
-                if op.kind in (OpKind.LOAD, OpKind.STORE):
-                    addr_ix.append(j)
-                    addrs.append(op.addr)
-                abs_j = start + j
-                for slot, dep in enumerate(op.dep):
-                    if not 0 <= dep < abs_j:
-                        raise SimulationFault(
-                            f"PE {pe} op {abs_j}: dep {dep} not an earlier op")
-                    dist = abs_j - dep
-                    if dist >= DEP_RING:
-                        raise SimulationFault(
-                            f"PE {pe} op {abs_j}: dep distance {dist} exceeds {DEP_RING - 1}")
-                    col["dep1" if slot == 0 else "dep2"][j] = dist
-            if addrs:
-                try:
-                    banks, _ = resolve_array(topo, regions, np.array(addrs))
-                except ValueError as e:
-                    raise SimulationFault(f"PE {pe}: {e}") from e
-                ix = np.array(addr_ix)
-                col["bank"][ix] = banks
-                col["level"][ix] = _levels_for(topo, pe, banks)
-            columns[pe] = col
-        chunk = make_chunk(columns, n_pe)
-        name = (phase_names[seg_idx] if phase_names and seg_idx < len(phase_names)
-                else f"phase{seg_idx}")
-        phases.append(Phase(name=name, chunks=[chunk], barrier=not terminal))
-    return phases
-
-
-def _levels_for(topo: ClusterTopology, pe: int, banks: np.ndarray) -> np.ndarray:
-    """Vectorized hierarchy classification of one PE's bank targets."""
-    pt = pe // topo.pes_per_tile
-    bt = banks // topo.banks_per_tile
-    lvl = np.full(banks.shape, 3, dtype=np.uint8)
-    lvl[bt // (topo.tiles_per_subgroup * topo.subgroups_per_group)
-        == pt // (topo.tiles_per_subgroup * topo.subgroups_per_group)] = 2
-    lvl[bt // topo.tiles_per_subgroup == pt // topo.tiles_per_subgroup] = 1
-    lvl[bt == pt] = 0
-    return lvl
-
-
-def levels_for_banks(topo: ClusterTopology, pes: np.ndarray,
-                     banks: np.ndarray) -> np.ndarray:
-    """Hierarchy level of each (pe, bank) pair, vectorized."""
-    pt = np.asarray(pes) // topo.pes_per_tile
-    bt = np.asarray(banks) // topo.banks_per_tile
-    sg = topo.tiles_per_subgroup
-    gr = sg * topo.subgroups_per_group
-    lvl = np.full(np.broadcast(pt, bt).shape, 3, dtype=np.uint8)
-    lvl[bt // gr == pt // gr] = 2
-    lvl[bt // sg == pt // sg] = 1
-    lvl[bt == pt] = 0
-    return lvl
 
 
 # -- engine state and run ------------------------------------------------------
@@ -479,45 +228,33 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     totals = np.zeros((n_pe, 5), dtype=np.int64)
     phase_rows = []
     for phase in phases:
-        it = phase.chunk_iter()
-        chunk = next(it, None)
-        if chunk is None:
-            chunk = make_chunk([{name: np.zeros(0, dtype=_DTYPES[name])
-                                 for name in _COLS} for _ in range(n_pe)], n_pe)
-        pending = next(it, None)
+        (chunk,) = phase.chunks
         cursor = np.zeros(n_pe, dtype=np.int64)
         acct = np.zeros((n_pe, 5), dtype=np.int64)
         st.state[:] = ST_RUN
         st.bar_count[0] = 0
         st.arrival[:] = 0
         start = int(st.clock[0])
-        while True:
-            status = step_segment(
-                chunk.cols["kind"], chunk.cols["cls"], chunk.cols["lat"],
-                chunk.cols["arg"], chunk.cols["bank"], chunk.cols["level"],
-                chunk.cols["dep1"], chunk.cols["dep2"], chunk.n_ops,
-                cursor, st.abs_idx, st.t_free, st.state,
-                st.ready, st.ready_kind,
-                st.win,
-                acct, st.ins_done,
-                st.bank_next, st.out_next, st.in_next,
-                st.arrival, st.bar_count,
-                dma.seg_backend, dma.seg_words, dma.tr_lo, dma.tr_hi,
-                st.transfer_done, st.backend_next,
-                level_lat, class_lat, params.window,
-                topo.pes_per_tile, topo.banks_per_tile,
-                params.l2_latency, params.dma_words_per_cycle,
-                params.ins_stall_prob, params.ins_seed,
-                phase.barrier, pending is not None,
-                st.clock, st.result,
-            )
-            if status == STATUS_DONE:
-                break
-            if status == STATUS_REFILL:
-                chunk = _merge_chunks(chunk, cursor, pending)
-                cursor[:] = 0
-                pending = next(it, None)
-                continue
+        status = step_segment(
+            chunk.cols["kind"], chunk.cols["cls"], chunk.cols["lat"],
+            chunk.cols["arg"], chunk.cols["bank"], chunk.cols["level"],
+            chunk.cols["dep1"], chunk.cols["dep2"], chunk.n_ops,
+            cursor, st.abs_idx, st.t_free, st.state,
+            st.ready, st.ready_kind,
+            st.win,
+            acct, st.ins_done,
+            st.bank_next, st.out_next, st.in_next,
+            st.arrival, st.bar_count,
+            dma.seg_backend, dma.seg_words, dma.tr_lo, dma.tr_hi,
+            st.transfer_done, st.backend_next,
+            level_lat, class_lat, params.window,
+            topo.pes_per_tile, topo.banks_per_tile,
+            params.l2_latency, params.dma_words_per_cycle,
+            params.ins_stall_prob, params.ins_seed,
+            phase.barrier,
+            st.clock, st.result,
+        )
+        if status != STATUS_DONE:
             code, pe, detail = (int(x) for x in st.result)
             raise SimulationFault(
                 f"{_FAULT_TEXT.get(code, 'fault')} (PE {pe}, detail {detail}, "
@@ -558,47 +295,3 @@ def _topo_json(topo: ClusterTopology) -> dict:
         "rows_per_bank": topo.rows_per_bank, "word_bytes": topo.word_bytes,
         "level_latency": list(topo.level_latency),
     }
-
-
-def run(topo: ClusterTopology, heap: Optional[Heap],
-        programs: Sequence[Sequence[PeOp]],
-        params: Optional[EngineParams] = None,
-        transfers: Sequence[DmaTransfer] = (),
-        phase_names: Optional[Sequence[str]] = None,
-        meta: Optional[dict] = None) -> SimReport:
-    """Simulate explicit PeOp streams, one per PE.
-
-    Load/store addresses resolve through the heap's live regions;
-    streams must agree on their barrier id sequence. Shorter programs
-    than the PE count are padded with empty streams.
-    """
-    params = params or EngineParams()
-    if len(programs) > topo.n_pes:
-        raise ValueError(f"{len(programs)} programs for {topo.n_pes} PEs")
-    programs = list(programs) + [[] for _ in range(topo.n_pes - len(programs))]
-    # empty streams still take part in barriers
-    bar_ids = [op.arg for op in next((p for p in programs if p), [])
-               if op.kind == OpKind.BARRIER]
-    programs = [p if p else [barrier(b) for b in bar_ids] for p in programs]
-    regions = heap.das_regions() if heap is not None else []
-    phases = pack_streams(topo, regions, programs, phase_names)
-    dma = DmaTable.from_transfers(transfers)
-    return run_packed(topo, params, phases, dma, meta=meta)
-
-
-def run_pair(scenario) -> tuple:
-    """Run a scenario under both mapping schemes.
-
-    Returns (report_das, report_interleaved, speedup) where speedup is
-    baseline cycles over remapped cycles.
-    """
-    from . import kernels  # deferred: kernels builds on engine types
-
-    rep = {}
-    for scheme in ("das", "interleaved"):
-        plan = kernels.build_plan(scenario, scheme)
-        rep[scheme] = kernels.run_plan(plan, scenario.params)
-    speedup = rep["interleaved"].cycles / rep["das"].cycles
-    rep["das"].speedup = speedup
-    rep["das"].baseline = "interleaved"
-    return rep["das"], rep["interleaved"], speedup

@@ -101,16 +101,14 @@ def pe_work_items(topo: ClusterTopology, geom: dict, pe: int) -> list:
 
 
 def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
-             scheme: str, heap_base: int = 0, heap_size: int = None,
-             alloc_cost: int = 64, keep_addrs: bool = False,
-             references: dict = None) -> KernelPlan:
+             scheme: str, heap_base: int = 0, heap_size: int = None) -> KernelPlan:
     heap_size = heap_size if heap_size is not None else topo.total_bytes
     geom = gemm_geometry(topo, M, N, P, n_parallel)
     tiles_per_prob = geom["tiles_per_prob"]
     wb = topo.word_bytes
     blocks_per_tile = -(-geom["blocks"] // tiles_per_prob)
 
-    pb = PlanBuilder(topo, scheme, heap_base, heap_size, alloc_cost, keep_addrs)
+    pb = PlanBuilder(topo, scheme, heap_base, heap_size)
 
     a_ld = pad_odd(N)
     b_ld = pad_odd(P)
@@ -157,5 +155,4 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
         "loads": macs // 2,
         "stores": n_parallel * M * P,
     }
-    return pb.build("gemm", f"{M}x{N}x{P}", n_parallel, expected,
-                    references=references)
+    return pb.build("gemm", f"{M}x{N}x{P}", n_parallel, expected)

@@ -41,16 +41,14 @@ def gemv_geometry(topo: ClusterTopology, M: int, N: int, n_parallel: int) -> dic
 
 
 def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
-             scheme: str, heap_base: int = 0, heap_size: int = None,
-             alloc_cost: int = 64, keep_addrs: bool = False,
-             references: dict = None) -> KernelPlan:
+             scheme: str, heap_base: int = 0, heap_size: int = None) -> KernelPlan:
     heap_size = heap_size if heap_size is not None else topo.total_bytes
     g = gemv_geometry(topo, M, N, n_parallel)
     ppg, gpp, rows_per_pe, n_chunk = g["ppg"], g["gpp"], g["rows_per_pe"], g["n_chunk"]
     ppt = topo.pes_per_tile
     wb = topo.word_bytes
 
-    pb = PlanBuilder(topo, scheme, heap_base, heap_size, alloc_cost, keep_addrs)
+    pb = PlanBuilder(topo, scheme, heap_base, heap_size)
 
     pb.begin_phase("config")
     a_win = ppt * rows_per_pe * n_chunk
@@ -118,8 +116,7 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
                  + (n_parallel * M * (gpp - 1) if gpp > 1 else 0),
         "stores": n_parallel * gpp * M + (n_parallel * M if gpp > 1 else 0),
     }
-    return pb.build("gemv", f"{M}x{N}", n_parallel, expected,
-                    references=references)
+    return pb.build("gemv", f"{M}x{N}", n_parallel, expected)
 
 
 def _win_bytes(topo: ClusterTopology, per_window_words: int) -> int:

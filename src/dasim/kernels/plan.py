@@ -1,28 +1,29 @@
-"""Shared machinery for building kernel plans.
+"""Shared machinery for building kernel plans: the one way to write a program.
 
 A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfer table for one kernel under one
-mapping scheme. Builders write streams with byte addresses; addresses
-are resolved against the regions live at the end of each phase, so a
-region freed in a later phase still resolves the accesses emitted while
-it was live.
+mapping scheme. Programs are written op by op (or in bulk) on one
+PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
+phase: it appends the phase barrier, resolves the addresses against the
+regions live at that moment (so a region freed in a later phase still
+resolves the accesses emitted while it was live) and packs every PE's
+ops into the phase's single chunk.
 """
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .._stepper import (DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
+                        K_LOAD, K_STORE)
 from ..alloc import Heap, das_free, das_malloc, heap_init
-from ..engine import (DmaTable, DmaTransfer, EngineParams, PackedChunk, Phase,
-                      build_transfer, make_chunk, run_packed, _COLS, _DTYPES,
-                      _levels_for)
-from ..remap import MapConfig, MapKind, das, interleaved, resolve_array
-from ..topology import ClusterTopology
+from ..engine import (ALLOC_COST, DmaTable, EngineParams, Phase, SimulationFault,
+                      build_transfer, make_chunk, run_packed)
+from ..remap import MapConfig, das, interleaved, resolve_array
+from ..topology import ClusterTopology, access_levels
 
-K_LOAD, K_STORE, K_COMPUTE, K_BARRIER, K_DMA_START, K_DMA_WAIT = range(6)
-C_ALU, C_MAC, C_DIV = range(3)
+C_ALU, C_MAC, C_DIV = range(3)      # compute classes, indexing EngineParams.class_latency
 
 
 class ShapeError(ValueError):
@@ -85,7 +86,12 @@ class Operand:
 
 
 class PeStream:
-    """Columnar op accumulator for one PE."""
+    """Columnar op accumulator for one PE.
+
+    Each op method returns the op's absolute index in the stream. ``dep``
+    names up to two earlier ops whose results the op consumes: waiting
+    for a load is an LSU stall, waiting for a compute result a RAW stall.
+    """
 
     __slots__ = ("n", "_segs", "_cur")
 
@@ -99,23 +105,22 @@ class PeStream:
                      "dep1": [], "dep2": []}
 
     def _push(self, kind, cls, lat, arg, addr, dep):
-        d1 = d2 = 0
+        n = self.n
+        if len(dep) > 2:
+            raise ValueError(f"op {n}: at most two dependences, got {len(dep)}")
+        dist = [0, 0]
         for slot, dep_ix in enumerate(dep):
-            dist = self.n - dep_ix
-            if dist <= 0 or dist >= 4096:
-                raise ValueError(f"dep {dep_ix} out of ring range at op {self.n}")
-            if slot == 0:
-                d1 = dist
-            else:
-                d2 = dist
+            if not 0 <= dep_ix < n or n - dep_ix >= DEP_RING:
+                raise ValueError(f"dep {dep_ix} out of ring range at op {n}")
+            dist[slot] = n - dep_ix
         c = self._cur
         c["kind"].append(kind)
         c["cls"].append(cls)
         c["lat"].append(lat)
         c["arg"].append(arg)
         c["addr"].append(addr)
-        c["dep1"].append(d1)
-        c["dep2"].append(d2)
+        c["dep1"].append(dist[0])
+        c["dep2"].append(dist[1])
         self.n += 1
         return self.n - 1
 
@@ -126,6 +131,12 @@ class PeStream:
         return self._push(K_STORE, 0, -1, 0, addr, dep)
 
     def compute(self, cls, count=1, dep=(), lat=-1):
+        """``count`` back-to-back issues, result ready ``lat`` after the last.
+
+        ``lat=-1`` takes the latency of class ``cls``.
+        """
+        if count < 1:
+            raise ValueError(f"compute count must be at least 1, got {count}")
         return self._push(K_COMPUTE, cls, lat, count, 0, dep)
 
     def dma_start(self, tid):
@@ -193,37 +204,18 @@ class KernelPlan:
     counted_ops: dict
     alloc_events: list
     references: dict = field(default_factory=dict)
-    barrier_count: int = 0
-
-    def operand_table(self) -> list:
-        """Operand-to-region rows for plan inspection dumps."""
-        return [{"operand": o.name, "base": o.base,
-                 "mapping": o.cfg.to_json()} for o in self.operands]
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.name, "scheme": self.scheme,
-            "workload": self.workload, "n_parallel": self.n_parallel,
-            "phases": [p.name for p in self.phases],
-            "operands": self.operand_table(),
-            "expected_ops": self.expected_ops,
-            "references": self.references,
-        }
 
 
 class PlanBuilder:
     """Accumulates allocations, streams and phases into a KernelPlan."""
 
     def __init__(self, topo: ClusterTopology, scheme: str, heap_base: int,
-                 heap_size: int, alloc_cost: int = 64,
-                 keep_addrs: bool = False):
+                 heap_size: int):
         if scheme not in ("das", "interleaved"):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.topo = topo
         self.scheme = scheme
         self.heap = heap_init(heap_base, heap_size, topo.word_bytes)
-        self.alloc_cost = alloc_cost
-        self.keep_addrs = keep_addrs
         self.streams = [PeStream() for _ in range(topo.n_pes)]
         self.phases = []
         self.transfers = []
@@ -252,8 +244,7 @@ class PlanBuilder:
         self.alloc_log.append({"phase": self._phase_name, "operand": name,
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
-        if self.alloc_cost:
-            self.streams[charge_pe].compute(C_ALU, count=self.alloc_cost)
+        self.streams[charge_pe].compute(C_ALU, count=ALLOC_COST)
         return op
 
     def free(self, operand: Operand) -> None:
@@ -294,26 +285,26 @@ class PlanBuilder:
             banks = np.zeros(len(col["kind"]), dtype=np.int32)
             levels = np.zeros(len(col["kind"]), dtype=np.uint8)
             if mem.any():
-                b, _ = resolve_array(self.topo, regions, col["addr"][mem])
+                try:
+                    b, _ = resolve_array(self.topo, regions, col["addr"][mem])
+                except ValueError as e:
+                    raise SimulationFault(f"PE {pe}, phase {name!r}: {e}") from e
                 banks[mem] = b
-                levels[mem] = _levels_for(self.topo, pe, b)
+                levels[mem] = access_levels(self.topo, pe, b)
             is_comp = col["kind"] == K_COMPUTE
             self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
             self._counts["loads"] += int((col["kind"] == K_LOAD).sum())
             self._counts["stores"] += int((col["kind"] == K_STORE).sum())
-            packed = {"kind": col["kind"], "cls": col["cls"], "lat": col["lat"],
-                      "arg": col["arg"], "bank": banks, "level": levels,
-                      "dep1": col["dep1"], "dep2": col["dep2"]}
-            if self.keep_addrs:
-                packed["addr"] = col["addr"]
-            columns.append(packed)
-        chunk = _make_chunk_with_addr(columns, n_pe, self.keep_addrs)
+            columns.append({"kind": col["kind"], "cls": col["cls"], "lat": col["lat"],
+                            "arg": col["arg"], "bank": banks, "level": levels,
+                            "dep1": col["dep1"], "dep2": col["dep2"]})
+        chunk = make_chunk(columns, n_pe)
         self.phases.append(Phase(name=name, chunks=[chunk], barrier=barrier))
 
     # -- finish ----------------------------------------------------------------
 
     def build(self, name: str, workload: str, n_parallel: int,
-              expected_ops: dict, references: Optional[dict] = None) -> KernelPlan:
+              expected_ops: dict) -> KernelPlan:
         if self._phase_name is not None:
             raise RuntimeError(f"phase {self._phase_name!r} left open")
         for key, want in expected_ops.items():
@@ -326,21 +317,7 @@ class PlanBuilder:
             n_parallel=n_parallel, phases=self.phases,
             dma=DmaTable.from_transfers(self.transfers), heap=self.heap,
             operands=self.operands, expected_ops=expected_ops,
-            counted_ops=dict(self._counts), alloc_events=self.alloc_log,
-            references=references or {})
-
-
-def _make_chunk_with_addr(columns, n_pe, keep_addrs):
-    chunk = make_chunk(columns, n_pe)
-    if keep_addrs:
-        cap = chunk.cols["kind"].shape[1]
-        addr = np.zeros((n_pe, cap), dtype=np.int64)
-        for pe, c in enumerate(columns):
-            n = len(c["addr"])
-            if n:
-                addr[pe, :n] = c["addr"]
-        chunk.cols["addr"] = addr
-    return chunk
+            counted_ops=dict(self._counts), alloc_events=self.alloc_log)
 
 
 def run_plan(plan: KernelPlan, params: Optional[EngineParams] = None):

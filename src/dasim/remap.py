@@ -16,7 +16,7 @@ collide physically.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -108,12 +108,15 @@ def das(p: int, s: int) -> MapConfig:
 
 # -- scalar mapping ----------------------------------------------------------
 
+def _resolve_one(topo: ClusterTopology, regions: Sequence[MapConfig],
+                 addr: int) -> PhysicalLocation:
+    banks, rows = resolve_array(topo, regions, np.array([addr]))
+    return PhysicalLocation(bank=int(banks[0]), row=int(rows[0]))
+
+
 def interleaved_map(topo: ClusterTopology, addr: int) -> PhysicalLocation:
     """Baseline word-interleaved placement: bank cycles fastest."""
-    if not 0 <= addr < topo.total_bytes:
-        raise ValueError(f"address 0x{addr:x} outside L1 (size 0x{topo.total_bytes:x})")
-    u = addr // topo.word_bytes
-    return PhysicalLocation(bank=u % topo.n_banks, row=u // topo.n_banks)
+    return _resolve_one(topo, [], addr)
 
 
 def das_map(topo: ClusterTopology, cfg: MapConfig, addr: int) -> PhysicalLocation:
@@ -122,19 +125,11 @@ def das_map(topo: ClusterTopology, cfg: MapConfig, addr: int) -> PhysicalLocatio
         raise ValueError("das_map requires a DAS config")
     if not cfg.bound:
         raise ValueError("das_map requires a bound region (base/size assigned)")
-    cfg.validate(topo)
     if not cfg.contains(addr):
         raise ValueError(
             f"address 0x{addr:x} outside region [0x{cfg.base_addr:x}, "
             f"0x{cfg.base_addr + cfg.size_bytes:x})")
-    b = topo.bank_bits
-    p, s = cfg.p, cfg.s
-    u = addr // topo.word_bytes
-    bank_lo = u & ((1 << p) - 1)
-    row_lo = (u >> p) & ((1 << s) - 1)
-    bank_hi = (u >> (p + s)) & ((1 << (b - p)) - 1)
-    row_hi = u >> (b + s)
-    return PhysicalLocation(bank=(bank_hi << p) | bank_lo, row=(row_hi << s) | row_lo)
+    return _resolve_one(topo, [cfg], addr)
 
 
 def das_inverse(topo: ClusterTopology, cfg: MapConfig, loc: PhysicalLocation) -> int:
@@ -165,11 +160,15 @@ def resolve(topo: ClusterTopology, regions: Sequence[MapConfig], addr: int) -> P
     everything else falls back to the interleaved baseline. Regions must
     be pairwise disjoint.
     """
-    _check_disjoint(regions)
+    return _resolve_one(topo, regions, addr)
+
+
+def region_of(regions: Iterable[MapConfig], addr: int) -> Optional[MapConfig]:
+    """The bound DAS region among ``regions`` that contains ``addr``, if any."""
     for cfg in regions:
         if cfg.kind == MapKind.DAS and cfg.contains(addr):
-            return das_map(topo, cfg, addr)
-    return interleaved_map(topo, addr)
+            return cfg
+    return None
 
 
 def _check_disjoint(regions: Sequence[MapConfig]) -> None:

@@ -64,10 +64,6 @@ class SimReport:
             return 0.0
         return float(self.per_pe["instr_issued"].sum()) / (self.n_pe * self.cycles)
 
-    @property
-    def ipc_mean(self) -> float:
-        return self.utilization
-
     def check_conservation(self) -> None:
         total = sum(self.per_pe[f] for f in STALL_FIELDS)
         if not np.array_equal(total, self.per_pe["cycles_total"]):
@@ -76,10 +72,6 @@ class SimReport:
                 f"stall accounting leak on PE {bad}: "
                 f"{[int(self.per_pe[f][bad]) for f in STALL_FIELDS]} vs "
                 f"{int(self.per_pe['cycles_total'][bad])}")
-
-    def phase_util(self, ph: PhaseStats) -> float:
-        slots = ph.cycles * self.n_pe
-        return ph.issued / slots if slots else 0.0
 
     def stage_rows(self) -> list:
         """Phases merged by name, in order of first appearance."""
@@ -144,15 +136,6 @@ class SimReport:
                 w.writerow([pe, total] +
                            [int(self.per_pe[f][pe]) for f in STALL_FIELDS] +
                            [round(issued / total, 6) if total else 0.0])
-
-    def summary_line(self) -> str:
-        parts = [f"{self.meta.get('kernel', 'run')}",
-                 f"scheme={self.meta.get('scheme', '?')}",
-                 f"cycles={self.cycles}",
-                 f"ipc={self.utilization:.3f}"]
-        if self.speedup is not None:
-            parts.append(f"speedup={self.speedup:.2f}x")
-        return "  ".join(parts)
 
 
 def markdown_table(reports: Sequence[SimReport]) -> str:

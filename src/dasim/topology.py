@@ -6,8 +6,10 @@ groups. Every PE-to-bank access falls into one of four latency classes
 depending on how far up the hierarchy the request has to travel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 
 class HierarchyLevel(IntEnum):
@@ -91,18 +93,6 @@ class ClusterTopology:
         """One row across all banks."""
         return self.n_banks * self.word_bytes
 
-    def tile_of_pe(self, pe_id: int) -> int:
-        return pe_id // self.pes_per_tile
-
-    def tile_of_bank(self, bank_id: int) -> int:
-        return bank_id // self.banks_per_tile
-
-    def subgroup_of_tile(self, tile_id: int) -> int:
-        return tile_id // self.tiles_per_subgroup
-
-    def group_of_tile(self, tile_id: int) -> int:
-        return self.subgroup_of_tile(tile_id) // self.subgroups_per_group
-
     def latency(self, level: HierarchyLevel) -> int:
         return self.level_latency[level]
 
@@ -138,15 +128,22 @@ def access_level(topo: ClusterTopology, pe_id: int, bank_id: int) -> HierarchyLe
         raise ValueError(f"pe_id {pe_id} out of range [0, {topo.n_pes})")
     if not 0 <= bank_id < topo.n_banks:
         raise ValueError(f"bank_id {bank_id} out of range [0, {topo.n_banks})")
-    pt = topo.tile_of_pe(pe_id)
-    bt = topo.tile_of_bank(bank_id)
-    if pt == bt:
-        return HierarchyLevel.TILE_LOCAL
-    if topo.subgroup_of_tile(pt) == topo.subgroup_of_tile(bt):
-        return HierarchyLevel.SUBGROUP_LOCAL
-    if topo.group_of_tile(pt) == topo.group_of_tile(bt):
-        return HierarchyLevel.GROUP_LOCAL
-    return HierarchyLevel.REMOTE
+    return HierarchyLevel(int(access_levels(topo, pe_id, bank_id)))
+
+
+def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
+    """Hierarchy level of each (pe, bank) pair, as uint8; broadcasts.
+
+    Counts down from REMOTE once for each of group, subgroup and tile
+    that the PE and the bank share (a shared tile implies a shared
+    subgroup, which implies a shared group).
+    """
+    pt = np.asarray(pes) // topo.pes_per_tile
+    bt = np.asarray(banks) // topo.banks_per_tile
+    sg = topo.tiles_per_subgroup
+    gr = sg * topo.subgroups_per_group
+    shared = (pt // gr == bt // gr).astype(np.uint8) + (pt // sg == bt // sg) + (pt == bt)
+    return np.uint8(HierarchyLevel.REMOTE) - shared
 
 
 def local_fraction(topo: ClusterTopology) -> float:

@@ -3,13 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import desk_default, heap_init, terapool_default
-from dasim.engine import (ComputeClass, DmaState, DmaTransfer, EngineParams,
-                          PeOp, SimulationFault, barrier, build_transfer,
-                          compute, dma_advance, dma_start, dma_wait, load,
-                          run, store, transfer_cycles)
+from dasim import das, das_malloc, desk_default, heap_init, terapool_default
+from dasim._stepper import DEP_RING
+from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
+from dasim.kernels.plan import C_ALU, C_MAC, PeStream, PlanBuilder, run_plan
+from reference_dma import DmaState, dma_advance
 
 DESK = desk_default()
+
+
+def simulate(progs, params=None, barrier=False, transfers=(), topo=DESK):
+    """Run one phase through PlanBuilder and run_plan (which checks conservation).
+
+    ``progs[pe]`` lists PE ``pe``'s ops as PeStream calls ``(method, *args)``;
+    PEs without a program stay empty. ``barrier`` ends the phase with a
+    barrier on every PE.
+    """
+    pb = PlanBuilder(topo, "interleaved", 0, topo.total_bytes)
+    pb.transfers.extend(transfers)
+    pb.begin_phase("run")
+    for stream, prog in zip(pb.streams, progs):
+        for method, *args in prog:
+            getattr(stream, method)(*args)
+    pb.end_phase(barrier)
+    return run_plan(pb.build("test", "", 1, {}), params)
 
 
 def bank_addr(bank, row=0):
@@ -23,9 +40,7 @@ def finish_times(report):
 
 def test_load_latency_tile_local():
     # load issues at 0, data back after 1 cycle, consumer issues at 1
-    prog = [load(bank_addr(0)), compute(ComputeClass.ALU, dep=(0,))]
-    rep = run(DESK, None, [prog])
-    rep.check_conservation()
+    rep = simulate([[("load", bank_addr(0)), ("compute", C_ALU, 1, (0,))]])
     assert rep.cycles == 2
     assert rep.per_pe["lsu_stall"][0] == 0
 
@@ -33,9 +48,7 @@ def test_load_latency_tile_local():
 @pytest.mark.parametrize("tile,lat", [(1, 3), (2, 5), (4, 7)])
 def test_load_latency_levels(tile, lat):
     addr = bank_addr(tile * DESK.banks_per_tile)
-    prog = [load(addr), compute(ComputeClass.ALU, dep=(0,))]
-    rep = run(DESK, None, [prog])
-    rep.check_conservation()
+    rep = simulate([[("load", addr), ("compute", C_ALU, 1, (0,))]])
     assert rep.cycles == lat + 1
     assert rep.per_pe["lsu_stall"][0] == lat - 1
 
@@ -43,48 +56,40 @@ def test_load_latency_levels(tile, lat):
 def test_bank_serializes_eight_requesters():
     # 8 PEs of one tile hit the same bank the same cycle: completions
     # spread over 8 consecutive cycles (hand-stepped FIFO oracle)
-    topo = terapool_default()
     addr = 0  # bank 0, tile-local for PEs 0..7
-    progs = [[load(addr), compute(ComputeClass.ALU, dep=(0,))] for _ in range(8)]
-    rep = run(topo, None, progs)
-    rep.check_conservation()
+    progs = [[("load", addr), ("compute", C_ALU, 1, (0,))] for _ in range(8)]
+    rep = simulate(progs, topo=terapool_default())
     done = finish_times(rep)[:8]
     # PE k's load is served at cycle k, data at k+1, consumer retires k+2
     assert list(done) == [k + 2 for k in range(8)]
 
 
 def test_outstanding_window_gates_issue():
-    # 8 independent far loads, ample ports: issue 0..3 back to back,
-    # the 5th waits for the oldest response (in-order retire)
+    # 8 independent far loads, ample ports: issue 0..3 back to back, the
+    # 5th waits for a free slot (slots free as their own responses return)
     params = EngineParams(window=4, out_ports=8, in_ports=8)
     addrs = [bank_addr((4 + t) * DESK.banks_per_tile) for t in range(8)]
-    prog = [load(a) for a in addrs]
-    rep = run(DESK, None, [prog], params)
-    rep.check_conservation()
+    rep = simulate([[("load", a) for a in addrs]], params)
     # loads at 0,1,2,3 complete at 7..10; slots reopen at 7,8,9,10
     assert rep.per_pe["lsu_stall"][0] == 3
     assert finish_times(rep)[0] == 11
 
 
 def test_raw_stall_on_compute_chain():
-    p = [compute(ComputeClass.MAC), compute(ComputeClass.MAC, dep=(0,))]
-    rep = run(DESK, None, [p])
-    rep.check_conservation()
+    rep = simulate([[("compute", C_MAC), ("compute", C_MAC, 1, (0,))]])
     # result of op0 ready at 0+4; op1 stalls cycles 1..3
     assert rep.per_pe["raw_stall"][0] == 3
     assert rep.cycles == 5
 
 
 def test_compute_batch_counts_every_issue():
-    rep = run(DESK, None, [[compute(ComputeClass.MAC, count=16)]])
+    rep = simulate([[("compute", C_MAC, 16)]])
     assert rep.per_pe["instr_issued"][0] == 16
     assert rep.cycles == 16
 
 
 def test_barrier_wfi():
-    progs = [[compute(ComputeClass.ALU, count=5), barrier(0)], [barrier(0)]]
-    rep = run(DESK, None, progs)
-    rep.check_conservation()
+    rep = simulate([[("compute", C_ALU, 5)], []], barrier=True)
     assert rep.cycles == 6
     assert rep.per_pe["wfi_stall"][1] == 5
     assert rep.per_pe["wfi_stall"][0] == 0
@@ -92,37 +97,43 @@ def test_barrier_wfi():
     assert rep.per_pe["wfi_stall"][2] == 5
 
 
-def test_barrier_sequence_must_agree():
-    progs = [[barrier(0), barrier(1)], [barrier(1), barrier(0)]]
-    with pytest.raises(SimulationFault):
-        run(DESK, None, progs)
-
-
 def test_unresolvable_address_faults():
-    with pytest.raises(SimulationFault):
-        run(DESK, None, [[load(DESK.total_bytes + 4)]])
+    with pytest.raises(SimulationFault, match="PE 0"):
+        simulate([[("load", DESK.total_bytes + 4)]])
+
+
+@pytest.mark.parametrize("n_before,method,args", [
+    (3, "compute", (C_ALU, 0)),                 # count below 1
+    (3, "compute", (C_ALU, 1, (0, 1, 2))),      # a third dependence
+    (3, "load", (0, (3,))),                     # not an earlier op
+    (3, "load", (0, (-1,))),
+    (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
+])
+def test_stream_rejects_bad_ops(n_before, method, args):
+    s = PeStream()
+    for _ in range(n_before):
+        s.compute(C_ALU)
+    with pytest.raises(ValueError):
+        getattr(s, method)(*args)
+    assert s.n == n_before
 
 
 def test_store_consumes_bank_bandwidth():
     # PE0's store and PE1's load hit one bank the same cycle; the store
     # wins the FIFO slot and pushes the load's response out by a cycle
-    progs = [[store(bank_addr(0))],
-             [load(bank_addr(0)), compute(ComputeClass.ALU, dep=(0,))]]
-    rep = run(DESK, None, progs)
-    rep.check_conservation()
+    progs = [[("store", bank_addr(0))],
+             [("load", bank_addr(0)), ("compute", C_ALU, 1, (0,))]]
+    rep = simulate(progs)
     assert finish_times(rep)[1] == 3
-    alone = run(DESK, None, [progs[1]])
+    alone = simulate([progs[1]])
     assert finish_times(alone)[0] == 2
 
 
 def test_dma_roundtrip_and_wait():
     params = EngineParams(l2_latency=0)
-    heap = heap_init(0, DESK.total_bytes)
     tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))  # 8 words, one line
     assert tr.segments == [(0, 8)]
-    prog = [dma_start(0), dma_wait(0)]
-    rep = run(DESK, heap, [prog], params, transfers=[tr])
-    rep.check_conservation()
+    rep = simulate([[("dma_start", 0), ("dma_wait", 0)]], params, transfers=[tr])
     # start at 0; backend busy [1, 3); wait issues at 3
     assert rep.cycles == 4
     assert rep.per_pe["wfi_stall"][0] == 2
@@ -131,45 +142,63 @@ def test_dma_roundtrip_and_wait():
 def test_dma_wait_after_complete_is_free():
     params = EngineParams(l2_latency=0)
     tr = build_transfer(DESK, [], 0, (0, 16), (0, 16))
-    prog = [dma_start(0), compute(ComputeClass.ALU, count=50), dma_wait(0)]
-    rep = run(DESK, None, [prog], params, transfers=[tr])
+    prog = [("dma_start", 0), ("compute", C_ALU, 50), ("dma_wait", 0)]
+    rep = simulate([prog], params, transfers=[tr])
     assert rep.per_pe["wfi_stall"][0] == 0
+
+
+def test_transfer_leaving_its_region_is_rejected():
+    heap = heap_init(0, DESK.total_bytes)
+    base = das_malloc(heap, 256, das(4, 0))
+    with pytest.raises(ValueError, match="not contained"):
+        build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
 
 
 def test_dma_wait_unknown_id_faults():
     with pytest.raises(SimulationFault):
-        run(DESK, None, [[dma_wait(3)]])
+        simulate([[("dma_wait", 3)]])
 
 
-def test_dma_advance_model():
-    params = EngineParams(dma_words_per_cycle=4, l2_latency=100)
-    assert transfer_cycles(32, 4) == 8
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_dma_completion_matches_oracle(seed):
+    # PE t starts transfer t at cycle delays[t]; the stepper's completion
+    # of each transfer must match the Python backend model
+    rng = np.random.default_rng(seed)
+    params = EngineParams(dma_words_per_cycle=int(rng.integers(1, 9)),
+                          l2_latency=int(rng.integers(30, 100)))
+    n = int(rng.integers(1, 7))
+    delays = [int(d) for d in rng.integers(1, 30, n)]
+    transfers = [DmaTransfer(t, (0, 0), (0, 0), segments=[
+        (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
+        for _ in range(int(rng.integers(0, 4)))]) for t in range(n)]
+    # starts book in issue order, PE id breaking ties; backend work
+    # begins l2_latency after the cycle that follows the issue
     state = DmaState(backend_next_free=[0] * DESK.n_subgroups)
-    t1 = DmaTransfer(0, (0, 128), (0, 128), segments=[(0, 32)])
-    t2 = DmaTransfer(1, (0, 128), (0, 128), segments=[(1, 32)])
-    state = dma_advance(params, state, t1, 0)
-    state = dma_advance(params, state, t2, 0)
-    # disjoint subgroups: same completion, fully parallel backends
-    assert state.completed[0] == state.completed[1] == 100 + 8
-    t3 = DmaTransfer(2, (0, 64), (0, 64), segments=[(0, 16)])
-    state = dma_advance(params, state, t3, 0)
-    assert state.completed[2] == 108 + 4  # queued behind t1 on backend 0
+    for t in sorted(range(n), key=lambda t: delays[t]):
+        state = dma_advance(params, state, transfers[t], start_cycle=delays[t] + 1)
+    for t in range(n):
+        # only PE t waits; the others finish long before any transfer
+        # does, so the run ends the cycle after transfer t completes
+        progs = [[("compute", C_ALU, d), ("dma_start", u)]
+                 + ([("dma_wait", u)] if u == t else [])
+                 for u, d in enumerate(delays)]
+        rep = simulate(progs, params, transfers=transfers)
+        assert rep.cycles == state.completed[t] + 1
 
 
 def test_zero_memory_programs_scheme_invariant():
     # with no memory ops the mapping cannot matter: equal cycle counts
-    prog = [[compute(ComputeClass.MAC, count=64), barrier(0)]
-            for _ in range(DESK.n_pes)]
-    a = run(DESK, None, prog)
-    b = run(DESK, None, prog)
+    prog = [[("compute", C_MAC, 64)] for _ in range(DESK.n_pes)]
+    a = simulate(prog, barrier=True)
+    b = simulate(prog, barrier=True)
     assert a.cycles == b.cycles
     assert b.cycles / a.cycles == 1.0
 
 
 def test_ins_stall_injection():
     params = EngineParams(ins_stall_prob=1.0, ins_seed=7)
-    rep = run(DESK, None, [[compute(ComputeClass.ALU) for _ in range(5)]], params)
-    rep.check_conservation()
+    rep = simulate([[("compute", C_ALU)] * 5], params)
     assert rep.per_pe["ins_stall"][0] == 5
     assert rep.cycles == 10
 
@@ -179,7 +208,7 @@ def test_ins_stall_requires_seed():
         EngineParams(ins_stall_prob=0.5)
 
 
-def _random_programs(rng, n_pe, with_barrier):
+def _random_programs(rng, n_pe):
     progs = []
     for pe in range(n_pe):
         ops = []
@@ -187,19 +216,17 @@ def _random_programs(rng, n_pe, with_barrier):
         for i in range(int(n)):
             r = rng.random()
             if r < 0.45:
-                ops.append(load(int(rng.integers(0, DESK.total_bytes // 4)) * 4))
+                ops.append(("load", int(rng.integers(0, DESK.total_bytes // 4)) * 4))
             elif r < 0.6:
-                ops.append(store(int(rng.integers(0, DESK.total_bytes // 4)) * 4))
+                ops.append(("store", int(rng.integers(0, DESK.total_bytes // 4)) * 4))
             else:
                 dep = ()
                 if ops and rng.random() < 0.5:
                     j = int(rng.integers(0, len(ops)))
-                    if ops[j].kind.name in ("LOAD", "COMPUTE"):
+                    if ops[j][0] in ("load", "compute"):
                         dep = (j,)
-                ops.append(compute(ComputeClass(int(rng.integers(0, 3))),
-                                   count=int(rng.integers(1, 4)), dep=dep))
-        if with_barrier:
-            ops.append(barrier(0))
+                ops.append(("compute", int(rng.integers(0, 3)),
+                            int(rng.integers(1, 4)), dep))
         progs.append(ops)
     return progs
 
@@ -208,9 +235,9 @@ def _random_programs(rng, n_pe, with_barrier):
 @given(seed=st.integers(0, 10_000), bar=st.booleans())
 def test_conservation_and_determinism_random(seed, bar):
     rng = np.random.default_rng(seed)
-    progs = _random_programs(rng, 8, bar)
-    a = run(DESK, None, progs)
-    b = run(DESK, None, progs)
+    progs = _random_programs(rng, 8)
+    a = simulate(progs, barrier=bar)
+    b = simulate(progs, barrier=bar)
     a.check_conservation()
     assert a.to_json_str() == b.to_json_str()
 
@@ -220,17 +247,17 @@ def test_conservation_and_determinism_random(seed, bar):
 def test_monotone_contention(seed):
     # extra traffic from a new PE never speeds anyone else up
     rng = np.random.default_rng(seed)
-    progs = _random_programs(rng, 6, False)
-    base = finish_times(run(DESK, None, progs))
-    extra = _random_programs(np.random.default_rng(seed + 1), 7, False)[-1]
-    grown = finish_times(run(DESK, None, progs + [extra]))
+    progs = _random_programs(rng, 6)
+    base = finish_times(simulate(progs))
+    extra = _random_programs(np.random.default_rng(seed + 1), 7)[-1]
+    grown = finish_times(simulate(progs + [extra]))
     assert (grown[:6] >= base[:6]).all()
 
 
 def test_latency_floor_under_contention():
     # no load completes faster than its contention-free level latency
     addr = bank_addr(4 * DESK.banks_per_tile)  # remote
-    progs = [[load(addr), compute(ComputeClass.ALU, dep=(0,))] for _ in range(16)]
-    rep = run(DESK, None, progs)
+    progs = [[("load", addr), ("compute", C_ALU, 1, (0,))] for _ in range(16)]
+    rep = simulate(progs)
     done = finish_times(rep)[:16]
     assert (np.asarray(done) >= 7 + 1).all()

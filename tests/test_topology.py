@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from dasim import (ClusterTopology, HierarchyLevel, access_level,
                    desk_default, local_fraction, terapool_default)
+from dasim.topology import access_levels
 
 
 def test_terapool_shape():
@@ -37,6 +39,14 @@ def test_access_levels_terapool():
     # tile 40 is in group 1
     assert access_level(t, 0, 40 * 32) == HierarchyLevel.REMOTE
     assert t.latency(access_level(t, 0, 40 * 32)) == 7
+
+
+def test_access_levels_broadcasts_like_scalar():
+    t = desk_default()
+    grid = access_levels(t, np.arange(t.n_pes)[:, None], np.arange(t.n_banks)[None, :])
+    assert grid.dtype == np.uint8
+    assert grid.tolist() == [[access_level(t, pe, b) for b in range(t.n_banks)]
+                             for pe in range(t.n_pes)]
 
 
 def test_access_level_range_checks():
