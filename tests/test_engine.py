@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,54 @@ def test_conservation_and_determinism_random(seed, bar):
     b = simulate(progs, barrier=bar)
     a.check_conservation()
     assert a.to_json_str() == b.to_json_str()
+
+
+def _pinned_run(seed, barrier, empty, ins_prob, n_dma):
+    """A ``_random_programs`` case with empty PEs, INS stalls and DMA added.
+
+    PE ``t < n_dma`` ends by starting transfer ``t``, computing and
+    waiting for it.
+    """
+    rng = np.random.default_rng(seed)
+    progs = _random_programs(rng, 8)
+    for pe in empty:
+        progs[pe] = []
+    transfers = []
+    for t in range(n_dma):
+        transfers.append(DmaTransfer(t, (0, 0), (0, 0), segments=[
+            (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
+            for _ in range(int(rng.integers(1, 4)))]))
+        progs[t] += [("dma_start", t), ("compute", C_ALU, 8), ("dma_wait", t)]
+    params = EngineParams(ins_stall_prob=ins_prob, ins_seed=seed if ins_prob else 0)
+    return simulate(progs, params, barrier=barrier, transfers=transfers)
+
+
+# (seed, barrier, empty PEs, ins_stall_prob, transfers, report SHA-256):
+# pins the scheduling order across versions, which two runs of one
+# version (test_conservation_and_determinism_random) cannot
+PINNED = [
+    (1, False, (), 0.0, 0,
+     "fd1fabce1edaff9e8b4a094205567cd6a248c63b9c9125ef5654dd2eae98b2ae"),
+    (2, True, (), 0.0, 0,
+     "b732b94554a4524eced7b526cf6eaacbe1ac1d3fa42e1d5464138c4e63bd3102"),
+    (3, False, (2, 5), 0.0, 0,
+     "1ae2dd076f763756e5a5d972c2f1e97bf01260bef7b4166374908f1570f4c239"),
+    (4, True, (0, 6), 0.25, 0,
+     "a274203cc65c6c29174a504c7839139b3cd1665577cd7356ecb6f05bbf39a938"),
+    (5, False, (), 0.5, 0,
+     "78945a166f5de87eda6dc16d83da94dad96977d3e27f34919584309de4b9f3ee"),
+    (6, False, (4,), 0.0, 3,
+     "7fd6714838456b3b87df54c03510c3bb454dd9489c1a39566a5636292a4f0cdd"),
+    (7, True, (1,), 0.2, 4,
+     "e32090e51d3a56de892f13a8e48f88fdd9c82733f60e3087a7325001726fbb4f"),
+]
+
+
+@pytest.mark.parametrize("seed,barrier,empty,ins_prob,n_dma,digest", PINNED,
+                         ids=[f"seed{c[0]}" for c in PINNED])
+def test_random_programs_pinned(seed, barrier, empty, ins_prob, n_dma, digest):
+    rep = _pinned_run(seed, barrier, empty, ins_prob, n_dma)
+    assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from dasim import desk_default
+from dasim import desk_default, terapool_default
 from dasim.kernels.gemm import gen_gemm
 from dasim.kernels.gemv import gen_gemv
 from dasim.kernels.plan import run_plan
@@ -25,9 +25,29 @@ GOLDEN = [
 ]
 
 
+# the full 1024-PE cluster, where most PEs sit idle on most cycles
+TERAPOOL_GEMM_64 = [
+    ("das", 4403, "c1fb54fe5664099f01cdb5b74ff00c9ec5fbade79129626c392854575855fea8"),
+    ("interleaved", 8068,
+     "4891c2eaafdaf787d029ee8926b22792bb458f8282fc9d330e658c5d9dc011bd"),
+]
+
+
+def _digest(rep):
+    return hashlib.sha256(rep.to_json_str().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("gen,shape,scheme,cycles,digest", GOLDEN,
                          ids=[f"{g.__name__}-{s}" for g, _, s, _, _ in GOLDEN])
 def test_desk_report_digest(gen, shape, scheme, cycles, digest):
     rep = run_plan(gen(desk_default(), *shape, 1, scheme))
     assert rep.cycles == cycles
-    assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
+    assert _digest(rep) == digest
+
+
+@pytest.mark.parametrize("scheme,cycles,digest", TERAPOOL_GEMM_64,
+                         ids=[s for s, _, _ in TERAPOOL_GEMM_64])
+def test_terapool_gemm_report_digest(scheme, cycles, digest):
+    rep = run_plan(gen_gemm(terapool_default(), 64, 64, 64, 1, scheme))
+    assert rep.cycles == cycles
+    assert _digest(rep) == digest
