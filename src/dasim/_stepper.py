@@ -66,14 +66,15 @@ FAULT_BARRIER_NOT_LAST = 3
 
 @njit(cache=True)
 def _ins_hit(seed, pe, idx, prob):
-    # splitmix64 of (seed, pe, idx) against the stall probability
-    x = np.uint64(seed) ^ (np.uint64(pe) << np.uint64(32)) ^ np.uint64(idx)
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = x
+    # splitmix64 of (seed, pe, idx) against the stall probability; on a
+    # one-element array, because numpy scalars warn when they wrap
+    z = np.empty(1, dtype=np.uint64)
+    z[0] = np.uint64(seed) ^ (np.uint64(pe) << np.uint64(32)) ^ np.uint64(idx)
+    z += np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) < np.uint64(prob * (1 << 53))
+    z ^= z >> np.uint64(31)
+    return (z[0] >> np.uint64(11)) < np.uint64(prob * (1 << 53))
 
 
 @njit(cache=True)

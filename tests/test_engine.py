@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasim import das, das_malloc, desk_default, heap_init, terapool_default
-from dasim._stepper import DEP_RING
+from dasim._stepper import DEP_RING, _ins_hit
 from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
 from dasim.kernels.plan import C_ALU, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
@@ -203,6 +203,33 @@ def test_ins_stall_injection():
     rep = simulate([[("compute", C_ALU)] * 5], params)
     assert rep.per_pe["ins_stall"][0] == 5
     assert rep.cycles == 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ins_stall_draws_without_overflow_warnings():
+    params = EngineParams(ins_stall_prob=0.5, ins_seed=7)
+    rep = simulate([[("compute", C_ALU)] * 40 for _ in range(4)], params)
+    assert rep.per_pe["ins_stall"].sum() == 71
+
+
+def _splitmix_hit(seed, pe, idx, prob):
+    # reference draw in Python integers
+    m = (1 << 64) - 1
+    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & m
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+    z ^= z >> 31
+    return (z >> 11) < int(prob * (1 << 53))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ins_hit_matches_splitmix_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        seed = int(rng.integers(1, 1 << 62))
+        pe, idx = int(rng.integers(0, 1024)), int(rng.integers(0, 1 << 20))
+        prob = float(rng.random())
+        assert bool(_ins_hit(seed, pe, idx, prob)) == _splitmix_hit(seed, pe, idx, prob)
 
 
 def test_ins_stall_requires_seed():
