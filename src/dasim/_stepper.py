@@ -6,10 +6,19 @@ It is written against plain numpy arrays so the same code runs either
 JIT-compiled (numba, used for full-cluster runs) or as ordinary Python
 (small runs, environments without numba).
 
-Per cycle, PEs are visited in id order; all shared-resource bookings
-therefore happen in chronological order with PE id as the tie-break,
-which makes every run bit-deterministic.
+PEs are taken from a priority queue in (t_free, pe) order, so a PE is
+visited only at the cycle it can next act: it leaves the queue while it
+waits at the barrier, after its last op and while it waits on a DMA
+transfer nobody has started yet. Every PE the queue yields has t_free
+equal to the current cycle, because a PE that stalls, issues or is woken
+at a cycle is queued again at a later one. So the order is cycle by
+cycle and, within a cycle, by PE id: the order of a scan over all PEs
+per cycle. Shared-resource
+bookings therefore happen in chronological order with PE id as the
+tie-break, which makes every run bit-deterministic.
 """
+
+import heapq
 
 import numpy as np
 
@@ -40,8 +49,9 @@ K_DMA_WAIT = 5
 
 # PE states
 ST_RUN = 0
-ST_WAIT = 1
+ST_WAIT = 1         # at the barrier
 ST_DONE = 2
+ST_PARK = 3         # in a DMA wait on a transfer not yet started
 
 # accounting columns
 ACC_ISSUED = 0
@@ -55,13 +65,13 @@ STATUS_DONE = 0
 STATUS_FAULT = 1
 
 DEP_RING = 4096
-BIG = 1 << 62
 
 # fault codes
 FAULT_NONE = 0
 FAULT_DMA_RESTART = 1
 FAULT_DMA_UNKNOWN = 2
 FAULT_BARRIER_NOT_LAST = 3
+FAULT_DMA_NEVER_STARTED = 4
 
 
 @njit(cache=True)
@@ -75,6 +85,15 @@ def _ins_hit(seed, pe, idx, prob):
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return (z[0] >> np.uint64(11)) < np.uint64(prob * (1 << 53))
+
+
+@njit(cache=True)
+def _fault(clock, result, now, code, pe, detail):
+    clock[0] = now
+    result[0] = code
+    result[1] = pe
+    result[2] = detail
+    return STATUS_FAULT
 
 
 @njit(cache=True)
@@ -103,237 +122,211 @@ def step_segment(
 ):
     n_pe = n_ops.shape[0]
     mask = DEP_RING - 1
-    now = clock[0]
     out_ports = out_next.shape[2]
     in_ports = in_next.shape[2]
+    # PEs that can act, keyed t_free * n_pe + pe; numpy ints are slower keys
+    queue = [int(t_free[pe]) * n_pe + pe for pe in range(n_pe) if state[pe] == ST_RUN]
+    heapq.heapify(queue)
+    n_parked = 0
+    now = clock[0]
 
-    while True:
-        progressed = False
-        min_next = BIG
-        all_done = True
-        for pe in range(n_pe):
-            st = state[pe]
-            if st == ST_DONE or st == ST_WAIT:
+    while queue:
+        # the head stays in place until the PE is requeued or dropped
+        now, pe = divmod(queue[0], n_pe)
+        i = cursor[pe]
+        if i >= n_ops[pe]:
+            state[pe] = ST_DONE
+            heapq.heappop(queue)
+            continue
+        k = op_kind[pe, i]
+        ai = abs_idx[pe]
+
+        # gates
+        g_lsu = now
+        g_raw = now
+        g_wfi = now
+        d = op_dep1[pe, i]
+        for rep in range(2):
+            if d > 0:
+                j = (ai - d) & mask
+                rt = ready[pe, j]
+                if ready_kind[pe, j] == K_COMPUTE:
+                    if rt > g_raw:
+                        g_raw = rt
+                else:
+                    if rt > g_lsu:
+                        g_lsu = rt
+            d = op_dep2[pe, i]
+        win_slot = 0
+        if k == K_LOAD or k == K_STORE:
+            # a free window slot: responses retire in any order
+            m = win[pe, 0]
+            for w in range(1, window):
+                if win[pe, w] < m:
+                    m = win[pe, w]
+                    win_slot = w
+            if m > g_lsu:
+                g_lsu = m
+        elif k == K_BARRIER:
+            # memory must drain before synchronizing
+            for w in range(window):
+                if win[pe, w] > g_lsu:
+                    g_lsu = win[pe, w]
+        elif k == K_DMA_WAIT:
+            tid = op_arg[pe, i]
+            if tid < 0 or tid >= tr_lo.shape[0]:
+                return _fault(clock, result, now, FAULT_DMA_UNKNOWN, pe, tid)
+            if transfer_done[tid] < 0:
+                # off the queue until some PE starts the transfer
+                state[pe] = ST_PARK
+                n_parked += 1
+                heapq.heappop(queue)
                 continue
-            all_done = False
-            if t_free[pe] > now:
-                if t_free[pe] < min_next:
-                    min_next = t_free[pe]
-                continue
-            # PE can act at `now`
-            i = cursor[pe]
-            if i >= n_ops[pe]:
-                state[pe] = ST_DONE
-                continue
-            progressed = True
-            c = t_free[pe]
-            k = op_kind[pe, i]
-            ai = abs_idx[pe]
+            if transfer_done[tid] > g_wfi:
+                g_wfi = transfer_done[tid]
 
-            # gates
-            g_lsu = c
-            g_raw = c
-            g_wfi = c
-            d = op_dep1[pe, i]
-            for rep in range(2):
-                if d > 0:
-                    j = (ai - d) & mask
-                    rt = ready[pe, j]
-                    if ready_kind[pe, j] == K_COMPUTE:
-                        if rt > g_raw:
-                            g_raw = rt
-                    else:
-                        if rt > g_lsu:
-                            g_lsu = rt
-                d = op_dep2[pe, i]
-            win_slot = 0
-            if k == K_LOAD or k == K_STORE:
-                # a free window slot: responses retire in any order
-                m = win[pe, 0]
-                for w in range(1, window):
-                    if win[pe, w] < m:
-                        m = win[pe, w]
-                        win_slot = w
-                if m > g_lsu:
-                    g_lsu = m
-            elif k == K_BARRIER:
-                # memory must drain before synchronizing
-                for w in range(window):
-                    if win[pe, w] > g_lsu:
-                        g_lsu = win[pe, w]
-            elif k == K_DMA_WAIT:
-                tid = op_arg[pe, i]
-                if tid < 0 or tid >= transfer_done.shape[0] or transfer_done[tid] < 0:
-                    result[0] = FAULT_DMA_UNKNOWN
-                    result[1] = pe
-                    result[2] = tid
-                    clock[0] = now
-                    return STATUS_FAULT
-                if transfer_done[tid] > g_wfi:
-                    g_wfi = transfer_done[tid]
+        t_issue = g_lsu
+        if g_raw > t_issue:
+            t_issue = g_raw
+        if g_wfi > t_issue:
+            t_issue = g_wfi
 
-            t_issue = g_lsu
-            if g_raw > t_issue:
-                t_issue = g_raw
-            if g_wfi > t_issue:
-                t_issue = g_wfi
+        # one instruction-fetch stall cycle, decided per op
+        extra_ins = 0
+        if ins_prob > 0.0 and ins_done[pe] != ai:
+            if _ins_hit(ins_seed, pe, ai, ins_prob):
+                extra_ins = 1
 
-            # one instruction-fetch stall cycle, decided per op
-            extra_ins = 0
-            if ins_prob > 0.0 and ins_done[pe] != ai:
-                if _ins_hit(ins_seed, pe, ai, ins_prob):
-                    extra_ins = 1
-
-            if t_issue + extra_ins > now:
-                # cannot issue this cycle: attribute the whole wait to the
-                # latest gate (LSU beats RAW beats WFI on ties) and jump
-                stall = t_issue - c
-                if stall > 0:
-                    if g_lsu == t_issue:
-                        acct[pe, ACC_LSU] += stall
-                    elif g_raw == t_issue:
-                        acct[pe, ACC_RAW] += stall
-                    else:
-                        acct[pe, ACC_WFI] += stall
-                if extra_ins:
-                    acct[pe, ACC_INS] += 1
-                    ins_done[pe] = ai
-                t_free[pe] = t_issue + extra_ins
-                if t_free[pe] < min_next:
-                    min_next = t_free[pe]
-                continue
+        if t_issue + extra_ins > now:
+            # cannot issue this cycle: attribute the whole wait to the
+            # latest gate (LSU beats RAW beats WFI on ties) and jump
+            stall = t_issue - now
+            if stall > 0:
+                if g_lsu == t_issue:
+                    acct[pe, ACC_LSU] += stall
+                elif g_raw == t_issue:
+                    acct[pe, ACC_RAW] += stall
+                else:
+                    acct[pe, ACC_WFI] += stall
             if extra_ins:
                 acct[pe, ACC_INS] += 1
                 ins_done[pe] = ai
-                t_issue += extra_ins
+            t_free[pe] = t_issue + extra_ins
+            heapq.heapreplace(queue, int(t_issue + extra_ins) * n_pe + pe)
+            continue
 
-            # ---- issue at t_issue (== now for booking correctness) ----
-            if k == K_LOAD or k == K_STORE:
-                bank = op_bank[pe, i]
-                lvl = op_level[pe, i]
-                if lvl == 0:
-                    serve = t_issue
-                    if bank_next[bank] > serve:
-                        serve = bank_next[bank]
-                else:
-                    lat = level_lat[lvl]
-                    tile = pe // pes_per_tile
-                    # outbound port at the source tile for this level
-                    sp = 0
-                    for q in range(1, out_ports):
-                        if out_next[tile, lvl, q] < out_next[tile, lvl, sp]:
-                            sp = q
-                    t_out = t_issue
-                    if out_next[tile, lvl, sp] > t_out:
-                        t_out = out_next[tile, lvl, sp]
-                    out_next[tile, lvl, sp] = t_out + 1
-                    # inbound port at the destination tile
-                    dtile = bank // banks_per_tile
-                    t_arr = t_out + lat - 2
-                    sp = 0
-                    for q in range(1, in_ports):
-                        if in_next[dtile, lvl, q] < in_next[dtile, lvl, sp]:
-                            sp = q
-                    t_in = t_arr
-                    if in_next[dtile, lvl, sp] > t_in:
-                        t_in = in_next[dtile, lvl, sp]
-                    in_next[dtile, lvl, sp] = t_in + 1
-                    serve = t_in + 1
-                    if bank_next[bank] > serve:
-                        serve = bank_next[bank]
-                bank_next[bank] = serve + 1
-                done = serve + 1
-                ready[pe, ai & mask] = done
-                ready_kind[pe, ai & mask] = k
-                win[pe, win_slot] = done
-                acct[pe, ACC_ISSUED] += 1
-                t_free[pe] = t_issue + 1
-            elif k == K_COMPUTE:
-                cnt = op_arg[pe, i]
-                lat = op_lat[pe, i]
-                if lat < 0:
-                    lat = class_lat[op_cls[pe, i]]
-                acct[pe, ACC_ISSUED] += cnt
-                t_free[pe] = t_issue + cnt
-                ready[pe, ai & mask] = t_issue + cnt - 1 + lat
-                ready_kind[pe, ai & mask] = K_COMPUTE
-            elif k == K_BARRIER:
-                if i != n_ops[pe] - 1 or not has_barrier:
-                    result[0] = FAULT_BARRIER_NOT_LAST
-                    result[1] = pe
-                    result[2] = i
-                    clock[0] = now
-                    return STATUS_FAULT
-                acct[pe, ACC_ISSUED] += 1
-                arrival[pe] = t_issue
-                state[pe] = ST_WAIT
-                ready[pe, ai & mask] = t_issue + 1
-                ready_kind[pe, ai & mask] = K_BARRIER
-                bar_count[0] += 1
-                if bar_count[0] == n_pe:
-                    release = 0
-                    for q in range(n_pe):
-                        if arrival[q] > release:
-                            release = arrival[q]
-                    release += 1
-                    for q in range(n_pe):
-                        acct[q, ACC_WFI] += release - arrival[q] - 1
-                        t_free[q] = release
-                        state[q] = ST_DONE
-                    clock[0] = release
-                    result[0] = FAULT_NONE
-                    return STATUS_DONE
-            elif k == K_DMA_START:
-                tid = op_arg[pe, i]
-                if tid < 0 or tid >= transfer_done.shape[0]:
-                    result[0] = FAULT_DMA_UNKNOWN
-                    result[1] = pe
-                    result[2] = tid
-                    clock[0] = now
-                    return STATUS_FAULT
-                if transfer_done[tid] >= 0:
-                    result[0] = FAULT_DMA_RESTART
-                    result[1] = pe
-                    result[2] = tid
-                    clock[0] = now
-                    return STATUS_FAULT
-                base_t = t_issue + 1 + l2_lat
-                done = base_t
-                for sg in range(tr_lo[tid], tr_hi[tid]):
-                    b = seg_backend[sg]
-                    st = backend_next[b]
-                    if st < base_t:
-                        st = base_t
-                    dur = (seg_words[sg] + dma_wpc - 1) // dma_wpc
-                    backend_next[b] = st + dur
-                    if st + dur > done:
-                        done = st + dur
-                transfer_done[tid] = done
-                ready[pe, ai & mask] = t_issue + 1
-                ready_kind[pe, ai & mask] = K_DMA_START
-                acct[pe, ACC_ISSUED] += 1
-                t_free[pe] = t_issue + 1
-            else:  # K_DMA_WAIT, gate already satisfied
-                ready[pe, ai & mask] = t_issue + 1
-                ready_kind[pe, ai & mask] = K_DMA_WAIT
-                acct[pe, ACC_ISSUED] += 1
-                t_free[pe] = t_issue + 1
+        # ---- issue at t_issue (== now for booking correctness) ----
+        t_next = t_issue + 1            # when the PE can act again
+        t_ready = t_issue + 1           # when the op's result is ready
+        n_issued = 1
+        if k == K_LOAD or k == K_STORE:
+            bank = op_bank[pe, i]
+            lvl = op_level[pe, i]
+            if lvl == 0:
+                serve = t_issue
+                if bank_next[bank] > serve:
+                    serve = bank_next[bank]
+            else:
+                lat = level_lat[lvl]
+                tile = pe // pes_per_tile
+                # outbound port at the source tile for this level
+                sp = 0
+                for q in range(1, out_ports):
+                    if out_next[tile, lvl, q] < out_next[tile, lvl, sp]:
+                        sp = q
+                t_out = t_issue
+                if out_next[tile, lvl, sp] > t_out:
+                    t_out = out_next[tile, lvl, sp]
+                out_next[tile, lvl, sp] = t_out + 1
+                # inbound port at the destination tile
+                dtile = bank // banks_per_tile
+                t_arr = t_out + lat - 2
+                sp = 0
+                for q in range(1, in_ports):
+                    if in_next[dtile, lvl, q] < in_next[dtile, lvl, sp]:
+                        sp = q
+                t_in = t_arr
+                if in_next[dtile, lvl, sp] > t_in:
+                    t_in = in_next[dtile, lvl, sp]
+                in_next[dtile, lvl, sp] = t_in + 1
+                serve = t_in + 1
+                if bank_next[bank] > serve:
+                    serve = bank_next[bank]
+            bank_next[bank] = serve + 1
+            t_ready = serve + 1
+            win[pe, win_slot] = t_ready
+        elif k == K_COMPUTE:
+            n_issued = op_arg[pe, i]
+            lat = op_lat[pe, i]
+            if lat < 0:
+                lat = class_lat[op_cls[pe, i]]
+            t_next = t_issue + n_issued
+            t_ready = t_next - 1 + lat
+        elif k == K_BARRIER:
+            if i != n_ops[pe] - 1 or not has_barrier:
+                return _fault(clock, result, now, FAULT_BARRIER_NOT_LAST, pe, i)
+            arrival[pe] = t_issue
+            state[pe] = ST_WAIT
+            bar_count[0] += 1
+        elif k == K_DMA_START:
+            tid = op_arg[pe, i]
+            if tid < 0 or tid >= tr_lo.shape[0]:
+                return _fault(clock, result, now, FAULT_DMA_UNKNOWN, pe, tid)
+            if transfer_done[tid] >= 0:
+                return _fault(clock, result, now, FAULT_DMA_RESTART, pe, tid)
+            base_t = t_issue + 1 + l2_lat
+            t_done = base_t
+            for sg in range(tr_lo[tid], tr_hi[tid]):
+                b = seg_backend[sg]
+                st = backend_next[b]
+                if st < base_t:
+                    st = base_t
+                dur = (seg_words[sg] + dma_wpc - 1) // dma_wpc
+                backend_next[b] = st + dur
+                if st + dur > t_done:
+                    t_done = st + dur
+            transfer_done[tid] = t_done
+            if n_parked > 0:
+                # waiters resume next cycle; their parked cycles are WFI
+                for q in range(n_pe):
+                    if state[q] == ST_PARK and op_arg[q, cursor[q]] == tid:
+                        state[q] = ST_RUN
+                        n_parked -= 1
+                        acct[q, ACC_WFI] += now + 1 - t_free[q]
+                        t_free[q] = now + 1
+                        heapq.heappush(queue, (now + 1) * n_pe + q)
 
-            cursor[pe] = i + 1
-            abs_idx[pe] = ai + 1
-            if t_free[pe] <= now:
-                t_free[pe] = now + 1  # an op occupies at least its issue cycle
-            if t_free[pe] < min_next:
-                min_next = t_free[pe]
-
-        if all_done:
-            # segment without a terminating barrier: PEs end independently
-            clock[0] = now
+        # every kind, a DMA wait whose gate is met included, ends here
+        ready[pe, ai & mask] = t_ready
+        ready_kind[pe, ai & mask] = k
+        acct[pe, ACC_ISSUED] += n_issued
+        if k != K_BARRIER:
+            heapq.heapreplace(queue, int(t_next) * n_pe + pe)
+        elif bar_count[0] < n_pe:
+            heapq.heappop(queue)  # waits off the queue for the release
+        else:
+            release = 0
+            for q in range(n_pe):
+                if arrival[q] > release:
+                    release = arrival[q]
+            release += 1
+            for q in range(n_pe):
+                acct[q, ACC_WFI] += release - arrival[q] - 1
+                t_free[q] = release
+                state[q] = ST_DONE
+            clock[0] = release
             result[0] = FAULT_NONE
             return STATUS_DONE
-        if progressed:
-            now += 1
-        elif min_next > now:
-            now = min_next
-        else:
-            now += 1
+        cursor[pe] = i + 1
+        abs_idx[pe] = ai + 1
+        t_free[pe] = t_next
+
+    if n_parked > 0:
+        for q in range(n_pe):
+            if state[q] == ST_PARK:
+                return _fault(clock, result, now, FAULT_DMA_NEVER_STARTED,
+                              q, op_arg[q, cursor[q]])
+    # segment without a terminating barrier: PEs end independently
+    clock[0] = now
+    result[0] = FAULT_NONE
+    return STATUS_DONE

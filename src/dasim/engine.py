@@ -187,9 +187,10 @@ def make_chunk(columns: list, n_pe: int) -> PackedChunk:
 # -- engine state and run ------------------------------------------------------
 
 _FAULT_TEXT = {
-    _stepper.FAULT_DMA_RESTART: "transfer started twice",
-    _stepper.FAULT_DMA_UNKNOWN: "wait on unknown or unstarted transfer",
-    _stepper.FAULT_BARRIER_NOT_LAST: "barrier not at segment end",
+    _stepper.FAULT_DMA_RESTART: "transfer {} started twice",
+    _stepper.FAULT_DMA_UNKNOWN: "unknown transfer {}",
+    _stepper.FAULT_BARRIER_NOT_LAST: "barrier at op {} not at segment end",
+    _stepper.FAULT_DMA_NEVER_STARTED: "wait on transfer {}, which no PE starts",
 }
 
 
@@ -257,7 +258,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         if status != STATUS_DONE:
             code, pe, detail = (int(x) for x in st.result)
             raise SimulationFault(
-                f"{_FAULT_TEXT.get(code, 'fault')} (PE {pe}, detail {detail}, "
+                f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
                 f"phase {phase.name!r}, cycle {int(st.clock[0])})")
         totals += acct
         # PEs in a non-barrier terminal phase end at their own time

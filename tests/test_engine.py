@@ -161,6 +161,30 @@ def test_dma_wait_unknown_id_faults():
         simulate([[("dma_wait", 3)]])
 
 
+@pytest.mark.parametrize("delay", [0, 5])
+@pytest.mark.parametrize("waiter,starter", [(0, 1), (1, 0)])
+def test_dma_wait_independent_of_pe_order(waiter, starter, delay):
+    # the wait blocks until the other PE starts the transfer at `delay`;
+    # the backend is then busy two cycles, whatever the PE ids
+    params = EngineParams(l2_latency=0)
+    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+    progs = [[], []]
+    progs[waiter] = [("dma_wait", 0)]
+    progs[starter] = [("compute", C_ALU, delay)] * (delay > 0) + [("dma_start", 0)]
+    rep = simulate(progs, params, transfers=[tr])
+    assert rep.cycles == delay + 4
+    assert rep.per_pe["wfi_stall"][waiter] == delay + 3
+    assert finish_times(rep)[starter] == delay + 1
+
+
+@pytest.mark.parametrize("barrier", [False, True])
+def test_dma_wait_never_started_faults(barrier):
+    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+    progs = [[("compute", C_ALU, 3)], [("dma_wait", 0)]]
+    with pytest.raises(SimulationFault, match=r"transfer 0, which no PE starts \(PE 1"):
+        simulate(progs, barrier=barrier, transfers=[tr])
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_dma_completion_matches_oracle(seed):
