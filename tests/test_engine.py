@@ -161,6 +161,12 @@ def test_dma_wait_unknown_id_faults():
         simulate([[("dma_wait", 3)]])
 
 
+@pytest.mark.parametrize("tid", [0, 3])
+def test_dma_start_unknown_id_faults(tid):
+    with pytest.raises(SimulationFault, match=f"unknown transfer {tid} \\(PE 0"):
+        simulate([[("dma_start", tid)]])
+
+
 @pytest.mark.parametrize("delay", [0, 5])
 @pytest.mark.parametrize("waiter,starter", [(0, 1), (1, 0)])
 def test_dma_wait_independent_of_pe_order(waiter, starter, delay):
