@@ -13,9 +13,9 @@ transfer nobody has started yet. Every PE the queue yields has t_free
 equal to the current cycle, because a PE that stalls, issues or is woken
 at a cycle is queued again at a later one. So the order is cycle by
 cycle and, within a cycle, by PE id: the order of a scan over all PEs
-per cycle. Shared-resource
-bookings therefore happen in chronological order with PE id as the
-tie-break, which makes every run bit-deterministic.
+per cycle. Shared-resource bookings therefore happen in chronological
+order with PE id as the tie-break, which makes every run
+bit-deterministic.
 """
 
 import heapq
@@ -296,7 +296,7 @@ def step_segment(
                         t_free[q] = now + 1
                         heapq.heappush(queue, (now + 1) * n_pe + q)
 
-        # every kind, a DMA wait whose gate is met included, ends here
+        # shared by every kind; a DMA wait with its gate met needs only this
         ready[pe, ai & mask] = t_ready
         ready_kind[pe, ai & mask] = k
         acct[pe, ACC_ISSUED] += n_issued
