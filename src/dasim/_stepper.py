@@ -300,6 +300,9 @@ def step_segment(
         ready[pe, ai & mask] = t_ready
         ready_kind[pe, ai & mask] = k
         acct[pe, ACC_ISSUED] += n_issued
+        cursor[pe] = i + 1
+        abs_idx[pe] = ai + 1
+        t_free[pe] = t_next
         if k != K_BARRIER:
             heapq.heapreplace(queue, int(t_next) * n_pe + pe)
         elif bar_count[0] < n_pe:
@@ -317,9 +320,6 @@ def step_segment(
             clock[0] = release
             result[0] = FAULT_NONE
             return STATUS_DONE
-        cursor[pe] = i + 1
-        abs_idx[pe] = ai + 1
-        t_free[pe] = t_next
 
     if n_parked > 0:
         for q in range(n_pe):

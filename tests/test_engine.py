@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dasim import das, das_malloc, desk_default, heap_init, terapool_default
 from dasim._stepper import DEP_RING, _ins_hit
 from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
-from dasim.kernels.plan import C_ALU, C_MAC, PeStream, PlanBuilder, run_plan
+from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
 
 DESK = desk_default()
@@ -23,12 +23,16 @@ def simulate(progs, params=None, barrier=False, transfers=(), topo=DESK):
     """
     pb = PlanBuilder(topo, "interleaved", 0, topo.total_bytes)
     pb.transfers.extend(transfers)
-    pb.begin_phase("run")
+    _emit_phase(pb, "run", progs, barrier)
+    return run_plan(pb.build("test", "", 1, {}), params)
+
+
+def _emit_phase(pb, name, progs, barrier):
+    pb.begin_phase(name)
     for stream, prog in zip(pb.streams, progs):
         for method, *args in prog:
             getattr(stream, method)(*args)
     pb.end_phase(barrier)
-    return run_plan(pb.build("test", "", 1, {}), params)
 
 
 def bank_addr(bank, row=0):
@@ -97,6 +101,22 @@ def test_barrier_wfi():
     assert rep.per_pe["wfi_stall"][0] == 0
     # every other PE idles the whole run at the barrier
     assert rep.per_pe["wfi_stall"][2] == 5
+
+
+@pytest.mark.parametrize("other_alus,release", [(0, 3), (5, 6)])
+def test_dependence_across_barrier(other_alus, release):
+    # phase a: PE 0 divides (result at 12), adds, reaches the barrier at 2;
+    # PE 1 adds other_alus times first, so with 5 it arrives last (at 5).
+    # phase b: PE 0 adds, waiting on the divide from phase a, whichever
+    # PE released the barrier
+    pb = PlanBuilder(DESK, "interleaved", 0, DESK.total_bytes)
+    other = [("compute", C_ALU, other_alus)] if other_alus else []
+    _emit_phase(pb, "a", [[("compute", C_DIV), ("compute", C_ALU)], other], True)
+    _emit_phase(pb, "b", [[("compute", C_ALU, 1, (0,))]], False)
+    rep = run_plan(pb.build("test", "", 1, {}))
+    assert rep.phases[0].end == release
+    assert rep.per_pe["raw_stall"][0] == 12 - release
+    assert rep.cycles == 13
 
 
 def test_unresolvable_address_faults():
