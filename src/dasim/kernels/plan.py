@@ -150,6 +150,12 @@ class PeStream:
         n = len(kind)
         if n == 0:
             return
+        own = np.arange(self.n, self.n + n)
+        for dep in (dep1, dep2):
+            bad = np.flatnonzero((np.asarray(dep) > own) | (np.asarray(dep) >= DEP_RING))
+            if len(bad):
+                j = bad[0]
+                raise ValueError(f"dep distance {dep[j]} out of ring range at op {own[j]}")
         self._flush()
         lat = np.full(n, -1, dtype=np.int16)
         self._segs.append({"kind": np.asarray(kind, dtype=np.uint8),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasim import das, das_malloc, desk_default, heap_init, terapool_default
-from dasim._stepper import DEP_RING, _ins_hit
+from dasim._stepper import DEP_RING, K_COMPUTE, _ins_hit
 from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
@@ -130,6 +130,9 @@ def test_unresolvable_address_faults():
     (3, "load", (0, (3,))),                     # not an earlier op
     (3, "load", (0, (-1,))),
     (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
+    (0, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [5], [0])),     # before op 0
+    (DEP_RING + 1000, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
+                                 [0, 1], [1, 5000])),               # beyond the ring
 ])
 def test_stream_rejects_bad_ops(n_before, method, args):
     s = PeStream()
