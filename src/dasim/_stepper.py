@@ -1,10 +1,20 @@
-"""Cycle-stepped core of the simulator.
+"""Cycle-stepped core of the simulator, in plain Python.
 
 One function advances a whole barrier-delimited program segment, one
 packed chunk of per-PE op columns, over shared bank/port/backend state.
-It is written against plain numpy arrays so the same code runs either
-JIT-compiled (numba, used for full-cluster runs) or as ordinary Python
-(small runs, environments without numba).
+Its loop body runs once per issued op or stall and reads and writes only
+Python ints, because each index into a numpy array makes a numpy scalar,
+and arithmetic on those is several times slower.
+
+- The large arrays stay numpy and arrive as memoryviews, which index
+  like ``a[pe, i]``, return Python ints and copy nothing: the eight
+  packed op columns [n_pe, L] and the two dependence rings
+  [n_pe, DEP_RING]. Turning them into lists costs memory: flat list
+  rings raised the benchmark's peak RSS from 115.0 to 158.6 MiB on
+  1024-PE gemm 64^3 (83.2 to 121.7 MiB on gemv 256^2), and per-PE op
+  rows as lists raised it from 46.5 to 58.9 MiB on the 64-PE gemm.
+- Small per-PE and per-resource state is Python lists, indexed by PE,
+  bank, port or transfer.
 
 PEs are taken from a priority queue in (t_free, pe) order, so a PE is
 visited only at the cycle it can next act: it leaves the queue while it
@@ -18,25 +28,10 @@ order with PE id as the tie-break, which makes every run
 bit-deterministic.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush, heapreplace
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+# there is no compiled stepper; the benchmark records the backend from this
+HAVE_NUMBA = False
 
 
 # op kinds
@@ -60,75 +55,60 @@ ACC_RAW = 2
 ACC_INS = 3
 ACC_WFI = 4
 
-# stepper exit codes
-STATUS_DONE = 0
-STATUS_FAULT = 1
-
 DEP_RING = 4096
 
 # fault codes
-FAULT_NONE = 0
 FAULT_DMA_RESTART = 1
 FAULT_DMA_UNKNOWN = 2
 FAULT_BARRIER_NOT_LAST = 3
 FAULT_DMA_NEVER_STARTED = 4
 
+_M64 = (1 << 64) - 1
 
-@njit(cache=True)
+
 def _ins_hit(seed, pe, idx, prob):
-    # splitmix64 of (seed, pe, idx) against the stall probability; on a
-    # one-element array, because numpy scalars warn when they wrap
-    z = np.empty(1, dtype=np.uint64)
-    z[0] = np.uint64(seed) ^ (np.uint64(pe) << np.uint64(32)) ^ np.uint64(idx)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z[0] >> np.uint64(11)) < np.uint64(prob * (1 << 53))
+    # splitmix64 of (seed, pe, idx) against the stall probability
+    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return (z >> 11) < int(prob * (1 << 53))
 
 
-@njit(cache=True)
-def _fault(clock, result, now, code, pe, detail):
-    clock[0] = now
-    result[0] = code
-    result[1] = pe
-    result[2] = detail
-    return STATUS_FAULT
-
-
-@njit(cache=True)
 def step_segment(
-    # per-op arrays of the segment, [n_pe, L] / [n_pe]
+    # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
     op_kind, op_cls, op_lat, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
-    # per-PE persistent state
+    # per-PE state
     cursor, abs_idx, t_free, state,
-    ready, ready_kind,            # dep rings [n_pe, DEP_RING]
-    win,                          # outstanding-op slots [n_pe, window]
-    acct,                         # [n_pe, 5]
+    ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
+    win,                          # per PE, a list of outstanding-op slots
+    acct,                         # per PE, a list of the five ACC_* columns
     ins_done,                     # last abs idx charged an INS stall
     # shared memory-system state
     bank_next,                    # [n_banks]
-    out_next, in_next,            # [n_tiles, 4, ports]
+    out_next, in_next,            # [(tile * 4 + level) * ports + port]
     # barrier state
-    arrival, bar_count,
+    arrival,
     # DMA state
     seg_backend, seg_words, tr_lo, tr_hi, transfer_done, backend_next,
     # parameters
-    level_lat, class_lat, window, pes_per_tile, banks_per_tile,
+    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
     l2_lat, dma_wpc, ins_prob, ins_seed,
-    has_barrier,
-    # in/out scalars packed in arrays: clock[0]=now, out[0]=end/fault info
-    clock, result,
+    has_barrier, now,
 ):
-    n_pe = n_ops.shape[0]
+    """Advance one segment from cycle ``now``.
+
+    Returns ``(now, None)`` with the cycle the segment ended, or the
+    cycle of a fault and ``(FAULT_*, pe, detail)``.
+    """
+    n_pe = len(n_ops)
+    n_transfers = len(tr_lo)
     mask = DEP_RING - 1
-    out_ports = out_next.shape[2]
-    in_ports = in_next.shape[2]
-    # PEs that can act, keyed t_free * n_pe + pe; numpy ints are slower keys
-    queue = [int(t_free[pe]) * n_pe + pe for pe in range(n_pe) if state[pe] == ST_RUN]
-    heapq.heapify(queue)
+    # PEs that can act, keyed t_free * n_pe + pe
+    queue = [t_free[pe] * n_pe + pe for pe in range(n_pe) if state[pe] == ST_RUN]
+    heapify(queue)
     n_parked = 0
-    now = clock[0]
+    n_arrived = 0
 
     while queue:
         # the head stays in place until the PE is requeued or dropped
@@ -136,54 +116,46 @@ def step_segment(
         i = cursor[pe]
         if i >= n_ops[pe]:
             state[pe] = ST_DONE
-            heapq.heappop(queue)
+            heappop(queue)
             continue
         k = op_kind[pe, i]
         ai = abs_idx[pe]
 
         # gates
-        g_lsu = now
-        g_raw = now
-        g_wfi = now
-        d = op_dep1[pe, i]
-        for rep in range(2):
-            if d > 0:
+        g_lsu = g_raw = g_wfi = now
+        for d in (op_dep1[pe, i], op_dep2[pe, i]):
+            if d:
                 j = (ai - d) & mask
                 rt = ready[pe, j]
                 if ready_kind[pe, j] == K_COMPUTE:
                     if rt > g_raw:
                         g_raw = rt
-                else:
-                    if rt > g_lsu:
-                        g_lsu = rt
-            d = op_dep2[pe, i]
-        win_slot = 0
+                elif rt > g_lsu:
+                    g_lsu = rt
+        slots = win[pe]
         if k == K_LOAD or k == K_STORE:
             # a free window slot: responses retire in any order
-            m = win[pe, 0]
-            for w in range(1, window):
-                if win[pe, w] < m:
-                    m = win[pe, w]
-                    win_slot = w
+            m = min(slots)
             if m > g_lsu:
                 g_lsu = m
         elif k == K_BARRIER:
             # memory must drain before synchronizing
-            for w in range(window):
-                if win[pe, w] > g_lsu:
-                    g_lsu = win[pe, w]
+            m = max(slots)
+            if m > g_lsu:
+                g_lsu = m
         elif k == K_DMA_WAIT:
             tid = op_arg[pe, i]
-            if tid < 0 or tid >= tr_lo.shape[0]:
-                return _fault(clock, result, now, FAULT_DMA_UNKNOWN, pe, tid)
-            if transfer_done[tid] < 0:
+            if tid < 0 or tid >= n_transfers:
+                return now, (FAULT_DMA_UNKNOWN, pe, tid)
+            t_done = transfer_done[tid]
+            if t_done < 0:
                 # off the queue until some PE starts the transfer
                 state[pe] = ST_PARK
                 n_parked += 1
-                heapq.heappop(queue)
+                heappop(queue)
                 continue
-            if transfer_done[tid] > g_wfi:
-                g_wfi = transfer_done[tid]
+            if t_done > g_wfi:
+                g_wfi = t_done
 
         t_issue = g_lsu
         if g_raw > t_issue:
@@ -193,140 +165,124 @@ def step_segment(
 
         # one instruction-fetch stall cycle, decided per op
         extra_ins = 0
-        if ins_prob > 0.0 and ins_done[pe] != ai:
-            if _ins_hit(ins_seed, pe, ai, ins_prob):
-                extra_ins = 1
+        if ins_prob > 0.0 and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_prob):
+            extra_ins = 1
 
         if t_issue + extra_ins > now:
             # cannot issue this cycle: attribute the whole wait to the
             # latest gate (LSU beats RAW beats WFI on ties) and jump
             stall = t_issue - now
+            a = acct[pe]
             if stall > 0:
                 if g_lsu == t_issue:
-                    acct[pe, ACC_LSU] += stall
+                    a[ACC_LSU] += stall
                 elif g_raw == t_issue:
-                    acct[pe, ACC_RAW] += stall
+                    a[ACC_RAW] += stall
                 else:
-                    acct[pe, ACC_WFI] += stall
+                    a[ACC_WFI] += stall
             if extra_ins:
-                acct[pe, ACC_INS] += 1
+                a[ACC_INS] += 1
                 ins_done[pe] = ai
             t_free[pe] = t_issue + extra_ins
-            heapq.heapreplace(queue, int(t_issue + extra_ins) * n_pe + pe)
+            heapreplace(queue, (t_issue + extra_ins) * n_pe + pe)
             continue
 
-        # ---- issue at t_issue (== now for booking correctness) ----
-        t_next = t_issue + 1            # when the PE can act again
-        t_ready = t_issue + 1           # when the op's result is ready
+        # ---- issue at now ----
+        t_next = now + 1                # when the PE can act again
+        t_ready = now + 1               # when the op's result is ready
         n_issued = 1
         if k == K_LOAD or k == K_STORE:
             bank = op_bank[pe, i]
             lvl = op_level[pe, i]
-            if lvl == 0:
-                serve = t_issue
-                if bank_next[bank] > serve:
-                    serve = bank_next[bank]
-            else:
-                lat = level_lat[lvl]
-                tile = pe // pes_per_tile
+            serve = now
+            if lvl:
                 # outbound port at the source tile for this level
-                sp = 0
-                for q in range(1, out_ports):
-                    if out_next[tile, lvl, q] < out_next[tile, lvl, sp]:
+                sp = (pe // pes_per_tile * 4 + lvl) * out_ports
+                for q in range(sp + 1, sp + out_ports):
+                    if out_next[q] < out_next[sp]:
                         sp = q
-                t_out = t_issue
-                if out_next[tile, lvl, sp] > t_out:
-                    t_out = out_next[tile, lvl, sp]
-                out_next[tile, lvl, sp] = t_out + 1
+                t_out = now
+                if out_next[sp] > t_out:
+                    t_out = out_next[sp]
+                out_next[sp] = t_out + 1
                 # inbound port at the destination tile
-                dtile = bank // banks_per_tile
-                t_arr = t_out + lat - 2
-                sp = 0
-                for q in range(1, in_ports):
-                    if in_next[dtile, lvl, q] < in_next[dtile, lvl, sp]:
+                sp = (bank // banks_per_tile * 4 + lvl) * in_ports
+                for q in range(sp + 1, sp + in_ports):
+                    if in_next[q] < in_next[sp]:
                         sp = q
-                t_in = t_arr
-                if in_next[dtile, lvl, sp] > t_in:
-                    t_in = in_next[dtile, lvl, sp]
-                in_next[dtile, lvl, sp] = t_in + 1
+                t_in = t_out + level_lat[lvl] - 2
+                if in_next[sp] > t_in:
+                    t_in = in_next[sp]
+                in_next[sp] = t_in + 1
                 serve = t_in + 1
-                if bank_next[bank] > serve:
-                    serve = bank_next[bank]
+            if bank_next[bank] > serve:
+                serve = bank_next[bank]
             bank_next[bank] = serve + 1
             t_ready = serve + 1
-            win[pe, win_slot] = t_ready
+            slots[slots.index(m)] = t_ready
         elif k == K_COMPUTE:
             n_issued = op_arg[pe, i]
             lat = op_lat[pe, i]
             if lat < 0:
                 lat = class_lat[op_cls[pe, i]]
-            t_next = t_issue + n_issued
+            t_next = now + n_issued
             t_ready = t_next - 1 + lat
         elif k == K_BARRIER:
             if i != n_ops[pe] - 1 or not has_barrier:
-                return _fault(clock, result, now, FAULT_BARRIER_NOT_LAST, pe, i)
-            arrival[pe] = t_issue
+                return now, (FAULT_BARRIER_NOT_LAST, pe, i)
+            arrival[pe] = now
             state[pe] = ST_WAIT
-            bar_count[0] += 1
+            n_arrived += 1
         elif k == K_DMA_START:
             tid = op_arg[pe, i]
-            if tid < 0 or tid >= tr_lo.shape[0]:
-                return _fault(clock, result, now, FAULT_DMA_UNKNOWN, pe, tid)
+            if tid < 0 or tid >= n_transfers:
+                return now, (FAULT_DMA_UNKNOWN, pe, tid)
             if transfer_done[tid] >= 0:
-                return _fault(clock, result, now, FAULT_DMA_RESTART, pe, tid)
-            base_t = t_issue + 1 + l2_lat
+                return now, (FAULT_DMA_RESTART, pe, tid)
+            base_t = now + 1 + l2_lat
             t_done = base_t
             for sg in range(tr_lo[tid], tr_hi[tid]):
                 b = seg_backend[sg]
-                st = backend_next[b]
-                if st < base_t:
-                    st = base_t
-                dur = (seg_words[sg] + dma_wpc - 1) // dma_wpc
-                backend_next[b] = st + dur
-                if st + dur > t_done:
-                    t_done = st + dur
+                end = backend_next[b]
+                if end < base_t:
+                    end = base_t
+                end += (seg_words[sg] + dma_wpc - 1) // dma_wpc
+                backend_next[b] = end
+                if end > t_done:
+                    t_done = end
             transfer_done[tid] = t_done
-            if n_parked > 0:
+            if n_parked:
                 # waiters resume next cycle; their parked cycles are WFI
                 for q in range(n_pe):
                     if state[q] == ST_PARK and op_arg[q, cursor[q]] == tid:
                         state[q] = ST_RUN
                         n_parked -= 1
-                        acct[q, ACC_WFI] += now + 1 - t_free[q]
+                        acct[q][ACC_WFI] += now + 1 - t_free[q]
                         t_free[q] = now + 1
-                        heapq.heappush(queue, (now + 1) * n_pe + q)
+                        heappush(queue, (now + 1) * n_pe + q)
 
         # shared by every kind; a DMA wait with its gate met needs only this
         ready[pe, ai & mask] = t_ready
         ready_kind[pe, ai & mask] = k
-        acct[pe, ACC_ISSUED] += n_issued
+        acct[pe][ACC_ISSUED] += n_issued
         cursor[pe] = i + 1
         abs_idx[pe] = ai + 1
         t_free[pe] = t_next
         if k != K_BARRIER:
-            heapq.heapreplace(queue, int(t_next) * n_pe + pe)
-        elif bar_count[0] < n_pe:
-            heapq.heappop(queue)  # waits off the queue for the release
+            heapreplace(queue, t_next * n_pe + pe)
+        elif n_arrived < n_pe:
+            heappop(queue)  # waits off the queue for the release
         else:
-            release = 0
+            release = max(arrival) + 1
             for q in range(n_pe):
-                if arrival[q] > release:
-                    release = arrival[q]
-            release += 1
-            for q in range(n_pe):
-                acct[q, ACC_WFI] += release - arrival[q] - 1
+                acct[q][ACC_WFI] += release - arrival[q] - 1
                 t_free[q] = release
                 state[q] = ST_DONE
-            clock[0] = release
-            result[0] = FAULT_NONE
-            return STATUS_DONE
+            return release, None
 
-    if n_parked > 0:
+    if n_parked:
         for q in range(n_pe):
             if state[q] == ST_PARK:
-                return _fault(clock, result, now, FAULT_DMA_NEVER_STARTED,
-                              q, op_arg[q, cursor[q]])
+                return now, (FAULT_DMA_NEVER_STARTED, q, op_arg[q, cursor[q]])
     # segment without a terminating barrier: PEs end independently
-    clock[0] = now
-    result[0] = FAULT_NONE
-    return STATUS_DONE
+    return now, None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
-                       DEP_RING, ST_RUN, STATUS_DONE, step_segment)
+                       DEP_RING, ST_RUN, step_segment)
 from .remap import MapConfig, interleaved, region_of, resolve_array, segment_transfer
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
@@ -195,25 +195,26 @@ _FAULT_TEXT = {
 
 
 class _State:
+    """Stepper state carried from phase to phase, as Python lists.
+
+    The dependence rings stay numpy arrays, passed as memoryviews: as
+    lists they would cost several times the memory.
+    """
+
     def __init__(self, topo: ClusterTopology, params: EngineParams,
                  n_transfers: int):
         n_pe = topo.n_pes
-        self.abs_idx = np.zeros(n_pe, dtype=np.int64)
-        self.t_free = np.zeros(n_pe, dtype=np.int64)
-        self.state = np.zeros(n_pe, dtype=np.uint8)
-        self.ready = np.zeros((n_pe, DEP_RING), dtype=np.int64)
-        self.ready_kind = np.zeros((n_pe, DEP_RING), dtype=np.uint8)
-        self.win = np.zeros((n_pe, params.window), dtype=np.int64)
-        self.ins_done = np.full(n_pe, -1, dtype=np.int64)
-        self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
-        self.out_next = np.zeros((topo.n_tiles, 4, params.out_ports), dtype=np.int64)
-        self.in_next = np.zeros((topo.n_tiles, 4, params.in_ports), dtype=np.int64)
-        self.arrival = np.zeros(n_pe, dtype=np.int64)
-        self.bar_count = np.zeros(1, dtype=np.int64)
-        self.transfer_done = np.full(max(1, n_transfers), -1, dtype=np.int64)
-        self.backend_next = np.zeros(topo.n_subgroups, dtype=np.int64)
-        self.clock = np.zeros(1, dtype=np.int64)
-        self.result = np.zeros(3, dtype=np.int64)
+        self.abs_idx = [0] * n_pe
+        self.t_free = [0] * n_pe
+        self.ready = memoryview(np.zeros((n_pe, DEP_RING), dtype=np.int64))
+        self.ready_kind = memoryview(np.zeros((n_pe, DEP_RING), dtype=np.uint8))
+        self.win = [[0] * params.window for _ in range(n_pe)]
+        self.ins_done = [-1] * n_pe
+        self.bank_next = [0] * topo.n_banks
+        self.out_next = [0] * (topo.n_tiles * 4 * params.out_ports)
+        self.in_next = [0] * (topo.n_tiles * 4 * params.in_ports)
+        self.transfer_done = [-1] * n_transfers
+        self.backend_next = [0] * topo.n_subgroups
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,
@@ -224,58 +225,49 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     dma = dma or DmaTable.empty()
     st = _State(topo, params, dma.n_transfers)
     n_pe = topo.n_pes
-    level_lat = np.array(topo.level_latency, dtype=np.int64)
-    class_lat = params.class_latency()
+    dma_table = [a.tolist() for a in (dma.seg_backend, dma.seg_words, dma.tr_lo, dma.tr_hi)]
+    level_lat = list(topo.level_latency)
+    class_lat = params.class_latency().tolist()
     totals = np.zeros((n_pe, 5), dtype=np.int64)
     phase_rows = []
+    clock = 0
     for phase in phases:
         (chunk,) = phase.chunks
-        cursor = np.zeros(n_pe, dtype=np.int64)
-        acct = np.zeros((n_pe, 5), dtype=np.int64)
-        st.state[:] = ST_RUN
-        st.bar_count[0] = 0
-        st.arrival[:] = 0
-        start = int(st.clock[0])
-        status = step_segment(
-            chunk.cols["kind"], chunk.cols["cls"], chunk.cols["lat"],
-            chunk.cols["arg"], chunk.cols["bank"], chunk.cols["level"],
-            chunk.cols["dep1"], chunk.cols["dep2"], chunk.n_ops,
-            cursor, st.abs_idx, st.t_free, st.state,
-            st.ready, st.ready_kind,
-            st.win,
-            acct, st.ins_done,
-            st.bank_next, st.out_next, st.in_next,
-            st.arrival, st.bar_count,
-            dma.seg_backend, dma.seg_words, dma.tr_lo, dma.tr_hi,
-            st.transfer_done, st.backend_next,
-            level_lat, class_lat, params.window,
+        acct = [[0] * 5 for _ in range(n_pe)]
+        start = clock
+        clock, fault = step_segment(
+            *(memoryview(chunk.cols[c]) for c in _COLS), chunk.n_ops.tolist(),
+            [0] * n_pe, st.abs_idx, st.t_free, [ST_RUN] * n_pe,
+            st.ready, st.ready_kind, st.win, acct, st.ins_done,
+            st.bank_next, st.out_next, st.in_next, [0] * n_pe,
+            *dma_table, st.transfer_done, st.backend_next,
+            level_lat, class_lat, params.out_ports, params.in_ports,
             topo.pes_per_tile, topo.banks_per_tile,
             params.l2_latency, params.dma_words_per_cycle,
             params.ins_stall_prob, params.ins_seed,
-            phase.barrier,
-            st.clock, st.result,
+            phase.barrier, clock,
         )
-        if status != STATUS_DONE:
-            code, pe, detail = (int(x) for x in st.result)
+        if fault:
+            code, pe, detail = fault
             raise SimulationFault(
                 f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
-                f"phase {phase.name!r}, cycle {int(st.clock[0])})")
+                f"phase {phase.name!r}, cycle {clock})")
+        acct = np.array(acct, dtype=np.int64)
         totals += acct
         # PEs in a non-barrier terminal phase end at their own time
-        end = int(st.t_free.max()) if not phase.barrier else int(st.clock[0])
-        st.clock[0] = end
-        st.t_free[:] = end
+        if not phase.barrier:
+            clock = max(st.t_free)
+        st.t_free[:] = [clock] * n_pe
         phase_rows.append(PhaseStats(
-            name=phase.name, start=start, end=end,
+            name=phase.name, start=start, end=clock,
             issued=int(acct[:, ACC_ISSUED].sum()), lsu=int(acct[:, ACC_LSU].sum()),
             raw=int(acct[:, ACC_RAW].sum()), ins=int(acct[:, ACC_INS].sum()),
             wfi=int(acct[:, ACC_WFI].sum())))
         # idle fill so every PE's ledger covers the common phase end
-        gap = end - start - acct.sum(axis=1)
+        gap = clock - start - acct.sum(axis=1)
         totals[:, ACC_WFI] += gap
-    cycles = int(st.clock[0])
     per_pe = {
-        "cycles_total": np.full(n_pe, cycles, dtype=np.int64),
+        "cycles_total": np.full(n_pe, clock, dtype=np.int64),
         "instr_issued": totals[:, ACC_ISSUED].copy(),
         "lsu_stall": totals[:, ACC_LSU].copy(),
         "raw_stall": totals[:, ACC_RAW].copy(),
@@ -284,7 +276,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     }
     return SimReport(
         topology=_topo_json(topo), params=params.to_json(),
-        meta=meta or {}, cycles=cycles, per_pe=per_pe, phases=phase_rows,
+        meta=meta or {}, cycles=clock, per_pe=per_pe, phases=phase_rows,
         alloc_events=alloc_events or [])
 
 
