@@ -197,8 +197,9 @@ _FAULT_TEXT = {
 class _State:
     """Stepper state carried from phase to phase, as Python lists.
 
-    The dependence rings stay numpy arrays, passed as memoryviews: as
-    lists they would cost several times the memory.
+    The dependence rings, n_pe x DEP_RING slots, stay numpy arrays and
+    are passed as memoryviews: as lists they would take a pointer per
+    slot (32 MiB per ring at 1024 PEs) plus the int objects.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
@@ -257,7 +258,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         # PEs in a non-barrier terminal phase end at their own time
         if not phase.barrier:
             clock = max(st.t_free)
-        st.t_free[:] = [clock] * n_pe
+        st.t_free = [clock] * n_pe
         phase_rows.append(PhaseStats(
             name=phase.name, start=start, end=clock,
             issued=int(acct[:, ACC_ISSUED].sum()), lsu=int(acct[:, ACC_LSU].sum()),

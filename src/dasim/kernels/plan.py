@@ -151,11 +151,11 @@ class PeStream:
         if n == 0:
             return
         own = np.arange(self.n, self.n + n)
-        for dep in (dep1, dep2):
-            bad = np.flatnonzero((np.asarray(dep) > own) | (np.asarray(dep) >= DEP_RING))
-            if len(bad):
-                j = bad[0]
-                raise ValueError(f"dep distance {dep[j]} out of ring range at op {own[j]}")
+        dist = np.asarray((dep1, dep2), dtype=np.int64)
+        if dist.min() < 0 or dist.max() >= DEP_RING or (own - dist).min() < 0:
+            dep, j = np.argwhere((dist < 0) | (dist >= DEP_RING) | (dist > own))[0]
+            raise ValueError(f"dep{dep + 1} distance {dist[dep, j]} out of ring range "
+                             f"at op {own[j]}")
         self._flush()
         lat = np.full(n, -1, dtype=np.int16)
         self._segs.append({"kind": np.asarray(kind, dtype=np.uint8),

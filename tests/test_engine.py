@@ -131,6 +131,7 @@ def test_unresolvable_address_faults():
     (3, "load", (0, (-1,))),
     (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
     (0, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [5], [0])),     # before op 0
+    (3, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [-1], [0])),
     (DEP_RING + 1000, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
                                  [0, 1], [1, 5000])),               # beyond the ring
 ])
