@@ -42,12 +42,6 @@ K_BARRIER = 3
 K_DMA_START = 4
 K_DMA_WAIT = 5
 
-# PE states
-ST_RUN = 0
-ST_WAIT = 1         # at the barrier
-ST_DONE = 2
-ST_PARK = 3         # in a DMA wait on a transfer not yet started
-
 # accounting columns
 ACC_ISSUED = 0
 ACC_LSU = 1
@@ -79,7 +73,7 @@ def step_segment(
     # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
     op_kind, op_cls, op_lat, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
     # per-PE state
-    cursor, abs_idx, t_free, state,
+    abs_idx, t_free,
     ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
     win,                          # per PE, a list of outstanding-op slots
     acct,                         # per PE, a list of the five ACC_* columns
@@ -87,8 +81,6 @@ def step_segment(
     # shared memory-system state
     bank_next,                    # [n_banks]
     out_next, in_next,            # [(tile * 4 + level) * ports + port]
-    # barrier state
-    arrival,
     # DMA state
     seg_backend, seg_words, tr_lo, tr_hi, transfer_done, backend_next,
     # parameters
@@ -105,17 +97,18 @@ def step_segment(
     n_transfers = len(tr_lo)
     mask = DEP_RING - 1
     # PEs that can act, keyed t_free * n_pe + pe
-    queue = [t_free[pe] * n_pe + pe for pe in range(n_pe) if state[pe] == ST_RUN]
+    queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
     heapify(queue)
-    n_parked = 0
+    cursor = [0] * n_pe
+    arrival = [0] * n_pe
     n_arrived = 0
+    parked = {}     # pe: transfer it waits on, which no PE has started yet
 
     while queue:
         # the head stays in place until the PE is requeued or dropped
         now, pe = divmod(queue[0], n_pe)
         i = cursor[pe]
         if i >= n_ops[pe]:
-            state[pe] = ST_DONE
             heappop(queue)
             continue
         k = op_kind[pe, i]
@@ -150,8 +143,7 @@ def step_segment(
             t_done = transfer_done[tid]
             if t_done < 0:
                 # off the queue until some PE starts the transfer
-                state[pe] = ST_PARK
-                n_parked += 1
+                parked[pe] = tid
                 heappop(queue)
                 continue
             if t_done > g_wfi:
@@ -231,7 +223,6 @@ def step_segment(
             if i != n_ops[pe] - 1 or not has_barrier:
                 return now, (FAULT_BARRIER_NOT_LAST, pe, i)
             arrival[pe] = now
-            state[pe] = ST_WAIT
             n_arrived += 1
         elif k == K_DMA_START:
             tid = op_arg[pe, i]
@@ -251,15 +242,12 @@ def step_segment(
                 if end > t_done:
                     t_done = end
             transfer_done[tid] = t_done
-            if n_parked:
-                # waiters resume next cycle; their parked cycles are WFI
-                for q in range(n_pe):
-                    if state[q] == ST_PARK and op_arg[q, cursor[q]] == tid:
-                        state[q] = ST_RUN
-                        n_parked -= 1
-                        acct[q][ACC_WFI] += now + 1 - t_free[q]
-                        t_free[q] = now + 1
-                        heappush(queue, (now + 1) * n_pe + q)
+            # waiters resume next cycle; their parked cycles are WFI
+            for q in [q for q, t in parked.items() if t == tid]:
+                del parked[q]
+                acct[q][ACC_WFI] += now + 1 - t_free[q]
+                t_free[q] = now + 1
+                heappush(queue, (now + 1) * n_pe + q)
 
         # shared by every kind; a DMA wait with its gate met needs only this
         ready[pe, ai & mask] = t_ready
@@ -277,12 +265,10 @@ def step_segment(
             for q in range(n_pe):
                 acct[q][ACC_WFI] += release - arrival[q] - 1
                 t_free[q] = release
-                state[q] = ST_DONE
             return release, None
 
-    if n_parked:
-        for q in range(n_pe):
-            if state[q] == ST_PARK:
-                return now, (FAULT_DMA_NEVER_STARTED, q, op_arg[q, cursor[q]])
+    if parked:
+        q = min(parked)
+        return now, (FAULT_DMA_NEVER_STARTED, q, parked[q])
     # segment without a terminating barrier: PEs end independently
     return now, None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
-                       DEP_RING, ST_RUN, step_segment)
+                       DEP_RING, step_segment)
 from .remap import MapConfig, interleaved, region_of, resolve_array, segment_transfer
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
@@ -238,9 +238,8 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         start = clock
         clock, fault = step_segment(
             *(memoryview(chunk.cols[c]) for c in _COLS), chunk.n_ops.tolist(),
-            [0] * n_pe, st.abs_idx, st.t_free, [ST_RUN] * n_pe,
-            st.ready, st.ready_kind, st.win, acct, st.ins_done,
-            st.bank_next, st.out_next, st.in_next, [0] * n_pe,
+            st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
+            st.bank_next, st.out_next, st.in_next,
             *dma_table, st.transfer_done, st.backend_next,
             level_lat, class_lat, params.out_ports, params.in_ports,
             topo.pes_per_tile, topo.banks_per_tile,
