@@ -119,9 +119,11 @@ def test_dependence_across_barrier(other_alus, release):
     assert rep.cycles == 13
 
 
-def test_unresolvable_address_faults():
-    with pytest.raises(SimulationFault, match="PE 0"):
-        simulate([[("load", DESK.total_bytes + 4)]])
+@pytest.mark.parametrize("pe", [0, 3])
+def test_unresolvable_address_faults(pe):
+    progs = [[("load", 0)] for _ in range(pe)] + [[("load", DESK.total_bytes + 4)]]
+    with pytest.raises(SimulationFault, match=f"PE {pe}"):
+        simulate(progs)
 
 
 @pytest.mark.parametrize("n_before,method,args", [
@@ -178,6 +180,12 @@ def test_transfer_leaving_its_region_is_rejected():
     base = das_malloc(heap, 256, das(4, 0))
     with pytest.raises(ValueError, match="not contained"):
         build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
+
+
+def test_duplicate_transfer_id_rejected():
+    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+    with pytest.raises(ValueError, match="transfer id"):
+        simulate([[("dma_start", 0)]], transfers=[tr, tr])
 
 
 def test_dma_wait_unknown_id_faults():
@@ -325,51 +333,79 @@ def test_conservation_and_determinism_random(seed, bar):
     assert a.to_json_str() == b.to_json_str()
 
 
-def _pinned_run(seed, barrier, empty, ins_prob, n_dma):
-    """A ``_random_programs`` case with empty PEs, INS stalls and DMA added.
+def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
+    """``_random_programs`` phases with empty PEs, INS stalls and DMA added.
 
-    PE ``t < n_dma`` ends by starting transfer ``t``, computing and
-    waiting for it.
+    One phase per entry of ``barriers``, which says whether it ends in a
+    barrier. With one phase, PE ``t < n_dma`` ends by starting transfer
+    ``t``, computing and waiting for it. With two, PE ``t`` starts
+    transfer ``t`` at the end of the first phase and PE ``t + 1`` waits
+    for it at the end of the second, whose first op on every PE depends
+    on the last random op of that PE's first phase.
     """
     rng = np.random.default_rng(seed)
-    progs = _random_programs(rng, 8)
-    for pe in empty:
-        progs[pe] = []
+    phases = [_random_programs(rng, 8) for _ in barriers]
+    for progs in phases:
+        for pe in empty:
+            progs[pe] = []
     transfers = []
     for t in range(n_dma):
         transfers.append(DmaTransfer(t, (0, 0), (0, 0), segments=[
             (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
             for _ in range(int(rng.integers(1, 4)))]))
-        progs[t] += [("dma_start", t), ("compute", C_ALU, 8), ("dma_wait", t)]
     params = EngineParams(ins_stall_prob=ins_prob, ins_seed=seed if ins_prob else 0)
-    return simulate(progs, params, barrier=barrier, transfers=transfers)
+    if len(barriers) == 1:
+        (progs,) = phases
+        for t in range(n_dma):
+            progs[t] += [("dma_start", t), ("compute", C_ALU, 8), ("dma_wait", t)]
+        return simulate(progs, params, barrier=barriers[0], transfers=transfers)
+    first, second = phases
+    last_first = [len(prog) - 1 for prog in first]
+    for t in range(n_dma):
+        first[t] += [("dma_start", t)]
+        second[(t + 1) % 8] += [("dma_wait", t)]
+    pb = PlanBuilder(DESK, "interleaved", 0, DESK.total_bytes)
+    pb.transfers.extend(transfers)
+    _emit_phase(pb, "a", first, barriers[0])
+    for pe, prog in enumerate(second):
+        shift = pb.streams[pe].n + 1
+        dep = (last_first[pe],) if last_first[pe] >= 0 else ()
+        second[pe] = [("compute", C_ALU, 1, dep)] + [
+            op[:3] + (tuple(d + shift for d in op[3]),) if op[0] == "compute" else op
+            for op in prog]
+    _emit_phase(pb, "b", second, barriers[1])
+    return run_plan(pb.build("test", "", 1, {}), params)
 
 
-# (seed, barrier, empty PEs, ins_stall_prob, transfers, report SHA-256):
-# pins the scheduling order across versions, which two runs of one
-# version (test_conservation_and_determinism_random) cannot
+# (seed, per-phase barriers, empty PEs, ins_stall_prob, transfers, report
+# SHA-256): pins the scheduling order across versions, which two runs of
+# one version (test_conservation_and_determinism_random) cannot
 PINNED = [
-    (1, False, (), 0.0, 0,
+    (1, (False,), (), 0.0, 0,
      "fd1fabce1edaff9e8b4a094205567cd6a248c63b9c9125ef5654dd2eae98b2ae"),
-    (2, True, (), 0.0, 0,
+    (2, (True,), (), 0.0, 0,
      "b732b94554a4524eced7b526cf6eaacbe1ac1d3fa42e1d5464138c4e63bd3102"),
-    (3, False, (2, 5), 0.0, 0,
+    (3, (False,), (2, 5), 0.0, 0,
      "1ae2dd076f763756e5a5d972c2f1e97bf01260bef7b4166374908f1570f4c239"),
-    (4, True, (0, 6), 0.25, 0,
+    (4, (True,), (0, 6), 0.25, 0,
      "a274203cc65c6c29174a504c7839139b3cd1665577cd7356ecb6f05bbf39a938"),
-    (5, False, (), 0.5, 0,
+    (5, (False,), (), 0.5, 0,
      "78945a166f5de87eda6dc16d83da94dad96977d3e27f34919584309de4b9f3ee"),
-    (6, False, (4,), 0.0, 3,
+    (6, (False,), (4,), 0.0, 3,
      "7fd6714838456b3b87df54c03510c3bb454dd9489c1a39566a5636292a4f0cdd"),
-    (7, True, (1,), 0.2, 4,
+    (7, (True,), (1,), 0.2, 4,
      "e32090e51d3a56de892f13a8e48f88fdd9c82733f60e3087a7325001726fbb4f"),
+    (8, (True, False), (), 0.0, 2,
+     "5c5f7fcb2396250f8e06693f79ce21941ebd36986af4129dd862fa11f9aba18a"),
+    (9, (True, False), (3,), 0.3, 3,
+     "34ea5338d8504fe94b47de535a957c8070c1f58007966de3729e849b08ce54fc"),
 ]
 
 
-@pytest.mark.parametrize("seed,barrier,empty,ins_prob,n_dma,digest", PINNED,
+@pytest.mark.parametrize("seed,barriers,empty,ins_prob,n_dma,digest", PINNED,
                          ids=[f"seed{c[0]}" for c in PINNED])
-def test_random_programs_pinned(seed, barrier, empty, ins_prob, n_dma, digest):
-    rep = _pinned_run(seed, barrier, empty, ins_prob, n_dma)
+def test_random_programs_pinned(seed, barriers, empty, ins_prob, n_dma, digest):
+    rep = _pinned_run(seed, barriers, empty, ins_prob, n_dma)
     assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
 
 
