@@ -7,7 +7,7 @@ Python ints, because each index into a numpy array makes a numpy scalar,
 and arithmetic on those is several times slower.
 
 - The large arrays stay numpy and arrive as memoryviews, which index
-  like ``a[pe, i]``, return Python ints and copy nothing: the eight
+  like ``a[pe, i]``, return Python ints and copy nothing: the seven
   packed op columns [n_pe, L] and the two dependence rings
   [n_pe, DEP_RING]. Turning them into lists costs memory: flat list
   rings raised the benchmark's peak RSS from 115.0 to 158.6 MiB on
@@ -71,7 +71,7 @@ def _ins_hit(seed, pe, idx, prob):
 
 def step_segment(
     # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
-    op_kind, op_cls, op_lat, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
+    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
     # per-PE state
     abs_idx, t_free,
     ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
@@ -81,8 +81,9 @@ def step_segment(
     # shared memory-system state
     bank_next,                    # [n_banks]
     out_next, in_next,            # [(tile * 4 + level) * ports + port]
-    # DMA state
-    seg_backend, seg_words, tr_lo, tr_hi, transfer_done, backend_next,
+    # DMA: per transfer id, its (backend, words) segments; then its
+    # completion cycle (-1 until started) and each backend's next free cycle
+    segments, transfer_done, backend_next,
     # parameters
     level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
     l2_lat, dma_wpc, ins_prob, ins_seed,
@@ -94,7 +95,7 @@ def step_segment(
     cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
     n_pe = len(n_ops)
-    n_transfers = len(tr_lo)
+    n_transfers = len(segments)
     mask = DEP_RING - 1
     # PEs that can act, keyed t_free * n_pe + pe
     queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
@@ -214,11 +215,8 @@ def step_segment(
             slots[slots.index(m)] = t_ready
         elif k == K_COMPUTE:
             n_issued = op_arg[pe, i]
-            lat = op_lat[pe, i]
-            if lat < 0:
-                lat = class_lat[op_cls[pe, i]]
             t_next = now + n_issued
-            t_ready = t_next - 1 + lat
+            t_ready = t_next - 1 + class_lat[op_cls[pe, i]]
         elif k == K_BARRIER:
             if i != n_ops[pe] - 1 or not has_barrier:
                 return now, (FAULT_BARRIER_NOT_LAST, pe, i)
@@ -232,12 +230,11 @@ def step_segment(
                 return now, (FAULT_DMA_RESTART, pe, tid)
             base_t = now + 1 + l2_lat
             t_done = base_t
-            for sg in range(tr_lo[tid], tr_hi[tid]):
-                b = seg_backend[sg]
+            for b, words in segments[tid]:
                 end = backend_next[b]
                 if end < base_t:
                     end = base_t
-                end += (seg_words[sg] + dma_wpc - 1) // dma_wpc
+                end += (words + dma_wpc - 1) // dma_wpc
                 backend_next[b] = end
                 if end > t_done:
                     t_done = end

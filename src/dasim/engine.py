@@ -2,8 +2,10 @@
 
 A program is a list of barrier-delimited phases, each one packed chunk
 of per-PE op columns (loads, stores, compute bursts, barriers and DMA
-handshakes) with addresses already resolved to (bank, level); the
-kernels' PlanBuilder writes them. The engine issues at most one
+handshakes) with addresses already resolved to (bank, level), plus the
+DMA transfers the handshakes name, a DmaTransfer list in id order; the
+kernels' PlanBuilder writes both. A compute burst's result latency is
+its class's, from EngineParams. The engine issues at most one
 operation per PE per cycle in order, tracks a bounded window of
 outstanding memory operations, serializes bank access (one request per
 cycle per bank, FIFO) and throttles traffic at tile boundaries with a
@@ -102,52 +104,9 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
     return DmaTransfer(id=tid, src=src, dst=dst, segments=segments)
 
 
-@dataclass
-class DmaTable:
-    """Flattened transfer segments for the stepping core."""
-
-    seg_backend: np.ndarray
-    seg_words: np.ndarray
-    tr_lo: np.ndarray
-    tr_hi: np.ndarray
-
-    @property
-    def n_transfers(self) -> int:
-        return len(self.tr_lo)
-
-    @classmethod
-    def empty(cls) -> "DmaTable":
-        z32 = np.zeros(0, dtype=np.int64)
-        return cls(z32.copy(), z32.copy(), z32.copy(), z32.copy())
-
-    @classmethod
-    def from_transfers(cls, transfers: Sequence[DmaTransfer]) -> "DmaTable":
-        if not transfers:
-            return cls.empty()
-        n = max(t.id for t in transfers) + 1
-        by_id = {}
-        for t in transfers:
-            if t.id < 0 or t.id in by_id:
-                raise ValueError(f"bad or duplicate transfer id {t.id}")
-            by_id[t.id] = t
-        backends, words, lo, hi = [], [], [], []
-        for tid in range(n):
-            lo.append(len(backends))
-            for b, w in by_id.get(tid, DmaTransfer(tid, (0, 0), (0, 0))).segments:
-                backends.append(b)
-                words.append(w)
-            hi.append(len(backends))
-        return cls(np.array(backends, dtype=np.int64),
-                   np.array(words, dtype=np.int64),
-                   np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
-
-
 # -- packed program representation --------------------------------------------
 
-_COLS = ("kind", "cls", "lat", "arg", "bank", "level", "dep1", "dep2")
-_DTYPES = {"kind": np.uint8, "cls": np.uint8, "lat": np.int16, "arg": np.int32,
-           "bank": np.int32, "level": np.uint8, "dep1": np.uint16,
-           "dep2": np.uint16}
+_COLS = ("kind", "cls", "arg", "bank", "level", "dep1", "dep2")   # step_segment's order
 
 
 @dataclass
@@ -171,15 +130,18 @@ class Phase:
 
 
 def make_chunk(columns: list, n_pe: int) -> PackedChunk:
-    """Build a chunk from per-PE dicts of 1-D column arrays."""
+    """Build a chunk from per-PE dicts of 1-D column arrays.
+
+    Each packed column takes the dtype of its per-PE arrays; rows are
+    zero past each PE's ops.
+    """
     n_ops = np.array([len(c["kind"]) for c in columns], dtype=np.int64)
     cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((n_pe, cap), dtype=_DTYPES[name]) for name in _COLS}
-    cols["lat"][:] = -1
+    cols = {name: np.zeros((n_pe, cap), dtype=columns[0][name].dtype) for name in _COLS}
     for pe, c in enumerate(columns):
         n = n_ops[pe]
-        for name in _COLS:
-            if name in c and n:
+        if n:
+            for name in _COLS:
                 cols[name][pe, :n] = c[name]
     return PackedChunk(cols=cols, n_ops=n_ops)
 
@@ -219,14 +181,19 @@ class _State:
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,
-               phases: Sequence[Phase], dma: Optional[DmaTable] = None,
+               phases: Sequence[Phase], dma: Sequence[DmaTransfer] = (),
                meta: Optional[dict] = None,
                alloc_events: Optional[list] = None) -> SimReport:
-    """Execute packed phases and assemble the report."""
-    dma = dma or DmaTable.empty()
-    st = _State(topo, params, dma.n_transfers)
+    """Execute packed phases and assemble the report.
+
+    ``dma`` lists the transfers in id order, ids 0 to n-1.
+    """
+    ids = [t.id for t in dma]
+    if ids != list(range(len(ids))):
+        raise ValueError(f"transfer ids must run 0..{len(ids) - 1} in order, got {ids}")
+    segments = [t.segments for t in dma]
+    st = _State(topo, params, len(segments))
     n_pe = topo.n_pes
-    dma_table = [a.tolist() for a in (dma.seg_backend, dma.seg_words, dma.tr_lo, dma.tr_hi)]
     level_lat = list(topo.level_latency)
     class_lat = params.class_latency().tolist()
     totals = np.zeros((n_pe, 5), dtype=np.int64)
@@ -240,7 +207,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             *(memoryview(chunk.cols[c]) for c in _COLS), chunk.n_ops.tolist(),
             st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
             st.bank_next, st.out_next, st.in_next,
-            *dma_table, st.transfer_done, st.backend_next,
+            segments, st.transfer_done, st.backend_next,
             level_lat, class_lat, params.out_ports, params.in_ports,
             topo.pes_per_tile, topo.banks_per_tile,
             params.l2_latency, params.dma_words_per_cycle,

@@ -1,7 +1,7 @@
 """Shared machinery for building kernel plans: the one way to write a program.
 
 A plan bundles the allocation sequence, per-PE operation streams split
-into named phases, and the DMA transfer table for one kernel under one
+into named phases, and the DMA transfers for one kernel under one
 mapping scheme. Programs are written op by op (or in bulk) on one
 PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
 phase: it appends the phase barrier, resolves the addresses against the
@@ -18,12 +18,17 @@ import numpy as np
 from .._stepper import (DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
                         K_LOAD, K_STORE)
 from ..alloc import Heap, das_free, das_malloc, heap_init
-from ..engine import (ALLOC_COST, DmaTable, EngineParams, Phase, SimulationFault,
+from ..engine import (ALLOC_COST, EngineParams, Phase, SimulationFault,
                       build_transfer, make_chunk, run_packed)
 from ..remap import MapConfig, das, interleaved, resolve_array
 from ..topology import ClusterTopology, access_levels
 
 C_ALU, C_MAC, C_DIV = range(3)      # compute classes, indexing EngineParams.class_latency
+
+# the columns of an op record and their dtypes, from PeStream to end_phase,
+# which resolves addr into the packed chunk's bank and level columns
+STREAM_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32,
+               "addr": np.int64, "dep1": np.uint16, "dep2": np.uint16}
 
 
 class ShapeError(ValueError):
@@ -98,13 +103,9 @@ class PeStream:
     def __init__(self):
         self.n = 0
         self._segs = []
-        self._reset()
+        self._cur = {k: [] for k in STREAM_COLS}
 
-    def _reset(self):
-        self._cur = {"kind": [], "cls": [], "lat": [], "arg": [], "addr": [],
-                     "dep1": [], "dep2": []}
-
-    def _push(self, kind, cls, lat, arg, addr, dep):
+    def _push(self, kind, cls, arg, addr, dep):
         n = self.n
         if len(dep) > 2:
             raise ValueError(f"op {n}: at most two dependences, got {len(dep)}")
@@ -116,7 +117,6 @@ class PeStream:
         c = self._cur
         c["kind"].append(kind)
         c["cls"].append(cls)
-        c["lat"].append(lat)
         c["arg"].append(arg)
         c["addr"].append(addr)
         c["dep1"].append(dist[0])
@@ -125,25 +125,30 @@ class PeStream:
         return self.n - 1
 
     def load(self, addr, dep=()):
-        return self._push(K_LOAD, 0, -1, 0, addr, dep)
+        return self._push(K_LOAD, 0, 0, addr, dep)
 
     def store(self, addr, dep=()):
-        return self._push(K_STORE, 0, -1, 0, addr, dep)
+        return self._push(K_STORE, 0, 0, addr, dep)
 
-    def compute(self, cls, count=1, dep=(), lat=-1):
-        """``count`` back-to-back issues, result ready ``lat`` after the last.
+    def compute(self, cls, count=1, dep=()):
+        """``count`` back-to-back issues of class ``cls``.
 
-        ``lat=-1`` takes the latency of class ``cls``.
+        The result is ready the class latency (EngineParams.class_latency)
+        after the last issue.
         """
         if count < 1:
             raise ValueError(f"compute count must be at least 1, got {count}")
-        return self._push(K_COMPUTE, cls, lat, count, 0, dep)
+        return self._push(K_COMPUTE, cls, count, 0, dep)
 
     def dma_start(self, tid):
-        return self._push(K_DMA_START, 0, -1, tid, 0, ())
+        return self._push(K_DMA_START, 0, tid, 0, ())
 
     def dma_wait(self, tid):
-        return self._push(K_DMA_WAIT, 0, -1, tid, 0, ())
+        return self._push(K_DMA_WAIT, 0, tid, 0, ())
+
+    def barrier(self, phase):
+        """The global barrier that ends phase number ``phase``."""
+        return self._push(K_BARRIER, 0, phase, 0, ())
 
     def extend(self, kind, cls, arg, addr, dep1, dep2):
         """Bulk append of parallel arrays; deps are back-distances."""
@@ -157,38 +162,21 @@ class PeStream:
             raise ValueError(f"dep{dep + 1} distance {dist[dep, j]} out of ring range "
                              f"at op {own[j]}")
         self._flush()
-        lat = np.full(n, -1, dtype=np.int16)
-        self._segs.append({"kind": np.asarray(kind, dtype=np.uint8),
-                           "cls": np.asarray(cls, dtype=np.uint8),
-                           "lat": lat,
-                           "arg": np.asarray(arg, dtype=np.int32),
-                           "addr": np.asarray(addr, dtype=np.int64),
-                           "dep1": np.asarray(dep1, dtype=np.uint16),
-                           "dep2": np.asarray(dep2, dtype=np.uint16)})
+        self._segs.append({k: np.asarray(v, dtype=d) for (k, d), v in
+                           zip(STREAM_COLS.items(), (kind, cls, arg, addr, dep1, dep2))})
         self.n += n
 
     def _flush(self):
         if self._cur["kind"]:
-            c = self._cur
-            self._segs.append({
-                "kind": np.array(c["kind"], dtype=np.uint8),
-                "cls": np.array(c["cls"], dtype=np.uint8),
-                "lat": np.array(c["lat"], dtype=np.int16),
-                "arg": np.array(c["arg"], dtype=np.int32),
-                "addr": np.array(c["addr"], dtype=np.int64),
-                "dep1": np.array(c["dep1"], dtype=np.uint16),
-                "dep2": np.array(c["dep2"], dtype=np.uint16)})
-            self._reset()
+            self._segs.append({k: np.array(v, dtype=STREAM_COLS[k])
+                               for k, v in self._cur.items()})
+            self._cur = {k: [] for k in STREAM_COLS}
 
     def take(self) -> dict:
         """Concatenate and clear accumulated ops (op counter keeps running)."""
         self._flush()
         if not self._segs:
-            cols = {k: np.zeros(0, dtype=d) for k, d in
-                    (("kind", np.uint8), ("cls", np.uint8), ("lat", np.int16),
-                     ("arg", np.int32), ("addr", np.int64),
-                     ("dep1", np.uint16), ("dep2", np.uint16))}
-            return cols
+            return {k: np.zeros(0, dtype=d) for k, d in STREAM_COLS.items()}
         cols = {k: np.concatenate([s[k] for s in self._segs])
                 for k in self._segs[0]}
         self._segs = []
@@ -203,7 +191,7 @@ class KernelPlan:
     workload: str
     n_parallel: int
     phases: list
-    dma: DmaTable
+    dma: list                 # DmaTransfers, in id order
     heap: Heap
     operands: list
     expected_ops: dict
@@ -276,35 +264,29 @@ class PlanBuilder:
             raise RuntimeError("no phase open")
         self._phase_name = None
         regions = self.heap.das_regions()
-        n_pe = self.topo.n_pes
         columns = []
-        for pe in range(n_pe):
-            col = self.streams[pe].take()
+        for pe, stream in enumerate(self.streams):
             if barrier:
-                bar = {k: np.zeros(1, dtype=v.dtype) for k, v in col.items()}
-                bar["kind"][0] = K_BARRIER
-                bar["lat"][0] = -1
-                bar["arg"][0] = len(self.phases)
-                col = {k: np.concatenate([col[k], bar[k]]) for k in col}
-                self.streams[pe].n += 1
-            mem = (col["kind"] == K_LOAD) | (col["kind"] == K_STORE)
-            banks = np.zeros(len(col["kind"]), dtype=np.int32)
-            levels = np.zeros(len(col["kind"]), dtype=np.uint8)
+                stream.barrier(len(self.phases))
+            col = stream.take()
+            addr = col.pop("addr")
+            kind = col["kind"]
+            mem = (kind == K_LOAD) | (kind == K_STORE)
+            col["bank"] = np.zeros(len(kind), dtype=np.int32)
+            col["level"] = np.zeros(len(kind), dtype=np.uint8)
             if mem.any():
                 try:
-                    b, _ = resolve_array(self.topo, regions, col["addr"][mem])
+                    b, _ = resolve_array(self.topo, regions, addr[mem])
                 except ValueError as e:
                     raise SimulationFault(f"PE {pe}, phase {name!r}: {e}") from e
-                banks[mem] = b
-                levels[mem] = access_levels(self.topo, pe, b)
-            is_comp = col["kind"] == K_COMPUTE
+                col["bank"][mem] = b
+                col["level"][mem] = access_levels(self.topo, pe, b)
+            is_comp = kind == K_COMPUTE
             self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
-            self._counts["loads"] += int((col["kind"] == K_LOAD).sum())
-            self._counts["stores"] += int((col["kind"] == K_STORE).sum())
-            columns.append({"kind": col["kind"], "cls": col["cls"], "lat": col["lat"],
-                            "arg": col["arg"], "bank": banks, "level": levels,
-                            "dep1": col["dep1"], "dep2": col["dep2"]})
-        chunk = make_chunk(columns, n_pe)
+            self._counts["loads"] += int((kind == K_LOAD).sum())
+            self._counts["stores"] += int((kind == K_STORE).sum())
+            columns.append(col)
+        chunk = make_chunk(columns, self.topo.n_pes)
         self.phases.append(Phase(name=name, chunks=[chunk], barrier=barrier))
 
     # -- finish ----------------------------------------------------------------
@@ -321,7 +303,7 @@ class PlanBuilder:
         return KernelPlan(
             topo=self.topo, scheme=self.scheme, name=name, workload=workload,
             n_parallel=n_parallel, phases=self.phases,
-            dma=DmaTable.from_transfers(self.transfers), heap=self.heap,
+            dma=self.transfers, heap=self.heap,
             operands=self.operands, expected_ops=expected_ops,
             counted_ops=dict(self._counts), alloc_events=self.alloc_log)
 

@@ -182,10 +182,11 @@ def test_transfer_leaving_its_region_is_rejected():
         build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
 
 
-def test_duplicate_transfer_id_rejected():
-    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+@pytest.mark.parametrize("ids", [(0, 0), (0, 2), (1, 0)])
+def test_transfer_ids_must_run_in_order(ids):
+    transfers = [DmaTransfer(t, (0, 0), (0, 0), segments=[(0, 8)]) for t in ids]
     with pytest.raises(ValueError, match="transfer id"):
-        simulate([[("dma_start", 0)]], transfers=[tr, tr])
+        simulate([[("dma_start", 0)]], transfers=transfers)
 
 
 def test_dma_wait_unknown_id_faults():

@@ -70,3 +70,11 @@ def test_schemes_differ_only_in_placement(plans):
             assert np.array_equal(cd.cols[col], ci.cols[col]), (pd.name, col)
     assert das.counted_ops == il.counted_ops == das.expected_ops
 
+
+def test_packed_columns_are_zero_past_each_stream(plans):
+    for plan in plans.values():
+        for phase in plan.phases:
+            (chunk,) = phase.chunks
+            for name, col in chunk.cols.items():
+                past = np.arange(col.shape[1]) >= chunk.n_ops[:, None]
+                assert not col[past].any(), (phase.name, name)
