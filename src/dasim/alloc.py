@@ -6,9 +6,8 @@ registers the mapping configuration chosen for the new region; the set
 of live regions is what the address mapper consults (see remap.resolve).
 """
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .remap import MapConfig, MapKind, region_of
 
@@ -43,8 +42,6 @@ class Heap:
     word_bytes: int = 4
     head: Optional[FreeBlock] = None
     regions: dict = field(default_factory=dict)   # base addr -> bound MapConfig
-    max_regions: Optional[int] = None
-    on_region_pressure: Optional[Callable[[int], None]] = None
 
     @property
     def end(self) -> int:
@@ -68,16 +65,13 @@ class Heap:
         return [c for c in self.live_regions() if c.kind == MapKind.DAS]
 
 
-def heap_init(base: int, size: int, word_bytes: int = 4,
-              max_regions: Optional[int] = None,
-              on_region_pressure: Optional[Callable[[int], None]] = None) -> Heap:
+def heap_init(base: int, size: int, word_bytes: int = 4) -> Heap:
     """Create a heap whose free list is one block covering everything."""
     if size <= 0:
         raise ValueError(f"heap size must be positive, got {size}")
     if base % word_bytes:
         raise ValueError(f"heap base 0x{base:x} not word-aligned")
-    heap = Heap(base=base, size=size, word_bytes=word_bytes,
-                max_regions=max_regions, on_region_pressure=on_region_pressure)
+    heap = Heap(base=base, size=size, word_bytes=word_bytes)
     heap.head = FreeBlock(base, size)
     return heap
 
@@ -106,15 +100,6 @@ def das_malloc(heap: Heap, size: int, cfg_request: MapConfig) -> int:
             cfg = MapConfig(kind=cfg_request.kind, p=cfg_request.p, s=cfg_request.s,
                             base_addr=start, size_bytes=eff)
             heap.regions[start] = cfg
-            if heap.max_regions is not None:
-                live_das = sum(1 for c in heap.regions.values() if c.kind == MapKind.DAS)
-                if live_das > heap.max_regions:
-                    if heap.on_region_pressure is not None:
-                        heap.on_region_pressure(live_das)
-                    else:
-                        warnings.warn(
-                            f"{live_das} live mapped regions exceed the configured "
-                            f"limit of {heap.max_regions}", RuntimeWarning)
             return start
         prev = blk
         blk = blk.next

@@ -120,14 +120,6 @@ def test_region_lookup():
     assert region_lookup(h, a) is None
 
 
-def test_region_pressure_hook():
-    seen = []
-    h = heap_init(0, 4096, max_regions=1, on_region_pressure=seen.append)
-    das_malloc(h, 32, das(2, 0))
-    das_malloc(h, 32, das(2, 0))
-    assert seen == [2]
-
-
 def test_kv_reuse_returns_same_block():
     # freeing a region and allocating the same size/config again must
     # land on the same bytes (first fit), enabling in-place streaming
