@@ -64,10 +64,6 @@ class EngineParams:
             "dma_words_per_cycle", "l2_latency", "alloc_cost",
             "ins_stall_prob", "ins_seed")}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "EngineParams":
-        return cls(**d)
-
 
 class SimulationFault(Exception):
     """Aborting condition detected during simulation."""

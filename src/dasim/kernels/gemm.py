@@ -11,11 +11,10 @@ when several problems run side by side.
 
 import numpy as np
 
-from ..remap import MapConfig, interleaved
+from ..remap import interleaved
 from ..topology import ClusterTopology
 from .plan import (C_ALU, C_MAC, K_COMPUTE, K_LOAD, KernelPlan, PeStream,
-                   PlanBuilder, ShapeError, group_window_cfg, tile_window_cfg,
-                   window_words)
+                   PlanBuilder, ShapeError, group_window_cfg, window_words)
 
 # software-pipelined reduction: the loads of step k issue during the MAC
 # burst of step k-1, so operand latency hides behind compute.
@@ -115,9 +114,9 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     c_ld = pad_odd(P)
 
     pb.begin_phase("config")
-    a_cfg = tile_window_cfg(topo, blocks_per_tile * 4 * a_ld)
+    a_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * a_ld)
     a_op = pb.alloc("a_rows", topo.n_tiles * window_words(a_cfg) * wb, a_cfg)
-    c_cfg = tile_window_cfg(topo, blocks_per_tile * 4 * c_ld)
+    c_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * c_ld)
     c_op = pb.alloc("c_rows", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
     if n_parallel == 1:
         b_op = pb.alloc("b_cols", N * b_ld * wb, interleaved())

@@ -15,7 +15,7 @@ everyone and stays word-interleaved across the cluster.
 from ..remap import interleaved
 from ..topology import ClusterTopology
 from .plan import (C_ALU, C_MAC, KernelPlan, PlanBuilder, ShapeError,
-                   pow2_floor, tile_window_cfg)
+                   group_window_cfg, pow2_floor, window_words)
 
 
 def _two_adic(n: int) -> int:
@@ -51,16 +51,13 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
     pb = PlanBuilder(topo, scheme, heap_base, heap_size)
 
     pb.begin_phase("config")
-    a_win = ppt * rows_per_pe * n_chunk
-    a_op = pb.alloc("a_rows", topo.n_tiles * _win_bytes(topo, a_win),
-                    tile_window_cfg(topo, a_win))
+    a_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe * n_chunk)
+    a_op = pb.alloc("a_rows", topo.n_tiles * window_words(a_cfg) * wb, a_cfg)
     b_op = pb.alloc("b_vec", n_parallel * N * wb, interleaved())
-    c_win = ppt * rows_per_pe
-    c_part = pb.alloc("c_partial", topo.n_tiles * _win_bytes(topo, c_win),
-                      tile_window_cfg(topo, c_win))
+    c_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe)
+    c_part = pb.alloc("c_partial", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
     if gpp > 1:
-        c_final = pb.alloc("c_out", topo.n_tiles * _win_bytes(topo, c_win),
-                           tile_window_cfg(topo, c_win))
+        c_final = pb.alloc("c_out", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
     pb.end_phase()
 
     pb.begin_phase("compute")
@@ -117,8 +114,3 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
         "stores": n_parallel * gpp * M + (n_parallel * M if gpp > 1 else 0),
     }
     return pb.build("gemv", f"{M}x{N}", n_parallel, expected)
-
-
-def _win_bytes(topo: ClusterTopology, per_window_words: int) -> int:
-    cfg = tile_window_cfg(topo, per_window_words)
-    return (1 << (cfg.p + cfg.s)) * topo.word_bytes

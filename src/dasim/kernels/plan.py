@@ -17,7 +17,7 @@ import numpy as np
 
 from .._stepper import (DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
                         K_LOAD, K_STORE)
-from ..alloc import Heap, das_free, das_malloc, heap_init
+from ..alloc import das_free, das_malloc, heap_init
 from ..engine import (ALLOC_COST, EngineParams, Phase, SimulationFault,
                       build_transfer, make_chunk, run_packed)
 from ..remap import MapConfig, das, interleaved, resolve_array
@@ -43,27 +43,20 @@ def pow2_floor(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def tile_window_cfg(topo: ClusterTopology, per_window_words: int) -> MapConfig:
-    """Folding config whose partition is exactly one tile's banks."""
-    p = topo.banks_per_tile.bit_length() - 1
-    s = max(0, ceil_log2(-(-per_window_words // topo.banks_per_tile)))
-    if s > topo.row_bits:
-        raise ShapeError(
-            f"per-tile footprint of {per_window_words} words needs s={s} > "
-            f"{topo.row_bits} row bits; shrink the per-tile slice or use more tiles")
-    return das(p, s)
-
-
 def group_window_cfg(topo: ClusterTopology, tiles_per_group: int,
                      per_window_words: int) -> MapConfig:
-    """Folding config spanning the banks of a contiguous tile group."""
+    """Folding config spanning the banks of a contiguous tile group.
+
+    With ``tiles_per_group`` 1 the partition is exactly one tile's banks.
+    """
     banks = topo.banks_per_tile * tiles_per_group
     p = banks.bit_length() - 1
     s = max(0, ceil_log2(-(-per_window_words // banks)))
     if s > topo.row_bits:
         raise ShapeError(
-            f"per-group footprint of {per_window_words} words needs s={s} > "
-            f"{topo.row_bits} row bits; shrink the group slice")
+            f"footprint of {per_window_words} words per {tiles_per_group}-tile "
+            f"window needs s={s} > {topo.row_bits} row bits; shrink the slice "
+            f"or use more tiles")
     return das(p, s)
 
 
@@ -77,13 +70,8 @@ class Operand:
 
     name: str
     base: int
-    cfg: MapConfig            # config actually registered (scheme-dependent)
-    requested: MapConfig      # folding the kernel asked for
+    win_words: int            # window of the folding the kernel asked for
     word_bytes: int
-
-    @property
-    def win_words(self) -> int:
-        return window_words(self.requested)
 
     def addr(self, window_index, offset_words):
         """Byte address of offset_words within a window; numpy-friendly."""
@@ -192,8 +180,6 @@ class KernelPlan:
     n_parallel: int
     phases: list
     dma: list                 # DmaTransfers, in id order
-    heap: Heap
-    operands: list
     expected_ops: dict
     counted_ops: dict
     alloc_events: list
@@ -213,7 +199,6 @@ class PlanBuilder:
         self.streams = [PeStream() for _ in range(topo.n_pes)]
         self.phases = []
         self.transfers = []
-        self.operands = []
         self.alloc_log = []
         self._phase_name = None
         self._counts = {"macs": 0, "loads": 0, "stores": 0}
@@ -232,9 +217,8 @@ class PlanBuilder:
         req = folding if self.scheme == "das" else interleaved()
         base = das_malloc(self.heap, size_bytes, req)
         cfg = self.heap.regions[base]
-        op = Operand(name=name, base=base, cfg=cfg, requested=folding,
+        op = Operand(name=name, base=base, win_words=window_words(folding),
                      word_bytes=self.topo.word_bytes)
-        self.operands.append(op)
         self.alloc_log.append({"phase": self._phase_name, "operand": name,
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
@@ -303,8 +287,7 @@ class PlanBuilder:
         return KernelPlan(
             topo=self.topo, scheme=self.scheme, name=name, workload=workload,
             n_parallel=n_parallel, phases=self.phases,
-            dma=self.transfers, heap=self.heap,
-            operands=self.operands, expected_ops=expected_ops,
+            dma=self.transfers, expected_ops=expected_ops,
             counted_ops=dict(self._counts), alloc_events=self.alloc_log)
 
 

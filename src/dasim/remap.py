@@ -91,12 +91,6 @@ class MapConfig:
             d["size_bytes"] = self.size_bytes
         return d
 
-    @classmethod
-    def from_json(cls, d: dict) -> "MapConfig":
-        kind = MapKind(d["kind"])
-        return cls(kind=kind, p=d.get("p", 0), s=d.get("s", 0),
-                   base_addr=d.get("base_addr"), size_bytes=d.get("size_bytes"))
-
 
 def interleaved() -> MapConfig:
     return MapConfig(kind=MapKind.INTERLEAVED)
