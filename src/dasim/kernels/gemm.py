@@ -13,21 +13,22 @@ import numpy as np
 
 from ..remap import interleaved
 from ..topology import ClusterTopology
-from .plan import (C_ALU, C_MAC, K_COMPUTE, K_LOAD, KernelPlan, PeStream,
-                   PlanBuilder, ShapeError, group_window_cfg, window_words)
+from .plan import (C_ALU, C_MAC, K_COMPUTE, K_LOAD, K_STORE, KernelPlan,
+                   PeStream, PlanBuilder, ShapeError, group_window_cfg,
+                   window_words)
 
 # software-pipelined reduction: the loads of step k issue during the MAC
 # burst of step k-1, so operand latency hides behind compute.
 # prologue: loads(0) + accumulator setup; body step: loads(k) then MAC(k-1)
-_PRO_KIND = np.array([K_LOAD] * 8 + [K_COMPUTE], dtype=np.uint8)
-_PRO_CLS = np.array([0] * 8 + [C_ALU], dtype=np.uint8)
-_PRO_ARG = np.array([0] * 8 + [1], dtype=np.int32)
+_PRO_KIND = np.array([K_LOAD] * 8 + [K_COMPUTE])
+_PRO_CLS = np.array([0] * 8 + [C_ALU])
+_PRO_ARG = np.array([0] * 8 + [1])
 _BODY_KIND = _PRO_KIND
-_BODY_CLS = np.array([0] * 8 + [C_MAC], dtype=np.uint8)
-_BODY_ARG = np.array([0] * 8 + [16], dtype=np.int32)
-_BODY_DEP1 = np.array([0] * 8 + [10], dtype=np.uint16)  # B3 of step k-1
-_BODY_DEP2 = np.array([0] * 8 + [14], dtype=np.uint16)  # A3 of step k-1
-_ZDEP = np.zeros(9, dtype=np.uint16)
+_BODY_CLS = np.array([0] * 8 + [C_MAC])
+_BODY_ARG = np.array([0] * 8 + [16])
+_BODY_DEP1 = np.array([0] * 8 + [10])  # B3 of step k-1
+_BODY_DEP2 = np.array([0] * 8 + [14])  # A3 of step k-1
+_ZDEP = np.array([0] * 9)
 
 
 def emit_block_window(st: PeStream, a_addr: np.ndarray, b_addr: np.ndarray,
@@ -51,12 +52,9 @@ def emit_block_window(st: PeStream, a_addr: np.ndarray, b_addr: np.ndarray,
     # drain: MAC of the last step, then the window's stores
     st.compute(C_MAC, count=16, dep=(st.n - 2, st.n - 6))
     n_out = len(c_addr)
-    st.extend(np.full(n_out, 1, dtype=np.uint8),          # stores
-              np.zeros(n_out, dtype=np.uint8),
-              np.zeros(n_out, dtype=np.int32),
-              np.asarray(c_addr, dtype=np.int64),
-              np.arange(1, n_out + 1, dtype=np.uint16),   # dep on the MAC burst
-              np.zeros(n_out, dtype=np.uint16))
+    zero = np.zeros(n_out, dtype=np.int64)
+    st.extend(np.full(n_out, K_STORE), zero, zero, c_addr,
+              np.arange(1, n_out + 1), zero)              # dep on the MAC burst
 
 
 def pad_odd(words: int) -> int:
