@@ -182,6 +182,46 @@ def test_transfer_leaving_its_region_is_rejected():
         build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
 
 
+def test_freed_region_reallocated_with_new_folding():
+    # a 4 KiB region at 0 folded das(4, 1) in phase a is freed and
+    # re-allocated das(2, 2) in phase b, which streams into it by DMA
+    pb = PlanBuilder(DESK, "das", 0, DESK.total_bytes)
+    words = (16, 40)
+    pb.begin_phase("a")
+    buf = pb.alloc("buf", 4096, das(4, 1))
+    for w in words:
+        pb.streams[0].load(buf.addr(0, w))
+    pb.end_phase()
+    pb.begin_phase("b")
+    pb.free(buf)
+    buf = pb.alloc("buf", 4096, das(2, 2))
+    assert buf.base == 0
+    tid = pb.transfer((0, 4096), (buf.base, buf.base + 4096))
+    for w in words:
+        pb.streams[0].load(buf.addr(0, w))
+    pb.streams[0].dma_start(tid)
+    pb.streams[0].dma_wait(tid)
+    pb.end_phase(False)
+    plan = pb.build("test", "", 1, {})
+    # op 0 charges the allocation; word 16 sits on bank 0 under
+    # das(4, 1) and bank 4 under das(2, 2), word 40 on bank 24 and bank 8
+    (a,), (b,) = (ph.chunks for ph in plan.phases)
+    assert a.cols["bank"][0, 1:3].tolist() == [0, 24]
+    assert b.cols["bank"][0, 1:3].tolist() == [4, 8]
+    # 64-byte das(2, 2) blocks: segment k starts on bank 4k, so on the
+    # backend of subgroup 4k // 32
+    (tr,) = plan.dma
+    banks_per_sub = DESK.banks_per_tile * DESK.tiles_per_subgroup
+    assert tr.segments == [(4 * k // banks_per_sub, 16) for k in range(64)]
+    assert sum(n for _, n in tr.segments) == 4096 // DESK.word_bytes
+    rep = run_plan(plan)
+    # phase b: 64 allocation cycles and two loads, then the start issues
+    params = EngineParams()
+    issue = rep.phases[0].end + 64 + 2
+    state = dma_advance(params, DmaState([0] * DESK.n_subgroups), tr, issue + 1)
+    assert rep.cycles == state.completed[tid] + 1
+
+
 @pytest.mark.parametrize("ids", [(0, 0), (0, 2), (1, 0)])
 def test_transfer_ids_must_run_in_order(ids):
     transfers = [DmaTransfer(t, (0, 0), (0, 0), segments=[(0, 8)]) for t in ids]
