@@ -21,7 +21,8 @@ import numpy as np
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
                        DEP_RING, step_segment)
-from .remap import MapConfig, interleaved, region_of, resolve_array, segment_transfer
+from .remap import (MapConfig, MapKind, interleaved, region_of, resolve_array,
+                    segment_transfer)
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
 
@@ -90,6 +91,13 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
                    tid: int, src: tuple, dst: tuple) -> DmaTransfer:
     """Segment a transfer against the mapping region covering its dst."""
     cfg = region_of(regions, dst[0])
+    # segment_transfer rejects a dst that leaves cfg; one that starts
+    # outside every DAS region must not run into one either
+    if cfg is None:
+        for r in regions:
+            if r.kind == MapKind.DAS and r.bound and dst[0] < r.base_addr < dst[1]:
+                raise ValueError(f"transfer dst [0x{dst[0]:x}, 0x{dst[1]:x}) runs "
+                                 f"into the DAS region at 0x{r.base_addr:x}")
     pieces = segment_transfer(topo, cfg or interleaved(), src, dst)
     banks_per_sub = topo.banks_per_tile * topo.tiles_per_subgroup
     segments = []

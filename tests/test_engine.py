@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import das, das_malloc, desk_default, heap_init, terapool_default
+from dasim import (das, das_malloc, desk_default, heap_init, interleaved,
+                   terapool_default)
 from dasim._stepper import DEP_RING, K_COMPUTE, _ins_hit
 from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
@@ -180,6 +181,15 @@ def test_transfer_leaving_its_region_is_rejected():
     base = das_malloc(heap, 256, das(4, 0))
     with pytest.raises(ValueError, match="not contained"):
         build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
+
+
+def test_transfer_entering_a_region_is_rejected():
+    # dst starts in the interleaved region at 0 and runs into the DAS one
+    heap = heap_init(0, DESK.total_bytes)
+    das_malloc(heap, 1024, interleaved())
+    base = das_malloc(heap, 4096, das(4, 2))
+    with pytest.raises(ValueError, match=f"runs into the DAS region at 0x{base:x}"):
+        build_transfer(DESK, heap.das_regions(), 0, (0, 2048), (0, 2048))
 
 
 def test_freed_region_reallocated_with_new_folding():
