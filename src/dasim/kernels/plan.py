@@ -214,6 +214,7 @@ class PlanBuilder:
         """
         if self._phase_name is None:
             raise RuntimeError("alloc must happen inside a phase")
+        folding.validate(self.topo)
         req = folding if self.scheme == "das" else interleaved()
         base = das_malloc(self.heap, size_bytes, req)
         cfg = self.heap.regions[base]

@@ -192,6 +192,18 @@ def test_transfer_entering_a_region_is_rejected():
         build_transfer(DESK, heap.das_regions(), 0, (0, 2048), (0, 2048))
 
 
+@pytest.mark.parametrize("scheme", ["das", "interleaved"])
+@pytest.mark.parametrize("folding,match", [
+    (das(20, 0), "p=20 exceeds bank bits b=8"),
+    (das(0, 9), "s=9 exceeds row bits r=8"),
+], ids=["p", "s"])
+def test_alloc_rejects_folding_too_large_for_topology(scheme, folding, match):
+    pb = PlanBuilder(DESK, scheme, 0, DESK.total_bytes)
+    pb.begin_phase("a")
+    with pytest.raises(ValueError, match=match):
+        pb.alloc("buf", 64, folding)
+
+
 def test_freed_region_reallocated_with_new_folding():
     # a 4 KiB region at 0 folded das(4, 1) in phase a is freed and
     # re-allocated das(2, 2) in phase b, which streams into it by DMA
