@@ -6,12 +6,11 @@ runtime-programmable remapping of heap regions onto physically adjacent
 banks recovers PE utilization on transformer kernels.
 """
 
-from .topology import (ClusterTopology, HierarchyLevel, access_level,
-                       desk_default, local_fraction, terapool_default)
-from .remap import (MapConfig, MapKind, PhysicalLocation, das, das_inverse,
-                    das_map, interleaved, interleaved_map, resolve,
+from .topology import (ClusterTopology, HierarchyLevel, access_levels,
+                       desk_default, terapool_default)
+from .remap import (MapConfig, MapKind, das, interleaved, region_of,
                     resolve_array, segment_transfer)
-from .alloc import (AllocationError, FreeBlock, FreeError, Heap, das_free,
-                    das_malloc, heap_init, region_lookup)
+from .alloc import (AllocationError, FreeError, Heap, das_free, das_malloc,
+                    heap_init)
 
 __version__ = "0.1.0"

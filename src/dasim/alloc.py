@@ -1,15 +1,16 @@
 """Dynamic heap allocator with a per-region mapping registry.
 
-Free space is tracked as a unidirectional chain of blocks ordered by
-start address, mirroring the runtime's software list. Every allocation
+Free space is tracked as a list of (start, size) blocks ordered by start
+address, mirroring the runtime's software list. Every allocation
 registers the mapping configuration chosen for the new region; the set
-of live regions is what the address mapper consults (see remap.resolve).
+of live regions is what the address mapper consults (see
+remap.resolve_array).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .remap import MapConfig, MapKind, region_of
+from .remap import MapConfig, MapKind
 
 
 class AllocationError(Exception):
@@ -18,17 +19,6 @@ class AllocationError(Exception):
 
 class FreeError(Exception):
     """Freed address is not the base of a live region."""
-
-
-@dataclass
-class FreeBlock:
-    start: int
-    size: int
-    next: Optional["FreeBlock"] = None
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size
 
 
 def _round_up(x: int, unit: int) -> int:
@@ -40,7 +30,7 @@ class Heap:
     base: int
     size: int
     word_bytes: int = 4
-    head: Optional[FreeBlock] = None
+    free: list = field(default_factory=list)      # (start, size) blocks by start
     regions: dict = field(default_factory=dict)   # base addr -> bound MapConfig
 
     @property
@@ -48,21 +38,15 @@ class Heap:
         return self.base + self.size
 
     def free_blocks(self) -> list[tuple[int, int]]:
-        out = []
-        blk = self.head
-        while blk is not None:
-            out.append((blk.start, blk.size))
-            blk = blk.next
-        return out
+        return list(self.free)
 
     def free_bytes(self) -> int:
-        return sum(sz for _, sz in self.free_blocks())
-
-    def live_regions(self) -> list[MapConfig]:
-        return sorted(self.regions.values(), key=lambda c: c.base_addr)
+        return sum(sz for _, sz in self.free)
 
     def das_regions(self) -> list[MapConfig]:
-        return [c for c in self.live_regions() if c.kind == MapKind.DAS]
+        """Live DAS regions by base address."""
+        return sorted((c for c in self.regions.values() if c.kind == MapKind.DAS),
+                      key=lambda c: c.base_addr)
 
 
 def heap_init(base: int, size: int, word_bytes: int = 4) -> Heap:
@@ -71,9 +55,7 @@ def heap_init(base: int, size: int, word_bytes: int = 4) -> Heap:
         raise ValueError(f"heap size must be positive, got {size}")
     if base % word_bytes:
         raise ValueError(f"heap base 0x{base:x} not word-aligned")
-    heap = Heap(base=base, size=size, word_bytes=word_bytes)
-    heap.head = FreeBlock(base, size)
-    return heap
+    return Heap(base=base, size=size, word_bytes=word_bytes, free=[(base, size)])
 
 
 def das_malloc(heap: Heap, size: int, cfg_request: MapConfig) -> int:
@@ -91,43 +73,20 @@ def das_malloc(heap: Heap, size: int, cfg_request: MapConfig) -> int:
     unit = cfg_request.block_bytes(heap.word_bytes)
     eff = _round_up(size, unit)
 
-    prev = None
-    blk = heap.head
-    while blk is not None:
-        start = _round_up(blk.start, unit)
-        if start + eff <= blk.end:
-            _carve(heap, prev, blk, start, eff)
+    for i, (blk_start, blk_size) in enumerate(heap.free):
+        start = _round_up(blk_start, unit)
+        blk_end = blk_start + blk_size
+        if start + eff <= blk_end:
+            # the block gives way to its leading and trailing slack
+            heap.free[i:i + 1] = [(lo, hi - lo) for lo, hi in
+                                  ((blk_start, start), (start + eff, blk_end)) if hi > lo]
             cfg = MapConfig(kind=cfg_request.kind, p=cfg_request.p, s=cfg_request.s,
                             base_addr=start, size_bytes=eff)
             heap.regions[start] = cfg
             return start
-        prev = blk
-        blk = blk.next
     raise AllocationError(
         f"no free block fits {eff} bytes at {unit}-byte alignment "
         f"(free: {heap.free_blocks()})")
-
-
-def _carve(heap: Heap, prev: Optional[FreeBlock], blk: FreeBlock,
-           start: int, eff: int) -> None:
-    """Remove [start, start+eff) from blk, keeping any leading/trailing slack."""
-    pieces = []
-    if start > blk.start:
-        pieces.append(FreeBlock(blk.start, start - blk.start))
-    if start + eff < blk.end:
-        pieces.append(FreeBlock(start + eff, blk.end - (start + eff)))
-    for a, b in zip(pieces, pieces[1:]):
-        a.next = b
-    tail = blk.next
-    if pieces:
-        pieces[-1].next = tail
-        repl = pieces[0]
-    else:
-        repl = tail
-    if prev is None:
-        heap.head = repl
-    else:
-        prev.next = repl
 
 
 def das_free(heap: Heap, addr: int) -> None:
@@ -135,29 +94,14 @@ def das_free(heap: Heap, addr: int) -> None:
     cfg = heap.regions.pop(addr, None)
     if cfg is None:
         raise FreeError(f"0x{addr:x} is not the base of a live region")
-    _insert_free(heap, addr, cfg.size_bytes)
-
-
-def _insert_free(heap: Heap, start: int, size: int) -> None:
-    prev = None
-    blk = heap.head
-    while blk is not None and blk.start < start:
-        prev = blk
-        blk = blk.next
-    node = FreeBlock(start, size, next=blk)
-    if prev is None:
-        heap.head = node
-    else:
-        prev.next = node
+    free = heap.free
+    lo = hi = bisect_left(free, (addr,))
+    start, end = addr, addr + cfg.size_bytes
     # merge with successor, then with predecessor
-    if node.next is not None and node.end == node.next.start:
-        node.size += node.next.size
-        node.next = node.next.next
-    if prev is not None and prev.end == node.start:
-        prev.size += node.size
-        prev.next = node.next
-
-
-def region_lookup(heap: Heap, addr: int) -> Optional[MapConfig]:
-    """Live partitioned region containing addr, if any."""
-    return region_of(heap.regions.values(), addr)
+    if hi < len(free) and free[hi][0] == end:
+        end += free[hi][1]
+        hi += 1
+    if lo and sum(free[lo - 1]) == start:
+        lo -= 1
+        start = free[lo][0]
+    free[lo:hi] = [(start, end - start)]

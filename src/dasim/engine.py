@@ -13,7 +13,7 @@ limited number of ports per hierarchy level. Every cycle of every PE
 ends up in exactly one accounting bucket: issued, LSU, RAW, INS or WFI.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,12 +58,6 @@ class EngineParams:
 
     def class_latency(self) -> np.ndarray:
         return np.array([self.lat_alu, self.lat_mac, self.lat_div], dtype=np.int64)
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "window", "lat_alu", "lat_mac", "lat_div", "out_ports", "in_ports",
-            "dma_words_per_cycle", "l2_latency", "alloc_cost",
-            "ins_stall_prob", "ins_seed")}
 
 
 class SimulationFault(Exception):
@@ -246,16 +240,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         "wfi_stall": totals[:, ACC_WFI].copy(),
     }
     return SimReport(
-        topology=_topo_json(topo), params=params.to_json(),
+        topology={**asdict(topo), "level_latency": list(topo.level_latency)},
+        params=asdict(params),
         meta=meta or {}, cycles=clock, per_pe=per_pe, phases=phase_rows,
         alloc_events=alloc_events or [])
-
-
-def _topo_json(topo: ClusterTopology) -> dict:
-    return {
-        "pes_per_tile": topo.pes_per_tile, "banks_per_tile": topo.banks_per_tile,
-        "tiles_per_subgroup": topo.tiles_per_subgroup,
-        "subgroups_per_group": topo.subgroups_per_group, "groups": topo.groups,
-        "rows_per_bank": topo.rows_per_bank, "word_bytes": topo.word_bytes,
-        "level_latency": list(topo.level_latency),
-    }

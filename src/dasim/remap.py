@@ -16,7 +16,7 @@ collide physically.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .topology import ClusterTopology
 class MapKind(str, Enum):
     INTERLEAVED = "interleaved"
     DAS = "das"
-
-
-class PhysicalLocation(NamedTuple):
-    bank: int
-    row: int
 
 
 @dataclass(frozen=True)
@@ -100,62 +95,7 @@ def das(p: int, s: int) -> MapConfig:
     return MapConfig(kind=MapKind.DAS, p=p, s=s)
 
 
-# -- scalar mapping ----------------------------------------------------------
-
-def _resolve_one(topo: ClusterTopology, regions: Sequence[MapConfig],
-                 addr: int) -> PhysicalLocation:
-    banks, rows = resolve_array(topo, regions, np.array([addr]))
-    return PhysicalLocation(bank=int(banks[0]), row=int(rows[0]))
-
-
-def interleaved_map(topo: ClusterTopology, addr: int) -> PhysicalLocation:
-    """Baseline word-interleaved placement: bank cycles fastest."""
-    return _resolve_one(topo, [], addr)
-
-
-def das_map(topo: ClusterTopology, cfg: MapConfig, addr: int) -> PhysicalLocation:
-    """Partitioned placement of an address inside a bound DAS region."""
-    if cfg.kind != MapKind.DAS:
-        raise ValueError("das_map requires a DAS config")
-    if not cfg.bound:
-        raise ValueError("das_map requires a bound region (base/size assigned)")
-    if not cfg.contains(addr):
-        raise ValueError(
-            f"address 0x{addr:x} outside region [0x{cfg.base_addr:x}, "
-            f"0x{cfg.base_addr + cfg.size_bytes:x})")
-    return _resolve_one(topo, [cfg], addr)
-
-
-def das_inverse(topo: ClusterTopology, cfg: MapConfig, loc: PhysicalLocation) -> int:
-    """Word-aligned address that das_map sends to ``loc``.
-
-    Raises if that address falls outside the region, i.e. the location
-    is not part of the region's physical footprint.
-    """
-    if cfg.kind != MapKind.DAS or not cfg.bound:
-        raise ValueError("das_inverse requires a bound DAS config")
-    b = topo.bank_bits
-    p, s = cfg.p, cfg.s
-    bank_lo = loc.bank & ((1 << p) - 1)
-    bank_hi = loc.bank >> p
-    row_lo = loc.row & ((1 << s) - 1)
-    row_hi = loc.row >> s
-    u = bank_lo | (row_lo << p) | (bank_hi << (p + s)) | (row_hi << (b + s))
-    addr = u * topo.word_bytes
-    if not cfg.contains(addr):
-        raise ValueError(f"location {loc} not in the region's footprint")
-    return addr
-
-
-def resolve(topo: ClusterTopology, regions: Sequence[MapConfig], addr: int) -> PhysicalLocation:
-    """Map an address through the region registry.
-
-    Addresses inside a live DAS region use that region's folding;
-    everything else falls back to the interleaved baseline. Regions must
-    be pairwise disjoint.
-    """
-    return _resolve_one(topo, regions, addr)
-
+# -- address mapping ---------------------------------------------------------
 
 def region_of(regions: Iterable[MapConfig], addr: int) -> Optional[MapConfig]:
     """The bound DAS region among ``regions`` that contains ``addr``, if any."""
@@ -174,10 +114,12 @@ def _check_disjoint(regions: Sequence[MapConfig]) -> None:
 
 def resolve_array(topo: ClusterTopology, regions: Sequence[MapConfig],
                   addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized resolve over an address array; returns (banks, rows).
+    """Map addresses through the region registry; returns (banks, rows).
 
-    Raises on any address outside L1. Used to pre-resolve whole traces
-    before simulation.
+    Addresses inside a bound DAS region use that region's folding;
+    everything else falls back to the interleaved baseline. Raises on
+    any address outside L1, a misaligned region or overlapping regions.
+    Used to pre-resolve whole traces before simulation.
     """
     _check_disjoint(regions)
     addrs = np.asarray(addrs, dtype=np.int64)

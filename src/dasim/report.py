@@ -8,7 +8,7 @@ speedup).
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,15 +30,6 @@ class PhaseStats:
     @property
     def cycles(self) -> int:
         return self.end - self.start
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "start": self.start, "end": self.end,
-                "issued": self.issued, "lsu": self.lsu, "raw": self.raw,
-                "ins": self.ins, "wfi": self.wfi}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PhaseStats":
-        return cls(**d)
 
 
 @dataclass
@@ -106,7 +97,7 @@ class SimReport:
             "speedup": self.speedup,
             "baseline": self.baseline,
             "per_pe": {k: np.asarray(v).tolist() for k, v in self.per_pe.items()},
-            "phases": [p.to_json() for p in self.phases],
+            "phases": [asdict(p) for p in self.phases],
             "alloc_events": self.alloc_events,
         }
 
@@ -121,7 +112,7 @@ class SimReport:
             topology=d["topology"], params=d["params"], meta=d["meta"],
             cycles=d["cycles"],
             per_pe={k: np.array(v, dtype=np.int64) for k, v in d["per_pe"].items()},
-            phases=[PhaseStats.from_json(p) for p in d["phases"]],
+            phases=[PhaseStats(**p) for p in d["phases"]],
             alloc_events=d.get("alloc_events", []),
             speedup=d.get("speedup"), baseline=d.get("baseline"))
 

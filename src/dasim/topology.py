@@ -85,16 +85,9 @@ class ClusterTopology:
         return self.rows_per_bank.bit_length() - 1
 
     @property
-    def addr_bits(self) -> int:
-        return (self.total_bytes - 1).bit_length()
-
-    @property
     def line_bytes(self) -> int:
         """One row across all banks."""
         return self.n_banks * self.word_bytes
-
-    def latency(self, level: HierarchyLevel) -> int:
-        return self.level_latency[level]
 
 
 def terapool_default() -> ClusterTopology:
@@ -122,21 +115,13 @@ def desk_default() -> ClusterTopology:
     )
 
 
-def access_level(topo: ClusterTopology, pe_id: int, bank_id: int) -> HierarchyLevel:
-    """Classify a PE-to-bank access into its hierarchy level."""
-    if not 0 <= pe_id < topo.n_pes:
-        raise ValueError(f"pe_id {pe_id} out of range [0, {topo.n_pes})")
-    if not 0 <= bank_id < topo.n_banks:
-        raise ValueError(f"bank_id {bank_id} out of range [0, {topo.n_banks})")
-    return HierarchyLevel(int(access_levels(topo, pe_id, bank_id)))
-
-
 def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
     """Hierarchy level of each (pe, bank) pair, as uint8; broadcasts.
 
     Counts down from REMOTE once for each of group, subgroup and tile
     that the PE and the bank share (a shared tile implies a shared
-    subgroup, which implies a shared group).
+    subgroup, which implies a shared group). Ids are not range-checked:
+    they come from end_phase's PE loop and resolve_array's banks.
     """
     pt = np.asarray(pes) // topo.pes_per_tile
     bt = np.asarray(banks) // topo.banks_per_tile
@@ -144,8 +129,3 @@ def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
     gr = sg * topo.subgroups_per_group
     shared = (pt // gr == bt // gr).astype(np.uint8) + (pt // sg == bt // sg) + (pt == bt)
     return np.uint8(HierarchyLevel.REMOTE) - shared
-
-
-def local_fraction(topo: ClusterTopology) -> float:
-    """Share of banks a PE reaches through its own tile's crossbar."""
-    return topo.banks_per_tile / topo.n_banks

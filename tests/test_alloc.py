@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dasim import (AllocationError, FreeError, MapKind, das, das_free,
-                   das_malloc, heap_init, interleaved, region_lookup)
+from dasim import (AllocationError, FreeError, das, das_free, das_malloc,
+                   heap_init, interleaved, region_of)
 from reference_alloc import ReferenceAllocator
 
 
@@ -113,11 +113,11 @@ def test_region_lookup():
     h = heap_init(0, 4096)
     a = das_malloc(h, 128, das(2, 1))
     i = das_malloc(h, 128, interleaved())
-    assert region_lookup(h, a + 64).base_addr == a
-    assert region_lookup(h, i) is None          # interleaved region: no remap
-    assert region_lookup(h, 4095) is None
+    assert region_of(h.regions.values(), a + 64).base_addr == a
+    assert region_of(h.regions.values(), i) is None     # interleaved region: no remap
+    assert region_of(h.regions.values(), 4095) is None
     das_free(h, a)
-    assert region_lookup(h, a) is None
+    assert region_of(h.regions.values(), a) is None
 
 
 def test_kv_reuse_returns_same_block():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import (ClusterTopology, MapConfig, MapKind, PhysicalLocation, das,
-                   das_inverse, das_map, interleaved, interleaved_map, resolve,
-                   resolve_array, segment_transfer, terapool_default)
+from dasim import (ClusterTopology, MapConfig, das, interleaved, resolve_array,
+                   segment_transfer, terapool_default)
 
 
 def toy_topology(b=4, r=4):
@@ -28,23 +27,49 @@ def fold_reference(b, p, s, u):
     return bank_hi * 2 ** p + bank_lo, row_hi * 2 ** s + row_lo
 
 
+def interleaved_reference(topo, u):
+    """Word u of the interleaved baseline: bank cycles fastest."""
+    return u % topo.n_banks, u // topo.n_banks
+
+
+def das_inverse(topo, cfg, bank, row):
+    """Byte address that cfg's folding sends to (bank, row).
+
+    A second, inverse implementation of the bit permutation, the oracle
+    that the mapping is a bijection with this inverse.
+    """
+    b = topo.bank_bits
+    p, s = cfg.p, cfg.s
+    bank_lo = bank & ((1 << p) - 1)
+    bank_hi = bank >> p
+    row_lo = row & ((1 << s) - 1)
+    row_hi = row >> s
+    u = bank_lo | (row_lo << p) | (bank_hi << (p + s)) | (row_hi << (b + s))
+    return u * topo.word_bytes
+
+
 def bound(cfg, base, size):
     return MapConfig(kind=cfg.kind, p=cfg.p, s=cfg.s, base_addr=base, size_bytes=size)
+
+
+def places(topo, regions, addrs):
+    """(bank, row) of each address, as Python ints."""
+    banks, rows = resolve_array(topo, regions, np.asarray(addrs))
+    return list(zip(banks.tolist(), rows.tolist()))
 
 
 # -- interleaved baseline -----------------------------------------------------
 
 def test_interleaved_examples():
     t = toy_topology()
-    assert interleaved_map(t, 0x00) == PhysicalLocation(0, 0)
-    assert interleaved_map(t, 0x44) == PhysicalLocation(1, 1)
-    assert interleaved_map(t, 0x40) == PhysicalLocation(0, 1)
+    assert places(t, [], [0x00, 0x44, 0x40]) == [(0, 0), (1, 1), (0, 1)]
 
 
 def test_interleaved_out_of_range():
     t = toy_topology()
-    with pytest.raises(ValueError):
-        interleaved_map(t, t.total_bytes)
+    for addr in (t.total_bytes, -4):
+        with pytest.raises(ValueError, match="outside L1"):
+            resolve_array(t, [], np.array([addr]))
 
 
 # -- partitioned mapping ------------------------------------------------------
@@ -52,41 +77,42 @@ def test_interleaved_out_of_range():
 def test_das_toy_examples():
     t = toy_topology()
     cfg = bound(das(2, 1), 0, t.total_bytes)
-    assert das_map(t, cfg, 0x14) == PhysicalLocation(1, 1)
-    assert das_map(t, cfg, 0x20) == PhysicalLocation(4, 0)
+    assert places(t, [cfg], [0x14, 0x20]) == [(1, 1), (4, 0)]
 
 
 def test_das_terapool_folding():
     # frozen from the div/mod oracle over the first 2^16 words
     t = terapool_default()
     cfg = bound(das(5, 2), 0, t.total_bytes)
-    assert das_map(t, cfg, 0x200) == PhysicalLocation(32, 0)
-    for u in range(0, 2 ** 16, 97):
-        want = fold_reference(t.bank_bits, 5, 2, u)
-        assert das_map(t, cfg, u * 4) == want
+    assert places(t, [cfg], [0x200]) == [(32, 0)]
+    words = range(0, 2 ** 16, 97)
+    assert places(t, [cfg], [u * 4 for u in words]) == [
+        fold_reference(t.bank_bits, 5, 2, u) for u in words]
 
 
 def test_das_region_gating():
+    # addresses outside the region keep the interleaved placement
     t = toy_topology()
     cfg = bound(das(2, 1), 0x40, 0x40)
-    with pytest.raises(ValueError):
-        das_map(t, cfg, 0x20)
-    with pytest.raises(ValueError):
-        das_map(t, cfg, 0x80)
+    assert places(t, [cfg], [0x20, 0x3C, 0x80]) == [
+        interleaved_reference(t, u) for u in (0x8, 0xF, 0x20)]
+    assert places(t, [cfg], [0x40, 0x7C]) == [
+        fold_reference(t.bank_bits, 2, 1, u) for u in (0x10, 0x1F)]
 
 
 def test_das_misaligned_region_rejected():
     t = toy_topology()
     cfg = bound(das(2, 1), 0x10, 0x40)  # block is 32 B, base is 16
-    with pytest.raises(ValueError):
-        das_map(t, cfg, 0x10)
+    with pytest.raises(ValueError, match="not aligned"):
+        resolve_array(t, [cfg], np.array([0x10]))
 
 
 def test_identity_when_p_is_b():
     t = toy_topology()
     cfg = bound(das(t.bank_bits, 0), 0, t.total_bytes)
-    for addr in range(0, t.total_bytes, 4):
-        assert das_map(t, cfg, addr) == interleaved_map(t, addr)
+    n_words = t.total_bytes // 4
+    assert places(t, [cfg], np.arange(n_words) * 4) == [
+        interleaved_reference(t, u) for u in range(n_words)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,14 +126,13 @@ def test_bijectivity_and_inverse(b, r, data):
     base_blk = data.draw(st.integers(0, n_blocks - 1))
     size = data.draw(st.integers(1, n_blocks - base_blk)) * block
     cfg = bound(das(p, s), base_blk * block, size)
-    seen = set()
-    for addr in range(cfg.base_addr, cfg.base_addr + size, 4):
-        loc = das_map(t, cfg, addr)
-        assert loc not in seen
-        seen.add(loc)
-        assert 0 <= loc.bank < t.n_banks
-        assert 0 <= loc.row < t.rows_per_bank
-        assert das_inverse(t, cfg, loc) == addr
+    addrs = range(cfg.base_addr, cfg.base_addr + size, 4)
+    locs = places(t, [cfg], addrs)
+    assert len(set(locs)) == len(locs)
+    for addr, (bank, row) in zip(addrs, locs):
+        assert 0 <= bank < t.n_banks
+        assert 0 <= row < t.rows_per_bank
+        assert das_inverse(t, cfg, bank, row) == addr
 
 
 def test_locality_one_tile_per_block():
@@ -117,33 +142,31 @@ def test_locality_one_tile_per_block():
     p = 3  # log2(banks_per_tile)
     for s in (0, 1, 2):
         cfg = bound(das(p, s), 0, t.total_bytes)
-        words_per_block = 2 ** (p + s)
-        for blk in range(t.total_bytes // (4 * words_per_block)):
-            tiles = {das_map(t, cfg, (blk * words_per_block + w) * 4).bank
-                     // t.banks_per_tile for w in range(words_per_block)}
-            assert len(tiles) == 1
+        banks, _ = resolve_array(t, [cfg], np.arange(0, t.total_bytes, 4))
+        tiles = (banks // t.banks_per_tile).reshape(-1, 2 ** (p + s))
+        assert (tiles == tiles[:, :1]).all()
 
 
 def test_resolve_registry():
     t = toy_topology()
     r1 = bound(das(2, 1), 0x40, 0x40)
-    assert resolve(t, [], 0x14) == interleaved_map(t, 0x14)
-    assert resolve(t, [r1], 0x50) == das_map(t, r1, 0x50)
-    assert resolve(t, [r1], 0x3F) == interleaved_map(t, 0x3F)
+    assert places(t, [], [0x14]) == [interleaved_reference(t, 0x5)]
+    assert places(t, [r1], [0x50]) == [fold_reference(t.bank_bits, 2, 1, 0x14)]
+    assert places(t, [r1], [0x3F]) == [interleaved_reference(t, 0xF)]
     r2 = bound(das(2, 1), 0x60, 0x40)
-    with pytest.raises(ValueError):
-        resolve(t, [r1, r2], 0x0)
+    with pytest.raises(ValueError, match="overlap"):
+        resolve_array(t, [r1, r2], np.array([0x0]))
 
 
 def test_resolve_array_matches_scalar():
+    # folded inside the DAS region; an interleaved region maps as the baseline
     t = toy_topology()
     r1 = bound(das(2, 1), 0x40, 0x40)
     r2 = bound(interleaved(), 0x100, 0x40)
-    addrs = np.arange(0, t.total_bytes, 4)
-    banks, rows = resolve_array(t, [r1, r2], addrs)
-    for i, a in enumerate(addrs):
-        want = resolve(t, [r1, r2], int(a))
-        assert (banks[i], rows[i]) == want
+    words = range(t.total_bytes // 4)
+    assert places(t, [r1, r2], [u * 4 for u in words]) == [
+        fold_reference(t.bank_bits, 2, 1, u) if r1.contains(u * 4)
+        else interleaved_reference(t, u) for u in words]
 
 
 def test_resolve_array_rejects_out_of_l1():

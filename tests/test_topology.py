@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from dasim import (ClusterTopology, HierarchyLevel, access_level,
-                   desk_default, local_fraction, terapool_default)
-from dasim.topology import access_levels
+from dasim import (ClusterTopology, HierarchyLevel, access_levels,
+                   desk_default, terapool_default)
+
+
+def level_reference(t, pe, bank):
+    """Hierarchy level from tile, subgroup and group ids, one pair at a time."""
+    pe_tile, bank_tile = pe // t.pes_per_tile, bank // t.banks_per_tile
+    sg, gr = t.tiles_per_subgroup, t.tiles_per_subgroup * t.subgroups_per_group
+    if pe_tile == bank_tile:
+        return HierarchyLevel.TILE_LOCAL
+    if pe_tile // sg == bank_tile // sg:
+        return HierarchyLevel.SUBGROUP_LOCAL
+    if pe_tile // gr == bank_tile // gr:
+        return HierarchyLevel.GROUP_LOCAL
+    return HierarchyLevel.REMOTE
 
 
 def test_terapool_shape():
@@ -11,7 +23,7 @@ def test_terapool_shape():
     assert t.n_pes == 1024
     assert t.n_banks == 4096
     assert t.total_bytes == 4 * 1024 * 1024
-    assert t.addr_bits == 22
+    assert (t.bank_bits, t.row_bits) == (12, 8)
     assert t.pes_per_tile == 8
     assert t.banks_per_tile == 32
     assert t.n_tiles == 128
@@ -28,62 +40,38 @@ def test_desk_shape():
 
 def test_access_levels_terapool():
     t = terapool_default()
-    # pe in tile 0 throughout; tiles are 32 banks wide
-    assert access_level(t, 0, 0) == HierarchyLevel.TILE_LOCAL
-    assert t.latency(access_level(t, 0, 0)) == 1
-    assert access_level(t, 0, 3 * 32) == HierarchyLevel.SUBGROUP_LOCAL
-    assert t.latency(access_level(t, 0, 3 * 32)) == 3
-    # tile 8 is in subgroup 1 of group 0
-    assert access_level(t, 0, 8 * 32) == HierarchyLevel.GROUP_LOCAL
-    assert t.latency(access_level(t, 0, 8 * 32)) == 5
-    # tile 40 is in group 1
-    assert access_level(t, 0, 40 * 32) == HierarchyLevel.REMOTE
-    assert t.latency(access_level(t, 0, 40 * 32)) == 7
+    # pe in tile 0 throughout; tiles are 32 banks wide; tile 3 shares
+    # its subgroup, tile 8 is in subgroup 1 of group 0, tile 40 in group 1
+    levels = access_levels(t, 0, np.array([0, 3, 8, 40]) * 32)
+    assert levels.tolist() == [HierarchyLevel.TILE_LOCAL, HierarchyLevel.SUBGROUP_LOCAL,
+                               HierarchyLevel.GROUP_LOCAL, HierarchyLevel.REMOTE]
+    assert [t.level_latency[lv] for lv in levels] == [1, 3, 5, 7]
 
 
 def test_access_levels_broadcasts_like_scalar():
     t = desk_default()
     grid = access_levels(t, np.arange(t.n_pes)[:, None], np.arange(t.n_banks)[None, :])
     assert grid.dtype == np.uint8
-    assert grid.tolist() == [[access_level(t, pe, b) for b in range(t.n_banks)]
+    assert grid.tolist() == [[level_reference(t, pe, b) for b in range(t.n_banks)]
                              for pe in range(t.n_pes)]
-
-
-def test_access_level_range_checks():
-    t = desk_default()
-    with pytest.raises(ValueError):
-        access_level(t, t.n_pes, 0)
-    with pytest.raises(ValueError):
-        access_level(t, 0, t.n_banks)
-
-
-def test_local_fraction():
-    assert local_fraction(terapool_default()) == 32 / 4096
-    single = ClusterTopology(pes_per_tile=8, banks_per_tile=32,
-                             tiles_per_subgroup=1, subgroups_per_group=1, groups=1)
-    assert local_fraction(single) == 1.0
-    two = ClusterTopology(pes_per_tile=8, banks_per_tile=16,
-                          tiles_per_subgroup=2, subgroups_per_group=1, groups=1)
-    assert local_fraction(two) == 0.5
+    assert access_levels(t, 5, 200) == grid[5, 200]
 
 
 def test_level_multiset_per_pe():
     # every PE sees exactly banks_per_tile tile-local banks
     t = desk_default()
     for pe in range(0, t.n_pes, 7):
-        local = sum(1 for b in range(t.n_banks)
-                    if access_level(t, pe, b) == HierarchyLevel.TILE_LOCAL)
-        assert local == t.banks_per_tile
+        levels = access_levels(t, pe, np.arange(t.n_banks))
+        assert (levels == HierarchyLevel.TILE_LOCAL).sum() == t.banks_per_tile
 
 
 def test_tile_symmetry():
     # PEs of one tile classify every bank identically
     t = desk_default()
     for tile in (0, 5, 15):
-        pes = range(tile * t.pes_per_tile, (tile + 1) * t.pes_per_tile)
+        pes = np.arange(tile * t.pes_per_tile, (tile + 1) * t.pes_per_tile)
         for bank in range(0, t.n_banks, 13):
-            levels = {access_level(t, pe, bank) for pe in pes}
-            assert len(levels) == 1
+            assert len(set(access_levels(t, pes, bank).tolist())) == 1
 
 
 def test_invalid_geometry_rejected():
