@@ -12,5 +12,3 @@ from .remap import (MapConfig, MapKind, das, interleaved, region_of,
                     resolve_array, segment_transfer)
 from .alloc import (AllocationError, FreeError, Heap, das_free, das_malloc,
                     heap_init)
-
-__version__ = "0.1.0"
