@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dasim import (das, das_malloc, desk_default, heap_init, interleaved,
                    terapool_default)
 from dasim._stepper import DEP_RING, K_COMPUTE, _ins_hit
-from dasim.engine import DmaTransfer, EngineParams, SimulationFault, build_transfer
+from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, SimulationFault,
+                          build_transfer)
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
 
@@ -237,10 +238,10 @@ def test_freed_region_reallocated_with_new_folding():
     assert tr.segments == [(4 * k // banks_per_sub, 16) for k in range(64)]
     assert sum(n for _, n in tr.segments) == 4096 // DESK.word_bytes
     rep = run_plan(plan)
-    # phase b: 64 allocation cycles and two loads, then the start issues
-    params = EngineParams()
-    issue = rep.phases[0].end + 64 + 2
-    state = dma_advance(params, DmaState([0] * DESK.n_subgroups), tr, issue + 1)
+    # phase b: the allocation's cycles and two loads, then the start
+    # issues; backend work is booked from the cycle after
+    issue = rep.phases[0].end + ALLOC_COST + 2
+    state = dma_advance(EngineParams(), DmaState([0] * DESK.n_subgroups), tr, issue + 1)
     assert rep.cycles == state.completed[tid] + 1
 
 
