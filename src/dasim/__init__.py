@@ -8,7 +8,6 @@ banks recovers PE utilization on transformer kernels.
 
 from .topology import (ClusterTopology, HierarchyLevel, access_levels,
                        desk_default, terapool_default)
-from .remap import (MapConfig, MapKind, das, interleaved, region_of,
-                    resolve_array, segment_transfer)
+from .remap import MapConfig, das, interleaved, resolve_array
 from .alloc import (AllocationError, FreeError, Heap, das_free, das_malloc,
                     heap_init)

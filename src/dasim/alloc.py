@@ -8,9 +8,9 @@ remap.resolve_array).
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .remap import MapConfig, MapKind
+from .remap import MapConfig
 
 
 class AllocationError(Exception):
@@ -44,8 +44,8 @@ class Heap:
         return sum(sz for _, sz in self.free)
 
     def das_regions(self) -> list[MapConfig]:
-        """Live DAS regions by base address."""
-        return sorted((c for c in self.regions.values() if c.kind == MapKind.DAS),
+        """Live folded regions by base address."""
+        return sorted((c for c in self.regions.values() if c.folds),
                       key=lambda c: c.base_addr)
 
 
@@ -80,8 +80,7 @@ def das_malloc(heap: Heap, size: int, cfg_request: MapConfig) -> int:
             # the block gives way to its leading and trailing slack
             heap.free[i:i + 1] = [(lo, hi - lo) for lo, hi in
                                   ((blk_start, start), (start + eff, blk_end)) if hi > lo]
-            cfg = MapConfig(kind=cfg_request.kind, p=cfg_request.p, s=cfg_request.s,
-                            base_addr=start, size_bytes=eff)
+            cfg = replace(cfg_request, base_addr=start, size_bytes=eff)
             heap.regions[start] = cfg
             return start
     raise AllocationError(

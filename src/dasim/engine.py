@@ -21,8 +21,7 @@ import numpy as np
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
                        DEP_RING, step_segment)
-from .remap import (MapConfig, MapKind, interleaved, region_of, resolve_array,
-                    segment_transfer)
+from .remap import MapConfig, resolve_array
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
 
@@ -70,9 +69,9 @@ class SimulationFault(Exception):
 class DmaTransfer:
     """One block transfer between abstract L2 and an L1 range.
 
-    ``segments`` are (backend, words) pairs cut at the destination's
-    layout boundaries; disjoint sub-requests land through the per-
-    subgroup backends.
+    ``segments`` are (backend, words) pairs, one per subgroup backend
+    that receives destination words, in backend order; each backend
+    writes the words that land in its subgroup's banks.
     """
 
     id: int
@@ -83,22 +82,19 @@ class DmaTransfer:
 
 def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
                    tid: int, src: tuple, dst: tuple) -> DmaTransfer:
-    """Segment a transfer against the mapping region covering its dst."""
-    cfg = region_of(regions, dst[0])
-    # segment_transfer rejects a dst that leaves cfg; one that starts
-    # outside every DAS region must not run into one either
-    if cfg is None:
-        for r in regions:
-            if r.kind == MapKind.DAS and r.bound and dst[0] < r.base_addr < dst[1]:
-                raise ValueError(f"transfer dst [0x{dst[0]:x}, 0x{dst[1]:x}) runs "
-                                 f"into the DAS region at 0x{r.base_addr:x}")
-    pieces = segment_transfer(topo, cfg or interleaved(), src, dst)
-    banks_per_sub = topo.banks_per_tile * topo.tiles_per_subgroup
-    segments = []
-    for (_, _), (d0, d1) in pieces:
-        bank, _ = resolve_array(topo, [cfg] if cfg else [], np.array([d0]))
-        backend = int(bank[0]) // banks_per_sub
-        segments.append((backend, (d1 - d0) // topo.word_bytes))
+    """Count a transfer's destination words per subgroup backend.
+
+    Every destination word resolves through ``regions`` as a load or
+    store to it would, so a destination may span regions.
+    """
+    (s0, s1), (d0, d1) = src, dst
+    if s1 - s0 != d1 - d0:
+        raise ValueError(f"length mismatch: src {s1 - s0} vs dst {d1 - d0}")
+    if d0 % topo.word_bytes or d1 % topo.word_bytes:
+        raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) not word-aligned")
+    banks, _ = resolve_array(topo, regions, np.arange(d0, d1, topo.word_bytes))
+    words = np.bincount(banks // (topo.banks_per_tile * topo.tiles_per_subgroup))
+    segments = [(backend, n) for backend, n in enumerate(words.tolist()) if n]
     return DmaTransfer(id=tid, src=src, dst=dst, segments=segments)
 
 

@@ -230,7 +230,15 @@ class PlanBuilder:
         das_free(self.heap, operand.base)
 
     def transfer(self, src: tuple, dst: tuple) -> int:
-        """Register an L2-to-L1 transfer segmented on current regions."""
+        """Register an L2-to-L1 transfer into one live allocation.
+
+        The destination words resolve against the regions live now.
+        """
+        d0, d1 = dst
+        if not any(c.base_addr <= d0 and d1 <= c.base_addr + c.size_bytes
+                   for c in self.heap.regions.values()):
+            raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) is not inside "
+                             f"one live allocation")
         tid = len(self.transfers)
         self.transfers.append(build_transfer(
             self.topo, self.heap.das_regions(), tid, src, dst))

@@ -84,11 +84,6 @@ class ClusterTopology:
     def row_bits(self) -> int:
         return self.rows_per_bank.bit_length() - 1
 
-    @property
-    def line_bytes(self) -> int:
-        """One row across all banks."""
-        return self.n_banks * self.word_bytes
-
 
 def terapool_default() -> ClusterTopology:
     """The 1024-PE reference cluster: 4 MiB of L1 in 4096 banks.

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dasim import (AllocationError, FreeError, das, das_free, das_malloc,
-                   heap_init, interleaved, region_of)
+                   heap_init, interleaved)
 from reference_alloc import ReferenceAllocator
 
 
@@ -107,17 +107,6 @@ def test_allocation_failure_is_distinct():
         das_malloc(h, 100, interleaved())
     with pytest.raises(ValueError):
         das_malloc(h, 0, interleaved())
-
-
-def test_region_lookup():
-    h = heap_init(0, 4096)
-    a = das_malloc(h, 128, das(2, 1))
-    i = das_malloc(h, 128, interleaved())
-    assert region_of(h.regions.values(), a + 64).base_addr == a
-    assert region_of(h.regions.values(), i) is None     # interleaved region: no remap
-    assert region_of(h.regions.values(), 4095) is None
-    das_free(h, a)
-    assert region_of(h.regions.values(), a) is None
 
 
 def test_kv_reuse_returns_same_block():

@@ -1,12 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import (das, das_malloc, desk_default, heap_init, interleaved,
-                   terapool_default)
+from dasim import das, desk_default, interleaved, terapool_default
 from dasim._stepper import DEP_RING, K_COMPUTE, _ins_hit
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, SimulationFault,
                           build_transfer)
@@ -177,20 +177,56 @@ def test_dma_wait_after_complete_is_free():
     assert rep.per_pe["wfi_stall"][0] == 0
 
 
+@pytest.mark.parametrize("regions,dst,segments", [
+    ([], (0, 2048), [(b, 64) for b in range(8)]),
+    # one das(6, 0) block covers the banks of two subgroups
+    ([replace(das(6, 0), base_addr=0, size_bytes=256)], (0, 256), [(0, 32), (1, 32)]),
+], ids=["interleaved", "group-folded"])
+def test_dma_words_land_on_their_banks_backends(regions, dst, segments):
+    tr = build_transfer(DESK, regions, 0, dst, dst)
+    assert tr.segments == segments
+
+
+def test_interleaved_transfer_spreads_over_all_backends():
+    # 64 words per backend take 16 cycles from cycle 1; the wait issues at 17
+    params = EngineParams(l2_latency=0)
+    tr = build_transfer(DESK, [], 0, (0, 2048), (0, 2048))
+    rep = simulate([[("dma_start", 0), ("dma_wait", 0)]], params, transfers=[tr])
+    state = dma_advance(params, DmaState([0] * DESK.n_subgroups), tr, start_cycle=1)
+    assert rep.cycles == state.completed[0] + 1 == 18
+
+
+def _builder_in_phase():
+    pb = PlanBuilder(DESK, "das", 0, DESK.total_bytes)
+    pb.begin_phase("a")
+    return pb
+
+
 def test_transfer_leaving_its_region_is_rejected():
-    heap = heap_init(0, DESK.total_bytes)
-    base = das_malloc(heap, 256, das(4, 0))
-    with pytest.raises(ValueError, match="not contained"):
-        build_transfer(DESK, heap.das_regions(), 0, (0, 512), (base, base + 512))
+    pb = _builder_in_phase()
+    buf = pb.alloc("buf", 256, das(4, 0))
+    with pytest.raises(ValueError, match="not inside one live allocation"):
+        pb.transfer((0, 512), (buf.base, buf.base + 512))
 
 
 def test_transfer_entering_a_region_is_rejected():
     # dst starts in the interleaved region at 0 and runs into the DAS one
-    heap = heap_init(0, DESK.total_bytes)
-    das_malloc(heap, 1024, interleaved())
-    base = das_malloc(heap, 4096, das(4, 2))
-    with pytest.raises(ValueError, match=f"runs into the DAS region at 0x{base:x}"):
-        build_transfer(DESK, heap.das_regions(), 0, (0, 2048), (0, 2048))
+    pb = _builder_in_phase()
+    pb.alloc("il", 1024, interleaved())
+    assert pb.alloc("das", 4096, das(4, 2)).base == 1024
+    with pytest.raises(ValueError, match="not inside one live allocation"):
+        pb.transfer((0, 2048), (0, 2048))
+
+
+@pytest.mark.parametrize("freed", [True, False], ids=["freed", "never-allocated"])
+def test_transfer_outside_live_allocations_is_rejected(freed):
+    pb = _builder_in_phase()
+    buf = pb.alloc("buf", 4096, das(2, 2))
+    if freed:
+        pb.free(buf)
+    dst = (0, 4096) if freed else (8192, 8192 + 1024)
+    with pytest.raises(ValueError, match="not inside one live allocation"):
+        pb.transfer(dst, dst)
 
 
 @pytest.mark.parametrize("scheme", ["das", "interleaved"])
@@ -231,12 +267,10 @@ def test_freed_region_reallocated_with_new_folding():
     (a,), (b,) = (ph.chunks for ph in plan.phases)
     assert a.cols["bank"][0, 1:3].tolist() == [0, 24]
     assert b.cols["bank"][0, 1:3].tolist() == [4, 8]
-    # 64-byte das(2, 2) blocks: segment k starts on bank 4k, so on the
-    # backend of subgroup 4k // 32
+    # das(2, 2) puts 4 words on each of the 256 banks, so 128 words on
+    # each subgroup's 32 banks
     (tr,) = plan.dma
-    banks_per_sub = DESK.banks_per_tile * DESK.tiles_per_subgroup
-    assert tr.segments == [(4 * k // banks_per_sub, 16) for k in range(64)]
-    assert sum(n for _, n in tr.segments) == 4096 // DESK.word_bytes
+    assert tr.segments == [(b, 128) for b in range(8)]
     rep = run_plan(plan)
     # phase b: the allocation's cycles and two loads, then the start
     # issues; backend work is booked from the cycle after

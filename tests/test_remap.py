@@ -1,10 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import (ClusterTopology, MapConfig, das, interleaved, resolve_array,
-                   segment_transfer, terapool_default)
+from dasim import (ClusterTopology, das, desk_default, interleaved, resolve_array,
+                   terapool_default)
+from dasim.engine import build_transfer
 
 
 def toy_topology(b=4, r=4):
@@ -49,7 +53,7 @@ def das_inverse(topo, cfg, bank, row):
 
 
 def bound(cfg, base, size):
-    return MapConfig(kind=cfg.kind, p=cfg.p, s=cfg.s, base_addr=base, size_bytes=size)
+    return dataclasses.replace(cfg, base_addr=base, size_bytes=size)
 
 
 def places(topo, regions, addrs):
@@ -165,7 +169,7 @@ def test_resolve_array_matches_scalar():
     r2 = bound(interleaved(), 0x100, 0x40)
     words = range(t.total_bytes // 4)
     assert places(t, [r1, r2], [u * 4 for u in words]) == [
-        fold_reference(t.bank_bits, 2, 1, u) if r1.contains(u * 4)
+        fold_reference(t.bank_bits, 2, 1, u) if 0x40 <= u * 4 < 0x80
         else interleaved_reference(t, u) for u in words]
 
 
@@ -177,43 +181,35 @@ def test_resolve_array_rejects_out_of_l1():
 
 # -- transfer segmentation ----------------------------------------------------
 
-def test_segment_examples():
-    t = toy_topology()  # b=4, word 4 -> line 64 B
-    cfg = bound(das(2, 1), 0, 0x100)  # block 32 B
-    assert segment_transfer(t, cfg, (0, 64), (0, 64)) == [
-        ((0, 32), (0, 32)), ((32, 64), (32, 64))]
-    assert segment_transfer(t, cfg, (0, 32), (8, 40)) == [
-        ((0, 24), (8, 32)), ((24, 32), (32, 40))]
-    il = interleaved()
-    assert segment_transfer(t, il, (0, 64), (0, 64)) == [((0, 64), (0, 64))]
-
-
 def test_segment_length_mismatch():
     t = toy_topology()
-    with pytest.raises(ValueError):
-        segment_transfer(t, interleaved(), (0, 63), (0, 64))
+    with pytest.raises(ValueError, match="length mismatch"):
+        build_transfer(t, [], 0, (0, 63), (0, 64))
+
+
+@pytest.mark.parametrize("src,dst", [((0, 6), (0, 6)), ((0, 4), (2, 6))])
+def test_segment_rejects_partial_words(src, dst):
+    with pytest.raises(ValueError, match="not word-aligned"):
+        build_transfer(desk_default(), [], 0, src, dst)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_segment_partition_respecting(data):
-    t = toy_topology()
-    p = data.draw(st.integers(0, 4))
+def test_segment_words_per_backend(data):
+    # p reaches bank_bits, so a block can span several subgroups
+    t = desk_default()
+    p = data.draw(st.integers(0, t.bank_bits))
     s = data.draw(st.integers(0, 4))
     block = 4 * 2 ** (p + s)
-    base = data.draw(st.integers(0, 3)) * block
-    size = data.draw(st.integers(1, 4)) * block
+    n_blocks = t.total_bytes // block
+    base = data.draw(st.integers(0, n_blocks - 1)) * block
+    size = data.draw(st.integers(1, min(4, n_blocks - base // block))) * block
     cfg = bound(das(p, s), base, size)
-    lo = data.draw(st.integers(0, size - 4))
-    hi = data.draw(st.integers(lo + 4, size))
-    dst = (base + lo, base + hi)
-    src = (1024, 1024 + hi - lo)
-    segs = segment_transfer(t, cfg, src, dst)
-    # ordered, disjoint, boundary-respecting, and reuniting to the input
-    pos_s, pos_d = src[0], dst[0]
-    for (s0, s1), (d0, d1) in segs:
-        assert s0 == pos_s and d0 == pos_d
-        assert s1 - s0 == d1 - d0 > 0
-        assert (d0 - base) // block == (d1 - 1 - base) // block
-        pos_s, pos_d = s1, d1
-    assert pos_s == src[1] and pos_d == dst[1]
+    lo = data.draw(st.integers(0, size // 4 - 1))
+    hi = data.draw(st.integers(lo + 1, min(size // 4, lo + 1024)))
+    dst = (base + 4 * lo, base + 4 * hi)
+    tr = build_transfer(t, [cfg], 0, (1024, 1024 + dst[1] - dst[0]), dst)
+    banks_per_sub = t.banks_per_tile * t.tiles_per_subgroup
+    want = Counter(fold_reference(t.bank_bits, p, s, u)[0] // banks_per_sub
+                   for u in range(dst[0] // 4, dst[1] // 4))
+    assert tr.segments == sorted(want.items())
