@@ -22,7 +22,32 @@ GOLDEN = [
      "0441f931577165c35f51d063552ac9490f3f0bd46d2d0dcb559ab57936a5f1af"),
     (gen_gemv, (64, 64), "interleaved", 830,
      "d982ee9c5c2d77fd9dd78e10c3daf26009ac5e88319a35ded28e1a6b8c3bc042"),
+    # edge shapes of the pipelined reduction. gemv 12x64: one reduction
+    # step per block (n_chunk 1), three 4-row blocks per PE, a 64-group
+    # reduce phase
+    (gen_gemv, (12, 64), "das", 5802,
+     "2b7bbf1925a4d878facdab799a300c10ad12ec3326098304b3e7fd251e476e11"),
+    (gen_gemv, (12, 64), "interleaved", 5727,
+     "c8fe0452be6f096f19c5f67f0c85c4be028eede1fc5325c523a141b1c77d7d02"),
+    # gemv 24x128: four steps per block, three blocks per PE
+    (gen_gemv, (24, 128), "das", 3139,
+     "e9152bd8b199f4112a60ba31647128096855be6e79594584cb5d3777f287f702"),
+    (gen_gemv, (24, 128), "interleaved", 3567,
+     "5ea71fee02bf25a52da0cd6411685ce880435e44a96c0e33ddaa42c34d6ecf36"),
+    # gemm 8x1x8: one reduction step after the accumulator set-up
+    (gen_gemm, (8, 1, 8), "das", 264,
+     "05d774b31b765947cc45113586af6688d4734b817184d5beeebd5102dc107452"),
+    (gen_gemm, (8, 1, 8), "interleaved", 264,
+     "18267c5aa9881f233701aea3deca55629a5c505661811e9a90818c5b2457962d"),
 ]
+
+# the 32^3 gemm and 64^2 gemv rows go by kernel and scheme; edge shapes add the shape
+_BASE_SHAPES = ((32, 32, 32), (64, 64))
+
+
+def _golden_id(gen, shape, scheme):
+    tag = "" if shape in _BASE_SHAPES else "-" + "x".join(map(str, shape))
+    return f"{gen.__name__}{tag}-{scheme}"
 
 
 # the full 1024-PE cluster, where most PEs sit idle on most cycles
@@ -38,7 +63,7 @@ def _digest(rep):
 
 
 @pytest.mark.parametrize("gen,shape,scheme,cycles,digest", GOLDEN,
-                         ids=[f"{g.__name__}-{s}" for g, _, s, _, _ in GOLDEN])
+                         ids=[_golden_id(*row[:3]) for row in GOLDEN])
 def test_desk_report_digest(gen, shape, scheme, cycles, digest):
     rep = run_plan(gen(desk_default(), *shape, 1, scheme))
     assert rep.cycles == cycles
