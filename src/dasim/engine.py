@@ -8,9 +8,13 @@ kernels' PlanBuilder writes both. A compute burst's result latency is
 its class's, from EngineParams. The engine issues at most one
 operation per PE per cycle in order, tracks a bounded window of
 outstanding memory operations, serializes bank access (one request per
-cycle per bank, FIFO) and throttles traffic at tile boundaries with a
-limited number of ports per hierarchy level. Every cycle of every PE
-ends up in exactly one accounting bucket: issued, LSU, RAW, INS or WFI.
+cycle per bank) and throttles traffic at tile boundaries with a limited
+number of ports per hierarchy level. Each bank and port keeps one
+next-free cycle, so it serves requests in booking order (issue cycle,
+then PE id), not arrival order: a request booked later waits behind
+every earlier booking, even when it reaches an idle bank first. Every
+cycle of every PE ends up in exactly one accounting bucket: issued, LSU,
+RAW, INS or WFI.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -88,6 +92,8 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
     store to it would, so a destination may span regions.
     """
     (s0, s1), (d0, d1) = src, dst
+    if d1 <= d0:
+        raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) is empty or reversed")
     if s1 - s0 != d1 - d0:
         raise ValueError(f"length mismatch: src {s1 - s0} vs dst {d1 - d0}")
     if d0 % topo.word_bytes or d1 % topo.word_bytes:

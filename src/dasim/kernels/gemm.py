@@ -6,55 +6,16 @@ step a PE fetches 4 A elements and 4 B elements and retires 16 MACs, so
 A and C traffic is private to the owning tile (folded there under the
 remapped scheme) while B is shared: interleaved across the whole
 cluster for a single problem, or folded across a problem's tile group
-when several problems run side by side.
+when several problems run side by side. Each window's reduction is one
+plan.emit_reduction, after a one-ALU accumulator set-up.
 """
 
 import numpy as np
 
 from ..remap import interleaved
 from ..topology import ClusterTopology
-from .plan import (C_ALU, C_MAC, K_COMPUTE, K_LOAD, K_STORE, KernelPlan,
-                   PeStream, PlanBuilder, ShapeError, group_window_cfg,
-                   window_words)
-
-# software-pipelined reduction: the loads of step k issue during the MAC
-# burst of step k-1, so operand latency hides behind compute.
-# prologue: loads(0) + accumulator setup; body step: loads(k) then MAC(k-1)
-_PRO_KIND = np.array([K_LOAD] * 8 + [K_COMPUTE])
-_PRO_CLS = np.array([0] * 8 + [C_ALU])
-_PRO_ARG = np.array([0] * 8 + [1])
-_BODY_KIND = _PRO_KIND
-_BODY_CLS = np.array([0] * 8 + [C_MAC])
-_BODY_ARG = np.array([0] * 8 + [16])
-_BODY_DEP1 = np.array([0] * 8 + [10])  # B3 of step k-1
-_BODY_DEP2 = np.array([0] * 8 + [14])  # A3 of step k-1
-_ZDEP = np.array([0] * 9)
-
-
-def emit_block_window(st: PeStream, a_addr: np.ndarray, b_addr: np.ndarray,
-                      c_addr: np.ndarray) -> None:
-    """One 4x4 output window: full reduction sweep plus the result stores.
-
-    ``a_addr``/``b_addr`` are (N, 4) byte-address arrays per reduction
-    step, ``c_addr`` the 16 output addresses.
-    """
-    n = a_addr.shape[0]
-    addr = np.empty((n, 9), dtype=np.int64)
-    addr[:, 0:4] = a_addr
-    addr[:, 4:8] = b_addr
-    addr[:, 8] = 0
-    kind = np.concatenate([_PRO_KIND, np.tile(_BODY_KIND, n - 1)])
-    cls = np.concatenate([_PRO_CLS, np.tile(_BODY_CLS, n - 1)])
-    arg = np.concatenate([_PRO_ARG, np.tile(_BODY_ARG, n - 1)])
-    dep1 = np.concatenate([_ZDEP, np.tile(_BODY_DEP1, n - 1)])
-    dep2 = np.concatenate([_ZDEP, np.tile(_BODY_DEP2, n - 1)])
-    st.extend(kind, cls, arg, addr.ravel(), dep1, dep2)
-    # drain: MAC of the last step, then the window's stores
-    st.compute(C_MAC, count=16, dep=(st.n - 2, st.n - 6))
-    n_out = len(c_addr)
-    zero = np.zeros(n_out, dtype=np.int64)
-    st.extend(np.full(n_out, K_STORE), zero, zero, c_addr,
-              np.arange(1, n_out + 1), zero)              # dep on the MAC burst
+from .plan import (KernelPlan, PlanBuilder, ShapeError, emit_reduction,
+                   group_window_cfg)
 
 
 def pad_odd(words: int) -> int:
@@ -98,14 +59,13 @@ def pe_work_items(topo: ClusterTopology, geom: dict, pe: int) -> list:
 
 
 def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
-             scheme: str, heap_base: int = 0, heap_size: int = None) -> KernelPlan:
-    heap_size = heap_size if heap_size is not None else topo.total_bytes
+             scheme: str) -> KernelPlan:
     geom = gemm_geometry(topo, M, N, P, n_parallel)
     tiles_per_prob = geom["tiles_per_prob"]
     wb = topo.word_bytes
     blocks_per_tile = -(-geom["blocks"] // tiles_per_prob)
 
-    pb = PlanBuilder(topo, scheme, heap_base, heap_size)
+    pb = PlanBuilder(topo, scheme)
 
     a_ld = pad_odd(N)
     b_ld = pad_odd(P)
@@ -113,14 +73,14 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
 
     pb.begin_phase("config")
     a_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * a_ld)
-    a_op = pb.alloc("a_rows", topo.n_tiles * window_words(a_cfg) * wb, a_cfg)
+    a_op = pb.alloc("a_rows", topo.n_tiles * a_cfg.block_bytes(wb), a_cfg)
     c_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * c_ld)
-    c_op = pb.alloc("c_rows", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
+    c_op = pb.alloc("c_rows", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
     if n_parallel == 1:
         b_op = pb.alloc("b_cols", N * b_ld * wb, interleaved())
     else:
         b_cfg = group_window_cfg(topo, tiles_per_prob, N * b_ld)
-        b_op = pb.alloc("b_cols", n_parallel * window_words(b_cfg) * wb, b_cfg)
+        b_op = pb.alloc("b_cols", n_parallel * b_cfg.block_bytes(wb), b_cfg)
     pb.end_phase()
 
     pb.begin_phase("compute")
@@ -140,7 +100,9 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
                 b_addr = b_op.addr(pr, b_off)
             c_off = ((lb * 4 + np.arange(4, dtype=np.int64))[:, None] * c_ld
                      + cols[None, :]).ravel()
-            emit_block_window(st, a_addr, b_addr, c_op.addr(tile, c_off))
+            # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step
+            emit_reduction(st, np.hstack([a_addr, b_addr]), 16, (7, 3),
+                           c_op.addr(tile, c_off), setup=True)
     pb.end_phase()
 
     done_blocks = sum(len(range(ti, geom["blocks"], tiles_per_prob))

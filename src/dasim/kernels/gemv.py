@@ -9,13 +9,16 @@ A final pass on the owner group sums the partials.
 
 Row slices and output elements are private to one PE, so the folded
 scheme pins them to that PE's tile banks; the input vector is shared by
-everyone and stays word-interleaved across the cluster.
+everyone and stays word-interleaved across the cluster. Each block's
+reduction is one plan.emit_reduction; the reduce phase goes op by op.
 """
+
+import numpy as np
 
 from ..remap import interleaved
 from ..topology import ClusterTopology
-from .plan import (C_ALU, C_MAC, KernelPlan, PlanBuilder, ShapeError,
-                   group_window_cfg, pow2_floor, window_words)
+from .plan import (C_ALU, KernelPlan, PlanBuilder, ShapeError, emit_reduction,
+                   group_window_cfg, pow2_floor)
 
 
 def _two_adic(n: int) -> int:
@@ -41,49 +44,39 @@ def gemv_geometry(topo: ClusterTopology, M: int, N: int, n_parallel: int) -> dic
 
 
 def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
-             scheme: str, heap_base: int = 0, heap_size: int = None) -> KernelPlan:
-    heap_size = heap_size if heap_size is not None else topo.total_bytes
+             scheme: str) -> KernelPlan:
     g = gemv_geometry(topo, M, N, n_parallel)
     ppg, gpp, rows_per_pe, n_chunk = g["ppg"], g["gpp"], g["rows_per_pe"], g["n_chunk"]
     ppt = topo.pes_per_tile
     wb = topo.word_bytes
 
-    pb = PlanBuilder(topo, scheme, heap_base, heap_size)
+    pb = PlanBuilder(topo, scheme)
 
     pb.begin_phase("config")
     a_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe * n_chunk)
-    a_op = pb.alloc("a_rows", topo.n_tiles * window_words(a_cfg) * wb, a_cfg)
+    a_op = pb.alloc("a_rows", topo.n_tiles * a_cfg.block_bytes(wb), a_cfg)
     b_op = pb.alloc("b_vec", n_parallel * N * wb, interleaved())
     c_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe)
-    c_part = pb.alloc("c_partial", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
+    c_part = pb.alloc("c_partial", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
     if gpp > 1:
-        c_final = pb.alloc("c_out", topo.n_tiles * window_words(c_cfg) * wb, c_cfg)
+        c_final = pb.alloc("c_out", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
     pb.end_phase()
 
     pb.begin_phase("compute")
+    ks = np.arange(n_chunk, dtype=np.int64)
     for pe in range(topo.n_pes):
-        st = pb.streams[pe]
         tile = pe // ppt
         slot = (pe % ppt) * rows_per_pe * n_chunk
+        cslot = (pe % ppt) * rows_per_pe
         gg = pe // ppg
         pr = gg // gpp
-        gi = gg % gpp
-        k0 = gi * n_chunk
+        b_addr = b_op.base + (pr * N + (gg % gpp) * n_chunk + ks) * wb
         for blk in range(rows_per_pe // 4):
-            # loads of step k issue under the MAC burst of step k-1
-            prev = None
-            for k in range(n_chunk):
-                b_ix = st.load(b_op.base + (pr * N + k0 + k) * wb)
-                for r in range(3):
-                    st.load(a_op.addr(tile, slot + (blk * 4 + r) * n_chunk + k))
-                a3 = st.load(a_op.addr(tile, slot + (blk * 4 + 3) * n_chunk + k))
-                if prev is not None:
-                    st.compute(C_MAC, count=4, dep=prev)
-                prev = (a3, b_ix)
-            last_mac = st.compute(C_MAC, count=4, dep=prev)
-            cslot = (pe % ppt) * rows_per_pe
-            for r in range(4):
-                st.store(c_part.addr(tile, cslot + blk * 4 + r), dep=(last_mac,))
+            rows = slot + (blk * 4 + np.arange(4, dtype=np.int64)) * n_chunk
+            # per step: b, a0-a3; each burst consumes a3 and b of its step
+            loads = np.column_stack([b_addr, a_op.addr(tile, rows[None, :] + ks[:, None])])
+            emit_reduction(pb.streams[pe], loads, 4, (4, 0),
+                           c_part.addr(tile, cslot + blk * 4 + np.arange(4)), setup=False)
     pb.end_phase()
 
     if gpp > 1:

@@ -7,7 +7,8 @@ PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
 phase: it appends the phase barrier, resolves the addresses against the
 regions live at that moment (so a region freed in a later phase still
 resolves the accesses emitted while it was live) and packs every PE's
-ops into the phase's single chunk.
+ops into the phase's single chunk. emit_reduction writes a kernel's
+software-pipelined reduction and its result stores in one bulk append.
 """
 
 from dataclasses import dataclass, field
@@ -44,24 +45,20 @@ def pow2_floor(n: int) -> int:
 
 
 def group_window_cfg(topo: ClusterTopology, tiles_per_group: int,
-                     per_window_words: int) -> MapConfig:
+                     footprint_words: int) -> MapConfig:
     """Folding config spanning the banks of a contiguous tile group.
 
     With ``tiles_per_group`` 1 the partition is exactly one tile's banks.
     """
     banks = topo.banks_per_tile * tiles_per_group
     p = banks.bit_length() - 1
-    s = max(0, ceil_log2(-(-per_window_words // banks)))
+    s = max(0, ceil_log2(-(-footprint_words // banks)))
     if s > topo.row_bits:
         raise ShapeError(
-            f"footprint of {per_window_words} words per {tiles_per_group}-tile "
+            f"footprint of {footprint_words} words per {tiles_per_group}-tile "
             f"window needs s={s} > {topo.row_bits} row bits; shrink the slice "
             f"or use more tiles")
     return das(p, s)
-
-
-def window_words(cfg: MapConfig) -> int:
-    return 1 << (cfg.p + cfg.s)
 
 
 @dataclass
@@ -70,12 +67,12 @@ class Operand:
 
     name: str
     base: int
-    win_words: int            # window of the folding the kernel asked for
+    win_bytes: int            # one block of the folding the kernel asked for
     word_bytes: int
 
     def addr(self, window_index, offset_words):
         """Byte address of offset_words within a window; numpy-friendly."""
-        return self.base + (window_index * self.win_words + offset_words) * self.word_bytes
+        return self.base + window_index * self.win_bytes + offset_words * self.word_bytes
 
 
 class PeStream:
@@ -139,8 +136,11 @@ class PeStream:
         return self._push(K_BARRIER, 0, phase, 0, ())
 
     def extend(self, kind, cls, arg, addr, dep1, dep2):
-        """Bulk append of parallel arrays; deps are back-distances."""
+        """Bulk append of copies of parallel arrays; deps are back-distances."""
+        cols = (kind, cls, arg, addr, dep1, dep2)
         n = len(kind)
+        if any(np.shape(c) != (n,) for c in cols):
+            raise ValueError(f"extend columns have shapes {[np.shape(c) for c in cols]}")
         if n == 0:
             return
         own = np.arange(self.n, self.n + n)
@@ -150,8 +150,8 @@ class PeStream:
             raise ValueError(f"dep{dep + 1} distance {dist[dep, j]} out of ring range "
                              f"at op {own[j]}")
         self._flush()
-        self._segs.append({k: np.asarray(v, dtype=d) for (k, d), v in
-                           zip(STREAM_COLS.items(), (kind, cls, arg, addr, dep1, dep2))})
+        self._segs.append({k: np.array(v, dtype=d) for (k, d), v in
+                           zip(STREAM_COLS.items(), cols)})
         self.n += n
 
     def _flush(self):
@@ -169,6 +169,42 @@ class PeStream:
                 for k in self._segs[0]}
         self._segs = []
         return cols
+
+
+def emit_reduction(st: PeStream, loads: np.ndarray, macs: int, dep_cols: tuple,
+                   out_addr: np.ndarray, setup: bool) -> None:
+    """A software-pipelined reduction, then the stores of its result.
+
+    Step k loads row k of ``loads`` (byte addresses) under the burst of
+    ``macs`` MACs that retires step k-1, so operand latency hides behind
+    compute; that burst consumes step k-1's loads in columns ``dep_cols``.
+    ``setup`` adds a one-ALU accumulator set-up after step 0's loads. A
+    drain burst retires the last step, and each ``out_addr`` store waits
+    for it. Dependence distances come from the ops' stream positions.
+    """
+    n_steps, w = loads.shape
+    # step 0's loads (and set-up), then per later step its loads and the
+    # burst of the step before, then the drain burst and the stores
+    head = w + 1 if setup else w
+    starts = np.r_[0, head + (w + 1) * np.arange(n_steps - 1)]
+    load_pos = starts[:, None] + np.arange(w)
+    drain = head + (n_steps - 1) * (w + 1)
+    burst_pos = np.r_[starts[1:] + w, drain]        # the burst retiring each step
+    store_pos = drain + 1 + np.arange(len(out_addr))
+    c = {k: np.zeros(store_pos[-1] + 1, dtype=d) for k, d in STREAM_COLS.items()}
+    c["kind"][:] = K_LOAD
+    c["addr"][load_pos] = loads
+    c["kind"][burst_pos] = K_COMPUTE
+    c["cls"][burst_pos] = C_MAC
+    c["arg"][burst_pos] = macs
+    c["dep1"][burst_pos] = burst_pos - load_pos[:, dep_cols[0]]
+    c["dep2"][burst_pos] = burst_pos - load_pos[:, dep_cols[1]]
+    if setup:
+        c["kind"][w], c["cls"][w], c["arg"][w] = K_COMPUTE, C_ALU, 1
+    c["kind"][store_pos] = K_STORE
+    c["addr"][store_pos] = out_addr
+    c["dep1"][store_pos] = store_pos - drain
+    st.extend(**c)
 
 
 @dataclass
@@ -189,13 +225,12 @@ class KernelPlan:
 class PlanBuilder:
     """Accumulates allocations, streams and phases into a KernelPlan."""
 
-    def __init__(self, topo: ClusterTopology, scheme: str, heap_base: int,
-                 heap_size: int):
+    def __init__(self, topo: ClusterTopology, scheme: str):
         if scheme not in ("das", "interleaved"):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.topo = topo
         self.scheme = scheme
-        self.heap = heap_init(heap_base, heap_size, topo.word_bytes)
+        self.heap = heap_init(0, topo.total_bytes, topo.word_bytes)
         self.streams = [PeStream() for _ in range(topo.n_pes)]
         self.phases = []
         self.transfers = []
@@ -205,12 +240,11 @@ class PlanBuilder:
 
     # -- allocation ----------------------------------------------------------
 
-    def alloc(self, name: str, size_bytes: int, folding: MapConfig,
-              charge_pe: int = 0) -> Operand:
+    def alloc(self, name: str, size_bytes: int, folding: MapConfig) -> Operand:
         """Allocate an operand region; folding applies under 'das' only.
 
-        Charges the allocator's configuration cost to ``charge_pe`` as
-        issued work inside the current phase.
+        Charges the allocator's configuration cost to PE 0 as issued work
+        inside the current phase.
         """
         if self._phase_name is None:
             raise RuntimeError("alloc must happen inside a phase")
@@ -218,12 +252,12 @@ class PlanBuilder:
         req = folding if self.scheme == "das" else interleaved()
         base = das_malloc(self.heap, size_bytes, req)
         cfg = self.heap.regions[base]
-        op = Operand(name=name, base=base, win_words=window_words(folding),
-                     word_bytes=self.topo.word_bytes)
+        wb = self.topo.word_bytes
+        op = Operand(name=name, base=base, win_bytes=folding.block_bytes(wb), word_bytes=wb)
         self.alloc_log.append({"phase": self._phase_name, "operand": name,
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
-        self.streams[charge_pe].compute(C_ALU, count=ALLOC_COST)
+        self.streams[0].compute(C_ALU, count=ALLOC_COST)
         return op
 
     def free(self, operand: Operand) -> None:

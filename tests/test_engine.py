@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasim import das, desk_default, interleaved, terapool_default
-from dasim._stepper import DEP_RING, K_COMPUTE, _ins_hit
+from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD, _ins_hit
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, SimulationFault,
                           build_transfer)
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
@@ -23,7 +23,7 @@ def simulate(progs, params=None, barrier=False, transfers=(), topo=DESK):
     PEs without a program stay empty. ``barrier`` ends the phase with a
     barrier on every PE.
     """
-    pb = PlanBuilder(topo, "interleaved", 0, topo.total_bytes)
+    pb = PlanBuilder(topo, "interleaved")
     pb.transfers.extend(transfers)
     _emit_phase(pb, "run", progs, barrier)
     return run_plan(pb.build("test", "", 1, {}), params)
@@ -111,7 +111,7 @@ def test_dependence_across_barrier(other_alus, release):
     # PE 1 adds other_alus times first, so with 5 it arrives last (at 5).
     # phase b: PE 0 adds, waiting on the divide from phase a, whichever
     # PE released the barrier
-    pb = PlanBuilder(DESK, "interleaved", 0, DESK.total_bytes)
+    pb = PlanBuilder(DESK, "interleaved")
     other = [("compute", C_ALU, other_alus)] if other_alus else []
     _emit_phase(pb, "a", [[("compute", C_DIV), ("compute", C_ALU)], other], True)
     _emit_phase(pb, "b", [[("compute", C_ALU, 1, (0,))]], False)
@@ -138,6 +138,12 @@ def test_unresolvable_address_faults(pe):
     (3, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [-1], [0])),
     (DEP_RING + 1000, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
                                  [0, 1], [1, 5000])),               # beyond the ring
+    # a column shorter or longer than kind, or a scalar one
+    (3, "extend", ([K_COMPUTE] * 3, [C_MAC], [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
+    (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, [5], [0] * 3, [0] * 3, [0] * 3)),
+    (3, "extend", ([K_LOAD] * 3, [0] * 3, [0] * 3, [0, 4], [0] * 3, [0] * 3)),
+    (3, "extend", ([K_COMPUTE], [C_MAC] * 3, [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
+    (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, 5, [0] * 3, [0] * 3, [0] * 3)),
 ])
 def test_stream_rejects_bad_ops(n_before, method, args):
     s = PeStream()
@@ -146,6 +152,22 @@ def test_stream_rejects_bad_ops(n_before, method, args):
     with pytest.raises(ValueError):
         getattr(s, method)(*args)
     assert s.n == n_before
+
+
+def test_stream_extend_keeps_its_own_copy():
+    # columns already in the stream's dtypes; the caller then reuses them
+    s = PeStream()
+    cols = [np.full(3, K_LOAD, dtype=np.uint8), np.zeros(3, dtype=np.uint8),
+            np.zeros(3, dtype=np.int32), np.array([0, 4, 8], dtype=np.int64),
+            np.zeros(3, dtype=np.uint16), np.zeros(3, dtype=np.uint16)]
+    s.extend(*cols)
+    for c in cols:
+        c[:] = 1
+    got = s.take()
+    assert got["kind"].tolist() == [K_LOAD] * 3
+    assert got["addr"].tolist() == [0, 4, 8]
+    for name in ("cls", "arg", "dep1", "dep2"):
+        assert got[name].tolist() == [0] * 3
 
 
 def test_store_consumes_bank_bandwidth():
@@ -197,9 +219,20 @@ def test_interleaved_transfer_spreads_over_all_backends():
 
 
 def _builder_in_phase():
-    pb = PlanBuilder(DESK, "das", 0, DESK.total_bytes)
+    pb = PlanBuilder(DESK, "das")
     pb.begin_phase("a")
     return pb
+
+
+@pytest.mark.parametrize("dst", [(8, 0), (8, 8)], ids=["reversed", "empty"])
+def test_empty_or_reversed_transfer_is_rejected(dst):
+    with pytest.raises(ValueError, match="empty or reversed"):
+        build_transfer(DESK, [], 0, dst, dst)
+    pb = _builder_in_phase()
+    pb.alloc("buf", 4096, interleaved())
+    with pytest.raises(ValueError, match="empty or reversed"):
+        pb.transfer(dst, dst)
+    assert pb.transfers == []
 
 
 def test_transfer_leaving_its_region_is_rejected():
@@ -235,7 +268,7 @@ def test_transfer_outside_live_allocations_is_rejected(freed):
     (das(0, 9), "s=9 exceeds row bits r=8"),
 ], ids=["p", "s"])
 def test_alloc_rejects_folding_too_large_for_topology(scheme, folding, match):
-    pb = PlanBuilder(DESK, scheme, 0, DESK.total_bytes)
+    pb = PlanBuilder(DESK, scheme)
     pb.begin_phase("a")
     with pytest.raises(ValueError, match=match):
         pb.alloc("buf", 64, folding)
@@ -244,7 +277,7 @@ def test_alloc_rejects_folding_too_large_for_topology(scheme, folding, match):
 def test_freed_region_reallocated_with_new_folding():
     # a 4 KiB region at 0 folded das(4, 1) in phase a is freed and
     # re-allocated das(2, 2) in phase b, which streams into it by DMA
-    pb = PlanBuilder(DESK, "das", 0, DESK.total_bytes)
+    pb = PlanBuilder(DESK, "das")
     words = (16, 40)
     pb.begin_phase("a")
     buf = pb.alloc("buf", 4096, das(4, 1))
@@ -462,7 +495,7 @@ def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
     for t in range(n_dma):
         first[t] += [("dma_start", t)]
         second[(t + 1) % 8] += [("dma_wait", t)]
-    pb = PlanBuilder(DESK, "interleaved", 0, DESK.total_bytes)
+    pb = PlanBuilder(DESK, "interleaved")
     pb.transfers.extend(transfers)
     _emit_phase(pb, "a", first, barriers[0])
     for pe, prog in enumerate(second):
