@@ -6,7 +6,8 @@ import pytest
 from dasim import desk_default
 from dasim.kernels.gemm import gen_gemm
 from dasim.kernels.gemv import gen_gemv
-from dasim.kernels.plan import ShapeError, group_window_cfg
+from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, ShapeError,
+                                emit_reduction, group_window_cfg)
 
 DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
 
@@ -44,6 +45,38 @@ def test_window_footprint_limit(tiles):
     assert cfg.s == DESK.row_bits
     with pytest.raises(ShapeError, match="row bits"):
         group_window_cfg(DESK, tiles, words + 1)
+
+
+def _reduction_op_by_op(st, loads, macs, dep_cols, out_addr, setup):
+    """emit_reduction's schedule written one op at a time: its reference."""
+    prev = None
+    for k, row in enumerate(loads):
+        ix = [st.load(int(a)) for a in row]
+        if k == 0 and setup:
+            st.compute(C_ALU)
+        if prev is not None:
+            st.compute(C_MAC, count=macs, dep=prev)
+        prev = (ix[dep_cols[0]], ix[dep_cols[1]])
+    last = st.compute(C_MAC, count=macs, dep=prev)
+    for a in out_addr:
+        st.store(int(a), dep=(last,))
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+@pytest.mark.parametrize("width,macs,dep_cols,setup", [(8, 16, (7, 3), True),
+                                                       (5, 4, (4, 0), False)],
+                         ids=["gemm", "gemv"])
+def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
+    loads = 4 * np.arange(n_steps * width, dtype=np.int64).reshape(n_steps, width)
+    out_addr = 4096 + 4 * np.arange(4)
+    bulk, ref = PeStream(), PeStream()
+    for st in (bulk, ref):
+        st.compute(C_ALU)       # the reduction need not open the stream
+    emit_reduction(bulk, loads, macs, dep_cols, out_addr, setup)
+    _reduction_op_by_op(ref, loads, macs, dep_cols, out_addr, setup)
+    got, want = bulk.take(), ref.take()
+    for name in STREAM_COLS:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 PLANS = [(gen, shape, n_parallel)
