@@ -56,6 +56,7 @@ FAULT_DMA_RESTART = 1
 FAULT_DMA_UNKNOWN = 2
 FAULT_BARRIER_NOT_LAST = 3
 FAULT_DMA_NEVER_STARTED = 4
+FAULT_BARRIER_PARTIAL = 5
 
 _M64 = (1 << 64) - 1
 
@@ -86,22 +87,23 @@ def step_segment(
     segments, transfer_done, backend_next,
     # parameters
     level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
-    l2_lat, dma_wpc, ins_prob, ins_seed,
-    has_barrier, now,
+    l2_lat, dma_wpc, ins_prob, ins_seed, now,
 ):
     """Advance one segment from cycle ``now``.
 
-    Returns ``(now, None)`` with the cycle the segment ended, or the
-    cycle of a fault and ``(FAULT_*, pe, detail)``.
+    The segment ends in a barrier when its streams end in a barrier op.
+    Returns ``(now, None)`` with the cycle the segment ended (the
+    barrier's release, or else the last PE's finish), or the cycle of a
+    fault and ``(FAULT_*, pe, detail)``.
     """
     n_pe = len(n_ops)
     n_transfers = len(segments)
     mask = DEP_RING - 1
+    local_wait = level_lat[0] - 1   # a tile-local request's cycles before the bank
     # PEs that can act, keyed t_free * n_pe + pe
     queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
     heapify(queue)
     cursor = [0] * n_pe
-    arrival = [0] * n_pe
     n_arrived = 0
     parked = {}     # pe: transfer it waits on, which no PE has started yet
 
@@ -187,7 +189,6 @@ def step_segment(
         if k == K_LOAD or k == K_STORE:
             bank = op_bank[pe, i]
             lvl = op_level[pe, i]
-            serve = now
             if lvl:
                 # outbound port at the source tile for this level
                 sp = (pe // pes_per_tile * 4 + lvl) * out_ports
@@ -208,6 +209,8 @@ def step_segment(
                     t_in = in_next[sp]
                 in_next[sp] = t_in + 1
                 serve = t_in + 1
+            else:
+                serve = now + local_wait
             if bank_next[bank] > serve:
                 serve = bank_next[bank]
             bank_next[bank] = serve + 1
@@ -218,9 +221,8 @@ def step_segment(
             t_next = now + n_issued
             t_ready = t_next - 1 + class_lat[op_cls[pe, i]]
         elif k == K_BARRIER:
-            if i != n_ops[pe] - 1 or not has_barrier:
+            if i != n_ops[pe] - 1:
                 return now, (FAULT_BARRIER_NOT_LAST, pe, i)
-            arrival[pe] = now
             n_arrived += 1
         elif k == K_DMA_START:
             tid = op_arg[pe, i]
@@ -258,14 +260,21 @@ def step_segment(
         elif n_arrived < n_pe:
             heappop(queue)  # waits off the queue for the release
         else:
-            release = max(arrival) + 1
+            # PEs arrive in cycle order, so this last one arrives at now;
+            # each PE waits from its own t_free (its arrival + 1)
+            release = now + 1
             for q in range(n_pe):
-                acct[q][ACC_WFI] += release - arrival[q] - 1
+                acct[q][ACC_WFI] += release - t_free[q]
                 t_free[q] = release
             return release, None
 
     if parked:
         q = min(parked)
         return now, (FAULT_DMA_NEVER_STARTED, q, parked[q])
-    # segment without a terminating barrier: PEs end independently
+    if n_arrived:
+        # a barrier op ends some streams but not all, so it never releases
+        q = next(q for q in range(n_pe) if not n_ops[q] or op_kind[q, n_ops[q] - 1] != K_BARRIER)
+        return now, (FAULT_BARRIER_PARTIAL, q, n_arrived)
+    # segment without a terminating barrier: PEs end independently, and
+    # the last one popped from the queue finishes last
     return now, None

@@ -3,10 +3,10 @@
 A program is a list of barrier-delimited phases, each one packed chunk
 of per-PE op columns (loads, stores, compute bursts, barriers and DMA
 handshakes) with addresses already resolved to (bank, level), plus the
-DMA transfers the handshakes name, a DmaTransfer list in id order; the
-kernels' PlanBuilder writes both. A compute burst's result latency is
-its class's, from EngineParams. The engine issues at most one
-operation per PE per cycle in order, tracks a bounded window of
+DMA transfers the handshakes name, a DmaTransfer list indexed by
+transfer id; the kernels' PlanBuilder writes both. A compute burst's
+result latency is its class's, from EngineParams. The engine issues at
+most one operation per PE per cycle in order, tracks a bounded window of
 outstanding memory operations, serializes bank access (one request per
 cycle per bank) and throttles traffic at tile boundaries with a limited
 number of ports per hierarchy level. Each bank and port keeps one
@@ -50,8 +50,11 @@ class EngineParams:
     ins_seed: int = 0
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        for name in ("window", "lat_alu", "lat_mac", "lat_div", "dma_words_per_cycle"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.l2_latency < 0:
+            raise ValueError(f"l2_latency must be at least 0, got {self.l2_latency}")
         if self.out_ports < 1 or self.in_ports < 1:
             raise ValueError("port counts must be at least 1")
         if self.ins_stall_prob < 0 or self.ins_stall_prob > 1:
@@ -73,19 +76,19 @@ class SimulationFault(Exception):
 class DmaTransfer:
     """One block transfer between abstract L2 and an L1 range.
 
-    ``segments`` are (backend, words) pairs, one per subgroup backend
-    that receives destination words, in backend order; each backend
-    writes the words that land in its subgroup's banks.
+    Its id is its index in the program's transfer list. ``segments``
+    are (backend, words) pairs, one per subgroup backend that receives
+    destination words, in backend order; each backend writes the words
+    that land in its subgroup's banks.
     """
 
-    id: int
     src: tuple
     dst: tuple
     segments: list = field(default_factory=list)
 
 
 def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
-                   tid: int, src: tuple, dst: tuple) -> DmaTransfer:
+                   src: tuple, dst: tuple) -> DmaTransfer:
     """Count a transfer's destination words per subgroup backend.
 
     Every destination word resolves through ``regions`` as a load or
@@ -101,7 +104,7 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
     banks, _ = resolve_array(topo, regions, np.arange(d0, d1, topo.word_bytes))
     words = np.bincount(banks // (topo.banks_per_tile * topo.tiles_per_subgroup))
     segments = [(backend, n) for backend, n in enumerate(words.tolist()) if n]
-    return DmaTransfer(id=tid, src=src, dst=dst, segments=segments)
+    return DmaTransfer(src=src, dst=dst, segments=segments)
 
 
 # -- packed program representation --------------------------------------------
@@ -119,14 +122,14 @@ class PackedChunk:
 
 @dataclass
 class Phase:
-    """Segment of the run ending (unless terminal) in a global barrier.
+    """Segment of the run; it ends in a global barrier when its streams do.
 
-    ``chunks`` holds exactly one PackedChunk.
+    ``chunks`` holds exactly one PackedChunk. A barrier op is the last op
+    of every stream or of none.
     """
 
     name: str
     chunks: list
-    barrier: bool = True
 
 
 def make_chunk(columns: list, n_pe: int) -> PackedChunk:
@@ -153,6 +156,7 @@ _FAULT_TEXT = {
     _stepper.FAULT_DMA_UNKNOWN: "unknown transfer {}",
     _stepper.FAULT_BARRIER_NOT_LAST: "barrier at op {} not at segment end",
     _stepper.FAULT_DMA_NEVER_STARTED: "wait on transfer {}, which no PE starts",
+    _stepper.FAULT_BARRIER_PARTIAL: "barrier reached by {} PEs, but not this one",
 }
 
 
@@ -186,11 +190,8 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
                alloc_events: Optional[list] = None) -> SimReport:
     """Execute packed phases and assemble the report.
 
-    ``dma`` lists the transfers in id order, ids 0 to n-1.
+    ``dma`` lists the transfers; a transfer's id is its index there.
     """
-    ids = [t.id for t in dma]
-    if ids != list(range(len(ids))):
-        raise ValueError(f"transfer ids must run 0..{len(ids) - 1} in order, got {ids}")
     segments = [t.segments for t in dma]
     st = _State(topo, params, len(segments))
     n_pe = topo.n_pes
@@ -211,8 +212,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             level_lat, class_lat, params.out_ports, params.in_ports,
             topo.pes_per_tile, topo.banks_per_tile,
             params.l2_latency, params.dma_words_per_cycle,
-            params.ins_stall_prob, params.ins_seed,
-            phase.barrier, clock,
+            params.ins_stall_prob, params.ins_seed, clock,
         )
         if fault:
             code, pe, detail = fault
@@ -221,9 +221,6 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
                 f"phase {phase.name!r}, cycle {clock})")
         acct = np.array(acct, dtype=np.int64)
         totals += acct
-        # PEs in a non-barrier terminal phase end at their own time
-        if not phase.barrier:
-            clock = max(st.t_free)
         st.t_free = [clock] * n_pe
         phase_rows.append(PhaseStats(
             name=phase.name, start=start, end=clock,

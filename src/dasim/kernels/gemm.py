@@ -23,8 +23,7 @@ def pad_odd(words: int) -> int:
     return words | 1
 
 
-def gemm_geometry(topo: ClusterTopology, M: int, N: int, P: int,
-                  n_parallel: int) -> dict:
+def gemm_geometry(topo: ClusterTopology, M: int, P: int, n_parallel: int) -> dict:
     if M % 4 or P % 4:
         raise ShapeError(f"M={M} and P={P} must be multiples of 4 (4x4 windows)")
     if n_parallel < 1 or n_parallel & (n_parallel - 1):
@@ -51,16 +50,13 @@ def pe_work_items(topo: ClusterTopology, geom: dict, pe: int) -> list:
     if wins:
         rot = ti % len(wins)
         wins = wins[rot:] + wins[:rot]
-    items = []
-    for lb, blk in enumerate(range(ti, geom["blocks"], tiles_per_prob)):
-        for win in wins:
-            items.append((lb, blk, win))
-    return items
+    n_local = len(range(ti, geom["blocks"], tiles_per_prob))
+    return [(lb, win) for lb in range(n_local) for win in wins]
 
 
 def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
              scheme: str) -> KernelPlan:
-    geom = gemm_geometry(topo, M, N, P, n_parallel)
+    geom = gemm_geometry(topo, M, P, n_parallel)
     tiles_per_prob = geom["tiles_per_prob"]
     wb = topo.word_bytes
     blocks_per_tile = -(-geom["blocks"] // tiles_per_prob)
@@ -89,7 +85,7 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
         st = pb.streams[pe]
         tile = pe // topo.pes_per_tile
         pr = tile // tiles_per_prob
-        for lb, _blk, win in pe_work_items(topo, geom, pe):
+        for lb, win in pe_work_items(topo, geom, pe):
             rows = (lb * 4 + np.arange(4, dtype=np.int64)) * a_ld
             a_addr = a_op.addr(tile, rows[None, :] + ks[:, None])
             cols = win * 4 + np.arange(4, dtype=np.int64)
@@ -105,9 +101,6 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
                            c_op.addr(tile, c_off), setup=True)
     pb.end_phase()
 
-    done_blocks = sum(len(range(ti, geom["blocks"], tiles_per_prob))
-                      for ti in range(tiles_per_prob))
-    assert done_blocks == geom["blocks"]
     macs = n_parallel * M * N * P
     expected = {
         "macs": macs,

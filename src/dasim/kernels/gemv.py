@@ -39,8 +39,7 @@ def gemv_geometry(topo: ClusterTopology, M: int, N: int, n_parallel: int) -> dic
         raise ShapeError(
             f"N={N} must divide across {gpp} groups per problem; "
             f"use N a multiple of {gpp} or raise n_parallel")
-    return {"ppg": ppg, "groups": groups, "gpp": gpp,
-            "rows_per_pe": M // ppg, "n_chunk": N // gpp}
+    return {"ppg": ppg, "gpp": gpp, "rows_per_pe": M // ppg, "n_chunk": N // gpp}
 
 
 def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,

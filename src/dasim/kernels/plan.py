@@ -4,11 +4,12 @@ A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfers for one kernel under one
 mapping scheme. Programs are written op by op (or in bulk) on one
 PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
-phase: it appends the phase barrier, resolves the addresses against the
-regions live at that moment (so a region freed in a later phase still
-resolves the accesses emitted while it was live) and packs every PE's
-ops into the phase's single chunk. emit_reduction writes a kernel's
-software-pipelined reduction and its result stores in one bulk append.
+phase: it writes the barrier op on every stream (unless told not to),
+resolves the addresses against the regions live at that moment (so a
+region freed in a later phase still resolves the accesses emitted while
+it was live) and packs every PE's ops into the phase's single chunk.
+emit_reduction writes a kernel's software-pipelined reduction and its
+result stores in one bulk append.
 """
 
 from dataclasses import dataclass, field
@@ -63,9 +64,8 @@ def group_window_cfg(topo: ClusterTopology, tiles_per_group: int,
 
 @dataclass
 class Operand:
-    """A named allocation plus the window arithmetic to address it."""
+    """An allocation plus the window arithmetic to address it."""
 
-    name: str
     base: int
     win_bytes: int            # one block of the folding the kernel asked for
     word_bytes: int
@@ -130,10 +130,6 @@ class PeStream:
 
     def dma_wait(self, tid):
         return self._push(K_DMA_WAIT, 0, tid, 0, ())
-
-    def barrier(self, phase):
-        """The global barrier that ends phase number ``phase``."""
-        return self._push(K_BARRIER, 0, phase, 0, ())
 
     def extend(self, kind, cls, arg, addr, dep1, dep2):
         """Bulk append of copies of parallel arrays; deps are back-distances."""
@@ -215,7 +211,7 @@ class KernelPlan:
     workload: str
     n_parallel: int
     phases: list
-    dma: list                 # DmaTransfers, in id order
+    dma: list                 # DmaTransfers; a transfer's id is its index
     expected_ops: dict
     counted_ops: dict
     alloc_events: list
@@ -253,7 +249,7 @@ class PlanBuilder:
         base = das_malloc(self.heap, size_bytes, req)
         cfg = self.heap.regions[base]
         wb = self.topo.word_bytes
-        op = Operand(name=name, base=base, win_bytes=folding.block_bytes(wb), word_bytes=wb)
+        op = Operand(base=base, win_bytes=folding.block_bytes(wb), word_bytes=wb)
         self.alloc_log.append({"phase": self._phase_name, "operand": name,
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
@@ -266,17 +262,16 @@ class PlanBuilder:
     def transfer(self, src: tuple, dst: tuple) -> int:
         """Register an L2-to-L1 transfer into one live allocation.
 
-        The destination words resolve against the regions live now.
+        The destination words resolve against the regions live now. The
+        returned id is the transfer's index in ``transfers``.
         """
         d0, d1 = dst
         if not any(c.base_addr <= d0 and d1 <= c.base_addr + c.size_bytes
                    for c in self.heap.regions.values()):
             raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) is not inside "
                              f"one live allocation")
-        tid = len(self.transfers)
-        self.transfers.append(build_transfer(
-            self.topo, self.heap.das_regions(), tid, src, dst))
-        return tid
+        self.transfers.append(build_transfer(self.topo, self.heap.das_regions(), src, dst))
+        return len(self.transfers) - 1
 
     # -- phases ---------------------------------------------------------------
 
@@ -294,7 +289,7 @@ class PlanBuilder:
         columns = []
         for pe, stream in enumerate(self.streams):
             if barrier:
-                stream.barrier(len(self.phases))
+                stream._push(K_BARRIER, 0, 0, 0, ())
             col = stream.take()
             addr = col.pop("addr")
             kind = col["kind"]
@@ -314,7 +309,7 @@ class PlanBuilder:
             self._counts["stores"] += int((kind == K_STORE).sum())
             columns.append(col)
         chunk = make_chunk(columns, self.topo.n_pes)
-        self.phases.append(Phase(name=name, chunks=[chunk], barrier=barrier))
+        self.phases.append(Phase(name=name, chunks=[chunk]))
 
     # -- finish ----------------------------------------------------------------
 

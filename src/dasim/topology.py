@@ -29,7 +29,7 @@ class ClusterTopology:
 
     All counts must be powers of two so that addresses decompose into
     bit fields. Latencies are end-to-end contention-free load latencies
-    per level and must increase strictly from tile-local to remote.
+    per level, at least 1 and strictly increasing from tile-local to remote.
     """
 
     pes_per_tile: int = 8
@@ -51,8 +51,9 @@ class ClusterTopology:
         if len(self.level_latency) != 4:
             raise ValueError("level_latency needs one entry per hierarchy level")
         lat = self.level_latency
-        if not (lat[0] < lat[1] < lat[2] < lat[3]):
-            raise ValueError(f"level_latency must increase strictly, got {lat}")
+        if not (1 <= lat[0] < lat[1] < lat[2] < lat[3]):
+            raise ValueError(f"level_latency must start at 1 or more and increase "
+                             f"strictly, got {lat}")
 
     # -- derived geometry ---------------------------------------------------
 

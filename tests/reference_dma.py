@@ -24,8 +24,9 @@ class DmaState:
     completed: dict = field(default_factory=dict)
 
 
-def dma_advance(params, state: DmaState, transfer, start_cycle: int) -> DmaState:
-    """Book a started transfer onto its backends; returns the new state."""
+def dma_advance(params, state: DmaState, tid: int, transfer,
+                start_cycle: int) -> DmaState:
+    """Book started transfer ``tid`` onto its backends; returns the new state."""
     nxt = list(state.backend_next_free)
     base = start_cycle + params.l2_latency
     done = base
@@ -34,7 +35,7 @@ def dma_advance(params, state: DmaState, transfer, start_cycle: int) -> DmaState
         nxt[backend] = st + transfer_cycles(words, params.dma_words_per_cycle)
         done = max(done, nxt[backend])
     completed = dict(state.completed)
-    if transfer.id in completed:
-        raise SimulationFault(f"transfer {transfer.id} started twice")
-    completed[transfer.id] = done
+    if tid in completed:
+        raise SimulationFault(f"transfer {tid} started twice")
+    completed[tid] = done
     return DmaState(backend_next_free=nxt, completed=completed)

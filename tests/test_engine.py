@@ -7,33 +7,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasim import das, desk_default, interleaved, terapool_default
-from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD, _ins_hit
-from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, SimulationFault,
-                          build_transfer)
+from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_LOAD, _ins_hit
+from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
+                          build_transfer, make_chunk, run_packed)
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
 
 DESK = desk_default()
 
 
-def simulate(progs, params=None, barrier=False, transfers=(), topo=DESK):
+def simulate(progs, params=None, barrier=False, transfers=(), topo=DESK,
+             scheme="interleaved", regions=()):
     """Run one phase through PlanBuilder and run_plan (which checks conservation).
 
     ``progs[pe]`` lists PE ``pe``'s ops as PeStream calls ``(method, *args)``;
     PEs without a program stay empty. ``barrier`` ends the phase with a
-    barrier on every PE.
+    barrier on every PE. ``regions`` lists ``(size_bytes, folding)``
+    allocations made at the start of the phase, on PE 0.
     """
-    pb = PlanBuilder(topo, "interleaved")
+    pb = PlanBuilder(topo, scheme)
     pb.transfers.extend(transfers)
-    _emit_phase(pb, "run", progs, barrier)
+    pb.begin_phase("run")
+    for size, folding in regions:
+        pb.alloc("buf", size, folding)
+    _emit_ops(pb, progs)
+    pb.end_phase(barrier)
     return run_plan(pb.build("test", "", 1, {}), params)
+
+
+def _emit_ops(pb, progs):
+    for stream, prog in zip(pb.streams, progs):
+        for method, *args in prog:
+            getattr(stream, method)(*args)
 
 
 def _emit_phase(pb, name, progs, barrier):
     pb.begin_phase(name)
-    for stream, prog in zip(pb.streams, progs):
-        for method, *args in prog:
-            getattr(stream, method)(*args)
+    _emit_ops(pb, progs)
     pb.end_phase(barrier)
 
 
@@ -53,17 +63,22 @@ def test_load_latency_tile_local():
     assert rep.per_pe["lsu_stall"][0] == 0
 
 
-@pytest.mark.parametrize("tile,lat", [(1, 3), (2, 5), (4, 7)])
+@pytest.mark.parametrize("tile,lat", [(0, 1), (1, 3), (2, 5), (4, 7)])
 def test_load_latency_levels(tile, lat):
+    # lat is the level's default latency; every level, tile-local
+    # included, takes its latency from the topology
+    level = DESK.level_latency.index(lat)
     addr = bank_addr(tile * DESK.banks_per_tile)
-    rep = simulate([[("load", addr), ("compute", C_ALU, 1, (0,))]])
-    assert rep.cycles == lat + 1
-    assert rep.per_pe["lsu_stall"][0] == lat - 1
+    for lats in [DESK.level_latency, (4, 6, 8, 10), (2, 3, 5, 7)]:
+        topo = replace(DESK, level_latency=lats)
+        rep = simulate([[("load", addr), ("compute", C_ALU, 1, (0,))]], topo=topo)
+        assert rep.cycles == lats[level] + 1
+        assert rep.per_pe["lsu_stall"][0] == lats[level] - 1
 
 
 def test_bank_serializes_eight_requesters():
     # 8 PEs of one tile hit the same bank the same cycle: completions
-    # spread over 8 consecutive cycles (hand-stepped FIFO oracle)
+    # spread over 8 consecutive cycles (hand-stepped oracle, served in booking order)
     addr = 0  # bank 0, tile-local for PEs 0..7
     progs = [[("load", addr), ("compute", C_ALU, 1, (0,))] for _ in range(8)]
     rep = simulate(progs, topo=terapool_default())
@@ -103,6 +118,23 @@ def test_barrier_wfi():
     assert rep.per_pe["wfi_stall"][0] == 0
     # every other PE idles the whole run at the barrier
     assert rep.per_pe["wfi_stall"][2] == 5
+
+
+@pytest.mark.parametrize("kinds,match", [
+    ([K_BARRIER, K_COMPUTE], r"barrier at op 0 not at segment end \(PE 0"),
+    ([K_COMPUTE, K_BARRIER], r"barrier reached by 1 PEs, but not this one \(PE 1"),
+])
+def test_misplaced_barrier_faults(kinds, match):
+    # PE 0 runs ``kinds`` (compute ops are one ALU issue), every other
+    # PE one ALU issue; end_phase cannot write either program
+    cols = []
+    for pe in range(DESK.n_pes):
+        k = np.array(kinds if pe == 0 else [K_COMPUTE], dtype=np.uint8)
+        cols.append({"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
+                     **{c: np.zeros(len(k), np.int32) for c in
+                        ("bank", "level", "dep1", "dep2")}})
+    with pytest.raises(SimulationFault, match=match):
+        run_packed(DESK, EngineParams(), [Phase("a", [make_chunk(cols, DESK.n_pes)])])
 
 
 @pytest.mark.parametrize("other_alus,release", [(0, 3), (5, 6)])
@@ -172,7 +204,7 @@ def test_stream_extend_keeps_its_own_copy():
 
 def test_store_consumes_bank_bandwidth():
     # PE0's store and PE1's load hit one bank the same cycle; the store
-    # wins the FIFO slot and pushes the load's response out by a cycle
+    # is booked first and pushes the load's response out by a cycle
     progs = [[("store", bank_addr(0))],
              [("load", bank_addr(0)), ("compute", C_ALU, 1, (0,))]]
     rep = simulate(progs)
@@ -183,7 +215,7 @@ def test_store_consumes_bank_bandwidth():
 
 def test_dma_roundtrip_and_wait():
     params = EngineParams(l2_latency=0)
-    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))  # 8 words, one line
+    tr = build_transfer(DESK, [], (0, 32), (0, 32))  # 8 words, one line
     assert tr.segments == [(0, 8)]
     rep = simulate([[("dma_start", 0), ("dma_wait", 0)]], params, transfers=[tr])
     # start at 0; backend busy [1, 3); wait issues at 3
@@ -193,7 +225,7 @@ def test_dma_roundtrip_and_wait():
 
 def test_dma_wait_after_complete_is_free():
     params = EngineParams(l2_latency=0)
-    tr = build_transfer(DESK, [], 0, (0, 16), (0, 16))
+    tr = build_transfer(DESK, [], (0, 16), (0, 16))
     prog = [("dma_start", 0), ("compute", C_ALU, 50), ("dma_wait", 0)]
     rep = simulate([prog], params, transfers=[tr])
     assert rep.per_pe["wfi_stall"][0] == 0
@@ -205,16 +237,16 @@ def test_dma_wait_after_complete_is_free():
     ([replace(das(6, 0), base_addr=0, size_bytes=256)], (0, 256), [(0, 32), (1, 32)]),
 ], ids=["interleaved", "group-folded"])
 def test_dma_words_land_on_their_banks_backends(regions, dst, segments):
-    tr = build_transfer(DESK, regions, 0, dst, dst)
+    tr = build_transfer(DESK, regions, dst, dst)
     assert tr.segments == segments
 
 
 def test_interleaved_transfer_spreads_over_all_backends():
     # 64 words per backend take 16 cycles from cycle 1; the wait issues at 17
     params = EngineParams(l2_latency=0)
-    tr = build_transfer(DESK, [], 0, (0, 2048), (0, 2048))
+    tr = build_transfer(DESK, [], (0, 2048), (0, 2048))
     rep = simulate([[("dma_start", 0), ("dma_wait", 0)]], params, transfers=[tr])
-    state = dma_advance(params, DmaState([0] * DESK.n_subgroups), tr, start_cycle=1)
+    state = dma_advance(params, DmaState([0] * DESK.n_subgroups), 0, tr, start_cycle=1)
     assert rep.cycles == state.completed[0] + 1 == 18
 
 
@@ -227,7 +259,7 @@ def _builder_in_phase():
 @pytest.mark.parametrize("dst", [(8, 0), (8, 8)], ids=["reversed", "empty"])
 def test_empty_or_reversed_transfer_is_rejected(dst):
     with pytest.raises(ValueError, match="empty or reversed"):
-        build_transfer(DESK, [], 0, dst, dst)
+        build_transfer(DESK, [], dst, dst)
     pb = _builder_in_phase()
     pb.alloc("buf", 4096, interleaved())
     with pytest.raises(ValueError, match="empty or reversed"):
@@ -308,15 +340,9 @@ def test_freed_region_reallocated_with_new_folding():
     # phase b: the allocation's cycles and two loads, then the start
     # issues; backend work is booked from the cycle after
     issue = rep.phases[0].end + ALLOC_COST + 2
-    state = dma_advance(EngineParams(), DmaState([0] * DESK.n_subgroups), tr, issue + 1)
+    state = dma_advance(EngineParams(), DmaState([0] * DESK.n_subgroups), tid, tr,
+                        issue + 1)
     assert rep.cycles == state.completed[tid] + 1
-
-
-@pytest.mark.parametrize("ids", [(0, 0), (0, 2), (1, 0)])
-def test_transfer_ids_must_run_in_order(ids):
-    transfers = [DmaTransfer(t, (0, 0), (0, 0), segments=[(0, 8)]) for t in ids]
-    with pytest.raises(ValueError, match="transfer id"):
-        simulate([[("dma_start", 0)]], transfers=transfers)
 
 
 def test_dma_wait_unknown_id_faults():
@@ -336,7 +362,7 @@ def test_dma_wait_independent_of_pe_order(waiter, starter, delay):
     # the wait blocks until the other PE starts the transfer at `delay`;
     # the backend is then busy two cycles, whatever the PE ids
     params = EngineParams(l2_latency=0)
-    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+    tr = build_transfer(DESK, [], (0, 32), (0, 32))
     progs = [[], []]
     progs[waiter] = [("dma_wait", 0)]
     progs[starter] = [("compute", C_ALU, delay)] * (delay > 0) + [("dma_start", 0)]
@@ -348,7 +374,7 @@ def test_dma_wait_independent_of_pe_order(waiter, starter, delay):
 
 @pytest.mark.parametrize("barrier", [False, True])
 def test_dma_wait_never_started_faults(barrier):
-    tr = build_transfer(DESK, [], 0, (0, 32), (0, 32))
+    tr = build_transfer(DESK, [], (0, 32), (0, 32))
     progs = [[("compute", C_ALU, 3)], [("dma_wait", 0)]]
     with pytest.raises(SimulationFault, match=r"transfer 0, which no PE starts \(PE 1"):
         simulate(progs, barrier=barrier, transfers=[tr])
@@ -364,14 +390,14 @@ def test_dma_completion_matches_oracle(seed):
                           l2_latency=int(rng.integers(30, 100)))
     n = int(rng.integers(1, 7))
     delays = [int(d) for d in rng.integers(1, 30, n)]
-    transfers = [DmaTransfer(t, (0, 0), (0, 0), segments=[
+    transfers = [DmaTransfer((0, 0), (0, 0), segments=[
         (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
-        for _ in range(int(rng.integers(0, 4)))]) for t in range(n)]
+        for _ in range(int(rng.integers(0, 4)))]) for _ in range(n)]
     # starts book in issue order, PE id breaking ties; backend work
     # begins l2_latency after the cycle that follows the issue
     state = DmaState(backend_next_free=[0] * DESK.n_subgroups)
     for t in sorted(range(n), key=lambda t: delays[t]):
-        state = dma_advance(params, state, transfers[t], start_cycle=delays[t] + 1)
+        state = dma_advance(params, state, t, transfers[t], start_cycle=delays[t] + 1)
     for t in range(n):
         # only PE t waits; the others finish long before any transfer
         # does, so the run ends the cycle after transfer t completes
@@ -383,12 +409,14 @@ def test_dma_completion_matches_oracle(seed):
 
 
 def test_zero_memory_programs_scheme_invariant():
-    # with no memory ops the mapping cannot matter: equal cycle counts
+    # with no memory ops the mapping cannot matter, even with a folded
+    # region allocated: equal cycles and per-PE ledgers under both schemes
     prog = [[("compute", C_MAC, 64)] for _ in range(DESK.n_pes)]
-    a = simulate(prog, barrier=True)
-    b = simulate(prog, barrier=True)
+    a, b = (simulate(prog, barrier=True, scheme=s, regions=[(4096, das(4, 1))])
+            for s in ("das", "interleaved"))
     assert a.cycles == b.cycles
-    assert b.cycles / a.cycles == 1.0
+    for key, col in a.per_pe.items():
+        assert np.array_equal(col, b.per_pe[key]), key
 
 
 def test_ins_stall_injection():
@@ -428,6 +456,17 @@ def test_ins_hit_matches_splitmix_reference():
 def test_ins_stall_requires_seed():
     with pytest.raises(ValueError):
         EngineParams(ins_stall_prob=0.5)
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("lat_alu", 0), ("lat_mac", -3), ("lat_div", 0),
+    ("dma_words_per_cycle", 0), ("dma_words_per_cycle", -1), ("l2_latency", -50),
+])
+def test_timing_knobs_rejected_out_of_range(knob, value):
+    # each would simulate the wrong thing: a negative DMA rate or MAC
+    # latency shortens the run, a zero DMA rate divides by zero
+    with pytest.raises(ValueError, match=knob):
+        EngineParams(**{knob: value})
 
 
 def _random_programs(rng, n_pe):
@@ -480,8 +519,8 @@ def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
         for pe in empty:
             progs[pe] = []
     transfers = []
-    for t in range(n_dma):
-        transfers.append(DmaTransfer(t, (0, 0), (0, 0), segments=[
+    for _ in range(n_dma):
+        transfers.append(DmaTransfer((0, 0), (0, 0), segments=[
             (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
             for _ in range(int(rng.integers(1, 4)))]))
     params = EngineParams(ins_stall_prob=ins_prob, ins_seed=seed if ins_prob else 0)

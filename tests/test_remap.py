@@ -184,13 +184,13 @@ def test_resolve_array_rejects_out_of_l1():
 def test_segment_length_mismatch():
     t = toy_topology()
     with pytest.raises(ValueError, match="length mismatch"):
-        build_transfer(t, [], 0, (0, 63), (0, 64))
+        build_transfer(t, [], (0, 63), (0, 64))
 
 
 @pytest.mark.parametrize("src,dst", [((0, 6), (0, 6)), ((0, 4), (2, 6))])
 def test_segment_rejects_partial_words(src, dst):
     with pytest.raises(ValueError, match="not word-aligned"):
-        build_transfer(desk_default(), [], 0, src, dst)
+        build_transfer(desk_default(), [], src, dst)
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,7 +208,7 @@ def test_segment_words_per_backend(data):
     lo = data.draw(st.integers(0, size // 4 - 1))
     hi = data.draw(st.integers(lo + 1, min(size // 4, lo + 1024)))
     dst = (base + 4 * lo, base + 4 * hi)
-    tr = build_transfer(t, [cfg], 0, (1024, 1024 + dst[1] - dst[0]), dst)
+    tr = build_transfer(t, [cfg], (1024, 1024 + dst[1] - dst[0]), dst)
     banks_per_sub = t.banks_per_tile * t.tiles_per_subgroup
     want = Counter(fold_reference(t.bank_bits, p, s, u)[0] // banks_per_sub
                    for u in range(dst[0] // 4, dst[1] // 4))

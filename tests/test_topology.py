@@ -79,3 +79,5 @@ def test_invalid_geometry_rejected():
         ClusterTopology(pes_per_tile=6)
     with pytest.raises(ValueError):
         ClusterTopology(level_latency=(1, 3, 3, 7))
+    with pytest.raises(ValueError, match="start at 1"):
+        ClusterTopology(level_latency=(0, 1, 2, 3))
