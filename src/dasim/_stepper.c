@@ -1,0 +1,314 @@
+/* Cycle-stepped core of the simulator: step_segment, loaded by _stepper.py.
+ *
+ * The op kinds (K_*), accounting columns (ACC_*), fault codes (FAULT_*)
+ * and DEP_RING are defined in _stepper.py only and arrive as -D macros.
+ * Every array is C-contiguous and int64 unless typed otherwise; the
+ * caller checks sizes and index ranges before the call.
+ */
+
+#include <stdint.h>
+
+/* splitmix64 of (seed, pe, idx) against the stall probability */
+static int ins_hit(uint64_t seed, int64_t pe, int64_t idx, uint64_t thresh)
+{
+    uint64_t z = (seed ^ ((uint64_t)pe << 32) ^ (uint64_t)idx) + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return (z >> 11) < thresh;
+}
+
+/* binary min-heap of n unique keys */
+static void sift_down(int64_t *h, int64_t n, int64_t i)
+{
+    int64_t key = h[i];
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && h[c + 1] < h[c])
+            c++;
+        if (h[c] >= key)
+            break;
+        h[i] = h[c];
+        i = c;
+    }
+    h[i] = key;
+}
+
+static void sift_up(int64_t *h, int64_t i)
+{
+    int64_t key = h[i];
+    while (i > 0 && h[(i - 1) / 2] > key) {
+        h[i] = h[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    h[i] = key;
+}
+
+/* Advance one segment from cycle `now`; see step_segment in _stepper.py.
+ * out receives (end cycle, FAULT_* code or 0, pe, detail). work holds
+ * 3 * n_pe scratch slots: the queue, each PE's cursor and the transfer
+ * each parked PE waits on. */
+void step_segment(
+    /* per-op columns [n_pe, row]; ops per PE */
+    const uint8_t *op_kind, const uint8_t *op_cls, const int32_t *op_arg,
+    const int32_t *op_bank, const uint8_t *op_level, const uint16_t *op_dep1,
+    const uint16_t *op_dep2, const int64_t *n_ops,
+    /* per-PE state; ready and ready_kind are [n_pe, DEP_RING], win and
+     * acct [n_pe, window] and [n_pe, 5] */
+    int64_t *abs_idx, int64_t *t_free, int64_t *ready, uint8_t *ready_kind,
+    int64_t *win, int64_t *acct, int64_t *ins_done,
+    /* shared memory-system state */
+    int64_t *bank_next, int64_t *out_next, int64_t *in_next,
+    /* DMA: transfer t's segments are seg_ptr[t] .. seg_ptr[t + 1] */
+    const int64_t *seg_ptr, const int64_t *seg_backend, const int64_t *seg_words,
+    int64_t *transfer_done, int64_t *backend_next,
+    const int64_t *level_lat, const int64_t *class_lat,
+    int64_t *work, int64_t *out,
+    int64_t n_pe, int64_t row, int64_t window, int64_t n_transfers,
+    int64_t out_ports, int64_t in_ports, int64_t pes_per_tile, int64_t banks_per_tile,
+    int64_t l2_lat, int64_t dma_wpc, uint64_t ins_thresh, uint64_t ins_seed,
+    int64_t now)
+{
+    const int64_t mask = DEP_RING - 1;
+    const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
+    int64_t *queue = work, *cursor = work + n_pe, *parked = work + 2 * n_pe;
+    int64_t n_queued = n_pe, n_arrived = 0, n_parked = 0;
+    int64_t pe, q;
+
+    /* PEs that can act, keyed t_free * n_pe + pe */
+    for (pe = 0; pe < n_pe; pe++) {
+        queue[pe] = t_free[pe] * n_pe + pe;
+        cursor[pe] = 0;
+        parked[pe] = -1;
+    }
+    for (q = n_pe / 2 - 1; q >= 0; q--)
+        sift_down(queue, n_queued, q);
+    out[1] = out[2] = out[3] = 0;
+
+    while (n_queued) {
+        /* the head stays in place until the PE is requeued or dropped */
+        now = queue[0] / n_pe;
+        pe = queue[0] % n_pe;
+        int64_t i = cursor[pe];
+        if (i >= n_ops[pe]) {
+            queue[0] = queue[--n_queued];
+            sift_down(queue, n_queued, 0);
+            continue;
+        }
+        int64_t o = pe * row + i;
+        int k = op_kind[o];
+        int64_t ai = abs_idx[pe];
+        int64_t *a = acct + pe * 5;
+
+        /* gates */
+        int64_t g_lsu = now, g_raw = now, g_wfi = now;
+        int64_t deps[2] = {op_dep1[o], op_dep2[o]};
+        for (int s = 0; s < 2; s++) {
+            if (deps[s]) {
+                int64_t j = pe * DEP_RING + ((ai - deps[s]) & mask);
+                int64_t rt = ready[j];
+                if (ready_kind[j] == K_COMPUTE) {
+                    if (rt > g_raw)
+                        g_raw = rt;
+                } else if (rt > g_lsu) {
+                    g_lsu = rt;
+                }
+            }
+        }
+        int64_t *slots = win + pe * window;
+        int64_t m = 0, m_slot = 0;
+        if (k == K_LOAD || k == K_STORE) {
+            /* a free window slot: responses retire in any order */
+            m = slots[0];
+            for (int64_t s = 1; s < window; s++)
+                if (slots[s] < m) {
+                    m = slots[s];
+                    m_slot = s;
+                }
+            if (m > g_lsu)
+                g_lsu = m;
+        } else if (k == K_BARRIER) {
+            /* memory must drain before synchronizing */
+            m = slots[0];
+            for (int64_t s = 1; s < window; s++)
+                if (slots[s] > m)
+                    m = slots[s];
+            if (m > g_lsu)
+                g_lsu = m;
+        } else if (k == K_DMA_WAIT) {
+            int64_t tid = op_arg[o];
+            if (tid < 0 || tid >= n_transfers) {
+                out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
+                return;
+            }
+            int64_t t_done = transfer_done[tid];
+            if (t_done < 0) {
+                /* off the queue until some PE starts the transfer */
+                parked[pe] = tid;
+                n_parked++;
+                queue[0] = queue[--n_queued];
+                sift_down(queue, n_queued, 0);
+                continue;
+            }
+            if (t_done > g_wfi)
+                g_wfi = t_done;
+        }
+
+        int64_t t_issue = g_lsu;
+        if (g_raw > t_issue)
+            t_issue = g_raw;
+        if (g_wfi > t_issue)
+            t_issue = g_wfi;
+
+        /* one instruction-fetch stall cycle, decided per op */
+        int64_t extra_ins = ins_thresh && ins_done[pe] != ai && ins_hit(ins_seed, pe, ai, ins_thresh);
+
+        if (t_issue + extra_ins > now) {
+            /* cannot issue this cycle: attribute the whole wait to the
+             * latest gate (LSU beats RAW beats WFI on ties) and jump */
+            int64_t stall = t_issue - now;
+            if (stall > 0) {
+                if (g_lsu == t_issue)
+                    a[ACC_LSU] += stall;
+                else if (g_raw == t_issue)
+                    a[ACC_RAW] += stall;
+                else
+                    a[ACC_WFI] += stall;
+            }
+            if (extra_ins) {
+                a[ACC_INS] += 1;
+                ins_done[pe] = ai;
+            }
+            t_free[pe] = t_issue + extra_ins;
+            queue[0] = t_free[pe] * n_pe + pe;
+            sift_down(queue, n_queued, 0);
+            continue;
+        }
+
+        /* ---- issue at now ---- */
+        int64_t t_next = now + 1;       /* when the PE can act again */
+        int64_t t_ready = now + 1;      /* when the op's result is ready */
+        int64_t n_issued = 1;
+        if (k == K_LOAD || k == K_STORE) {
+            int64_t bank = op_bank[o];
+            int64_t lvl = op_level[o];
+            int64_t serve;
+            if (lvl) {
+                /* outbound port at the source tile for this level */
+                int64_t p0 = (pe / pes_per_tile * 4 + lvl) * out_ports, sp = p0;
+                for (q = p0 + 1; q < p0 + out_ports; q++)
+                    if (out_next[q] < out_next[sp])
+                        sp = q;
+                int64_t t_out = now;
+                if (out_next[sp] > t_out)
+                    t_out = out_next[sp];
+                out_next[sp] = t_out + 1;
+                /* inbound port at the destination tile */
+                p0 = (bank / banks_per_tile * 4 + lvl) * in_ports;
+                sp = p0;
+                for (q = p0 + 1; q < p0 + in_ports; q++)
+                    if (in_next[q] < in_next[sp])
+                        sp = q;
+                int64_t t_in = t_out + level_lat[lvl] - 2;
+                if (in_next[sp] > t_in)
+                    t_in = in_next[sp];
+                in_next[sp] = t_in + 1;
+                serve = t_in + 1;
+            } else {
+                serve = now + local_wait;
+            }
+            if (bank_next[bank] > serve)
+                serve = bank_next[bank];
+            bank_next[bank] = serve + 1;
+            t_ready = serve + 1;
+            slots[m_slot] = t_ready;
+        } else if (k == K_COMPUTE) {
+            n_issued = op_arg[o];
+            t_next = now + n_issued;
+            t_ready = t_next - 1 + class_lat[op_cls[o]];
+        } else if (k == K_BARRIER) {
+            if (i != n_ops[pe] - 1) {
+                out[0] = now, out[1] = FAULT_BARRIER_NOT_LAST, out[2] = pe, out[3] = i;
+                return;
+            }
+            n_arrived++;
+        } else if (k == K_DMA_START) {
+            int64_t tid = op_arg[o];
+            if (tid < 0 || tid >= n_transfers) {
+                out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
+                return;
+            }
+            if (transfer_done[tid] >= 0) {
+                out[0] = now, out[1] = FAULT_DMA_RESTART, out[2] = pe, out[3] = tid;
+                return;
+            }
+            int64_t base_t = now + 1 + l2_lat, t_done = base_t;
+            for (int64_t s = seg_ptr[tid]; s < seg_ptr[tid + 1]; s++) {
+                int64_t b = seg_backend[s];
+                int64_t end = backend_next[b];
+                if (end < base_t)
+                    end = base_t;
+                end += (seg_words[s] + dma_wpc - 1) / dma_wpc;
+                backend_next[b] = end;
+                if (end > t_done)
+                    t_done = end;
+            }
+            transfer_done[tid] = t_done;
+            /* waiters resume next cycle; their parked cycles are WFI */
+            for (q = 0; n_parked && q < n_pe; q++) {
+                if (parked[q] == tid) {
+                    parked[q] = -1;
+                    n_parked--;
+                    acct[q * 5 + ACC_WFI] += now + 1 - t_free[q];
+                    t_free[q] = now + 1;
+                    queue[n_queued] = (now + 1) * n_pe + q;
+                    sift_up(queue, n_queued++);
+                }
+            }
+        }
+
+        /* shared by every kind; a DMA wait with its gate met needs only this */
+        ready[pe * DEP_RING + (ai & mask)] = t_ready;
+        ready_kind[pe * DEP_RING + (ai & mask)] = (uint8_t)k;
+        a[ACC_ISSUED] += n_issued;
+        cursor[pe] = i + 1;
+        abs_idx[pe] = ai + 1;
+        t_free[pe] = t_next;
+        /* the waiters pushed above key later than the head, so it is still queue[0] */
+        if (k != K_BARRIER) {
+            queue[0] = t_next * n_pe + pe;
+            sift_down(queue, n_queued, 0);
+        } else if (n_arrived < n_pe) {
+            /* waits off the queue for the release */
+            queue[0] = queue[--n_queued];
+            sift_down(queue, n_queued, 0);
+        } else {
+            /* PEs arrive in cycle order, so this last one arrives at now;
+             * each PE waits from its own t_free (its arrival + 1) */
+            int64_t release = now + 1;
+            for (q = 0; q < n_pe; q++) {
+                acct[q * 5 + ACC_WFI] += release - t_free[q];
+                t_free[q] = release;
+            }
+            out[0] = release;
+            return;
+        }
+    }
+
+    out[0] = now;
+    if (n_parked) {
+        for (q = 0; parked[q] < 0; q++)
+            ;
+        out[1] = FAULT_DMA_NEVER_STARTED, out[2] = q, out[3] = parked[q];
+    } else if (n_arrived) {
+        /* a barrier op ends some streams but not all, so it never releases */
+        for (q = 0; q < n_pe - 1; q++)
+            if (!n_ops[q] || op_kind[q * row + n_ops[q] - 1] != K_BARRIER)
+                break;
+        out[1] = FAULT_BARRIER_PARTIAL, out[2] = q, out[3] = n_arrived;
+    }
+    /* else a segment without a terminating barrier: PEs end independently,
+     * and the last one popped from the queue finishes last */
+}

@@ -1,20 +1,17 @@
-"""Cycle-stepped core of the simulator, in plain Python.
+"""Cycle-stepped core of the simulator: the C stepper and its loader.
 
-One function advances a whole barrier-delimited program segment, one
-packed chunk of per-PE op columns, over shared bank/port/backend state.
-Its loop body runs once per issued op or stall and reads and writes only
-Python ints, because each index into a numpy array makes a numpy scalar,
-and arithmetic on those is several times slower.
+One function, ``step_segment``, advances a whole barrier-delimited
+program segment, one packed chunk of per-PE op columns, over shared
+bank/port/backend state. It is written in C (``_stepper.c``), compiled
+on first import with ``gcc -O2 -shared -fPIC`` into this package's
+``__pycache__`` and loaded with ctypes over the numpy buffers. The build
+is keyed by a CRC of the source, the compiler and its flags, so an edit
+rebuilds it. A missing compiler or a failed build raises ImportError;
+there is no Python fallback here. The Python stepper the C one was
+ported from is kept as the test oracle, ``tests/reference_stepper.py``.
 
-- The large arrays stay numpy and arrive as memoryviews, which index
-  like ``a[pe, i]``, return Python ints and copy nothing: the seven
-  packed op columns [n_pe, L] and the two dependence rings
-  [n_pe, DEP_RING]. Turning them into lists costs memory: flat list
-  rings raised the benchmark's peak RSS from 115.0 to 158.6 MiB on
-  1024-PE gemm 64^3 (83.2 to 121.7 MiB on gemv 256^2), and per-PE op
-  rows as lists raised it from 46.5 to 58.9 MiB on the 64-PE gemm.
-- Small per-PE and per-resource state is Python lists, indexed by PE,
-  bank, port or transfer.
+The op kinds, accounting columns, fault codes and DEP_RING below are the
+only definitions: the build passes them to the C file as -D macros.
 
 PEs are taken from a priority queue in (t_free, pe) order, so a PE is
 visited only at the cycle it can next act: it leaves the queue while it
@@ -28,9 +25,13 @@ order with PE id as the tie-break, which makes every run
 bit-deterministic.
 """
 
-from heapq import heapify, heappop, heappush, heapreplace
+import ctypes
+import os
+import zlib
 
-# there is no compiled stepper; the benchmark records the backend from this
+import numpy as np
+
+# there is no numba stepper; the benchmark records the backend from this
 HAVE_NUMBA = False
 
 
@@ -58,223 +59,95 @@ FAULT_BARRIER_NOT_LAST = 3
 FAULT_DMA_NEVER_STARTED = 4
 FAULT_BARRIER_PARTIAL = 5
 
+CFLAGS = ("-O2", "-shared", "-fPIC")
+_HERE = os.path.dirname(os.path.abspath(__file__))
 _M64 = (1 << 64) - 1
 
 
-def _ins_hit(seed, pe, idx, prob):
-    # splitmix64 of (seed, pe, idx) against the stall probability
-    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    z ^= z >> 31
-    return (z >> 11) < int(prob * (1 << 53))
+def _defines() -> list:
+    return [f"-D{name}={value}" for name, value in globals().items()
+            if name.startswith(("K_", "ACC_", "FAULT_")) or name == "DEP_RING"]
+
+
+def _build(cache_dir: str, cc: str = "gcc", flags: tuple = CFLAGS) -> str:
+    """Path of the compiled stepper in ``cache_dir``, built on a cache miss.
+
+    A build goes to a temporary file that is then renamed, so processes
+    importing at once each see either no library or a whole one.
+    """
+    src = os.path.join(_HERE, "_stepper.c")
+    with open(src, "rb") as f:
+        text = f.read()
+    args = [*flags, *_defines()]
+    key = zlib.crc32(" ".join([cc, *args]).encode(), zlib.crc32(text))
+    path = os.path.join(cache_dir, f"_stepper-{key:08x}.so")
+    if os.path.exists(path):
+        return path
+    import subprocess
+
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        subprocess.run([cc, *args, "-o", tmp, src], check=True,
+                       capture_output=True, text=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError) as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        why = e.stderr if isinstance(e, subprocess.CalledProcessError) else e
+        raise ImportError(f"cannot build the dasim stepper with compiler {cc!r}: "
+                          f"{why}") from e
+    return path
+
+
+_c_step = ctypes.CDLL(_build(os.path.join(_HERE, "__pycache__"))).step_segment
+# 27 buffers, then the sizes and parameters; the INS threshold and seed are unsigned
+_c_step.argtypes = ([ctypes.c_void_p] * 27 + [ctypes.c_int64] * 10
+                    + [ctypes.c_uint64] * 2 + [ctypes.c_int64])
+_c_step.restype = None
 
 
 def step_segment(
-    # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
+    # per-op columns of the segment [n_pe, L]; ops per PE
     op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
     # per-PE state
     abs_idx, t_free,
-    ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
-    win,                          # per PE, a list of outstanding-op slots
-    acct,                         # per PE, a list of the five ACC_* columns
+    ready, ready_kind,            # dep rings [n_pe, DEP_RING]
+    win,                          # [n_pe, window] outstanding-op slots
+    acct,                         # [n_pe, 5] ACC_* columns of this segment
     ins_done,                     # last abs idx charged an INS stall
     # shared memory-system state
     bank_next,                    # [n_banks]
     out_next, in_next,            # [(tile * 4 + level) * ports + port]
-    # DMA: per transfer id, its (backend, words) segments; then its
-    # completion cycle (-1 until started) and each backend's next free cycle
-    segments, transfer_done, backend_next,
+    # DMA: transfer t's (backend, words) segments are entries
+    # seg_ptr[t]:seg_ptr[t + 1]; then each transfer's completion cycle
+    # (-1 until started) and each backend's next free cycle
+    seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
     # parameters
     level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
     l2_lat, dma_wpc, ins_prob, ins_seed, now,
 ):
-    """Advance one segment from cycle ``now``.
+    """Advance one segment from cycle ``now``, updating the state in place.
 
-    The segment ends in a barrier when its streams end in a barrier op.
-    Returns ``(now, None)`` with the cycle the segment ended (the
-    barrier's release, or else the last PE's finish), or the cycle of a
-    fault and ``(FAULT_*, pe, detail)``.
+    Every array is a C-contiguous numpy array: uint8 op_kind, op_cls,
+    op_level and ready_kind, int32 op_arg and op_bank, uint16 op_dep1
+    and op_dep2, and int64 for the rest. The caller checks the chunk's
+    index ranges. The segment ends in a barrier when its streams end in
+    a barrier op. Returns ``(now, None)`` with the cycle the segment
+    ended (the barrier's release, or else the last PE's finish), or the
+    cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
-    n_pe = len(n_ops)
-    n_transfers = len(segments)
-    mask = DEP_RING - 1
-    local_wait = level_lat[0] - 1   # a tile-local request's cycles before the bank
-    # PEs that can act, keyed t_free * n_pe + pe
-    queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
-    heapify(queue)
-    cursor = [0] * n_pe
-    n_arrived = 0
-    parked = {}     # pe: transfer it waits on, which no PE has started yet
-
-    while queue:
-        # the head stays in place until the PE is requeued or dropped
-        now, pe = divmod(queue[0], n_pe)
-        i = cursor[pe]
-        if i >= n_ops[pe]:
-            heappop(queue)
-            continue
-        k = op_kind[pe, i]
-        ai = abs_idx[pe]
-
-        # gates
-        g_lsu = g_raw = g_wfi = now
-        for d in (op_dep1[pe, i], op_dep2[pe, i]):
-            if d:
-                j = (ai - d) & mask
-                rt = ready[pe, j]
-                if ready_kind[pe, j] == K_COMPUTE:
-                    if rt > g_raw:
-                        g_raw = rt
-                elif rt > g_lsu:
-                    g_lsu = rt
-        slots = win[pe]
-        if k == K_LOAD or k == K_STORE:
-            # a free window slot: responses retire in any order
-            m = min(slots)
-            if m > g_lsu:
-                g_lsu = m
-        elif k == K_BARRIER:
-            # memory must drain before synchronizing
-            m = max(slots)
-            if m > g_lsu:
-                g_lsu = m
-        elif k == K_DMA_WAIT:
-            tid = op_arg[pe, i]
-            if tid < 0 or tid >= n_transfers:
-                return now, (FAULT_DMA_UNKNOWN, pe, tid)
-            t_done = transfer_done[tid]
-            if t_done < 0:
-                # off the queue until some PE starts the transfer
-                parked[pe] = tid
-                heappop(queue)
-                continue
-            if t_done > g_wfi:
-                g_wfi = t_done
-
-        t_issue = g_lsu
-        if g_raw > t_issue:
-            t_issue = g_raw
-        if g_wfi > t_issue:
-            t_issue = g_wfi
-
-        # one instruction-fetch stall cycle, decided per op
-        extra_ins = 0
-        if ins_prob > 0.0 and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_prob):
-            extra_ins = 1
-
-        if t_issue + extra_ins > now:
-            # cannot issue this cycle: attribute the whole wait to the
-            # latest gate (LSU beats RAW beats WFI on ties) and jump
-            stall = t_issue - now
-            a = acct[pe]
-            if stall > 0:
-                if g_lsu == t_issue:
-                    a[ACC_LSU] += stall
-                elif g_raw == t_issue:
-                    a[ACC_RAW] += stall
-                else:
-                    a[ACC_WFI] += stall
-            if extra_ins:
-                a[ACC_INS] += 1
-                ins_done[pe] = ai
-            t_free[pe] = t_issue + extra_ins
-            heapreplace(queue, (t_issue + extra_ins) * n_pe + pe)
-            continue
-
-        # ---- issue at now ----
-        t_next = now + 1                # when the PE can act again
-        t_ready = now + 1               # when the op's result is ready
-        n_issued = 1
-        if k == K_LOAD or k == K_STORE:
-            bank = op_bank[pe, i]
-            lvl = op_level[pe, i]
-            if lvl:
-                # outbound port at the source tile for this level
-                sp = (pe // pes_per_tile * 4 + lvl) * out_ports
-                for q in range(sp + 1, sp + out_ports):
-                    if out_next[q] < out_next[sp]:
-                        sp = q
-                t_out = now
-                if out_next[sp] > t_out:
-                    t_out = out_next[sp]
-                out_next[sp] = t_out + 1
-                # inbound port at the destination tile
-                sp = (bank // banks_per_tile * 4 + lvl) * in_ports
-                for q in range(sp + 1, sp + in_ports):
-                    if in_next[q] < in_next[sp]:
-                        sp = q
-                t_in = t_out + level_lat[lvl] - 2
-                if in_next[sp] > t_in:
-                    t_in = in_next[sp]
-                in_next[sp] = t_in + 1
-                serve = t_in + 1
-            else:
-                serve = now + local_wait
-            if bank_next[bank] > serve:
-                serve = bank_next[bank]
-            bank_next[bank] = serve + 1
-            t_ready = serve + 1
-            slots[slots.index(m)] = t_ready
-        elif k == K_COMPUTE:
-            n_issued = op_arg[pe, i]
-            t_next = now + n_issued
-            t_ready = t_next - 1 + class_lat[op_cls[pe, i]]
-        elif k == K_BARRIER:
-            if i != n_ops[pe] - 1:
-                return now, (FAULT_BARRIER_NOT_LAST, pe, i)
-            n_arrived += 1
-        elif k == K_DMA_START:
-            tid = op_arg[pe, i]
-            if tid < 0 or tid >= n_transfers:
-                return now, (FAULT_DMA_UNKNOWN, pe, tid)
-            if transfer_done[tid] >= 0:
-                return now, (FAULT_DMA_RESTART, pe, tid)
-            base_t = now + 1 + l2_lat
-            t_done = base_t
-            for b, words in segments[tid]:
-                end = backend_next[b]
-                if end < base_t:
-                    end = base_t
-                end += (words + dma_wpc - 1) // dma_wpc
-                backend_next[b] = end
-                if end > t_done:
-                    t_done = end
-            transfer_done[tid] = t_done
-            # waiters resume next cycle; their parked cycles are WFI
-            for q in [q for q, t in parked.items() if t == tid]:
-                del parked[q]
-                acct[q][ACC_WFI] += now + 1 - t_free[q]
-                t_free[q] = now + 1
-                heappush(queue, (now + 1) * n_pe + q)
-
-        # shared by every kind; a DMA wait with its gate met needs only this
-        ready[pe, ai & mask] = t_ready
-        ready_kind[pe, ai & mask] = k
-        acct[pe][ACC_ISSUED] += n_issued
-        cursor[pe] = i + 1
-        abs_idx[pe] = ai + 1
-        t_free[pe] = t_next
-        if k != K_BARRIER:
-            heapreplace(queue, t_next * n_pe + pe)
-        elif n_arrived < n_pe:
-            heappop(queue)  # waits off the queue for the release
-        else:
-            # PEs arrive in cycle order, so this last one arrives at now;
-            # each PE waits from its own t_free (its arrival + 1)
-            release = now + 1
-            for q in range(n_pe):
-                acct[q][ACC_WFI] += release - t_free[q]
-                t_free[q] = release
-            return release, None
-
-    if parked:
-        q = min(parked)
-        return now, (FAULT_DMA_NEVER_STARTED, q, parked[q])
-    if n_arrived:
-        # a barrier op ends some streams but not all, so it never releases
-        q = next(q for q in range(n_pe) if not n_ops[q] or op_kind[q, n_ops[q] - 1] != K_BARRIER)
-        return now, (FAULT_BARRIER_PARTIAL, q, n_arrived)
-    # segment without a terminating barrier: PEs end independently, and
-    # the last one popped from the queue finishes last
-    return now, None
+    n_pe, row = op_kind.shape
+    work = np.empty(3 * n_pe, dtype=np.int64)
+    out = np.empty(4, dtype=np.int64)
+    buffers = (op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
+               abs_idx, t_free, ready, ready_kind, win, acct, ins_done,
+               bank_next, out_next, in_next,
+               seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
+               level_lat, class_lat, work, out)
+    _c_step(*[b.ctypes.data for b in buffers],
+            n_pe, row, win.shape[1], len(transfer_done), out_ports, in_ports,
+            pes_per_tile, banks_per_tile, l2_lat, dma_wpc,
+            int(ins_prob * (1 << 53)), ins_seed & _M64, now)
+    now, code, pe, detail = out.tolist()
+    return now, (code, pe, detail) if code else None

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _stepper
 from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
-                       DEP_RING, step_segment)
+                       DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE, step_segment)
 from .remap import MapConfig, resolve_array
 from .report import PhaseStats, SimReport
 from .topology import ClusterTopology
@@ -109,12 +109,18 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
 
 # -- packed program representation --------------------------------------------
 
-_COLS = ("kind", "cls", "arg", "bank", "level", "dep1", "dep2")   # step_segment's order
+# the packed columns in step_segment's order, with the dtypes it reads
+_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "bank": np.int32,
+         "level": np.uint8, "dep1": np.uint16, "dep2": np.uint16}
 
 
 @dataclass
 class PackedChunk:
-    """Rectangular per-PE op arrays; rows padded to the longest stream."""
+    """Rectangular per-PE op arrays; rows padded to the longest stream.
+
+    ``cols`` maps each _COLS name to a C-contiguous [n_pe, L] array of
+    its dtype; ``n_ops`` is int64, one entry per PE.
+    """
 
     cols: dict
     n_ops: np.ndarray
@@ -135,12 +141,12 @@ class Phase:
 def make_chunk(columns: list, n_pe: int) -> PackedChunk:
     """Build a chunk from per-PE dicts of 1-D column arrays.
 
-    Each packed column takes the dtype of its per-PE arrays; rows are
-    zero past each PE's ops.
+    Each packed column is cast to its _COLS dtype; rows are zero past
+    each PE's ops.
     """
     n_ops = np.array([len(c["kind"]) for c in columns], dtype=np.int64)
     cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((n_pe, cap), dtype=columns[0][name].dtype) for name in _COLS}
+    cols = {name: np.zeros((n_pe, cap), dtype=dtype) for name, dtype in _COLS.items()}
     for pe, c in enumerate(columns):
         n = n_ops[pe]
         if n:
@@ -160,28 +166,94 @@ _FAULT_TEXT = {
 }
 
 
-class _State:
-    """Stepper state carried from phase to phase, as Python lists.
+def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
+    """Reject a chunk the stepper would index memory out of bounds with.
 
-    The dependence rings, n_pe x DEP_RING slots, stay numpy arrays and
-    are passed as memoryviews: as lists they would take a pointer per
-    slot (32 MiB per ring at 1024 PEs) plus the int objects.
+    The stepper trusts its input: any chunk, packed by make_chunk or
+    built by hand, passes here first.
+    """
+    n_ops = chunk.n_ops
+    if (not isinstance(n_ops, np.ndarray) or n_ops.dtype != np.int64
+            or not n_ops.flags.c_contiguous or n_ops.shape != (topo.n_pes,)):
+        raise ValueError(f"chunk column 'n_ops' must be a C-contiguous int64 array "
+                         f"with one entry per PE ({topo.n_pes})")
+    cols = chunk.cols
+    for name, dtype in _COLS.items():
+        col = cols.get(name)
+        if (not isinstance(col, np.ndarray) or col.dtype != dtype
+                or not col.flags.c_contiguous or col.ndim != 2):
+            raise ValueError(f"chunk column {name!r} must be a C-contiguous 2-D "
+                             f"{np.dtype(dtype).name} array")
+        if col.shape != cols["kind"].shape or len(col) != topo.n_pes:
+            raise ValueError(f"chunk column {name!r} has shape {col.shape}, not "
+                             f"({topo.n_pes}, L) like every column")
+    row = cols["kind"].shape[1]
+    if n_ops.min() < 0 or n_ops.max() > row:
+        raise ValueError(f"chunk column 'n_ops' must lie in [0, {row}], the row length")
+    kind, cls, arg, level = cols["kind"], cols["cls"], cols["arg"], cols["level"]
+    bank = cols["bank"].view(np.uint32)         # a negative bank reads as >= 2**31
+    # whole columns first: make_chunk zeroes the padding and the fields
+    # an op does not use, so only a bad chunk needs the masked tests
+    comp_at = np.flatnonzero(kind.ravel() == K_COMPUTE)
+    if (kind.max() <= K_DMA_WAIT and bank.max() < topo.n_banks and level.max() <= 3
+            and cls.max() <= 2 and arg.ravel()[comp_at].min(initial=1) >= 1):
+        return
+    live = np.arange(row) < n_ops[:, None]
+    mem = live & (kind <= K_STORE)
+    comp = live & (kind == K_COMPUTE)
+    for name, bad, what in (
+            ("kind", live & (kind > K_DMA_WAIT), f"op kind above {K_DMA_WAIT}"),
+            ("bank", mem & (bank >= topo.n_banks),
+             f"a load or store's bank outside [0, {topo.n_banks})"),
+            ("level", mem & (level > 3), "a load or store's level above 3"),
+            ("cls", comp & (cls > 2), "a compute class above 2"),
+            ("arg", comp & (arg < 1), "a compute count below 1")):
+        if bad.any():
+            pe, i = np.argwhere(bad)[0]
+            raise ValueError(f"chunk column {name!r}: {what} (PE {pe}, op {i})")
+
+
+def _flat_segments(topo: ClusterTopology, dma: Sequence[DmaTransfer]) -> tuple:
+    """The transfers' segments as (ptr, backend, words) int64 arrays.
+
+    Transfer t's segments are entries ptr[t]:ptr[t + 1].
+    """
+    pairs = [seg for t in dma for seg in t.segments]
+    backend, words = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    if ((backend < 0) | (backend >= topo.n_subgroups)).any():
+        raise ValueError(f"DMA segment backend outside [0, {topo.n_subgroups})")
+    if (words < 1).any():
+        raise ValueError("DMA segment words must be at least 1")
+    ptr = np.cumsum([0] + [len(t.segments) for t in dma], dtype=np.int64)
+    return ptr, backend, words
+
+
+class _State:
+    """Stepper state carried from phase to phase, in numpy arrays.
+
+    Per PE: the absolute index of its next op, the cycle it can next
+    act, its dependence rings (each of its last DEP_RING ops' result
+    cycle and kind), its window slots (the cycle each outstanding memory
+    op retires) and the last op charged an INS stall. Shared: each
+    bank's and port's next free cycle, each transfer's completion cycle
+    (-1 until started) and each DMA backend's next free cycle. The
+    stepper updates them in place.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
                  n_transfers: int):
         n_pe = topo.n_pes
-        self.abs_idx = [0] * n_pe
-        self.t_free = [0] * n_pe
-        self.ready = memoryview(np.zeros((n_pe, DEP_RING), dtype=np.int64))
-        self.ready_kind = memoryview(np.zeros((n_pe, DEP_RING), dtype=np.uint8))
-        self.win = [[0] * params.window for _ in range(n_pe)]
-        self.ins_done = [-1] * n_pe
-        self.bank_next = [0] * topo.n_banks
-        self.out_next = [0] * (topo.n_tiles * 4 * params.out_ports)
-        self.in_next = [0] * (topo.n_tiles * 4 * params.in_ports)
-        self.transfer_done = [-1] * n_transfers
-        self.backend_next = [0] * topo.n_subgroups
+        self.abs_idx = np.zeros(n_pe, dtype=np.int64)
+        self.t_free = np.zeros(n_pe, dtype=np.int64)
+        self.ready = np.zeros((n_pe, DEP_RING), dtype=np.int64)
+        self.ready_kind = np.zeros((n_pe, DEP_RING), dtype=np.uint8)
+        self.win = np.zeros((n_pe, params.window), dtype=np.int64)
+        self.ins_done = np.full(n_pe, -1, dtype=np.int64)
+        self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
+        self.out_next = np.zeros(topo.n_tiles * 4 * params.out_ports, dtype=np.int64)
+        self.in_next = np.zeros(topo.n_tiles * 4 * params.in_ports, dtype=np.int64)
+        self.transfer_done = np.full(n_transfers, -1, dtype=np.int64)
+        self.backend_next = np.zeros(topo.n_subgroups, dtype=np.int64)
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,
@@ -191,24 +263,27 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     """Execute packed phases and assemble the report.
 
     ``dma`` lists the transfers; a transfer's id is its index there.
+    Each phase's chunk is checked, then stepped by one step_segment
+    call, which writes that phase's [n_pe, 5] ledger.
     """
-    segments = [t.segments for t in dma]
-    st = _State(topo, params, len(segments))
+    seg_ptr, seg_backend, seg_words = _flat_segments(topo, dma)
+    st = _State(topo, params, len(dma))
     n_pe = topo.n_pes
-    level_lat = list(topo.level_latency)
-    class_lat = params.class_latency().tolist()
+    level_lat = np.array(topo.level_latency, dtype=np.int64)
+    class_lat = params.class_latency()
     totals = np.zeros((n_pe, 5), dtype=np.int64)
     phase_rows = []
     clock = 0
     for phase in phases:
         (chunk,) = phase.chunks
-        acct = [[0] * 5 for _ in range(n_pe)]
+        _check_chunk(topo, chunk)
+        acct = np.zeros((n_pe, 5), dtype=np.int64)
         start = clock
         clock, fault = step_segment(
-            *(memoryview(chunk.cols[c]) for c in _COLS), chunk.n_ops.tolist(),
+            *(chunk.cols[c] for c in _COLS), chunk.n_ops,
             st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
             st.bank_next, st.out_next, st.in_next,
-            segments, st.transfer_done, st.backend_next,
+            seg_ptr, seg_backend, seg_words, st.transfer_done, st.backend_next,
             level_lat, class_lat, params.out_ports, params.in_ports,
             topo.pes_per_tile, topo.banks_per_tile,
             params.l2_latency, params.dma_words_per_cycle,
@@ -219,9 +294,8 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             raise SimulationFault(
                 f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
                 f"phase {phase.name!r}, cycle {clock})")
-        acct = np.array(acct, dtype=np.int64)
         totals += acct
-        st.t_free = [clock] * n_pe
+        st.t_free[:] = clock
         phase_rows.append(PhaseStats(
             name=phase.name, start=start, end=clock,
             issued=int(acct[:, ACC_ISSUED].sum()), lsu=int(acct[:, ACC_LSU].sum()),

@@ -1,0 +1,260 @@
+"""Python stepper, the oracle for the C one in ``dasim._stepper``.
+
+This is the pure-Python ``step_segment`` the C file was ported from, op
+for op, with its instruction-fetch draw ``_ins_hit``. ``step_segment``
+here takes the C stepper's arguments, so a test swaps it in with
+``monkeypatch.setattr(engine, "step_segment", step_segment)`` and runs
+``engine.run_packed`` unchanged under both. Its loop body reads
+and writes Python ints only: numpy arrays arrive as memoryviews, which
+index like ``a[pe, i]`` without making numpy scalars, and the window
+slots and ledger as lists written back at the end.
+"""
+
+from heapq import heapify, heappop, heappush, heapreplace
+
+from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
+                            FAULT_BARRIER_NOT_LAST, FAULT_BARRIER_PARTIAL,
+                            FAULT_DMA_NEVER_STARTED, FAULT_DMA_RESTART,
+                            FAULT_DMA_UNKNOWN, K_BARRIER, K_COMPUTE, K_DMA_START,
+                            K_DMA_WAIT, K_LOAD, K_STORE)
+
+_M64 = (1 << 64) - 1
+
+
+def _ins_hit(seed, pe, idx, prob):
+    # splitmix64 of (seed, pe, idx) against the stall probability
+    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return (z >> 11) < int(prob * (1 << 53))
+
+
+def step_segment(
+    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
+    abs_idx, t_free, ready, ready_kind, win, acct, ins_done,
+    bank_next, out_next, in_next,
+    seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
+    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
+    l2_lat, dma_wpc, ins_prob, ins_seed, now,
+):
+    """``dasim._stepper.step_segment``'s contract, stepped in Python."""
+    ptr = seg_ptr.tolist()
+    pairs = list(zip(seg_backend.tolist(), seg_words.tolist()))
+    segments = [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+    slots, ledger = win.tolist(), acct.tolist()
+    mv = memoryview
+    result = _step(
+        *(mv(c) for c in (op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2)),
+        n_ops.tolist(), mv(abs_idx), mv(t_free), mv(ready), mv(ready_kind),
+        slots, ledger, mv(ins_done), mv(bank_next), mv(out_next), mv(in_next),
+        segments, mv(transfer_done), mv(backend_next),
+        level_lat.tolist(), class_lat.tolist(), out_ports, in_ports, pes_per_tile,
+        banks_per_tile, l2_lat, dma_wpc, ins_prob, ins_seed, now)
+    win[:] = slots
+    acct[:] = ledger
+    return result
+
+
+def _step(
+    # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
+    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
+    # per-PE state
+    abs_idx, t_free,              # memoryviews, as are the shared arrays
+    ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
+    win,                          # per PE, a list of outstanding-op slots
+    acct,                         # per PE, a list of the five ACC_* columns
+    ins_done,                     # last abs idx charged an INS stall
+    # shared memory-system state
+    bank_next,                    # [n_banks]
+    out_next, in_next,            # [(tile * 4 + level) * ports + port]
+    # DMA: per transfer id, its (backend, words) segments; then its
+    # completion cycle (-1 until started) and each backend's next free cycle
+    segments, transfer_done, backend_next,
+    # parameters
+    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
+    l2_lat, dma_wpc, ins_prob, ins_seed, now,
+):
+    """Advance one segment from cycle ``now``, on lists and memoryviews."""
+    n_pe = len(n_ops)
+    n_transfers = len(segments)
+    mask = DEP_RING - 1
+    local_wait = level_lat[0] - 1   # a tile-local request's cycles before the bank
+    # PEs that can act, keyed t_free * n_pe + pe
+    queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
+    heapify(queue)
+    cursor = [0] * n_pe
+    n_arrived = 0
+    parked = {}     # pe: transfer it waits on, which no PE has started yet
+
+    while queue:
+        # the head stays in place until the PE is requeued or dropped
+        now, pe = divmod(queue[0], n_pe)
+        i = cursor[pe]
+        if i >= n_ops[pe]:
+            heappop(queue)
+            continue
+        k = op_kind[pe, i]
+        ai = abs_idx[pe]
+
+        # gates
+        g_lsu = g_raw = g_wfi = now
+        for d in (op_dep1[pe, i], op_dep2[pe, i]):
+            if d:
+                j = (ai - d) & mask
+                rt = ready[pe, j]
+                if ready_kind[pe, j] == K_COMPUTE:
+                    if rt > g_raw:
+                        g_raw = rt
+                elif rt > g_lsu:
+                    g_lsu = rt
+        slots = win[pe]
+        if k == K_LOAD or k == K_STORE:
+            # a free window slot: responses retire in any order
+            m = min(slots)
+            if m > g_lsu:
+                g_lsu = m
+        elif k == K_BARRIER:
+            # memory must drain before synchronizing
+            m = max(slots)
+            if m > g_lsu:
+                g_lsu = m
+        elif k == K_DMA_WAIT:
+            tid = op_arg[pe, i]
+            if tid < 0 or tid >= n_transfers:
+                return now, (FAULT_DMA_UNKNOWN, pe, tid)
+            t_done = transfer_done[tid]
+            if t_done < 0:
+                # off the queue until some PE starts the transfer
+                parked[pe] = tid
+                heappop(queue)
+                continue
+            if t_done > g_wfi:
+                g_wfi = t_done
+
+        t_issue = g_lsu
+        if g_raw > t_issue:
+            t_issue = g_raw
+        if g_wfi > t_issue:
+            t_issue = g_wfi
+
+        # one instruction-fetch stall cycle, decided per op
+        extra_ins = 0
+        if ins_prob > 0.0 and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_prob):
+            extra_ins = 1
+
+        if t_issue + extra_ins > now:
+            # cannot issue this cycle: attribute the whole wait to the
+            # latest gate (LSU beats RAW beats WFI on ties) and jump
+            stall = t_issue - now
+            a = acct[pe]
+            if stall > 0:
+                if g_lsu == t_issue:
+                    a[ACC_LSU] += stall
+                elif g_raw == t_issue:
+                    a[ACC_RAW] += stall
+                else:
+                    a[ACC_WFI] += stall
+            if extra_ins:
+                a[ACC_INS] += 1
+                ins_done[pe] = ai
+            t_free[pe] = t_issue + extra_ins
+            heapreplace(queue, (t_issue + extra_ins) * n_pe + pe)
+            continue
+
+        # ---- issue at now ----
+        t_next = now + 1                # when the PE can act again
+        t_ready = now + 1               # when the op's result is ready
+        n_issued = 1
+        if k == K_LOAD or k == K_STORE:
+            bank = op_bank[pe, i]
+            lvl = op_level[pe, i]
+            if lvl:
+                # outbound port at the source tile for this level
+                sp = (pe // pes_per_tile * 4 + lvl) * out_ports
+                for q in range(sp + 1, sp + out_ports):
+                    if out_next[q] < out_next[sp]:
+                        sp = q
+                t_out = now
+                if out_next[sp] > t_out:
+                    t_out = out_next[sp]
+                out_next[sp] = t_out + 1
+                # inbound port at the destination tile
+                sp = (bank // banks_per_tile * 4 + lvl) * in_ports
+                for q in range(sp + 1, sp + in_ports):
+                    if in_next[q] < in_next[sp]:
+                        sp = q
+                t_in = t_out + level_lat[lvl] - 2
+                if in_next[sp] > t_in:
+                    t_in = in_next[sp]
+                in_next[sp] = t_in + 1
+                serve = t_in + 1
+            else:
+                serve = now + local_wait
+            if bank_next[bank] > serve:
+                serve = bank_next[bank]
+            bank_next[bank] = serve + 1
+            t_ready = serve + 1
+            slots[slots.index(m)] = t_ready
+        elif k == K_COMPUTE:
+            n_issued = op_arg[pe, i]
+            t_next = now + n_issued
+            t_ready = t_next - 1 + class_lat[op_cls[pe, i]]
+        elif k == K_BARRIER:
+            if i != n_ops[pe] - 1:
+                return now, (FAULT_BARRIER_NOT_LAST, pe, i)
+            n_arrived += 1
+        elif k == K_DMA_START:
+            tid = op_arg[pe, i]
+            if tid < 0 or tid >= n_transfers:
+                return now, (FAULT_DMA_UNKNOWN, pe, tid)
+            if transfer_done[tid] >= 0:
+                return now, (FAULT_DMA_RESTART, pe, tid)
+            base_t = now + 1 + l2_lat
+            t_done = base_t
+            for b, words in segments[tid]:
+                end = backend_next[b]
+                if end < base_t:
+                    end = base_t
+                end += (words + dma_wpc - 1) // dma_wpc
+                backend_next[b] = end
+                if end > t_done:
+                    t_done = end
+            transfer_done[tid] = t_done
+            # waiters resume next cycle; their parked cycles are WFI
+            for q in [q for q, t in parked.items() if t == tid]:
+                del parked[q]
+                acct[q][ACC_WFI] += now + 1 - t_free[q]
+                t_free[q] = now + 1
+                heappush(queue, (now + 1) * n_pe + q)
+
+        # shared by every kind; a DMA wait with its gate met needs only this
+        ready[pe, ai & mask] = t_ready
+        ready_kind[pe, ai & mask] = k
+        acct[pe][ACC_ISSUED] += n_issued
+        cursor[pe] = i + 1
+        abs_idx[pe] = ai + 1
+        t_free[pe] = t_next
+        if k != K_BARRIER:
+            heapreplace(queue, t_next * n_pe + pe)
+        elif n_arrived < n_pe:
+            heappop(queue)  # waits off the queue for the release
+        else:
+            # PEs arrive in cycle order, so this last one arrives at now;
+            # each PE waits from its own t_free (its arrival + 1)
+            release = now + 1
+            for q in range(n_pe):
+                acct[q][ACC_WFI] += release - t_free[q]
+                t_free[q] = release
+            return release, None
+
+    if parked:
+        q = min(parked)
+        return now, (FAULT_DMA_NEVER_STARTED, q, parked[q])
+    if n_arrived:
+        # a barrier op ends some streams but not all, so it never releases
+        q = next(q for q in range(n_pe) if not n_ops[q] or op_kind[q, n_ops[q] - 1] != K_BARRIER)
+        return now, (FAULT_BARRIER_PARTIAL, q, n_arrived)
+    # segment without a terminating barrier: PEs end independently, and
+    # the last one popped from the queue finishes last
+    return now, None

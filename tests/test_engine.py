@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import das, desk_default, interleaved, terapool_default
-from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_LOAD, _ins_hit
+from dasim import das, desk_default, engine, interleaved, terapool_default
+from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, K_STORE
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
                           build_transfer, make_chunk, run_packed)
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
+import reference_stepper
+from reference_stepper import _ins_hit
 
 DESK = desk_default()
 
@@ -120,21 +122,79 @@ def test_barrier_wfi():
     assert rep.per_pe["wfi_stall"][2] == 5
 
 
+def _hand_chunk(progs):
+    """A chunk from per-PE op-kind lists, with every other column zero
+    but compute counts, which are 1: a compute op is one ALU issue. PEs
+    past ``progs`` run one ALU issue."""
+    cols = []
+    for pe in range(DESK.n_pes):
+        k = np.array(progs[pe] if pe < len(progs) else [K_COMPUTE], dtype=np.uint8)
+        cols.append({"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
+                     **{c: np.zeros(len(k), np.int32) for c in
+                        ("bank", "level", "dep1", "dep2")}})
+    return make_chunk(cols, DESK.n_pes)
+
+
 @pytest.mark.parametrize("kinds,match", [
     ([K_BARRIER, K_COMPUTE], r"barrier at op 0 not at segment end \(PE 0"),
     ([K_COMPUTE, K_BARRIER], r"barrier reached by 1 PEs, but not this one \(PE 1"),
 ])
 def test_misplaced_barrier_faults(kinds, match):
-    # PE 0 runs ``kinds`` (compute ops are one ALU issue), every other
-    # PE one ALU issue; end_phase cannot write either program
-    cols = []
-    for pe in range(DESK.n_pes):
-        k = np.array(kinds if pe == 0 else [K_COMPUTE], dtype=np.uint8)
-        cols.append({"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
-                     **{c: np.zeros(len(k), np.int32) for c in
-                        ("bank", "level", "dep1", "dep2")}})
+    # PE 0 runs ``kinds``, every other PE one ALU issue; end_phase
+    # cannot write either program
     with pytest.raises(SimulationFault, match=match):
-        run_packed(DESK, EngineParams(), [Phase("a", [make_chunk(cols, DESK.n_pes)])])
+        run_packed(DESK, EngineParams(), [Phase("a", [_hand_chunk([kinds])])])
+
+
+def _shrink_rows(chunk, dma):
+    chunk.cols = {name: col[:-1].copy() for name, col in chunk.cols.items()}
+
+
+def _set(name, pe, i, value):
+    def corrupt(chunk, dma):
+        chunk.cols[name][pe, i] = value
+    return corrupt
+
+
+# one case per check run_packed makes before stepping: each would make
+# the stepper index memory out of bounds. PE 0 loads, computes, stores
+# and starts transfer 0; the fault names the column
+BAD_CHUNKS = {
+    "dtype": (lambda c, d: c.cols.update(arg=c.cols["arg"].astype(np.int64)), "'arg'"),
+    "contiguity": (lambda c, d: c.cols.update(dep1=np.asfortranarray(c.cols["dep1"])),
+                   "'dep1'"),
+    "n_ops-dtype": (lambda c, d: setattr(c, "n_ops", c.n_ops.astype(np.int32)), "'n_ops'"),
+    "n_ops-long": (lambda c, d: c.n_ops.__setitem__(0, c.cols["kind"].shape[1] + 1),
+                   "'n_ops'"),
+    "n_ops-rows": (lambda c, d: setattr(c, "n_ops", c.n_ops[:-1].copy()), "'n_ops'"),
+    "rows": (_shrink_rows, "'kind'"),
+    "kind": (_set("kind", 0, 1, 6), "'kind'"),
+    "bank-high": (_set("bank", 0, 0, DESK.n_banks), "'bank'"),
+    "bank-negative": (_set("bank", 0, 2, -1), "'bank'"),
+    "level": (_set("level", 0, 0, 4), "'level'"),
+    "cls": (_set("cls", 0, 1, 3), "'cls'"),
+    "arg": (_set("arg", 0, 1, 0), "'arg'"),
+    "backend": (lambda c, d: d.append((DESK.n_subgroups, 4)), "backend"),
+    "words": (lambda c, d: d.append((0, 0)), "words"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHUNKS)
+def test_run_packed_rejects_chunks_the_stepper_cannot_take(case):
+    corrupt, column = BAD_CHUNKS[case]
+
+    def run(corrupt):
+        chunk = _hand_chunk([[K_LOAD, K_COMPUTE, K_STORE, K_DMA_START]])
+        chunk.cols["arg"][0, 3] = 0
+        segments = [(1, 8)]
+        corrupt(chunk, segments)
+        tr = DmaTransfer((0, 0), (0, 0), segments=segments)
+        return run_packed(DESK, EngineParams(), [Phase("a", [chunk])], [tr])
+
+    # out-of-range values in ops that do not use the column are fine
+    assert run(_set("bank", 0, 1, -7)).cycles == 4
+    with pytest.raises(ValueError, match=column):
+        run(corrupt)
 
 
 @pytest.mark.parametrize("other_alus,release", [(0, 3), (5, 6)])
@@ -577,6 +637,93 @@ PINNED = [
 def test_random_programs_pinned(seed, barriers, empty, ins_prob, n_dma, digest):
     rep = _pinned_run(seed, barriers, empty, ins_prob, n_dma)
     assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
+
+
+def _oracle_case(seed, ports):
+    """A random plan and its params, for the C stepper against the oracle.
+
+    One or two phases of ``_random_programs``, each ending in a barrier
+    or not, with empty PEs; the second phase's first op on a PE depends
+    on the PE's last op before it. Window 1-5, ``ports`` out and in
+    ports, INS stalls on odd seeds. Transfer t is started by PE t at the
+    end of a phase and waited for by PE t + 1 at the start of that phase
+    or a later one, so the waiter often parks until the start.
+    """
+    rng = np.random.default_rng(seed)
+    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
+                          ins_stall_prob=0.3 * (seed % 2), ins_seed=seed % 2 * seed)
+    n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(0, 4))
+    transfers = [DmaTransfer((0, 0), (0, 0), segments=[
+        (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
+        for _ in range(int(rng.integers(1, 4)))]) for _ in range(n_dma)]
+    start = [int(rng.integers(0, n_phases)) for _ in transfers]
+    wait = [int(rng.integers(s, n_phases)) for s in start]
+    pb = PlanBuilder(DESK, "interleaved")
+    pb.transfers.extend(transfers)
+    for ph in range(n_phases):
+        progs = _random_programs(rng, 8)
+        for pe in rng.choice(8, int(rng.integers(0, 3)), replace=False):
+            progs[pe] = []
+        pb.begin_phase(f"p{ph}")
+        for pe, (stream, prog) in enumerate(zip(pb.streams, progs)):
+            if ph and stream.n:
+                stream.compute(C_ALU, 1, (stream.n - 1,))
+            for t in range(n_dma):
+                if wait[t] == ph and (t + 1) % 8 == pe:
+                    stream.dma_wait(t)
+            shift = stream.n
+            for method, *args in prog:
+                if method == "compute":
+                    args[2] = tuple(d + shift for d in args[2])
+                getattr(stream, method)(*args)
+            for t in range(n_dma):
+                if start[t] == ph and t == pe:
+                    stream.dma_start(t)
+        pb.end_phase(bool(rng.integers(0, 2)))
+    return pb.build("test", "", 1, {}), params
+
+
+def _outcome(run):
+    try:
+        return run().to_json_str()
+    except SimulationFault as e:
+        return f"fault: {e}"
+
+
+def _under_both_steppers(monkeypatch, run):
+    """``run()``'s report JSON or fault text, with the C stepper and the oracle."""
+    c = _outcome(run)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "step_segment", reference_stepper.step_segment)
+        return c, _outcome(run)
+
+
+@pytest.mark.parametrize("ports", [1, 3])
+def test_c_stepper_matches_oracle(monkeypatch, ports):
+    for seed in range(150):
+        plan, params = _oracle_case(seed, ports)
+        c, oracle = _under_both_steppers(monkeypatch, lambda: run_plan(plan, params))
+        assert c == oracle, f"seed {seed}"
+
+
+_TR = build_transfer(DESK, [], (0, 32), (0, 32))
+FAULT_CASES = {
+    "restart": lambda: simulate([[("dma_start", 0), ("dma_start", 0)]], transfers=[_TR]),
+    "unknown": lambda: simulate([[("compute", C_ALU, 2), ("dma_wait", 3)]]),
+    "not-last": lambda: run_packed(DESK, EngineParams(), [
+        Phase("a", [_hand_chunk([[K_COMPUTE], [K_BARRIER, K_COMPUTE]])])]),
+    "never-started": lambda: simulate([[("compute", C_ALU, 3)], [("dma_wait", 0)]],
+                                      barrier=True, transfers=[_TR]),
+    "partial": lambda: run_packed(DESK, EngineParams(), [
+        Phase("a", [_hand_chunk([[K_COMPUTE, K_BARRIER]] * 2)])]),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_CASES)
+def test_c_stepper_faults_like_oracle(monkeypatch, case):
+    c, oracle = _under_both_steppers(monkeypatch, FAULT_CASES[case])
+    assert c.startswith("fault: ")
+    assert c == oracle
 
 
 @settings(max_examples=15, deadline=None)
