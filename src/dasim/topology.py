@@ -117,7 +117,7 @@ def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
     Counts down from REMOTE once for each of group, subgroup and tile
     that the PE and the bank share (a shared tile implies a shared
     subgroup, which implies a shared group). Ids are not range-checked:
-    they come from end_phase's PE loop and resolve_array's banks.
+    they come from end_phase's batch PE column and resolve_array's banks.
     """
     pt = np.asarray(pes) // topo.pes_per_tile
     bt = np.asarray(banks) // topo.banks_per_tile

@@ -1,0 +1,68 @@
+"""Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s batches.
+
+``end_phase`` here is the packer ``PlanBuilder.end_phase`` replaced: it
+writes the barrier through ``PeStream._push``, then for one PE at a time
+concatenates the stream's segments, resolves its addresses, classifies
+their levels, counts its ops and copies its row into the chunk. It takes
+the method's arguments, so a test swaps it in with
+``monkeypatch.setattr(PlanBuilder, "end_phase", end_phase)`` and builds
+plans unchanged under both.
+"""
+
+import numpy as np
+
+from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
+from dasim.engine import _COLS, PackedChunk, Phase, SimulationFault
+from dasim.kernels.plan import C_MAC, STREAM_COLS
+from dasim.remap import resolve_array
+from dasim.topology import access_levels
+
+
+def take(stream) -> dict:
+    """A stream's accumulated ops as one array per column, cleared from it."""
+    segs = stream.segments()
+    return {k: np.concatenate([s[k] for s in segs]) if segs else np.zeros(0, dtype=d)
+            for k, d in STREAM_COLS.items()}
+
+
+def _pack(columns, n_pe):
+    n_ops = np.array([len(c["kind"]) for c in columns], dtype=np.int64)
+    cap = max(1, int(n_ops.max()))
+    cols = {name: np.zeros((n_pe, cap), dtype=dtype) for name, dtype in _COLS.items()}
+    for pe, c in enumerate(columns):
+        n = n_ops[pe]
+        if n:
+            for name in _COLS:
+                cols[name][pe, :n] = c[name]
+    return PackedChunk(cols=cols, n_ops=n_ops)
+
+
+def end_phase(self, barrier=True):
+    name = self._phase_name
+    if name is None:
+        raise RuntimeError("no phase open")
+    self._phase_name = None
+    regions = self.heap.das_regions()
+    columns = []
+    for pe, stream in enumerate(self.streams):
+        if barrier:
+            stream._push(K_BARRIER, 0, 0, 0, ())
+        col = take(stream)
+        addr = col.pop("addr")
+        kind = col["kind"]
+        mem = (kind == K_LOAD) | (kind == K_STORE)
+        col["bank"] = np.zeros(len(kind), dtype=np.int32)
+        col["level"] = np.zeros(len(kind), dtype=np.uint8)
+        if mem.any():
+            try:
+                b, _ = resolve_array(self.topo, regions, addr[mem])
+            except ValueError as e:
+                raise SimulationFault(f"PE {pe}, phase {name!r}: {e}") from e
+            col["bank"][mem] = b
+            col["level"][mem] = access_levels(self.topo, pe, b)
+        is_comp = kind == K_COMPUTE
+        self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
+        self._counts["loads"] += int((kind == K_LOAD).sum())
+        self._counts["stores"] += int((kind == K_STORE).sum())
+        columns.append(col)
+    self.phases.append(Phase(name=name, chunks=[_pack(columns, self.topo.n_pes)]))

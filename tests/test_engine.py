@@ -10,8 +10,10 @@ from dasim import das, desk_default, engine, interleaved, terapool_default
 from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, K_STORE
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
                           build_transfer, make_chunk, run_packed)
+from dasim.kernels import plan
 from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
 from reference_dma import DmaState, dma_advance
+from reference_pack import take
 import reference_stepper
 from reference_stepper import _ins_hit
 
@@ -126,13 +128,13 @@ def _hand_chunk(progs):
     """A chunk from per-PE op-kind lists, with every other column zero
     but compute counts, which are 1: a compute op is one ALU issue. PEs
     past ``progs`` run one ALU issue."""
-    cols = []
-    for pe in range(DESK.n_pes):
-        k = np.array(progs[pe] if pe < len(progs) else [K_COMPUTE], dtype=np.uint8)
-        cols.append({"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
-                     **{c: np.zeros(len(k), np.int32) for c in
-                        ("bank", "level", "dep1", "dep2")}})
-    return make_chunk(cols, DESK.n_pes)
+    kinds = [progs[pe] if pe < len(progs) else [K_COMPUTE] for pe in range(DESK.n_pes)]
+    n_ops = np.array([len(ks) for ks in kinds], dtype=np.int64)
+    k = np.array([op for ks in kinds for op in ks], dtype=np.uint8)
+    cols = {"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
+            **{c: np.zeros(len(k), np.int32) for c in ("bank", "level", "dep1", "dep2")}}
+    pos = np.concatenate([np.arange(n) for n in n_ops])
+    return make_chunk(n_ops, [(np.repeat(np.arange(DESK.n_pes), n_ops), pos, cols)])
 
 
 @pytest.mark.parametrize("kinds,match", [
@@ -213,10 +215,22 @@ def test_dependence_across_barrier(other_alus, release):
     assert rep.cycles == 13
 
 
-@pytest.mark.parametrize("pe", [0, 3])
-def test_unresolvable_address_faults(pe):
-    progs = [[("load", 0)] for _ in range(pe)] + [[("load", DESK.total_bytes + 4)]]
-    with pytest.raises(SimulationFault, match=f"PE {pe}"):
+GOOD, BAD = ("load", 0), ("load", DESK.total_bytes + 4)
+
+
+@pytest.mark.parametrize("progs,batch_ops,pe", [
+    ([[BAD]], None, 0),
+    ([[GOOD]] * 3 + [[BAD]], None, 3),
+    # two ops per PE, two per batch: PE 5 is the sixth batch
+    ([[GOOD, GOOD]] * 5 + [[GOOD, BAD]], 2, 5),
+    # PEs 2 and 4 in one batch: the lower one is named, with its address
+    ([[GOOD], [GOOD], [GOOD, BAD], [GOOD], [("load", DESK.total_bytes + 8)]], None, 2),
+], ids=["0", "3", "later-batch", "two-in-one-batch"])
+def test_unresolvable_address_faults(monkeypatch, progs, batch_ops, pe):
+    if batch_ops:
+        monkeypatch.setattr(plan, "BATCH_OPS", batch_ops)
+    text = f"PE {pe}, phase 'run': address 0x{DESK.total_bytes + 4:x} outside L1"
+    with pytest.raises(SimulationFault, match=f"^{text}$"):
         simulate(progs)
 
 
@@ -255,7 +269,7 @@ def test_stream_extend_keeps_its_own_copy():
     s.extend(*cols)
     for c in cols:
         c[:] = 1
-    got = s.take()
+    got = take(s)
     assert got["kind"].tolist() == [K_LOAD] * 3
     assert got["addr"].tolist() == [0, 4, 8]
     for name in ("cls", "arg", "dep1", "dep2"):

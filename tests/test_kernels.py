@@ -8,6 +8,7 @@ from dasim.kernels.gemm import gen_gemm
 from dasim.kernels.gemv import gen_gemv
 from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, ShapeError,
                                 emit_reduction, group_window_cfg)
+from reference_pack import take
 
 DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
 
@@ -74,7 +75,7 @@ def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
         st.compute(C_ALU)       # the reduction need not open the stream
     emit_reduction(bulk, loads, macs, dep_cols, out_addr, setup)
     _reduction_op_by_op(ref, loads, macs, dep_cols, out_addr, setup)
-    got, want = bulk.take(), ref.take()
+    got, want = take(bulk), take(ref)
     for name in STREAM_COLS:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
