@@ -1,6 +1,6 @@
 /* Cycle-stepped core of the simulator: step_segment, loaded by _stepper.py.
  *
- * The op kinds (K_*), accounting columns (ACC_*), fault codes (FAULT_*)
+ * The op kinds (K_*), ledger columns and width (ACC_*), fault codes (FAULT_*)
  * and DEP_RING are defined in _stepper.py only and arrive as -D macros.
  * Every array is C-contiguous and int64 unless typed otherwise; the
  * caller checks sizes and index ranges before the call.
@@ -56,7 +56,7 @@ void step_segment(
     const int32_t *op_bank, const uint8_t *op_level, const uint16_t *op_dep1,
     const uint16_t *op_dep2, const int64_t *n_ops,
     /* per-PE state; ready and ready_kind are [n_pe, DEP_RING], win and
-     * acct [n_pe, window] and [n_pe, 5] */
+     * acct [n_pe, window] and [n_pe, ACC_WIDTH] */
     int64_t *abs_idx, int64_t *t_free, int64_t *ready, uint8_t *ready_kind,
     int64_t *win, int64_t *acct, int64_t *ins_done,
     /* shared memory-system state */
@@ -100,7 +100,7 @@ void step_segment(
         int64_t o = pe * row + i;
         int k = op_kind[o];
         int64_t ai = abs_idx[pe];
-        int64_t *a = acct + pe * 5;
+        int64_t *a = acct + pe * ACC_WIDTH;
 
         /* gates */
         int64_t g_lsu = now, g_raw = now, g_wfi = now;
@@ -261,7 +261,7 @@ void step_segment(
                 if (parked[q] == tid) {
                     parked[q] = -1;
                     n_parked--;
-                    acct[q * 5 + ACC_WFI] += now + 1 - t_free[q];
+                    acct[q * ACC_WIDTH + ACC_WFI] += now + 1 - t_free[q];
                     t_free[q] = now + 1;
                     queue[n_queued] = (now + 1) * n_pe + q;
                     sift_up(queue, n_queued++);
@@ -289,7 +289,7 @@ void step_segment(
              * each PE waits from its own t_free (its arrival + 1) */
             int64_t release = now + 1;
             for (q = 0; q < n_pe; q++) {
-                acct[q * 5 + ACC_WFI] += release - t_free[q];
+                acct[q * ACC_WIDTH + ACC_WFI] += release - t_free[q];
                 t_free[q] = release;
             }
             out[0] = release;

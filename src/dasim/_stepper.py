@@ -10,8 +10,8 @@ rebuilds it. A missing compiler or a failed build raises ImportError;
 there is no Python fallback here. The Python stepper the C one was
 ported from is kept as the test oracle, ``tests/reference_stepper.py``.
 
-The op kinds, accounting columns, fault codes and DEP_RING below are the
-only definitions: the build passes them to the C file as -D macros.
+The op kinds, ledger columns and width, fault codes and DEP_RING below
+are the only definitions: the build passes them to the C file as -D macros.
 
 PEs are taken from a priority queue in (t_free, pe) order, so a PE is
 visited only at the cycle it can next act: it leaves the queue while it
@@ -49,6 +49,7 @@ ACC_LSU = 1
 ACC_RAW = 2
 ACC_INS = 3
 ACC_WFI = 4
+ACC_WIDTH = 5       # columns of the ledger; report.LEDGER names them
 
 DEP_RING = 4096
 
@@ -114,7 +115,7 @@ def step_segment(
     abs_idx, t_free,
     ready, ready_kind,            # dep rings [n_pe, DEP_RING]
     win,                          # [n_pe, window] outstanding-op slots
-    acct,                         # [n_pe, 5] ACC_* columns of this segment
+    acct,                         # [n_pe, ACC_WIDTH] ledger of this segment
     ins_done,                     # last abs idx charged an INS stall
     # shared memory-system state
     bank_next,                    # [n_banks]

@@ -13,8 +13,7 @@ number of ports per hierarchy level. Each bank and port keeps one
 next-free cycle, so it serves requests in booking order (issue cycle,
 then PE id), not arrival order: a request booked later waits behind
 every earlier booking, even when it reaches an idle bank first. Every
-cycle of every PE ends up in exactly one accounting bucket: issued, LSU,
-RAW, INS or WFI.
+cycle of every PE ends up in exactly one bucket of report.LEDGER.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -23,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _stepper
-from ._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI,
-                       DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE, step_segment)
+from ._stepper import (ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE,
+                       step_segment)
 from .remap import MapConfig, resolve_array
-from .report import PhaseStats, SimReport
+from .report import PE_KEYS, PhaseStats, SimReport
 from .topology import ClusterTopology
 
 
@@ -265,20 +264,20 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
 
     ``dma`` lists the transfers; a transfer's id is its index there.
     Each phase's chunk is checked, then stepped by one step_segment
-    call, which writes that phase's [n_pe, 5] ledger.
+    call, which writes that phase's [n_pe, ACC_WIDTH] ledger.
     """
     seg_ptr, seg_backend, seg_words = _flat_segments(topo, dma)
     st = _State(topo, params, len(dma))
     n_pe = topo.n_pes
     level_lat = np.array(topo.level_latency, dtype=np.int64)
     class_lat = params.class_latency()
-    totals = np.zeros((n_pe, 5), dtype=np.int64)
+    totals = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
     phase_rows = []
     clock = 0
     for phase in phases:
         (chunk,) = phase.chunks
         _check_chunk(topo, chunk)
-        acct = np.zeros((n_pe, 5), dtype=np.int64)
+        acct = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
         start = clock
         clock, fault = step_segment(
             *(chunk.cols[c] for c in _COLS), chunk.n_ops,
@@ -297,24 +296,13 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
                 f"phase {phase.name!r}, cycle {clock})")
         totals += acct
         st.t_free[:] = clock
-        phase_rows.append(PhaseStats(
-            name=phase.name, start=start, end=clock,
-            issued=int(acct[:, ACC_ISSUED].sum()), lsu=int(acct[:, ACC_LSU].sum()),
-            raw=int(acct[:, ACC_RAW].sum()), ins=int(acct[:, ACC_INS].sum()),
-            wfi=int(acct[:, ACC_WFI].sum())))
+        phase_rows.append(PhaseStats(phase.name, start, clock, *acct.sum(axis=0).tolist()))
         # idle fill so every PE's ledger covers the common phase end
         gap = clock - start - acct.sum(axis=1)
         totals[:, ACC_WFI] += gap
-    per_pe = {
-        "cycles_total": np.full(n_pe, clock, dtype=np.int64),
-        "instr_issued": totals[:, ACC_ISSUED].copy(),
-        "lsu_stall": totals[:, ACC_LSU].copy(),
-        "raw_stall": totals[:, ACC_RAW].copy(),
-        "ins_stall": totals[:, ACC_INS].copy(),
-        "wfi_stall": totals[:, ACC_WFI].copy(),
-    }
+    per_pe = {"cycles_total": np.full(n_pe, clock, dtype=np.int64),
+              **{k: totals[:, i].copy() for i, k in enumerate(PE_KEYS)}}
     return SimReport(
-        topology={**asdict(topo), "level_latency": list(topo.level_latency)},
-        params=asdict(params),
+        topology=asdict(topo), params=asdict(params),
         meta=meta or {}, cycles=clock, per_pe=per_pe, phases=phase_rows,
         alloc_events=alloc_events or [])

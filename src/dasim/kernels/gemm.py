@@ -23,7 +23,11 @@ def pad_odd(words: int) -> int:
     return words | 1
 
 
-def gemm_geometry(topo: ClusterTopology, M: int, P: int, n_parallel: int) -> dict:
+def gemm_geometry(topo: ClusterTopology, M: int, N: int, P: int,
+                  n_parallel: int) -> dict:
+    for name, n in (("M", M), ("N", N), ("P", P)):
+        if n < 1:
+            raise ShapeError(f"{name}={n} must be at least 1")
     if M % 4 or P % 4:
         raise ShapeError(f"M={M} and P={P} must be multiples of 4 (4x4 windows)")
     if n_parallel < 1 or n_parallel & (n_parallel - 1):
@@ -56,7 +60,7 @@ def pe_work_items(topo: ClusterTopology, geom: dict, pe: int) -> list:
 
 def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
              scheme: str) -> KernelPlan:
-    geom = gemm_geometry(topo, M, P, n_parallel)
+    geom = gemm_geometry(topo, M, N, P, n_parallel)
     tiles_per_prob = geom["tiles_per_prob"]
     wb = topo.word_bytes
     blocks_per_tile = -(-geom["blocks"] // tiles_per_prob)

@@ -26,6 +26,9 @@ def _two_adic(n: int) -> int:
 
 
 def gemv_geometry(topo: ClusterTopology, M: int, N: int, n_parallel: int) -> dict:
+    for name, n in (("M", M), ("N", N)):
+        if n < 1:
+            raise ShapeError(f"{name}={n} must be at least 1")
     if M % 4:
         raise ShapeError(f"M={M} must be a multiple of 4 (4-row blocks); pad the output")
     if n_parallel < 1 or n_parallel & (n_parallel - 1):

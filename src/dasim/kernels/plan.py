@@ -244,7 +244,7 @@ class PlanBuilder:
     def alloc(self, name: str, size_bytes: int, folding: MapConfig) -> Operand:
         """Allocate an operand region; folding applies under 'das' only.
 
-        Charges the allocator's configuration cost to PE 0 as issued work
+        Charges the allocator's configuration cost to PE 0 as ALU work
         inside the current phase.
         """
         if self._phase_name is None:

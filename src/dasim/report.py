@@ -1,35 +1,30 @@
-"""Simulation reports: per-PE stall ledgers, phase breakdowns, tables.
+"""Simulation reports: per-PE cycle ledgers, phase breakdowns, tables.
 
-A report serializes losslessly to JSON, dumps per-PE rows as CSV and
-renders an aggregate markdown table with the usual benchmark columns
-(mapping scheme, workload dimension, parallel count, utilization,
-speedup).
+A report serializes to JSON and renders an aggregate markdown table with
+the usual benchmark columns (mapping scheme, workload dimension, parallel
+count, utilization, speedup) and plot-ready stacked-bar rows.
 """
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-STALL_FIELDS = ("instr_issued", "lsu_stall", "raw_stall", "ins_stall", "wfi_stall")
+# The cycle ledger: every cycle of every PE lands in one bucket. One row
+# per bucket, in the stepper's ACC_* column order: its per-PE report key
+# and its PhaseStats field. Issued work comes first, then the stalls.
+LEDGER = (("instr_issued", "issued"), ("lsu_stall", "lsu"), ("raw_stall", "raw"),
+          ("ins_stall", "ins"), ("wfi_stall", "wfi"))
+PE_KEYS, BUCKETS = (tuple(col) for col in zip(*LEDGER))
 
-
-@dataclass
-class PhaseStats:
-    name: str
-    start: int
-    end: int
-    issued: int
-    lsu: int
-    raw: int
-    ins: int
-    wfi: int
-
-    @property
-    def cycles(self) -> int:
-        return self.end - self.start
+# one phase's span and its ledger summed over PEs
+PhaseStats = make_dataclass(
+    "PhaseStats", [("name", str), ("start", int), ("end", int),
+                   *((b, int) for b in BUCKETS)],
+    namespace={"__module__": __name__,
+               "cycles": property(lambda self: self.end - self.start)})
 
 
 @dataclass
@@ -46,45 +41,37 @@ class SimReport:
 
     @property
     def n_pe(self) -> int:
-        return len(self.per_pe["instr_issued"])
+        return len(self.per_pe["cycles_total"])
 
     @property
     def utilization(self) -> float:
         """Mean IPC: fraction of issue slots carrying an instruction."""
         if self.cycles == 0:
             return 0.0
-        return float(self.per_pe["instr_issued"].sum()) / (self.n_pe * self.cycles)
+        return float(self.per_pe[PE_KEYS[0]].sum()) / (self.n_pe * self.cycles)
 
     def check_conservation(self) -> None:
-        total = sum(self.per_pe[f] for f in STALL_FIELDS)
+        total = sum(self.per_pe[k] for k in PE_KEYS)
         if not np.array_equal(total, self.per_pe["cycles_total"]):
             bad = int(np.nonzero(total != self.per_pe["cycles_total"])[0][0])
             raise AssertionError(
                 f"stall accounting leak on PE {bad}: "
-                f"{[int(self.per_pe[f][bad]) for f in STALL_FIELDS]} vs "
+                f"{[int(self.per_pe[k][bad]) for k in PE_KEYS]} vs "
                 f"{int(self.per_pe['cycles_total'][bad])}")
 
     def stage_rows(self) -> list:
         """Phases merged by name, in order of first appearance."""
-        order, merged = [], {}
+        merged = {}
         for ph in self.phases:
-            if ph.name not in merged:
-                merged[ph.name] = {"name": ph.name, "cycles": 0, "issued": 0,
-                                   "lsu": 0, "raw": 0, "ins": 0, "wfi": 0}
-                order.append(ph.name)
-            m = merged[ph.name]
+            m = merged.setdefault(ph.name, {"name": ph.name, "cycles": 0,
+                                            **dict.fromkeys(BUCKETS, 0)})
             m["cycles"] += ph.cycles
-            for f in ("issued", "lsu", "raw", "ins", "wfi"):
-                m[f] += getattr(ph, f)
-        rows = []
-        for name in order:
-            m = merged[name]
+            for b in BUCKETS:
+                m[b] += getattr(ph, b)
+        for m in merged.values():
             slots = m["cycles"] * self.n_pe
-            m["utilization"] = m["issued"] / slots if slots else 0.0
-            rows.append(m)
-        return rows
-
-    # -- serialization -------------------------------------------------------
+            m["utilization"] = m[BUCKETS[0]] / slots if slots else 0.0
+        return list(merged.values())
 
     def to_json(self) -> dict:
         return {
@@ -103,30 +90,6 @@ class SimReport:
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SimReport":
-        if d.get("schema") != "dasim-report-v1":
-            raise ValueError(f"not a report file (schema {d.get('schema')!r})")
-        return cls(
-            topology=d["topology"], params=d["params"], meta=d["meta"],
-            cycles=d["cycles"],
-            per_pe={k: np.array(v, dtype=np.int64) for k, v in d["per_pe"].items()},
-            phases=[PhaseStats(**p) for p in d["phases"]],
-            alloc_events=d.get("alloc_events", []),
-            speedup=d.get("speedup"), baseline=d.get("baseline"))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["pe", "cycles_total"] + list(STALL_FIELDS) + ["ipc"])
-            ct = self.per_pe["cycles_total"]
-            for pe in range(self.n_pe):
-                issued = int(self.per_pe["instr_issued"][pe])
-                total = int(ct[pe])
-                w.writerow([pe, total] +
-                           [int(self.per_pe[f][pe]) for f in STALL_FIELDS] +
-                           [round(issued / total, 6) if total else 0.0])
 
 
 def markdown_table(reports: Sequence[SimReport]) -> str:
@@ -147,7 +110,7 @@ def markdown_table(reports: Sequence[SimReport]) -> str:
 
 
 def stacked_bar_rows(reports: Sequence[SimReport]) -> list:
-    """Phase x stall-category fractions, one row per (run, stage).
+    """Phase x ledger-bucket fractions, one row per (run, stage).
 
     Plot-ready: fractions of the stage's issue slots spent issuing or in
     each stall class.
@@ -158,27 +121,18 @@ def stacked_bar_rows(reports: Sequence[SimReport]) -> list:
             slots = m["cycles"] * r.n_pe
             if slots == 0:
                 continue
-            rows.append({
-                "scheme": r.meta.get("scheme", "?"),
-                "kernel": r.meta.get("kernel", "?"),
-                "stage": m["name"],
-                "cycles": m["cycles"],
-                "issued_frac": m["issued"] / slots,
-                "lsu_frac": m["lsu"] / slots,
-                "raw_frac": m["raw"] / slots,
-                "ins_frac": m["ins"] / slots,
-                "wfi_frac": m["wfi"] / slots,
-            })
+            rows.append({"scheme": r.meta.get("scheme", "?"),
+                         "kernel": r.meta.get("kernel", "?"),
+                         "stage": m["name"], "cycles": m["cycles"],
+                         **{f"{b}_frac": m[b] / slots for b in BUCKETS}})
     return rows
 
 
 def write_stacked_bar_csv(path, reports: Sequence[SimReport]) -> None:
-    rows = stacked_bar_rows(reports)
-    cols = ["scheme", "kernel", "stage", "cycles", "issued_frac", "lsu_frac",
-            "raw_frac", "ins_frac", "wfi_frac"]
+    cols = ["scheme", "kernel", "stage", "cycles", *(f"{b}_frac" for b in BUCKETS)]
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=cols)
         w.writeheader()
-        for row in rows:
+        for row in stacked_bar_rows(reports):
             w.writerow({k: (round(v, 6) if isinstance(v, float) else v)
                         for k, v in row.items()})

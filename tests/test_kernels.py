@@ -21,6 +21,12 @@ DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
     ((32, 32, 32), 32, "exceeds 16 tiles"),
     ((4, 64, 260), 4, "row bits"),              # B's folded group window
     ((64, 1100, 4), 1, "row bits"),             # A's folded tile window
+    ((0, 8, 8), 1, "M=0 must be at least 1"),
+    ((8, 0, 8), 1, "N=0 must be at least 1"),
+    ((8, 8, 0), 1, "P=0 must be at least 1"),
+    ((-4, 8, 8), 1, "M=-4 must be at least 1"),
+    ((8, -1, 8), 1, "N=-1 must be at least 1"),
+    ((8, 8, -4), 1, "P=-4 must be at least 1"),
 ])
 def test_gemm_shape_errors(shape, n_parallel, match):
     with pytest.raises(ShapeError, match=match):
@@ -32,6 +38,10 @@ def test_gemm_shape_errors(shape, n_parallel, match):
     ((64, 64), 3, "power of two"),
     ((64, 64), 128, "exceeds 64 PEs"),
     ((4, 32), 1, "divide across 64 groups"),    # one PE per group: N=32 over 64
+    ((0, 64), 1, "M=0 must be at least 1"),
+    ((64, 0), 1, "N=0 must be at least 1"),
+    ((-4, 64), 1, "M=-4 must be at least 1"),
+    ((64, -64), 1, "N=-64 must be at least 1"),
 ])
 def test_gemv_shape_errors(shape, n_parallel, match):
     with pytest.raises(ShapeError, match=match):

@@ -1,10 +1,11 @@
 import csv
-import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dasim.report import (PhaseStats, SimReport, markdown_table,
+from dasim import _stepper
+from dasim.report import (LEDGER, PhaseStats, SimReport, markdown_table,
                           write_stacked_bar_csv)
 
 
@@ -51,24 +52,21 @@ def test_stacked_bar_csv_merges_stages_and_skips_empty_ones(tmp_path):
     ]
 
 
-def test_per_pe_csv(tmp_path):
-    path = tmp_path / "pes.csv"
-    two_pe_report("das").write_csv(path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows == [
-        ["pe", "cycles_total", "instr_issued", "lsu_stall", "raw_stall",
-         "ins_stall", "wfi_stall", "ipc"],
-        ["0", "10", "6", "2", "1", "0", "1", "0.6"],
-        ["1", "10", "4", "0", "0", "1", "5", "0.4"],
-    ]
+def test_ledger_follows_the_stepper_columns():
+    # each bucket's stepper column, per-PE report key and PhaseStats field
+    buckets = [("ACC_ISSUED", "instr_issued", "issued"),
+               ("ACC_LSU", "lsu_stall", "lsu"), ("ACC_RAW", "raw_stall", "raw"),
+               ("ACC_INS", "ins_stall", "ins"), ("ACC_WFI", "wfi_stall", "wfi")]
+    assert len(LEDGER) == _stepper.ACC_WIDTH
+    assert [getattr(_stepper, acc) for acc, _, _ in buckets] == list(range(len(buckets)))
+    assert LEDGER == tuple((key, name) for _, key, name in buckets)
+    assert [f.name for f in fields(PhaseStats)] == ["name", "start", "end",
+                                                    *(name for _, name in LEDGER)]
 
 
-def test_json_round_trip():
-    r = two_pe_report("das", speedup=1.25)
+def test_conservation_names_the_leaking_pe():
+    r = two_pe_report("das")
     r.check_conservation()
-    back = SimReport.from_json(json.loads(r.to_json_str()))
-    assert back.to_json_str() == r.to_json_str()
-    assert SimReport.from_json(r.to_json()).to_json_str() == r.to_json_str()
-    with pytest.raises(ValueError):
-        SimReport.from_json({**r.to_json(), "schema": "other"})
+    r.per_pe["wfi_stall"][1] -= 1
+    with pytest.raises(AssertionError, match="leak on PE 1:"):
+        r.check_conservation()
