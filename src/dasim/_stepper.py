@@ -51,7 +51,10 @@ ACC_INS = 3
 ACC_WFI = 4
 ACC_WIDTH = 5       # columns of the ledger; report.LEDGER names them
 
-DEP_RING = 4096
+# ops per PE whose result the stepper keeps, a power of two (the index is a
+# mask) above any dependence distance PeStream admits; the kernels' longest
+# is 16 (gemm, desk 32^3 to tp 256^3) and gemv's 11 (desk 64^2, tp 256^2)
+DEP_RING = 256
 
 # fault codes
 FAULT_DMA_RESTART = 1
@@ -62,7 +65,6 @@ FAULT_BARRIER_PARTIAL = 5
 
 CFLAGS = ("-O2", "-shared", "-fPIC")
 _HERE = os.path.dirname(os.path.abspath(__file__))
-_M64 = (1 << 64) - 1
 
 
 def _defines() -> list:
@@ -107,48 +109,34 @@ _c_step.argtypes = ([ctypes.c_void_p] * 27 + [ctypes.c_int64] * 10
                     + [ctypes.c_uint64] * 2 + [ctypes.c_int64])
 _c_step.restype = None
 
+# the packed per-op columns in step_segment's order, with the dtypes it reads
+COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "bank": np.int32,
+        "level": np.uint8, "dep1": np.uint16, "dep2": np.uint16}
 
-def step_segment(
-    # per-op columns of the segment [n_pe, L]; ops per PE
-    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
-    # per-PE state
-    abs_idx, t_free,
-    ready, ready_kind,            # dep rings [n_pe, DEP_RING]
-    win,                          # [n_pe, window] outstanding-op slots
-    acct,                         # [n_pe, ACC_WIDTH] ledger of this segment
-    ins_done,                     # last abs idx charged an INS stall
-    # shared memory-system state
-    bank_next,                    # [n_banks]
-    out_next, in_next,            # [(tile * 4 + level) * ports + port]
-    # DMA: transfer t's (backend, words) segments are entries
-    # seg_ptr[t]:seg_ptr[t + 1]; then each transfer's completion cycle
-    # (-1 until started) and each backend's next free cycle
-    seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
-    # parameters
-    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
-    l2_lat, dma_wpc, ins_prob, ins_seed, now,
-):
-    """Advance one segment from cycle ``now``, updating the state in place.
 
-    Every array is a C-contiguous numpy array: uint8 op_kind, op_cls,
-    op_level and ready_kind, int32 op_arg and op_bank, uint16 op_dep1
-    and op_dep2, and int64 for the rest. The caller checks the chunk's
-    index ranges. The segment ends in a barrier when its streams end in
-    a barrier op. Returns ``(now, None)`` with the cycle the segment
-    ended (the barrier's release, or else the last PE's finish), or the
-    cycle of a fault and ``(FAULT_*, pe, detail)``.
+def step_segment(chunk, acct, st, now):
+    """Advance one segment from cycle ``now``, updating ``st`` in place.
+
+    ``chunk`` is the segment's engine.PackedChunk, whose COLS arrays are
+    [n_pe, L]; ``acct`` is the segment's [n_pe, ACC_WIDTH] int64 ledger;
+    ``st`` is the run's engine._State, which holds every other array and
+    parameter the C call takes, already converted. The caller checks the
+    chunk's dtypes and index ranges. The segment ends in a barrier when
+    its streams end in a barrier op. Returns ``(now, None)`` with the
+    cycle the segment ended (the barrier's release, or else the last PE's
+    finish), or the cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
-    n_pe, row = op_kind.shape
+    n_pe, row = chunk.cols["kind"].shape
     work = np.empty(3 * n_pe, dtype=np.int64)
     out = np.empty(4, dtype=np.int64)
-    buffers = (op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
-               abs_idx, t_free, ready, ready_kind, win, acct, ins_done,
-               bank_next, out_next, in_next,
-               seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
-               level_lat, class_lat, work, out)
+    buffers = (*(chunk.cols[c] for c in COLS), chunk.n_ops,
+               st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
+               st.bank_next, st.out_next, st.in_next,
+               st.seg_ptr, st.seg_backend, st.seg_words, st.transfer_done, st.backend_next,
+               st.level_lat, st.class_lat, work, out)
     _c_step(*[b.ctypes.data for b in buffers],
-            n_pe, row, win.shape[1], len(transfer_done), out_ports, in_ports,
-            pes_per_tile, banks_per_tile, l2_lat, dma_wpc,
-            int(ins_prob * (1 << 53)), ins_seed & _M64, now)
+            n_pe, row, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
+            st.pes_per_tile, st.banks_per_tile, st.l2_lat, st.dma_wpc,
+            st.ins_thresh, st.ins_seed, now)
     now, code, pe, detail = out.tolist()
     return now, (code, pe, detail) if code else None

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _stepper
-from ._stepper import (ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE,
+from ._stepper import (ACC_WFI, ACC_WIDTH, COLS as _COLS, DEP_RING, K_COMPUTE, K_DMA_WAIT,
                        step_segment)
 from .remap import MapConfig, resolve_array
 from .report import PE_KEYS, PhaseStats, SimReport
@@ -44,25 +44,23 @@ class EngineParams:
     in_ports: int = 1               # per tile, per level, requests/cycle in
     dma_words_per_cycle: int = 4    # per backend
     l2_latency: int = 100           # transfer initiation
-    alloc_cost: int = ALLOC_COST    # reported only; PlanBuilder charges ALLOC_COST
+    alloc_cost: int = ALLOC_COST    # reported; must be ALLOC_COST, charged at plan time
     ins_stall_prob: float = 0.0
     ins_seed: int = 0
 
     def __post_init__(self):
-        for name in ("window", "lat_alu", "lat_mac", "lat_div", "dma_words_per_cycle"):
+        for name in ("window", "lat_alu", "lat_mac", "lat_div", "out_ports", "in_ports",
+                     "dma_words_per_cycle"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.l2_latency < 0:
             raise ValueError(f"l2_latency must be at least 0, got {self.l2_latency}")
-        if self.out_ports < 1 or self.in_ports < 1:
-            raise ValueError("port counts must be at least 1")
+        if self.alloc_cost != ALLOC_COST:
+            raise ValueError(f"alloc_cost must be ALLOC_COST ({ALLOC_COST}), got {self.alloc_cost}")
         if self.ins_stall_prob < 0 or self.ins_stall_prob > 1:
             raise ValueError("ins_stall_prob must be in [0, 1]")
         if self.ins_stall_prob > 0 and self.ins_seed == 0:
             raise ValueError("a nonzero ins_seed is required with ins_stall_prob > 0")
-
-    def class_latency(self) -> np.ndarray:
-        return np.array([self.lat_alu, self.lat_mac, self.lat_div], dtype=np.int64)
 
 
 class SimulationFault(Exception):
@@ -107,11 +105,6 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
 
 
 # -- packed program representation --------------------------------------------
-
-# the packed columns in step_segment's order, with the dtypes it reads
-_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "bank": np.int32,
-         "level": np.uint8, "dep1": np.uint16, "dep2": np.uint16}
-
 
 @dataclass
 class PackedChunk:
@@ -167,10 +160,13 @@ _FAULT_TEXT = {
 
 
 def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
-    """Reject a chunk the stepper would index memory out of bounds with.
+    """Reject a chunk that would lead the stepper out of bounds or to a wrong ring slot.
 
     The stepper trusts its input: any chunk, packed by make_chunk or
-    built by hand, passes here first.
+    built by hand, passes here first. The range tests read whole
+    columns, padding and the fields an op does not use included
+    (make_chunk and PlanBuilder zero those), but a compute count only on
+    compute ops. A failure names the first bad (PE, op).
     """
     n_ops = chunk.n_ops
     if (not isinstance(n_ops, np.ndarray) or n_ops.dtype != np.int64
@@ -190,58 +186,42 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     row = cols["kind"].shape[1]
     if n_ops.min() < 0 or n_ops.max() > row:
         raise ValueError(f"chunk column 'n_ops' must lie in [0, {row}], the row length")
-    kind, cls, arg, level = cols["kind"], cols["cls"], cols["arg"], cols["level"]
-    bank = cols["bank"].view(np.uint32)         # a negative bank reads as >= 2**31
-    # whole columns first: make_chunk zeroes the padding and PlanBuilder
-    # the fields an op does not use, so only a bad chunk needs the masked tests
-    comp_at = np.flatnonzero(kind.ravel() == K_COMPUTE)
-    if (kind.max() <= K_DMA_WAIT and bank.max() < topo.n_banks and level.max() <= 3
-            and cls.max() <= 2 and arg.ravel()[comp_at].min(initial=1) >= 1):
-        return
-    live = np.arange(row) < n_ops[:, None]
-    mem = live & (kind <= K_STORE)
-    comp = live & (kind == K_COMPUTE)
-    for name, bad, what in (
-            ("kind", live & (kind > K_DMA_WAIT), f"op kind above {K_DMA_WAIT}"),
-            ("bank", mem & (bank >= topo.n_banks),
-             f"a load or store's bank outside [0, {topo.n_banks})"),
-            ("level", mem & (level > 3), "a load or store's level above 3"),
-            ("cls", comp & (cls > 2), "a compute class above 2"),
-            ("arg", comp & (arg < 1), "a compute count below 1")):
-        if bad.any():
-            pe, i = np.argwhere(bad)[0]
+    kind = cols["kind"].ravel()
+    comp_at = np.flatnonzero(kind == K_COMPUTE)
+    # a negative bank reads as >= 2**31; ~count > -2 is a count below 1, with no overflow
+    for name, col, top, what in (
+            ("kind", kind, K_DMA_WAIT, f"op kind above {K_DMA_WAIT}"),
+            ("bank", cols["bank"].view(np.uint32).ravel(), topo.n_banks - 1,
+             f"a bank outside [0, {topo.n_banks})"),
+            ("level", cols["level"].ravel(), 3, "a level above 3"),
+            ("cls", cols["cls"].ravel(), 2, "a class above 2"),
+            *((d, cols[d].ravel(), DEP_RING - 1, f"a dependence {DEP_RING} or more ops back")
+              for d in ("dep1", "dep2")),
+            ("arg", ~cols["arg"].ravel()[comp_at], -2, "a compute count below 1")):
+        if col.max(initial=top) > top:
+            at = np.argmax(col > top)
+            pe, i = divmod(int(comp_at[at] if name == "arg" else at), row)
             raise ValueError(f"chunk column {name!r}: {what} (PE {pe}, op {i})")
 
 
-def _flat_segments(topo: ClusterTopology, dma: Sequence[DmaTransfer]) -> tuple:
-    """The transfers' segments as (ptr, backend, words) int64 arrays.
-
-    Transfer t's segments are entries ptr[t]:ptr[t + 1].
-    """
-    pairs = [seg for t in dma for seg in t.segments]
-    backend, words = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-    if ((backend < 0) | (backend >= topo.n_subgroups)).any():
-        raise ValueError(f"DMA segment backend outside [0, {topo.n_subgroups})")
-    if (words < 1).any():
-        raise ValueError("DMA segment words must be at least 1")
-    ptr = np.cumsum([0] + [len(t.segments) for t in dma], dtype=np.int64)
-    return ptr, backend, words
-
-
 class _State:
-    """Stepper state carried from phase to phase, in numpy arrays.
+    """One stepper run, in the arrays and integers step_segment passes to the C.
 
-    Per PE: the absolute index of its next op, the cycle it can next
-    act, its dependence rings (each of its last DEP_RING ops' result
-    cycle and kind), its window slots (the cycle each outstanding memory
-    op retires) and the last op charged an INS stall. Shared: each
-    bank's and port's next free cycle, each transfer's completion cycle
-    (-1 until started) and each DMA backend's next free cycle. The
-    stepper updates them in place.
+    Kept from phase to phase and updated in place by the stepper: per PE,
+    the absolute index of its next op, the cycle it can next act, its
+    dependence rings (each of its last DEP_RING ops' result cycle and
+    kind), its window slots (the cycle each outstanding memory op
+    retires) and the last op charged an INS stall; shared, each bank's
+    and port's next free cycle, each transfer's completion cycle (-1
+    until started) and each DMA backend's next free cycle. Fixed for the
+    run: the transfers' (backend, words) segments, transfer t's at
+    seg_ptr[t]:seg_ptr[t + 1]; the level and class latencies, port
+    counts, tile geometry, L2 latency and DMA rate; and the INS threshold
+    (the stall probability in units of 2**-53) and seed, as uint64 values.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
-                 n_transfers: int):
+                 dma: Sequence[DmaTransfer]):
         n_pe = topo.n_pes
         self.abs_idx = np.zeros(n_pe, dtype=np.int64)
         self.t_free = np.zeros(n_pe, dtype=np.int64)
@@ -252,8 +232,24 @@ class _State:
         self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
         self.out_next = np.zeros(topo.n_tiles * 4 * params.out_ports, dtype=np.int64)
         self.in_next = np.zeros(topo.n_tiles * 4 * params.in_ports, dtype=np.int64)
-        self.transfer_done = np.full(n_transfers, -1, dtype=np.int64)
+        self.transfer_done = np.full(len(dma), -1, dtype=np.int64)
         self.backend_next = np.zeros(topo.n_subgroups, dtype=np.int64)
+        pairs = [seg for t in dma for seg in t.segments]
+        self.seg_ptr = np.cumsum([0] + [len(t.segments) for t in dma], dtype=np.int64)
+        self.seg_backend, self.seg_words = (
+            np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy())
+        if ((self.seg_backend < 0) | (self.seg_backend >= topo.n_subgroups)).any():
+            raise ValueError(f"DMA segment backend outside [0, {topo.n_subgroups})")
+        if (self.seg_words < 1).any():
+            raise ValueError("DMA segment words must be at least 1")
+        self.level_lat = np.array(topo.level_latency, dtype=np.int64)
+        self.class_lat = np.array([params.lat_alu, params.lat_mac, params.lat_div],
+                                  dtype=np.int64)
+        self.out_ports, self.in_ports = params.out_ports, params.in_ports
+        self.pes_per_tile, self.banks_per_tile = topo.pes_per_tile, topo.banks_per_tile
+        self.l2_lat, self.dma_wpc = params.l2_latency, params.dma_words_per_cycle
+        self.ins_thresh = int(params.ins_stall_prob * (1 << 53))
+        self.ins_seed = params.ins_seed % (1 << 64)
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,
@@ -266,11 +262,8 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     Each phase's chunk is checked, then stepped by one step_segment
     call, which writes that phase's [n_pe, ACC_WIDTH] ledger.
     """
-    seg_ptr, seg_backend, seg_words = _flat_segments(topo, dma)
-    st = _State(topo, params, len(dma))
+    st = _State(topo, params, dma)
     n_pe = topo.n_pes
-    level_lat = np.array(topo.level_latency, dtype=np.int64)
-    class_lat = params.class_latency()
     totals = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
     phase_rows = []
     clock = 0
@@ -279,16 +272,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         _check_chunk(topo, chunk)
         acct = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
         start = clock
-        clock, fault = step_segment(
-            *(chunk.cols[c] for c in _COLS), chunk.n_ops,
-            st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
-            st.bank_next, st.out_next, st.in_next,
-            seg_ptr, seg_backend, seg_words, st.transfer_done, st.backend_next,
-            level_lat, class_lat, params.out_ports, params.in_ports,
-            topo.pes_per_tile, topo.banks_per_tile,
-            params.l2_latency, params.dma_words_per_cycle,
-            params.ins_stall_prob, params.ins_seed, clock,
-        )
+        clock, fault = step_segment(chunk, acct, st, clock)
         if fault:
             code, pe, detail = fault
             raise SimulationFault(
@@ -298,8 +282,7 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
         st.t_free[:] = clock
         phase_rows.append(PhaseStats(phase.name, start, clock, *acct.sum(axis=0).tolist()))
         # idle fill so every PE's ledger covers the common phase end
-        gap = clock - start - acct.sum(axis=1)
-        totals[:, ACC_WFI] += gap
+        totals[:, ACC_WFI] += clock - start - acct.sum(axis=1)
     per_pe = {"cycles_total": np.full(n_pe, clock, dtype=np.int64),
               **{k: totals[:, i].copy() for i, k in enumerate(PE_KEYS)}}
     return SimReport(

@@ -26,7 +26,7 @@ from ..engine import (ALLOC_COST, EngineParams, Phase, SimulationFault,
 from ..remap import MapConfig, das, interleaved, resolve_array
 from ..topology import ClusterTopology, access_levels
 
-C_ALU, C_MAC, C_DIV = range(3)      # compute classes, indexing EngineParams.class_latency
+C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat_mac, lat_div
 
 # the columns of an op record and their dtypes, from PeStream to end_phase,
 # which resolves addr into the packed chunk's bank and level columns
@@ -72,6 +72,7 @@ def group_window_cfg(topo: ClusterTopology, tiles_per_group: int,
 class Operand:
     """An allocation plus the window arithmetic to address it."""
 
+    name: str
     base: int
     win_bytes: int            # one block of the folding the kernel asked for
     word_bytes: int
@@ -124,8 +125,8 @@ class PeStream:
     def compute(self, cls, count=1, dep=()):
         """``count`` back-to-back issues of class ``cls``.
 
-        The result is ready the class latency (EngineParams.class_latency)
-        after the last issue.
+        The result is ready the class's latency (EngineParams.lat_alu,
+        lat_mac or lat_div) after the last issue.
         """
         if count < 1:
             raise ValueError(f"compute count must be at least 1, got {count}")
@@ -161,6 +162,12 @@ class PeStream:
             self._segs.append({k: np.array(v, dtype=STREAM_COLS[k])
                                for k, v in self._cur.items()})
             self._cur = {k: [] for k in STREAM_COLS}
+
+    def touches(self, lo, hi) -> bool:
+        """Whether a load or store not yet handed over lies in [lo, hi)."""
+        self._flush()
+        return any(((s["kind"] <= K_STORE) & (s["addr"] >= lo) & (s["addr"] < hi)).any()
+                   for s in self._segs)
 
     def segments(self) -> list:
         """Hand over and clear the accumulated segments (op counter keeps running).
@@ -254,7 +261,7 @@ class PlanBuilder:
         base = das_malloc(self.heap, size_bytes, req)
         cfg = self.heap.regions[base]
         wb = self.topo.word_bytes
-        op = Operand(base=base, win_bytes=folding.block_bytes(wb), word_bytes=wb)
+        op = Operand(name=name, base=base, win_bytes=folding.block_bytes(wb), word_bytes=wb)
         self.alloc_log.append({"phase": self._phase_name, "operand": name,
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
@@ -262,6 +269,14 @@ class PlanBuilder:
         return op
 
     def free(self, operand: Operand) -> None:
+        """Free an operand's region, unless a load or store emitted in the
+        open phase lies in it: end_phase places those against the regions
+        live when the phase closes, so the free would move them."""
+        cfg = self.heap.regions.get(operand.base)
+        for pe, stream in enumerate(self.streams if cfg else ()):
+            if stream.touches(cfg.base_addr, cfg.base_addr + cfg.size_bytes):
+                raise RuntimeError(f"free of {operand.name!r} in phase "
+                                   f"{self._phase_name!r} after PE {pe} accessed it")
         das_free(self.heap, operand.base)
 
     def transfer(self, src: tuple, dst: tuple) -> int:
@@ -273,8 +288,7 @@ class PlanBuilder:
         d0, d1 = dst
         if not any(c.base_addr <= d0 and d1 <= c.base_addr + c.size_bytes
                    for c in self.heap.regions.values()):
-            raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) is not inside "
-                             f"one live allocation")
+            raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) is not inside one live allocation")
         self.transfers.append(build_transfer(self.topo, self.heap.das_regions(), src, dst))
         return len(self.transfers) - 1
 

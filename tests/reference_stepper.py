@@ -2,17 +2,18 @@
 
 This is the pure-Python ``step_segment`` the C file was ported from, op
 for op, with its instruction-fetch draw ``_ins_hit``. ``step_segment``
-here takes the C stepper's arguments, so a test swaps it in with
+here takes the C stepper's arguments, a chunk, its ledger, the run's
+engine._State and the start cycle, so a test swaps it in with
 ``monkeypatch.setattr(engine, "step_segment", step_segment)`` and runs
 ``engine.run_packed`` unchanged under both. Its loop body reads
-and writes Python ints only: numpy arrays arrive as memoryviews, which
+and writes Python ints only: numpy arrays are read as memoryviews, which
 index like ``a[pe, i]`` without making numpy scalars, and the window
 slots and ledger as lists written back at the end.
 """
 
 from heapq import heapify, heappop, heappush, heapreplace
 
-from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
+from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, COLS, DEP_RING,
                             FAULT_BARRIER_NOT_LAST, FAULT_BARRIER_PARTIAL,
                             FAULT_DMA_NEVER_STARTED, FAULT_DMA_RESTART,
                             FAULT_DMA_UNKNOWN, K_BARRIER, K_COMPUTE, K_DMA_START,
@@ -21,61 +22,51 @@ from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_
 _M64 = (1 << 64) - 1
 
 
-def _ins_hit(seed, pe, idx, prob):
-    # splitmix64 of (seed, pe, idx) against the stall probability
+def _ins_hit(seed, pe, idx, thresh):
+    # splitmix64 of (seed, pe, idx) against the stall threshold, the
+    # probability in units of 2**-53
     z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     z ^= z >> 31
-    return (z >> 11) < int(prob * (1 << 53))
+    return (z >> 11) < thresh
 
 
-def step_segment(
-    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
-    abs_idx, t_free, ready, ready_kind, win, acct, ins_done,
-    bank_next, out_next, in_next,
-    seg_ptr, seg_backend, seg_words, transfer_done, backend_next,
-    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
-    l2_lat, dma_wpc, ins_prob, ins_seed, now,
-):
+def step_segment(chunk, acct, st, now):
     """``dasim._stepper.step_segment``'s contract, stepped in Python."""
-    ptr = seg_ptr.tolist()
-    pairs = list(zip(seg_backend.tolist(), seg_words.tolist()))
-    segments = [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
-    slots, ledger = win.tolist(), acct.tolist()
-    mv = memoryview
-    result = _step(
-        *(mv(c) for c in (op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2)),
-        n_ops.tolist(), mv(abs_idx), mv(t_free), mv(ready), mv(ready_kind),
-        slots, ledger, mv(ins_done), mv(bank_next), mv(out_next), mv(in_next),
-        segments, mv(transfer_done), mv(backend_next),
-        level_lat.tolist(), class_lat.tolist(), out_ports, in_ports, pes_per_tile,
-        banks_per_tile, l2_lat, dma_wpc, ins_prob, ins_seed, now)
-    win[:] = slots
+    slots, ledger = st.win.tolist(), acct.tolist()
+    result = _step(chunk, slots, ledger, st, now)
+    st.win[:] = slots
     acct[:] = ledger
     return result
 
 
-def _step(
+def _step(chunk, win, acct, st, now):
+    """Advance one segment from cycle ``now``; ``win`` and ``acct`` are
+    the window slots and ledger as one list per PE."""
+    mv = memoryview
     # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
-    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2, n_ops,
-    # per-PE state
-    abs_idx, t_free,              # memoryviews, as are the shared arrays
-    ready, ready_kind,            # dep rings, memoryviews [n_pe, DEP_RING]
-    win,                          # per PE, a list of outstanding-op slots
-    acct,                         # per PE, a list of the five ACC_* columns
-    ins_done,                     # last abs idx charged an INS stall
-    # shared memory-system state
-    bank_next,                    # [n_banks]
-    out_next, in_next,            # [(tile * 4 + level) * ports + port]
-    # DMA: per transfer id, its (backend, words) segments; then its
-    # completion cycle (-1 until started) and each backend's next free cycle
-    segments, transfer_done, backend_next,
+    op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2 = (
+        mv(chunk.cols[c]) for c in COLS)
+    n_ops = chunk.n_ops.tolist()
+    # per-PE state, memoryviews: the ready rings are [n_pe, DEP_RING]
+    abs_idx, t_free, ins_done = mv(st.abs_idx), mv(st.t_free), mv(st.ins_done)
+    ready, ready_kind = mv(st.ready), mv(st.ready_kind)
+    # shared memory-system state: [n_banks], [(tile * 4 + level) * ports + port]
+    bank_next, out_next, in_next = mv(st.bank_next), mv(st.out_next), mv(st.in_next)
+    # DMA: per transfer id, its (backend, words) segments and completion
+    # cycle (-1 until started); each backend's next free cycle
+    ptr = st.seg_ptr.tolist()
+    pairs = list(zip(st.seg_backend.tolist(), st.seg_words.tolist()))
+    segments = [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+    transfer_done, backend_next = mv(st.transfer_done), mv(st.backend_next)
     # parameters
-    level_lat, class_lat, out_ports, in_ports, pes_per_tile, banks_per_tile,
-    l2_lat, dma_wpc, ins_prob, ins_seed, now,
-):
-    """Advance one segment from cycle ``now``, on lists and memoryviews."""
+    level_lat, class_lat = st.level_lat.tolist(), st.class_lat.tolist()
+    out_ports, in_ports = st.out_ports, st.in_ports
+    pes_per_tile, banks_per_tile = st.pes_per_tile, st.banks_per_tile
+    l2_lat, dma_wpc = st.l2_lat, st.dma_wpc
+    ins_thresh, ins_seed = st.ins_thresh, st.ins_seed
+
     n_pe = len(n_ops)
     n_transfers = len(segments)
     mask = DEP_RING - 1
@@ -140,7 +131,7 @@ def _step(
 
         # one instruction-fetch stall cycle, decided per op
         extra_ins = 0
-        if ins_prob > 0.0 and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_prob):
+        if ins_thresh and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_thresh):
             extra_ins = 1
 
         if t_issue + extra_ins > now:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dasim import (AllocationError, FreeError, das, das_free, das_malloc,
+from dasim import (AllocationError, FreeError, MapConfig, das, das_free, das_malloc,
                    heap_init, interleaved)
 from reference_alloc import ReferenceAllocator
 
@@ -107,6 +107,8 @@ def test_allocation_failure_is_distinct():
         das_malloc(h, 100, interleaved())
     with pytest.raises(ValueError):
         das_malloc(h, 0, interleaved())
+    with pytest.raises(ValueError, match="must not carry base/size"):
+        das_malloc(h, 4, MapConfig(base_addr=0, size_bytes=4))
 
 
 def test_kv_reuse_returns_same_block():

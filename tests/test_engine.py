@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -159,7 +160,8 @@ def _set(name, pe, i, value):
 
 
 # one case per check run_packed makes before stepping: each would make
-# the stepper index memory out of bounds. PE 0 loads, computes, stores
+# the stepper index memory out of bounds, or read a wrong dependence
+# ring slot (dep1, dep2). PE 0 loads, computes, stores
 # and starts transfer 0; the fault names the column
 BAD_CHUNKS = {
     "dtype": (lambda c, d: c.cols.update(arg=c.cols["arg"].astype(np.int64)), "'arg'"),
@@ -173,8 +175,11 @@ BAD_CHUNKS = {
     "kind": (_set("kind", 0, 1, 6), "'kind'"),
     "bank-high": (_set("bank", 0, 0, DESK.n_banks), "'bank'"),
     "bank-negative": (_set("bank", 0, 2, -1), "'bank'"),
+    "bank-unused": (_set("bank", 0, 1, -7), "'bank'"),    # on the compute op
     "level": (_set("level", 0, 0, 4), "'level'"),
     "cls": (_set("cls", 0, 1, 3), "'cls'"),
+    "dep1": (_set("dep1", 0, 2, DEP_RING), "'dep1'"),
+    "dep2": (_set("dep2", 0, 1, DEP_RING), "'dep2'"),
     "arg": (_set("arg", 0, 1, 0), "'arg'"),
     "backend": (lambda c, d: d.append((DESK.n_subgroups, 4)), "backend"),
     "words": (lambda c, d: d.append((0, 0)), "words"),
@@ -193,8 +198,7 @@ def test_run_packed_rejects_chunks_the_stepper_cannot_take(case):
         tr = DmaTransfer((0, 0), (0, 0), segments=segments)
         return run_packed(DESK, EngineParams(), [Phase("a", [chunk])], [tr])
 
-    # out-of-range values in ops that do not use the column are fine
-    assert run(_set("bank", 0, 1, -7)).cycles == 4
+    assert run(lambda c, d: None).cycles == 4
     with pytest.raises(ValueError, match=column):
         run(corrupt)
 
@@ -243,7 +247,7 @@ def test_unresolvable_address_faults(monkeypatch, progs, batch_ops, pe):
     (0, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [5], [0])),     # before op 0
     (3, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [-1], [0])),
     (DEP_RING + 1000, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
-                                 [0, 1], [1, 5000])),               # beyond the ring
+                                 [0, 1], [1, DEP_RING])),           # beyond the ring
     # a column shorter or longer than kind, or a scalar one
     (3, "extend", ([K_COMPUTE] * 3, [C_MAC], [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
     (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, [5], [0] * 3, [0] * 3, [0] * 3)),
@@ -380,6 +384,57 @@ def test_alloc_rejects_folding_too_large_for_topology(scheme, folding, match):
         pb.alloc("buf", 64, folding)
 
 
+@pytest.mark.parametrize("realloc", [False, True], ids=["free", "free-alloc"])
+def test_free_after_an_access_in_the_open_phase_is_rejected(realloc):
+    # PE 1 loads word 16 of a das(4, 1) region at 0: bank 0, level 0.
+    # Resolved after a free it would land on bank 16 at level 1, or on
+    # bank 4 once the bytes are re-allocated das(2, 2)
+    pb = _builder_in_phase()
+    buf = pb.alloc("buf", 4096, das(4, 1))
+    pb.streams[1].load(buf.addr(0, 16))
+    with pytest.raises(RuntimeError, match="'buf' in phase 'a' after PE 1"):
+        pb.free(buf)
+        if realloc:
+            pb.alloc("buf", 4096, das(2, 2))
+    pb.end_phase()
+    (chunk,) = pb.phases[0].chunks
+    assert (chunk.cols["bank"][1, 0], chunk.cols["level"][1, 0]) == (0, 0)
+
+
+def _end_twice(pb):
+    pb.end_phase()
+    pb.end_phase()
+
+
+def _alloc_between_phases(pb):
+    pb.end_phase()
+    pb.alloc("buf", 64, das(0, 0))
+
+
+def _miscount(pb):
+    pb.streams[0].load(0)
+    pb.end_phase()
+    pb.build("k", "", 1, {"loads": 2})
+
+
+# each misuse of a PlanBuilder that is in phase "a", and what it raises
+BUILDER_MISUSE = {
+    "scheme": (lambda pb: PlanBuilder(DESK, "folded"), ValueError, "unknown scheme"),
+    "begin-twice": (lambda pb: pb.begin_phase("b"), RuntimeError, "still open"),
+    "end-twice": (_end_twice, RuntimeError, "no phase open"),
+    "alloc-between-phases": (_alloc_between_phases, RuntimeError, "inside a phase"),
+    "build-open": (lambda pb: pb.build("k", "", 1, {}), RuntimeError, "'a' left open"),
+    "op-count": (_miscount, AssertionError, "loads=1 but the closed form says 2"),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_MISUSE)
+def test_plan_builder_misuse_is_rejected(case):
+    misuse, error, match = BUILDER_MISUSE[case]
+    with pytest.raises(error, match=match):
+        misuse(_builder_in_phase())
+
+
 def test_freed_region_reallocated_with_new_folding():
     # a 4 KiB region at 0 folded das(4, 1) in phase a is freed and
     # re-allocated das(2, 2) in phase b, which streams into it by DMA
@@ -493,6 +548,19 @@ def test_zero_memory_programs_scheme_invariant():
         assert np.array_equal(col, b.per_pe[key]), key
 
 
+def test_run_state_on_terapool_stays_small():
+    # mostly the dependence rings, [n_pe, DEP_RING] int64 and uint8; an
+    # array of 4 MiB or more may be backed by huge pages, so its resident
+    # size varies from run to run
+    tracemalloc.start()
+    try:
+        engine._State(terapool_default(), EngineParams(), [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_ins_stall_injection():
     params = EngineParams(ins_stall_prob=1.0, ins_seed=7)
     rep = simulate([[("compute", C_ALU)] * 5], params)
@@ -524,21 +592,28 @@ def test_ins_hit_matches_splitmix_reference():
         seed = int(rng.integers(1, 1 << 62))
         pe, idx = int(rng.integers(0, 1024)), int(rng.integers(0, 1 << 20))
         prob = float(rng.random())
-        assert bool(_ins_hit(seed, pe, idx, prob)) == _splitmix_hit(seed, pe, idx, prob)
+        hit = _ins_hit(seed, pe, idx, int(prob * (1 << 53)))
+        assert bool(hit) == _splitmix_hit(seed, pe, idx, prob)
 
 
 def test_ins_stall_requires_seed():
     with pytest.raises(ValueError):
         EngineParams(ins_stall_prob=0.5)
+    # with a seed, only the range guard rejects a probability above 1
+    with pytest.raises(ValueError, match=r"ins_stall_prob must be in \[0, 1\]"):
+        EngineParams(ins_stall_prob=1.5, ins_seed=1)
 
 
 @pytest.mark.parametrize("knob,value", [
     ("lat_alu", 0), ("lat_mac", -3), ("lat_div", 0),
     ("dma_words_per_cycle", 0), ("dma_words_per_cycle", -1), ("l2_latency", -50),
+    ("out_ports", 0), ("in_ports", 0), ("ins_stall_prob", -0.1),
+    ("alloc_cost", 1000),
 ])
 def test_timing_knobs_rejected_out_of_range(knob, value):
     # each would simulate the wrong thing: a negative DMA rate or MAC
-    # latency shortens the run, a zero DMA rate divides by zero
+    # latency shortens the run, a zero DMA rate divides by zero, and an
+    # alloc_cost other than ALLOC_COST is reported but never charged
     with pytest.raises(ValueError, match=knob):
         EngineParams(**{knob: value})
 

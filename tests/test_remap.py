@@ -109,6 +109,15 @@ def test_das_misaligned_region_rejected():
     cfg = bound(das(2, 1), 0x10, 0x40)  # block is 32 B, base is 16
     with pytest.raises(ValueError, match="not aligned"):
         resolve_array(t, [cfg], np.array([0x10]))
+    cfg = bound(das(2, 1), 0x20, 0x42)  # ends mid-word
+    with pytest.raises(ValueError, match="not a word multiple"):
+        resolve_array(t, [cfg], np.array([0x20]))
+
+
+@pytest.mark.parametrize("p,s", [(-1, 0), (0, -2)])
+def test_negative_folding_rejected(p, s):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        das(p, s)
 
 
 def test_identity_when_p_is_b():

@@ -81,3 +81,5 @@ def test_invalid_geometry_rejected():
         ClusterTopology(level_latency=(1, 3, 3, 7))
     with pytest.raises(ValueError, match="start at 1"):
         ClusterTopology(level_latency=(0, 1, 2, 3))
+    with pytest.raises(ValueError, match="one entry per hierarchy level"):
+        ClusterTopology(level_latency=(1, 3, 5))
