@@ -39,23 +39,26 @@ def gemm_geometry(topo: ClusterTopology, M: int, N: int, P: int,
             "windows": P // 4}
 
 
-def pe_work_items(topo: ClusterTopology, geom: dict, pe: int) -> list:
-    """(local_block, window) pairs this PE computes for its problem.
+def work_items(topo: ClusterTopology, geom: dict) -> tuple:
+    """(pe, local_block, window) arrays of every work item, PE by PE.
 
-    Each tile starts its window sweep at a different point so lockstep
-    tiles pull B columns from disjoint bank groups instead of hammering
-    the same ones.
+    A PE takes every pes_per_tile-th window from its slot, for each block
+    its tile holds in its problem, block-major. Each tile starts its
+    window sweep at a different point so lockstep tiles pull B columns
+    from disjoint bank groups instead of hammering the same ones.
     """
-    tiles_per_prob = geom["tiles_per_prob"]
-    tile = pe // topo.pes_per_tile
-    ti = tile % tiles_per_prob
-    slot = pe % topo.pes_per_tile
-    wins = list(range(slot, geom["windows"], topo.pes_per_tile))
-    if wins:
-        rot = ti % len(wins)
-        wins = wins[rot:] + wins[:rot]
-    n_local = len(range(ti, geom["blocks"], tiles_per_prob))
-    return [(lb, win) for lb in range(n_local) for win in wins]
+    ppt, tiles_per_prob = topo.pes_per_tile, geom["tiles_per_prob"]
+    pes = np.arange(topo.n_pes)
+    ti = pes // ppt % tiles_per_prob
+    slot = pes % ppt
+    n_win = np.maximum(0, -((slot - geom["windows"]) // ppt))
+    n_local = np.maximum(0, -((ti - geom["blocks"]) // tiles_per_prob))
+    count = n_win * n_local
+    pe = np.repeat(pes, count)
+    j = np.arange(len(pe)) - np.repeat(np.cumsum(count) - count, count)
+    nw = n_win[pe]
+    win = slot[pe] + (j + ti[pe]) % nw * ppt
+    return pe, j // nw, win
 
 
 def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
@@ -84,25 +87,21 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     pb.end_phase()
 
     pb.begin_phase("compute")
-    ks = np.arange(N, dtype=np.int64)
-    for pe in range(topo.n_pes):
-        st = pb.streams[pe]
-        tile = pe // topo.pes_per_tile
-        pr = tile // tiles_per_prob
-        for lb, win in pe_work_items(topo, geom, pe):
-            rows = (lb * 4 + np.arange(4, dtype=np.int64)) * a_ld
-            a_addr = a_op.addr(tile, rows[None, :] + ks[:, None])
-            cols = win * 4 + np.arange(4, dtype=np.int64)
-            b_off = ks[:, None] * b_ld + cols[None, :]
-            if n_parallel == 1:
-                b_addr = b_op.base + b_off * wb
-            else:
-                b_addr = b_op.addr(pr, b_off)
-            c_off = ((lb * 4 + np.arange(4, dtype=np.int64))[:, None] * c_ld
-                     + cols[None, :]).ravel()
-            # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step
-            emit_reduction(st, np.hstack([a_addr, b_addr]), 16, (7, 3),
-                           c_op.addr(tile, c_off), setup=True)
+    pe, lb, win = work_items(topo, geom)
+    tile = pe[:, None] // topo.pes_per_tile
+    rows = lb[:, None] * 4 + np.arange(4)
+    cols = win[:, None] * 4 + np.arange(4)
+    ks = np.arange(N)[:, None]
+    a_addr = a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld + ks)
+    b_off = ks * b_ld + cols[:, None, :]
+    if n_parallel == 1:
+        b_addr = b_op.base + b_off * wb
+    else:
+        b_addr = b_op.addr(tile[:, :, None] // tiles_per_prob, b_off)
+    c_off = rows[:, :, None] * c_ld + cols[:, None, :]
+    # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step
+    emit_reduction([pb.streams[p] for p in pe], np.concatenate([a_addr, b_addr], axis=2),
+                   16, (7, 3), c_op.addr(tile, c_off.reshape(len(pe), 16)), setup=True)
     pb.end_phase()
 
     macs = n_parallel * M * N * P

@@ -9,16 +9,18 @@ A final pass on the owner group sums the partials.
 
 Row slices and output elements are private to one PE, so the folded
 scheme pins them to that PE's tile banks; the input vector is shared by
-everyone and stays word-interleaved across the cluster. Each block's
-reduction is one plan.emit_reduction; the reduce phase goes op by op.
+everyone and stays word-interleaved across the cluster. Every block's
+reduction is one copy of plan.emit_reduction's template, and every
+row's sum of partials one copy of the reduce phase's chain template.
 """
 
 import numpy as np
 
 from ..remap import interleaved
 from ..topology import ClusterTopology
-from .plan import (C_ALU, KernelPlan, PlanBuilder, ShapeError, emit_reduction,
-                   group_window_cfg, pow2_floor)
+from .._stepper import K_COMPUTE, K_LOAD, K_STORE
+from .plan import (C_ALU, KernelPlan, Operand, PlanBuilder, ShapeError, emit_copies,
+                   emit_reduction, group_window_cfg, pow2_floor)
 
 
 def _two_adic(n: int) -> int:
@@ -45,6 +47,31 @@ def gemv_geometry(topo: ClusterTopology, M: int, N: int, n_parallel: int) -> dic
     return {"ppg": ppg, "gpp": gpp, "rows_per_pe": M // ppg, "n_chunk": N // gpp}
 
 
+def reduce_partials(pb: PlanBuilder, g: dict, n_parallel: int, c_part: Operand,
+                    c_final: Operand) -> None:
+    """The reduce phase's ops: each PE of a problem's owner group sums, row
+    by row, the partials its lane's peers in the other groups hold.
+
+    A row is one chain: per peer a load, then an ALU add on it (and on
+    the previous add), then the store of the sum.
+    """
+    ppg, gpp, rows_per_pe = g["ppg"], g["gpp"], g["rows_per_pe"]
+    ppt = pb.topo.pes_per_tile
+    n_peer = gpp - 1
+    chain = {"kind": [K_LOAD, K_COMPUTE] * n_peer + [K_STORE],
+             "cls": [0, C_ALU] * n_peer + [0],
+             "arg": [0, 1] * n_peer + [0],
+             "dep1": [0, 1] * n_peer + [1],
+             "dep2": [0, 0] + [0, 2] * (n_peer - 1) + [0]}
+    pr, lane, row = np.indices((n_parallel, ppg, rows_per_pe)).reshape(3, -1, 1)
+    pe = pr * gpp * ppg + lane
+    peer = (pr * gpp + np.arange(1, gpp)) * ppg + lane
+    addr = np.zeros((len(pe), 2 * n_peer + 1), dtype=np.int64)
+    addr[:, :-1:2] = c_part.addr(peer // ppt, peer % ppt * rows_per_pe + row)
+    addr[:, -1:] = c_final.addr(pe // ppt, pe % ppt * rows_per_pe + row)
+    emit_copies([pb.streams[p] for p in pe[:, 0]], chain, addr)
+
+
 def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
              scheme: str) -> KernelPlan:
     g = gemv_geometry(topo, M, N, n_parallel)
@@ -65,40 +92,23 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
     pb.end_phase()
 
     pb.begin_phase("compute")
-    ks = np.arange(n_chunk, dtype=np.int64)
-    for pe in range(topo.n_pes):
-        tile = pe // ppt
-        slot = (pe % ppt) * rows_per_pe * n_chunk
-        cslot = (pe % ppt) * rows_per_pe
-        gg = pe // ppg
-        pr = gg // gpp
-        b_addr = b_op.base + (pr * N + (gg % gpp) * n_chunk + ks) * wb
-        for blk in range(rows_per_pe // 4):
-            rows = slot + (blk * 4 + np.arange(4, dtype=np.int64)) * n_chunk
-            # per step: b, a0-a3; each burst consumes a3 and b of its step
-            loads = np.column_stack([b_addr, a_op.addr(tile, rows[None, :] + ks[:, None])])
-            emit_reduction(pb.streams[pe], loads, 4, (4, 0),
-                           c_part.addr(tile, cslot + blk * 4 + np.arange(4)), setup=False)
+    n_blk = rows_per_pe // 4
+    pe = np.repeat(np.arange(topo.n_pes), n_blk)[:, None]
+    blk4 = np.tile(np.arange(n_blk), topo.n_pes)[:, None] * 4 + np.arange(4)
+    tile, slot = pe // ppt, pe % ppt * rows_per_pe
+    gg = pe // ppg
+    ks = np.arange(n_chunk)
+    b_addr = b_op.base + (gg // gpp * N + gg % gpp * n_chunk + ks) * wb
+    a_addr = a_op.addr(tile[:, :, None], (slot + blk4)[:, None, :] * n_chunk + ks[:, None])
+    # per step: b, a0-a3; each burst consumes a3 and b of its step
+    emit_reduction([pb.streams[p] for p in pe[:, 0]],
+                   np.concatenate([b_addr[:, :, None], a_addr], axis=2), 4, (4, 0),
+                   c_part.addr(tile, slot + blk4), setup=False)
     pb.end_phase()
 
     if gpp > 1:
         pb.begin_phase("reduce")
-        for pr in range(n_parallel):
-            owner = pr * gpp * ppg
-            for lane in range(ppg):
-                pe = owner + lane
-                st = pb.streams[pe]
-                cslot = (pe % ppt) * rows_per_pe
-                for row in range(rows_per_pe):
-                    prev = None
-                    for gi in range(1, gpp):
-                        peer = (pr * gpp + gi) * ppg + lane
-                        ptile = peer // ppt
-                        poff = (peer % ppt) * rows_per_pe + row
-                        ld = st.load(c_part.addr(ptile, poff))
-                        dep = (ld,) if prev is None else (ld, prev)
-                        prev = st.compute(C_ALU, dep=dep)
-                    st.store(c_final.addr(pe // ppt, cslot + row), dep=(prev,))
+        reduce_partials(pb, g, n_parallel, c_part, c_final)
         pb.end_phase()
 
     macs = n_parallel * M * N

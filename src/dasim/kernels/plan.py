@@ -2,15 +2,16 @@
 
 A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfers for one kernel under one
-mapping scheme. Programs are written op by op (or in bulk) on one
-PeStream per PE, with byte addresses. PlanBuilder.end_phase closes a
+mapping scheme. Programs are written on one PeStream per PE, with byte
+addresses: a kernel loop as emit_copies, one copy of an op template per
+work item, and single ops one at a time. PlanBuilder.end_phase closes a
 phase: it resolves the addresses against the regions live at that moment
 (so a region freed in a later phase still resolves the accesses emitted
 while it was live) and packs every PE's ops into the phase's single
 chunk, one bounded batch of PEs at a time, then writes the barrier op on
 every stream (unless told not to).
-emit_reduction writes a kernel's software-pipelined reduction and its
-result stores in one bulk append.
+emit_reduction writes a kernel's software-pipelined reductions and
+their result stores, one copy per work item.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +33,9 @@ C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat
 # which resolves addr into the packed chunk's bank and level columns
 STREAM_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32,
                "addr": np.int64, "dep1": np.uint16, "dep2": np.uint16}
+# an op template's columns: every op column but the address, which each
+# copy of the template takes from its own row
+TEMPLATE_COLS = {k: d for k, d in STREAM_COLS.items() if k != "addr"}
 
 # ops end_phase resolves and packs at a time: its temporaries stay near
 # 1 MiB however large the phase (a whole phase at once raised desk gemm
@@ -139,23 +143,19 @@ class PeStream:
         return self._push(K_DMA_WAIT, 0, tid, 0, ())
 
     def extend(self, kind, cls, arg, addr, dep1, dep2):
-        """Bulk append of copies of parallel arrays; deps are back-distances."""
-        cols = (kind, cls, arg, addr, dep1, dep2)
-        n = len(kind)
-        if any(np.shape(c) != (n,) for c in cols):
-            raise ValueError(f"extend columns have shapes {[np.shape(c) for c in cols]}")
-        if n == 0:
-            return
-        own = np.arange(self.n, self.n + n)
-        dist = np.asarray((dep1, dep2), dtype=np.int64)
-        if dist.min() < 0 or dist.max() >= DEP_RING or (own - dist).min() < 0:
-            dep, j = np.argwhere((dist < 0) | (dist >= DEP_RING) | (dist > own))[0]
-            raise ValueError(f"dep{dep + 1} distance {dist[dep, j]} out of ring range "
-                             f"at op {own[j]}")
+        """Bulk append of parallel columns: emit_copies' one-copy case.
+
+        Dependences are back-distances that stay within the appended ops.
+        """
+        emit_copies([self], {"kind": kind, "cls": cls, "arg": arg, "dep1": dep1,
+                             "dep2": dep2}, np.asarray(addr)[None])
+
+    def _append(self, template: dict, addr: np.ndarray):
+        """Keep checked, read-only TEMPLATE_COLS columns (shared with other
+        streams) and their addresses as the stream's next ops."""
         self._flush()
-        self._segs.append({k: np.array(v, dtype=d) for (k, d), v in
-                           zip(STREAM_COLS.items(), cols)})
-        self.n += n
+        self._segs.append({**template, "addr": addr})
+        self.n += len(addr)
 
     def _flush(self):
         if self._cur["kind"]:
@@ -179,18 +179,54 @@ class PeStream:
         return segs
 
 
-def emit_reduction(st: PeStream, loads: np.ndarray, macs: int, dep_cols: tuple,
-                   out_addr: np.ndarray, setup: bool) -> None:
-    """A software-pipelined reduction, then the stores of its result.
+def emit_copies(streams: list, template: dict, addr) -> None:
+    """One copy of an op template per work item: item i's on ``streams[i]``.
 
-    Step k loads row k of ``loads`` (byte addresses) under the burst of
-    ``macs`` MACs that retires step k-1, so operand latency hides behind
-    compute; that burst consumes step k-1's loads in columns ``dep_cols``.
-    ``setup`` adds a one-ALU accumulator set-up after step 0's loads. A
-    drain burst retires the last step, and each ``out_addr`` store waits
-    for it. Dependence distances come from the ops' stream positions.
+    ``template`` holds the TEMPLATE_COLS columns of the ops, and row i of
+    ``addr`` (n_items x ops) the byte addresses of item i's copy. Each
+    dependence distance stays within one copy, so the template is checked
+    once for every item. A stream listed for several items takes their
+    copies in item order. The streams keep their own read-only copies:
+    the template's columns, shared between them, and their rows of addr.
     """
-    n_steps, w = loads.shape
+    _copy_template(streams, template, np.array(addr, dtype=np.int64))
+
+
+def _copy_template(streams: list, template: dict, addr: np.ndarray) -> None:
+    """emit_copies with an int64 address matrix that no caller keeps: the
+    streams take its rows as they are, not a copy of them."""
+    cols = {k: np.asarray(template[k]) for k in TEMPLATE_COLS}
+    n = cols["kind"].size
+    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(streams), n):
+        raise ValueError(f"template columns {[c.shape for c in cols.values()]} and "
+                         f"addresses {np.shape(addr)} for {len(streams)} items do not agree")
+    dist = np.asarray((cols["dep1"], cols["dep2"]), dtype=np.int64)
+    bad = (dist < 0) | (dist >= DEP_RING) | (dist > np.arange(n))
+    if bad.any():
+        dep, j = np.argwhere(bad)[0]
+        raise ValueError(f"dep{dep + 1} distance {dist[dep, j]} at template op {j} "
+                         f"reaches outside its copy or the {DEP_RING}-op ring")
+    for c, d in TEMPLATE_COLS.items():
+        cols[c] = cols[c].astype(d)
+        cols[c].flags.writeable = False
+    addr.flags.writeable = False
+    for st, row in zip(streams, addr):
+        st._append(cols, row)
+
+
+def emit_reduction(streams: list, loads: np.ndarray, macs: int, dep_cols: tuple,
+                   out_addr: np.ndarray, setup: bool) -> None:
+    """Software-pipelined reductions, then the stores of their results.
+
+    Work item i runs on ``streams[i]``. Its step k loads ``loads[i, k]``
+    (byte addresses) under the burst of ``macs`` MACs that retires step
+    k-1, so operand latency hides behind compute; that burst consumes
+    step k-1's loads in columns ``dep_cols``. ``setup`` adds a one-ALU
+    accumulator set-up after step 0's loads. A drain burst retires the
+    last step, and each ``out_addr[i]`` store waits for it. Dependence
+    distances come from the ops' positions in the item's copy.
+    """
+    n_items, n_steps, w = loads.shape
     # step 0's loads (and set-up), then per later step its loads and the
     # burst of the step before, then the drain burst and the stores
     head = w + 1 if setup else w
@@ -198,10 +234,9 @@ def emit_reduction(st: PeStream, loads: np.ndarray, macs: int, dep_cols: tuple,
     load_pos = starts[:, None] + np.arange(w)
     drain = head + (n_steps - 1) * (w + 1)
     burst_pos = np.r_[starts[1:] + w, drain]        # the burst retiring each step
-    store_pos = drain + 1 + np.arange(len(out_addr))
-    c = {k: np.zeros(store_pos[-1] + 1, dtype=d) for k, d in STREAM_COLS.items()}
+    store_pos = drain + 1 + np.arange(out_addr.shape[1])
+    c = {k: np.zeros(store_pos[-1] + 1, dtype=d) for k, d in TEMPLATE_COLS.items()}
     c["kind"][:] = K_LOAD
-    c["addr"][load_pos] = loads
     c["kind"][burst_pos] = K_COMPUTE
     c["cls"][burst_pos] = C_MAC
     c["arg"][burst_pos] = macs
@@ -210,9 +245,11 @@ def emit_reduction(st: PeStream, loads: np.ndarray, macs: int, dep_cols: tuple,
     if setup:
         c["kind"][w], c["cls"][w], c["arg"][w] = K_COMPUTE, C_ALU, 1
     c["kind"][store_pos] = K_STORE
-    c["addr"][store_pos] = out_addr
     c["dep1"][store_pos] = store_pos - drain
-    st.extend(**c)
+    addr = np.zeros((n_items, len(c["kind"])), dtype=np.int64)
+    addr[:, load_pos] = loads
+    addr[:, store_pos] = out_addr
+    _copy_template(streams, c, addr)
 
 
 @dataclass
@@ -243,6 +280,7 @@ class PlanBuilder:
         self.phases = []
         self.transfers = []
         self.alloc_log = []
+        self._owners = {}           # live region base -> the Operand allocated there
         self._phase_name = None
         self._counts = {"macs": 0, "loads": 0, "stores": 0}
 
@@ -266,17 +304,27 @@ class PlanBuilder:
                                "size_bytes": cfg.size_bytes,
                                "mapping": cfg.to_json()})
         self.streams[0].compute(C_ALU, count=ALLOC_COST)
+        self._owners[base] = op
         return op
 
     def free(self, operand: Operand) -> None:
         """Free an operand's region, unless a load or store emitted in the
         open phase lies in it: end_phase places those against the regions
-        live when the phase closes, so the free would move them."""
-        cfg = self.heap.regions.get(operand.base)
-        for pe, stream in enumerate(self.streams if cfg else ()):
+        live when the phase closes, so the free would move them.
+
+        Only the operand its alloc returned frees a region: a stale handle
+        (its region freed, perhaps re-allocated to another operand) or one
+        from another builder is rejected.
+        """
+        if self._owners.get(operand.base) is not operand:
+            raise RuntimeError(f"free of {operand.name!r}: the region at 0x{operand.base:x} "
+                               f"is not its own (freed already or never allocated here)")
+        cfg = self.heap.regions[operand.base]
+        for pe, stream in enumerate(self.streams):
             if stream.touches(cfg.base_addr, cfg.base_addr + cfg.size_bytes):
                 raise RuntimeError(f"free of {operand.name!r} in phase "
                                    f"{self._phase_name!r} after PE {pe} accessed it")
+        del self._owners[operand.base]
         das_free(self.heap, operand.base)
 
     def transfer(self, src: tuple, dst: tuple) -> int:

@@ -246,14 +246,18 @@ def test_unresolvable_address_faults(monkeypatch, progs, batch_ops, pe):
     (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
     (0, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [5], [0])),     # before op 0
     (3, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [-1], [0])),
-    (DEP_RING + 1000, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
-                                 [0, 1], [1, DEP_RING])),           # beyond the ring
+    # beyond the ring, though within the appended ops
+    (DEP_RING + 1000, "extend", ([K_COMPUTE] * (DEP_RING + 1), [C_ALU] * (DEP_RING + 1),
+                                 [1] * (DEP_RING + 1), [0] * (DEP_RING + 1),
+                                 [0] * (DEP_RING + 1), [0] * DEP_RING + [DEP_RING])),
     # a column shorter or longer than kind, or a scalar one
     (3, "extend", ([K_COMPUTE] * 3, [C_MAC], [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
     (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, [5], [0] * 3, [0] * 3, [0] * 3)),
     (3, "extend", ([K_LOAD] * 3, [0] * 3, [0] * 3, [0, 4], [0] * 3, [0] * 3)),
     (3, "extend", ([K_COMPUTE], [C_MAC] * 3, [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
     (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, 5, [0] * 3, [0] * 3, [0] * 3)),
+    (3, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
+                   [0, 2], [0, 0])),        # before the appended ops
 ])
 def test_stream_rejects_bad_ops(n_before, method, args):
     s = PeStream()
@@ -399,6 +403,29 @@ def test_free_after_an_access_in_the_open_phase_is_rejected(realloc):
     pb.end_phase()
     (chunk,) = pb.phases[0].chunks
     assert (chunk.cols["bank"][1, 0], chunk.cols["level"][1, 0]) == (0, 0)
+
+
+@pytest.mark.parametrize("case", ["stale", "stale-twin", "foreign"])
+def test_free_of_a_region_the_operand_does_not_own_is_rejected(case):
+    # a's region at 0 is freed and its bytes go to b. Freeing a again
+    # would drop b's region, and b's accesses would resolve interleaved.
+    # The twin b equals a field by field; the foreign a is another
+    # builder's operand at the same base
+    pb = _builder_in_phase()
+    a = pb.alloc("a", 4096, das(4, 1))
+    pb.free(a)
+    folding = das(4, 1) if case == "stale-twin" else das(2, 2)
+    b = pb.alloc("a" if case == "stale-twin" else "b", 4096, folding)
+    assert b.base == 0
+    if case == "foreign":
+        a = _builder_in_phase().alloc("c", 4096, das(4, 1))
+    assert a.base == 0 and (a == b) == (case == "stale-twin")
+    with pytest.raises(RuntimeError, match=f"free of '{a.name}': the region at 0x0 "
+                       "is not its own"):
+        pb.free(a)
+    assert (pb.heap.regions[0].p, pb.heap.regions[0].s) == (folding.p, folding.s)
+    pb.free(b)
+    assert not pb.heap.regions
 
 
 def _end_twice(pb):
@@ -825,6 +852,37 @@ def test_monotone_contention(seed):
     extra = _random_programs(np.random.default_rng(seed + 1), 7)[-1]
     grown = finish_times(simulate(progs + [extra]))
     assert (grown[:6] >= base[:6]).all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_contention_never_beats_a_solo_run(seed):
+    # traffic from other PEs never speeds a PE up past its run alone, with
+    # six PEs or with a seventh added
+    progs = _random_programs(np.random.default_rng(seed), 6)
+    progs.append(_random_programs(np.random.default_rng(seed + 1), 7)[-1])
+    solo = np.array([finish_times(simulate([[]] * pe + [progs[pe]]))[pe]
+                     for pe in range(7)])
+    base = finish_times(simulate(progs[:6]))
+    grown = finish_times(simulate(progs))
+    assert (base[:6] >= solo[:6]).all()
+    assert (grown[:7] >= solo).all()
+
+
+def test_contention_can_speed_another_pe_up():
+    # greedy in-order issue is not monotone (Graham's list-scheduling
+    # anomaly): PE 4's remote load books bank 0 for cycle 2, which delays
+    # PE 0's load there by a cycle and so its load of bank 1 to cycle 5.
+    # PE 1's load of bank 1 at cycle 4 then no longer waits behind it. So
+    # test_monotone_contention fails for some seeds
+    progs = [
+        [("compute", C_ALU, 2), ("load", bank_addr(0)), ("compute", C_ALU, 1, (1,)),
+         ("load", bank_addr(1))],
+        [("compute", C_ALU, 4), ("load", bank_addr(1)), ("compute", C_ALU, 1, (1,))],
+    ]
+    extra = [[]] * (DESK.pes_per_tile - 2) + [[("load", bank_addr(0))]]
+    assert finish_times(simulate(progs))[:2].tolist() == [5, 7]
+    assert finish_times(simulate(progs + extra))[:2].tolist() == [6, 6]
 
 
 def test_latency_floor_under_contention():

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from dasim import desk_default
-from dasim.kernels.gemm import gen_gemm
+from dasim import desk_default, terapool_default
+from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD
+from dasim.kernels import gemv
+from dasim.kernels.gemm import gemm_geometry, gen_gemm, work_items
 from dasim.kernels.gemv import gen_gemv
 from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, ShapeError,
-                                emit_reduction, group_window_cfg)
+                                emit_copies, emit_reduction, group_window_cfg)
 from reference_pack import take
 
 DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
+TERAPOOL = terapool_default()
 
 
 @pytest.mark.parametrize("shape,n_parallel,match", [
@@ -78,16 +81,165 @@ def _reduction_op_by_op(st, loads, macs, dep_cols, out_addr, setup):
                                                        (5, 4, (4, 0), False)],
                          ids=["gemm", "gemv"])
 def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
-    loads = 4 * np.arange(n_steps * width, dtype=np.int64).reshape(n_steps, width)
-    out_addr = 4096 + 4 * np.arange(4)
-    bulk, ref = PeStream(), PeStream()
-    for st in (bulk, ref):
+    # three work items with their own addresses; items 0 and 2 share a stream
+    on = (0, 1, 0)
+    loads = 4 * np.arange(len(on) * n_steps * width).reshape(len(on), n_steps, width)
+    out_addr = 4096 + 4 * np.arange(len(on) * 4).reshape(len(on), 4)
+    bulk, ref = [PeStream(), PeStream()], [PeStream(), PeStream()]
+    for st in bulk + ref:
         st.compute(C_ALU)       # the reduction need not open the stream
-    emit_reduction(bulk, loads, macs, dep_cols, out_addr, setup)
-    _reduction_op_by_op(ref, loads, macs, dep_cols, out_addr, setup)
-    got, want = take(bulk), take(ref)
-    for name in STREAM_COLS:
-        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    emit_reduction([bulk[i] for i in on], loads, macs, dep_cols, out_addr, setup)
+    for item, i in enumerate(on):
+        _reduction_op_by_op(ref[i], loads[item], macs, dep_cols, out_addr[item], setup)
+    loads[:], out_addr[:] = 0, 0      # the streams hold none of the caller's arrays
+    for b, r in zip(bulk, ref):
+        assert b.n == r.n
+        got, want = take(b), take(r)
+        for name in STREAM_COLS:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def _template(n_ops, dep1=(), dep2=()):
+    """``n_ops`` one-ALU ops; ``dep1``/``dep2`` name (op, distance) pairs."""
+    t = {"kind": [K_COMPUTE] * n_ops, "cls": [C_ALU] * n_ops, "arg": [1] * n_ops,
+         "dep1": [0] * n_ops, "dep2": [0] * n_ops}
+    for col, deps in (("dep1", dep1), ("dep2", dep2)):
+        for op, dist in deps:
+            t[col][op] = dist
+    return t
+
+
+# templates and address shapes emit_copies rejects, for two items on
+# streams that already hold 3 ops
+COPIES_REJECTED = {
+    "dep-before-copy": (_template(2, dep1=[(1, 2)]), (2, 2)),
+    "dep-ring": (_template(DEP_RING + 1, dep2=[(DEP_RING, DEP_RING)]), (2, DEP_RING + 1)),
+    "dep-negative": (_template(2, dep2=[(1, -1)]), (2, 2)),
+    "addr-items": (_template(2), (1, 2)),
+    "addr-ops": (_template(2), (2, 3)),
+    "addr-flat": (_template(2), (4,)),
+    "column-length": ({**_template(2), "arg": [1]}, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", COPIES_REJECTED)
+def test_emit_copies_rejects_bad_templates(case):
+    template, addr_shape = COPIES_REJECTED[case]
+    streams = [PeStream(), PeStream()]
+    for st in streams:
+        for _ in range(3):
+            st.compute(C_ALU)
+    with pytest.raises(ValueError):
+        emit_copies(streams, template, np.zeros(addr_shape, dtype=np.int64))
+    assert [st.n for st in streams] == [3, 3]
+    assert [len(take(st)["kind"]) for st in streams] == [3, 3]
+
+
+def test_emit_copies_keeps_its_own_copy():
+    # a load and an ALU op on it; one stream takes two copies, one takes one
+    template = {"kind": np.array([K_LOAD, K_COMPUTE], dtype=np.uint8),
+                "cls": np.array([0, C_ALU], dtype=np.uint8),
+                "arg": np.array([0, 1], dtype=np.int32),
+                "dep1": np.array([0, 1], dtype=np.uint16),
+                "dep2": np.zeros(2, dtype=np.uint16)}
+    addr = np.array([[8, 0], [12, 0], [16, 0]], dtype=np.int64)
+    two, one = PeStream(), PeStream()
+    emit_copies([two, one, two], template, addr)
+    for col in (*template.values(), addr):
+        col[:] = 3
+    for st, addrs in ((two, [8, 0, 16, 0]), (one, [12, 0])):
+        got = take(st)
+        k = len(addrs) // 2
+        assert got["kind"].tolist() == [K_LOAD, K_COMPUTE] * k
+        assert got["cls"].tolist() == [0, C_ALU] * k
+        assert got["arg"].tolist() == [0, 1] * k
+        assert got["dep1"].tolist() == [0, 1] * k
+        assert got["dep2"].tolist() == [0, 0] * k
+        assert got["addr"].tolist() == addrs
+
+
+def _pe_work_items(topo, geom, pe):
+    """gemm's work items of one PE as a loop: work_items' reference."""
+    tiles_per_prob = geom["tiles_per_prob"]
+    tile = pe // topo.pes_per_tile
+    ti = tile % tiles_per_prob
+    slot = pe % topo.pes_per_tile
+    wins = list(range(slot, geom["windows"], topo.pes_per_tile))
+    if wins:
+        rot = ti % len(wins)
+        wins = wins[rot:] + wins[:rot]
+    n_local = len(range(ti, geom["blocks"], tiles_per_prob))
+    return [(pe, lb, win) for lb in range(n_local) for win in wins]
+
+
+@pytest.mark.parametrize("topo,shape,n_parallel", [
+    (DESK, (32, 32, 32), 1), (DESK, (32, 64, 32), 4), (DESK, (8, 1, 8), 1),
+    (DESK, (4, 8, 36), 2), (DESK, (96, 8, 12), 16), (TERAPOOL, (64, 64, 64), 1),
+    (TERAPOOL, (256, 8, 256), 8)])
+def test_gemm_work_items_match_the_loop(topo, shape, n_parallel):
+    geom = gemm_geometry(topo, *shape, n_parallel)
+    want = [it for pe in range(topo.n_pes) for it in _pe_work_items(topo, geom, pe)]
+    got = list(zip(*(a.tolist() for a in work_items(topo, geom))))
+    assert got == want
+
+
+def _reduce_partials_op_by_op(pb, g, n_parallel, c_part, c_final):
+    """gemv's reduce phase written one op at a time: reduce_partials' reference."""
+    ppg, gpp, rows_per_pe = g["ppg"], g["gpp"], g["rows_per_pe"]
+    ppt = pb.topo.pes_per_tile
+    for pr in range(n_parallel):
+        owner = pr * gpp * ppg
+        for lane in range(ppg):
+            pe = owner + lane
+            st = pb.streams[pe]
+            cslot = (pe % ppt) * rows_per_pe
+            for row in range(rows_per_pe):
+                prev = None
+                for gi in range(1, gpp):
+                    peer = (pr * gpp + gi) * ppg + lane
+                    poff = (peer % ppt) * rows_per_pe + row
+                    ld = st.load(c_part.addr(peer // ppt, poff))
+                    prev = st.compute(C_ALU, dep=(ld,) if prev is None else (ld, prev))
+                st.store(c_final.addr(pe // ppt, cslot + row), dep=(prev,))
+
+
+# gpp 2: a 3-op chain (no golden has it); gpp 64; two problems of gpp 8
+@pytest.mark.parametrize("shape,n_parallel", [((128, 64), 1), ((12, 64), 1), ((16, 64), 2)],
+                         ids=["gpp2", "gpp64", "gpp8-par2"])
+@pytest.mark.parametrize("scheme", ["das", "interleaved"])
+def test_gemv_reduce_chain_matches_op_by_op(monkeypatch, shape, n_parallel, scheme):
+    got = gen_gemv(DESK, *shape, n_parallel, scheme)
+    monkeypatch.setattr(gemv, "reduce_partials", _reduce_partials_op_by_op)
+    want = gen_gemv(DESK, *shape, n_parallel, scheme)
+    assert got.counted_ops == want.counted_ops
+    (pg, pw) = (got.phases[-1], want.phases[-1])
+    assert pg.name == pw.name == "reduce"
+    (cg,), (cw,) = pg.chunks, pw.chunks
+    np.testing.assert_array_equal(cg.n_ops, cw.n_ops)
+    for name, col in cw.cols.items():
+        assert cg.cols[name].dtype == col.dtype, name
+        np.testing.assert_array_equal(cg.cols[name], col, err_msg=name)
+
+
+# the bench shapes, and desk gemv 12x64 for a 64-group reduce phase. The
+# schemes write the same ops, so one scheme counts for both
+@pytest.mark.parametrize("topo,gen,shape,n_parallel", [
+    (TERAPOOL, gen_gemm, (64, 64, 64), 1), (TERAPOOL, gen_gemv, (256, 256), 1),
+    (DESK, gen_gemm, (32, 64, 32), 4), (DESK, gen_gemv, (12, 64), 1)],
+    ids=["tp-gemm-64", "tp-gemv-256", "desk-gemm-par4", "desk-gemv-12x64"])
+def test_kernels_write_no_op_one_at_a_time(monkeypatch, topo, gen, shape, n_parallel):
+    # only the allocation charges go through PeStream's one-op path; every
+    # kernel loop is one bulk copy of an op template per work item
+    pushed = []
+    push = PeStream._push
+
+    def counted(self, *args):
+        pushed.append(args[0])
+        return push(self, *args)
+
+    monkeypatch.setattr(PeStream, "_push", counted)
+    plan = gen(topo, *shape, n_parallel, "das")
+    assert len(pushed) == len(plan.alloc_events)
 
 
 PLANS = [(gen, shape, n_parallel)
