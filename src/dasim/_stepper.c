@@ -1,12 +1,16 @@
 /* Cycle-stepped core of the simulator: step_segment, loaded by _stepper.py.
  *
- * The op kinds (K_*), ledger columns and width (ACC_*), fault codes (FAULT_*)
- * and DEP_RING are defined in _stepper.py only and arrive as -D macros.
+ * The op kinds (K_*), ledger columns and width (ACC_*), fault codes (FAULT_*),
+ * DEP_RING and QH are defined in _stepper.py only and arrive as -D macros.
  * Every array is C-contiguous and int64 unless typed otherwise; the
  * caller checks sizes and index ranges before the call.
  */
 
 #include <stdint.h>
+
+#if QH < 1 || QH > 64 || (QH & (QH - 1))
+#error "QH must be a power of two from 1 to 64: one occupancy bit per bucket"
+#endif
 
 /* splitmix64 of (seed, pe, idx) against the stall probability */
 static int ins_hit(uint64_t seed, int64_t pe, int64_t idx, uint64_t thresh)
@@ -46,10 +50,70 @@ static void sift_up(int64_t *h, int64_t i)
     h[i] = key;
 }
 
+/* The PEs that can act, by the cycle they next act at. A PE due fewer
+ * than QH cycles after the current one, `now`, sits in bucket t % QH,
+ * a bitmap of PE ids of `words` 64-bit words; bit b of `occ` is set while
+ * bucket b may hold a PE. A PE due QH or more cycles ahead waits in the
+ * far heap, keyed t * n_pe + pe, and joins its bucket once `now` comes
+ * within QH cycles of it. The current bucket is read from word `w` on:
+ * every PE queued while it is read is due later, so it only empties. */
+typedef struct {
+    uint64_t *bits, occ;
+    int64_t *far, n_far, words, n_pe, now, w;
+} pe_queue;
+
+static inline void enqueue(pe_queue *q, int64_t pe, int64_t t)
+{
+    if (t - q->now < QH) {
+        int64_t b = t & (QH - 1);
+        q->bits[b * q->words + pe / 64] |= 1ULL << (pe % 64);
+        q->occ |= 1ULL << b;
+    } else {
+        q->far[q->n_far] = t * q->n_pe + pe;
+        sift_up(q->far, q->n_far++);
+    }
+}
+
+/* The next PE in (cycle, PE id) order, taken off the queue with q->now
+ * set to its cycle; -1 once the queue is empty, with q->now left at the
+ * last PE's cycle */
+static inline int64_t dequeue(pe_queue *q)
+{
+    for (;;) {
+        uint64_t *b = q->bits + (q->now & (QH - 1)) * q->words;
+        for (; q->w < q->words; q->w++) {
+            uint64_t x = b[q->w];
+            if (x) {
+                b[q->w] = x & (x - 1);
+                return q->w * 64 + __builtin_ctzll(x);
+            }
+        }
+        /* the current cycle is done: on to the next one with a PE due */
+        int64_t s = q->now & (QH - 1);
+        q->occ &= ~(1ULL << s);
+        if (q->occ) {
+            uint64_t later = q->occ >> s;
+            q->now += later ? __builtin_ctzll(later) : QH - s + __builtin_ctzll(q->occ);
+        } else if (q->n_far) {
+            q->now = q->far[0] / q->n_pe;
+        } else {
+            return -1;
+        }
+        q->w = 0;
+        while (q->n_far && q->far[0] / q->n_pe - q->now < QH) {
+            int64_t key = q->far[0];
+            q->far[0] = q->far[--q->n_far];
+            sift_down(q->far, q->n_far, 0);
+            enqueue(q, key % q->n_pe, key / q->n_pe);
+        }
+    }
+}
+
 /* Advance one segment from cycle `now`; see step_segment in _stepper.py.
  * out receives (end cycle, FAULT_* code or 0, pe, detail). work holds
- * 3 * n_pe scratch slots: the queue, each PE's cursor and the transfer
- * each parked PE waits on. */
+ * 3 * n_pe + QH * ceil(n_pe / 64) scratch slots: the far heap, each PE's
+ * cursor, the transfer each parked PE waits on and the QH bucket bitmaps
+ * (see pe_queue). */
 void step_segment(
     /* per-op columns [n_pe, row]; ops per PE */
     const uint8_t *op_kind, const uint8_t *op_cls, const int32_t *op_arg,
@@ -73,30 +137,29 @@ void step_segment(
 {
     const int64_t mask = DEP_RING - 1;
     const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
-    int64_t *queue = work, *cursor = work + n_pe, *parked = work + 2 * n_pe;
-    int64_t n_queued = n_pe, n_arrived = 0, n_parked = 0;
+    int64_t *cursor = work + n_pe, *parked = work + 2 * n_pe;
+    int64_t n_arrived = 0, n_parked = 0;
     int64_t pe, q;
+    pe_queue queue = {.bits = (uint64_t *)(work + 3 * n_pe), .far = work,
+                      .words = (n_pe + 63) / 64, .n_pe = n_pe, .now = now};
 
-    /* PEs that can act, keyed t_free * n_pe + pe */
     for (pe = 0; pe < n_pe; pe++) {
-        queue[pe] = t_free[pe] * n_pe + pe;
+        if (pe == 0 || t_free[pe] < queue.now)
+            queue.now = t_free[pe];
         cursor[pe] = 0;
         parked[pe] = -1;
     }
-    for (q = n_pe / 2 - 1; q >= 0; q--)
-        sift_down(queue, n_queued, q);
+    for (q = 0; q < QH * queue.words; q++)
+        queue.bits[q] = 0;
+    for (pe = 0; pe < n_pe; pe++)
+        enqueue(&queue, pe, t_free[pe]);
     out[1] = out[2] = out[3] = 0;
 
-    while (n_queued) {
-        /* the head stays in place until the PE is requeued or dropped */
-        now = queue[0] / n_pe;
-        pe = queue[0] % n_pe;
+    while ((pe = dequeue(&queue)) >= 0) {
+        now = queue.now;
         int64_t i = cursor[pe];
-        if (i >= n_ops[pe]) {
-            queue[0] = queue[--n_queued];
-            sift_down(queue, n_queued, 0);
+        if (i >= n_ops[pe])
             continue;
-        }
         int64_t o = pe * row + i;
         int k = op_kind[o];
         int64_t ai = abs_idx[pe];
@@ -148,8 +211,6 @@ void step_segment(
                 /* off the queue until some PE starts the transfer */
                 parked[pe] = tid;
                 n_parked++;
-                queue[0] = queue[--n_queued];
-                sift_down(queue, n_queued, 0);
                 continue;
             }
             if (t_done > g_wfi)
@@ -182,8 +243,7 @@ void step_segment(
                 ins_done[pe] = ai;
             }
             t_free[pe] = t_issue + extra_ins;
-            queue[0] = t_free[pe] * n_pe + pe;
-            sift_down(queue, n_queued, 0);
+            enqueue(&queue, pe, t_free[pe]);
             continue;
         }
 
@@ -263,8 +323,7 @@ void step_segment(
                     n_parked--;
                     acct[q * ACC_WIDTH + ACC_WFI] += now + 1 - t_free[q];
                     t_free[q] = now + 1;
-                    queue[n_queued] = (now + 1) * n_pe + q;
-                    sift_up(queue, n_queued++);
+                    enqueue(&queue, q, now + 1);
                 }
             }
         }
@@ -276,14 +335,10 @@ void step_segment(
         cursor[pe] = i + 1;
         abs_idx[pe] = ai + 1;
         t_free[pe] = t_next;
-        /* the waiters pushed above key later than the head, so it is still queue[0] */
         if (k != K_BARRIER) {
-            queue[0] = t_next * n_pe + pe;
-            sift_down(queue, n_queued, 0);
+            enqueue(&queue, pe, t_next);
         } else if (n_arrived < n_pe) {
             /* waits off the queue for the release */
-            queue[0] = queue[--n_queued];
-            sift_down(queue, n_queued, 0);
         } else {
             /* PEs arrive in cycle order, so this last one arrives at now;
              * each PE waits from its own t_free (its arrival + 1) */
@@ -297,7 +352,7 @@ void step_segment(
         }
     }
 
-    out[0] = now;
+    out[0] = queue.now;
     if (n_parked) {
         for (q = 0; parked[q] < 0; q++)
             ;
@@ -310,5 +365,5 @@ void step_segment(
         out[1] = FAULT_BARRIER_PARTIAL, out[2] = q, out[3] = n_arrived;
     }
     /* else a segment without a terminating barrier: PEs end independently,
-     * and the last one popped from the queue finishes last */
+     * and the last one taken from the queue finishes last */
 }

@@ -277,6 +277,7 @@ class PlanBuilder:
         self.scheme = scheme
         self.heap = heap_init(0, topo.total_bytes, topo.word_bytes)
         self.streams = [PeStream() for _ in range(topo.n_pes)]
+        self._packed = np.zeros(topo.n_pes, dtype=np.int64)   # each stream's n at the last pack
         self.phases = []
         self.transfers = []
         self.alloc_log = []
@@ -352,14 +353,16 @@ class PlanBuilder:
         if name is None:
             raise RuntimeError("no phase open")
         self._phase_name = None
-        segs = [stream.segments() for stream in self.streams]
-        n_ops = np.array([sum(len(s["kind"]) for s in pe_segs) for pe_segs in segs],
-                         dtype=np.int64)
+        n = np.fromiter((stream.n for stream in self.streams), np.int64, len(self.streams))
+        n_ops = n - self._packed
+        segs = [stream.segments() if k else []
+                for stream, k in zip(self.streams, n_ops.tolist())]
         chunk = make_chunk(n_ops + barrier, self._batches(name, segs, n_ops))
         if barrier:
             chunk.cols["kind"][np.arange(len(n_ops)), n_ops] = K_BARRIER
             for stream in self.streams:
                 stream.n += 1
+        self._packed = n + barrier
         self.phases.append(Phase(name=name, chunks=[chunk]))
 
     def _batches(self, name: str, segs: list, n_ops: np.ndarray):

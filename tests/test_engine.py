@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasim import das, desk_default, engine, interleaved, terapool_default
+from dasim import (ClusterTopology, _stepper, das, desk_default, engine, interleaved,
+                   terapool_default)
 from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, K_STORE
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
                           build_transfer, make_chunk, run_packed)
@@ -645,7 +646,7 @@ def test_timing_knobs_rejected_out_of_range(knob, value):
         EngineParams(**{knob: value})
 
 
-def _random_programs(rng, n_pe):
+def _random_programs(rng, n_pe, topo=DESK):
     progs = []
     for pe in range(n_pe):
         ops = []
@@ -653,9 +654,9 @@ def _random_programs(rng, n_pe):
         for i in range(int(n)):
             r = rng.random()
             if r < 0.45:
-                ops.append(("load", int(rng.integers(0, DESK.total_bytes // 4)) * 4))
+                ops.append(("load", int(rng.integers(0, topo.total_bytes // 4)) * 4))
             elif r < 0.6:
-                ops.append(("store", int(rng.integers(0, DESK.total_bytes // 4)) * 4))
+                ops.append(("store", int(rng.integers(0, topo.total_bytes // 4)) * 4))
             else:
                 dep = ()
                 if ops and rng.random() < 0.5:
@@ -755,48 +756,68 @@ def test_random_programs_pinned(seed, barriers, empty, ins_prob, n_dma, digest):
     assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
 
 
-def _oracle_case(seed, ports):
-    """A random plan and its params, for the C stepper against the oracle.
+def _random_transfers(rng, topo, n):
+    return [DmaTransfer((0, 0), (0, 0), segments=[
+        (int(rng.integers(0, topo.n_subgroups)), int(rng.integers(1, 65)))
+        for _ in range(int(rng.integers(1, 4)))]) for _ in range(n)]
 
-    One or two phases of ``_random_programs``, each ending in a barrier
-    or not, with empty PEs; the second phase's first op on a PE depends
-    on the PE's last op before it. Window 1-5, ``ports`` out and in
-    ports, INS stalls on odd seeds. Transfer t is started by PE t at the
-    end of a phase and waited for by PE t + 1 at the start of that phase
-    or a later one, so the waiter often parks until the start.
+
+def _plan_with_transfers(rng, topo, n_phases, transfers, starter, waiters, programs):
+    """A plan of ``n_phases`` phases of ``programs(rng)`` on ``topo``.
+
+    Each phase ends in a barrier or not, and a PE's first op in a phase
+    after the first depends on the PE's last op before it. Transfer t is
+    started by PE ``starter[t]`` at the end of a phase and waited for by
+    the PEs in ``waiters[t]`` at the start of that phase or a later one,
+    so a waiter often parks until the start.
     """
-    rng = np.random.default_rng(seed)
-    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
-                          ins_stall_prob=0.3 * (seed % 2), ins_seed=seed % 2 * seed)
-    n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(0, 4))
-    transfers = [DmaTransfer((0, 0), (0, 0), segments=[
-        (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
-        for _ in range(int(rng.integers(1, 4)))]) for _ in range(n_dma)]
     start = [int(rng.integers(0, n_phases)) for _ in transfers]
     wait = [int(rng.integers(s, n_phases)) for s in start]
-    pb = PlanBuilder(DESK, "interleaved")
+    pb = PlanBuilder(topo, "interleaved")
     pb.transfers.extend(transfers)
     for ph in range(n_phases):
-        progs = _random_programs(rng, 8)
-        for pe in rng.choice(8, int(rng.integers(0, 3)), replace=False):
-            progs[pe] = []
+        progs = programs(rng)
         pb.begin_phase(f"p{ph}")
         for pe, (stream, prog) in enumerate(zip(pb.streams, progs)):
-            if ph and stream.n:
+            if stream.n:
                 stream.compute(C_ALU, 1, (stream.n - 1,))
-            for t in range(n_dma):
-                if wait[t] == ph and (t + 1) % 8 == pe:
+            for t in range(len(transfers)):
+                if wait[t] == ph and pe in waiters[t]:
                     stream.dma_wait(t)
             shift = stream.n
             for method, *args in prog:
                 if method == "compute":
                     args[2] = tuple(d + shift for d in args[2])
                 getattr(stream, method)(*args)
-            for t in range(n_dma):
-                if start[t] == ph and t == pe:
+            for t in range(len(transfers)):
+                if start[t] == ph and starter[t] == pe:
                     stream.dma_start(t)
         pb.end_phase(bool(rng.integers(0, 2)))
-    return pb.build("test", "", 1, {}), params
+    return pb.build("test", "", 1, {})
+
+
+def _oracle_case(seed, ports):
+    """A random plan and its params, for the C stepper against the oracle.
+
+    One or two phases of ``_random_programs`` on 8 PEs of DESK, some of
+    them empty, and up to three transfers (see ``_plan_with_transfers``):
+    PE t starts transfer t and PE t + 1 waits for it. Window 1-5,
+    ``ports`` out and in ports, INS stalls on odd seeds.
+    """
+    rng = np.random.default_rng(seed)
+    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
+                          ins_stall_prob=0.3 * (seed % 2), ins_seed=seed % 2 * seed)
+    n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(0, 4))
+
+    def programs(rng):
+        progs = _random_programs(rng, 8)
+        for pe in rng.choice(8, int(rng.integers(0, 3)), replace=False):
+            progs[pe] = []
+        return progs
+
+    return _plan_with_transfers(rng, DESK, n_phases, _random_transfers(rng, DESK, n_dma),
+                                range(n_dma), [{(t + 1) % 8} for t in range(n_dma)],
+                                programs), params
 
 
 def _outcome(run):
@@ -840,6 +861,89 @@ def test_c_stepper_faults_like_oracle(monkeypatch, case):
     c, oracle = _under_both_steppers(monkeypatch, FAULT_CASES[case])
     assert c.startswith("fault: ")
     assert c == oracle
+
+
+# the stepper's queue holds one bitmap bit per PE: part of one 64-bit
+# word, exactly one word and two words
+QUEUE_TOPOS = {
+    "8pe": ClusterTopology(pes_per_tile=1, banks_per_tile=4, tiles_per_subgroup=2,
+                           subgroups_per_group=2, groups=2),
+    "64pe": DESK,
+    "128pe": replace(DESK, groups=8),
+}
+
+
+def _queue_edge_case(seed, topo):
+    """A random plan on every PE of ``topo`` whose waits straddle the
+    stepper's bucket horizon ``_stepper.QH``, and its params.
+
+    One or two phases of ``_random_programs`` and one to three
+    transfers, as in ``_plan_with_transfers``; each transfer is started
+    by a random PE and waited for by up to four others, behind an L2
+    latency of 100 cycles. About one compute op in five is a burst of
+    QH - 1, QH, QH + 1 or 3 * QH issues. So PEs leave the far heap in
+    cycles that PEs queued in the buckets share, with lower ids and
+    higher. Window 1-5, 1-3 ports, INS stalls on odd seeds.
+    """
+    qh = _stepper.QH
+    rng = np.random.default_rng(seed)
+    ports = int(rng.integers(1, 4))
+    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
+                          l2_latency=100, ins_stall_prob=0.3 * (seed % 2),
+                          ins_seed=seed % 2 * seed)
+    n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    starter = rng.choice(topo.n_pes, n_dma, replace=False).tolist()
+    waiters = [set(rng.choice(topo.n_pes, int(rng.integers(1, 5))).tolist()) - {starter[t]}
+               for t in range(n_dma)]
+
+    def programs(rng):
+        progs = _random_programs(rng, topo.n_pes, topo)
+        for prog in progs:
+            for j, op in enumerate(prog):
+                if op[0] == "compute" and rng.random() < 0.2:
+                    prog[j] = op[:2] + (int(rng.choice([qh - 1, qh, qh + 1, 3 * qh])), op[3])
+        return progs
+
+    return _plan_with_transfers(rng, topo, n_phases, _random_transfers(rng, topo, n_dma),
+                                starter, waiters, programs), params
+
+
+@pytest.mark.parametrize("topo", QUEUE_TOPOS.values(), ids=QUEUE_TOPOS)
+def test_c_stepper_matches_oracle_at_queue_edges(monkeypatch, topo):
+    for seed in range(12):
+        plan, params = _queue_edge_case(seed, topo)
+        c, oracle = _under_both_steppers(monkeypatch, lambda: run_plan(plan, params))
+        assert c == oracle, f"seed {seed}"
+
+
+def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):
+    # PEs 0 and 2 reach cycle QH + 1 through the buckets (QH - 1 issues,
+    # then 2 more), PE 1 from the far heap (QH + 1 issues from cycle 0);
+    # there all three load bank 0 of their tile. The bank serves them in
+    # PE id order, at QH + 1, QH + 2 and QH + 3, so each dependent ALU op
+    # waits one cycle longer than the PE's before and retires a cycle later
+    qh = _stepper.QH
+    t = qh + 1
+    near = [("compute", C_ALU, qh - 1), ("compute", C_ALU, 2), ("load", bank_addr(0)),
+            ("compute", C_ALU, 1, (2,))]
+    far = [("compute", C_ALU, t), ("load", bank_addr(0)), ("compute", C_ALU, 1, (1,))]
+    rep = simulate([near, far, near])
+    assert finish_times(rep)[:3].tolist() == [t + 2, t + 3, t + 4]
+    assert rep.per_pe["lsu_stall"][:3].tolist() == [0, 1, 2]
+    c, oracle = _under_both_steppers(monkeypatch, lambda: simulate([near, far, near]))
+    assert c == oracle
+
+
+def test_c_stepper_matches_oracle_with_a_two_cycle_horizon(monkeypatch, tmp_path):
+    # a stepper built with QH 2 sends nearly every wait through the far heap
+    monkeypatch.setattr(_stepper, "QH", 2)
+    monkeypatch.setattr(_stepper, "_c_step", _stepper._load(_stepper._build(str(tmp_path))))
+    for ports in (1, 3):
+        test_c_stepper_matches_oracle(monkeypatch, ports)
+    for case in FAULT_CASES:
+        test_c_stepper_faults_like_oracle(monkeypatch, case)
+    for topo in QUEUE_TOPOS.values():
+        test_c_stepper_matches_oracle_at_queue_edges(monkeypatch, topo)
 
 
 @settings(max_examples=15, deadline=None)

@@ -119,6 +119,7 @@ COPIES_REJECTED = {
     "addr-ops": (_template(2), (2, 3)),
     "addr-flat": (_template(2), (4,)),
     "column-length": ({**_template(2), "arg": [1]}, (2, 2)),
+    "column-scalar": ({**_template(2), "arg": 1}, (2, 2)),
 }
 
 
