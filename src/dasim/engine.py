@@ -111,7 +111,10 @@ class PackedChunk:
     """Rectangular per-PE op arrays; rows padded to the longest stream.
 
     ``cols`` maps each _COLS name to a C-contiguous [n_pe, L] array of
-    its dtype; ``n_ops`` is int64, one entry per PE.
+    its dtype; ``n_ops`` is int64, one entry per PE. make_chunk writes it
+    in batches of op-template copies, one block of the same slots of
+    several PEs' rows per batch; padding and the fields an op does not
+    use stay zero.
     """
 
     cols: dict
@@ -132,19 +135,21 @@ class Phase:
 
 def make_chunk(n_ops: np.ndarray, batches) -> PackedChunk:
     """The zeroed chunk for per-PE op counts ``n_ops`` (int64), with
-    ``batches`` scattered into it.
+    ``batches`` written into it.
 
-    Each batch is ``(pe, pos, cols)``: for each op, its PE and its slot
-    in that PE's row, and a dict of 1-D columns with every _COLS name.
-    Each packed column is cast to its _COLS dtype; every slot no batch
-    writes stays zero.
+    Each batch is ``(pes, start, cols)``: k distinct PE ids and a dict of
+    every _COLS name to a column of n ops, 1-D or (k x n), that fills
+    slots ``start`` to ``start + n`` of each listed PE's row; a 1-D
+    column (an op template's) is the same for every PE. Each column is
+    written with one slice write and cast to its _COLS dtype; every slot
+    no batch writes stays zero.
     """
     cap = max(1, int(n_ops.max()))
     cols = {name: np.zeros((len(n_ops), cap), dtype=dtype) for name, dtype in _COLS.items()}
-    for pe, pos, batch in batches:
-        at = pe * cap + pos         # one flat index: 3x faster than [pe, pos]
+    for pes, start, batch in batches:
+        at = (pes, slice(start, start + batch["kind"].shape[-1]))
         for name, col in cols.items():
-            col.reshape(-1)[at] = batch[name]
+            col[at] = batch[name]
     return PackedChunk(cols=cols, n_ops=n_ops)
 
 

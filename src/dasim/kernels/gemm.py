@@ -92,15 +92,13 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     rows = lb[:, None] * 4 + np.arange(4)
     cols = win[:, None] * 4 + np.arange(4)
     ks = np.arange(N)[:, None]
-    a_addr = a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld + ks)
-    b_off = ks * b_ld + cols[:, None, :]
-    if n_parallel == 1:
-        b_addr = b_op.base + b_off * wb
-    else:
-        b_addr = b_op.addr(tile[:, :, None] // tiles_per_prob, b_off)
+    b_win = 0 if n_parallel == 1 else tile[:, :, None] // tiles_per_prob
     c_off = rows[:, :, None] * c_ld + cols[:, None, :]
-    # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step
-    emit_reduction([pb.streams[p] for p in pe], np.concatenate([a_addr, b_addr], axis=2),
+    # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step. The
+    # address arrays live only during the call: the streams keep their own
+    emit_reduction([pb.streams[p] for p in pe],
+                   (a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld + ks),
+                    b_op.addr(b_win, ks * b_ld + cols[:, None, :])),
                    16, (7, 3), c_op.addr(tile, c_off.reshape(len(pe), 16)), setup=True)
     pb.end_phase()
 

@@ -4,12 +4,15 @@ A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfers for one kernel under one
 mapping scheme. Programs are written on one PeStream per PE, with byte
 addresses: a kernel loop as emit_copies, one copy of an op template per
-work item, and single ops one at a time. PlanBuilder.end_phase closes a
-phase: it resolves the addresses against the regions live at that moment
-(so a region freed in a later phase still resolves the accesses emitted
-while it was live) and packs every PE's ops into the phase's single
-chunk, one bounded batch of PEs at a time, then writes the barrier op on
-every stream (unless told not to).
+work item, and single ops one at a time (the ops pushed between two
+copies form a template of their own, copied once). PlanBuilder.end_phase
+closes a phase: it resolves the addresses against the regions live at
+that moment (so a region freed in a later phase still resolves the
+accesses emitted while it was live) and packs the phase's single chunk
+one template group at a time, then writes the barrier op on every stream
+(unless told not to). A group is the copies of one template that start
+at the same slot of their PEs' rows: each block of its copies resolves
+in one call, and each chunk column takes it in one slice write.
 emit_reduction writes a kernel's software-pipelined reductions and
 their result stores, one copy per work item.
 """
@@ -37,9 +40,10 @@ STREAM_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32,
 # copy of the template takes from its own row
 TEMPLATE_COLS = {k: d for k, d in STREAM_COLS.items() if k != "addr"}
 
-# ops end_phase resolves and packs at a time: its temporaries stay near
-# 1 MiB however large the phase (a whole phase at once raised desk gemm
-# n_parallel 4's peak resident memory by 20%)
+# ops of one template group that end_phase resolves and packs at a time
+# (one copy, if a copy is longer): its temporaries stay near 1 MiB however
+# large the phase (a whole phase at once raised desk gemm n_parallel 4's
+# peak resident memory by 20%)
 BATCH_OPS = 8192
 
 
@@ -87,7 +91,12 @@ class Operand:
 
 
 class PeStream:
-    """Columnar op accumulator for one PE.
+    """Op accumulator for one PE: copies of op templates, in stream order.
+
+    A copy is a template's TEMPLATE_COLS columns, shared with every other
+    copy, and the copy's own addresses. Ops pushed one at a time gather
+    column by column until the next copy or hand-over closes them into a
+    template of their own.
 
     Each op method returns the op's absolute index in the stream. ``dep``
     names up to two earlier ops whose results the op consumes: waiting
@@ -98,8 +107,8 @@ class PeStream:
 
     def __init__(self):
         self.n = 0
-        self._segs = []
-        self._cur = {k: [] for k in STREAM_COLS}
+        self._segs = []         # (template, addr) per copy, in stream order
+        self._cur = None        # ops pushed since the last copy: a list per column
 
     def _push(self, kind, cls, arg, addr, dep):
         n = self.n
@@ -111,6 +120,8 @@ class PeStream:
                 raise ValueError(f"dep {dep_ix} out of ring range at op {n}")
             dist[slot] = n - dep_ix
         c = self._cur
+        if c is None:
+            c = self._cur = {k: [] for k in STREAM_COLS}
         c["kind"].append(kind)
         c["cls"].append(cls)
         c["arg"].append(arg)
@@ -151,32 +162,39 @@ class PeStream:
                              "dep2": dep2}, np.asarray(addr)[None])
 
     def _append(self, template: dict, addr: np.ndarray):
-        """Keep checked, read-only TEMPLATE_COLS columns (shared with other
-        streams) and their addresses as the stream's next ops."""
+        """Keep a checked, read-only template (its TEMPLATE_COLS columns,
+        shared with other streams) and one copy's addresses as the stream's
+        next ops."""
         self._flush()
-        self._segs.append({**template, "addr": addr})
+        self._segs.append((template, addr))
         self.n += len(addr)
 
     def _flush(self):
-        if self._cur["kind"]:
-            self._segs.append({k: np.array(v, dtype=STREAM_COLS[k])
-                               for k, v in self._cur.items()})
-            self._cur = {k: [] for k in STREAM_COLS}
+        """Close the ops pushed one by one into a template of their own."""
+        if self._cur is not None:
+            cols = {k: np.array(v, dtype=STREAM_COLS[k]) for k, v in self._cur.items()}
+            self._segs.append((cols, cols.pop("addr")))
+            self._cur = None
 
     def touches(self, lo, hi) -> bool:
         """Whether a load or store not yet handed over lies in [lo, hi)."""
         self._flush()
-        return any(((s["kind"] <= K_STORE) & (s["addr"] >= lo) & (s["addr"] < hi)).any()
-                   for s in self._segs)
+        return any(((t["kind"] <= K_STORE) & (a >= lo) & (a < hi)).any()
+                   for t, a in self._segs)
+
+    def _take(self) -> list:
+        """Hand over and clear the accumulated (template, addr) pairs, in
+        stream order; the op counter keeps running."""
+        self._flush()
+        segs, self._segs = self._segs, []
+        return segs
 
     def segments(self) -> list:
         """Hand over and clear the accumulated segments (op counter keeps running).
 
         Each segment is a dict of STREAM_COLS arrays, in stream order.
         """
-        self._flush()
-        segs, self._segs = self._segs, []
-        return segs
+        return [{**t, "addr": a} for t, a in self._take()]
 
 
 def emit_copies(streams: list, template: dict, addr) -> None:
@@ -214,19 +232,25 @@ def _copy_template(streams: list, template: dict, addr: np.ndarray) -> None:
         st._append(cols, row)
 
 
-def emit_reduction(streams: list, loads: np.ndarray, macs: int, dep_cols: tuple,
+def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
                    out_addr: np.ndarray, setup: bool) -> None:
     """Software-pipelined reductions, then the stores of their results.
 
-    Work item i runs on ``streams[i]``. Its step k loads ``loads[i, k]``
-    (byte addresses) under the burst of ``macs`` MACs that retires step
-    k-1, so operand latency hides behind compute; that burst consumes
-    step k-1's loads in columns ``dep_cols``. ``setup`` adds a one-ALU
-    accumulator set-up after step 0's loads. A drain burst retires the
-    last step, and each ``out_addr[i]`` store waits for it. Dependence
-    distances come from the ops' positions in the item's copy.
+    Work item i runs on ``streams[i]``. ``loads`` is a tuple of byte
+    address arrays, each (items x steps x its own width), whose columns
+    lie side by side: step k loads ``loads[0][i, k]``, then
+    ``loads[1][i, k]`` and so on, under the burst of ``macs`` MACs that
+    retires step k-1, so operand latency hides behind compute; that
+    burst consumes step k-1's loads in columns ``dep_cols``. ``setup``
+    adds a one-ALU accumulator set-up after step 0's loads. A drain
+    burst retires the last step, and each ``out_addr[i]`` store waits
+    for it. Dependence distances come from the ops' positions in the
+    item's copy. Each array goes straight into the copies' address
+    matrix: step 0's columns, then a view with one row of w + 1 ops per
+    later step.
     """
-    n_items, n_steps, w = loads.shape
+    widths = [np.shape(part)[-1] for part in loads]
+    n_items, n_steps, w = len(streams), np.shape(loads[0])[-2], sum(widths)
     # step 0's loads (and set-up), then per later step its loads and the
     # burst of the step before, then the drain burst and the stores
     head = w + 1 if setup else w
@@ -247,8 +271,15 @@ def emit_reduction(streams: list, loads: np.ndarray, macs: int, dep_cols: tuple,
     c["kind"][store_pos] = K_STORE
     c["dep1"][store_pos] = store_pos - drain
     addr = np.zeros((n_items, len(c["kind"])), dtype=np.int64)
-    addr[:, load_pos] = loads
-    addr[:, store_pos] = out_addr
+    # step 0's loads, and from op ``head`` on a row per later step: its
+    # loads, then the burst retiring the step before
+    later = addr[:, head:drain].reshape(n_items, n_steps - 1, w + 1)
+    col = 0
+    for part, width in zip(loads, widths):
+        addr[:, col:col + width] = part[:, 0]
+        later[:, :, col:col + width] = part[:, 1:]
+        col += width
+    addr[:, drain + 1:] = out_addr
     _copy_template(streams, c, addr)
 
 
@@ -355,9 +386,19 @@ class PlanBuilder:
         self._phase_name = None
         n = np.fromiter((stream.n for stream in self.streams), np.int64, len(self.streams))
         n_ops = n - self._packed
-        segs = [stream.segments() if k else []
-                for stream, k in zip(self.streams, n_ops.tolist())]
-        chunk = make_chunk(n_ops + barrier, self._batches(name, segs, n_ops))
+        # the copies of one template that start at one slot of their PEs'
+        # rows, PE by PE: (template, start, PEs, address rows) per group
+        groups = {}
+        for pe in np.flatnonzero(n_ops).tolist():
+            start = 0
+            for template, addr in self.streams[pe]._take():
+                g = groups.get((id(template), start))
+                if g is None:
+                    g = groups[id(template), start] = (template, start, [], [])
+                g[2].append(pe)
+                g[3].append(addr)
+                start += len(addr)
+        chunk = make_chunk(n_ops + barrier, self._pack_groups(name, list(groups.values())))
         if barrier:
             chunk.cols["kind"][np.arange(len(n_ops)), n_ops] = K_BARRIER
             for stream in self.streams:
@@ -365,52 +406,55 @@ class PlanBuilder:
         self._packed = n + barrier
         self.phases.append(Phase(name=name, chunks=[chunk]))
 
-    def _batches(self, name: str, segs: list, n_ops: np.ndarray):
-        """Yield the phase's ops as make_chunk batches.
-
-        A batch is a run of consecutive PEs holding at most BATCH_OPS ops
-        between them, or one PE holding more.
+    def _pack_groups(self, name: str, groups: list):
+        """Yield each template group as make_chunk batches, counted into the
+        closed-form totals: runs of its copies holding at most BATCH_OPS ops
+        (or one copy holding more), with addresses resolved to bank and level.
         """
         regions = self.heap.das_regions()
-        ends = np.cumsum(n_ops)
-        lo = 0
-        while lo < len(segs):
-            limit = ends[lo] - n_ops[lo] + BATCH_OPS
-            hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-            if n_ops[lo:hi].any():
-                yield self._batch(name, regions, segs[lo:hi], lo, n_ops[lo:hi])
-            lo = hi
+        for template, start, pes, rows in groups:
+            kind = template["kind"]
+            n = len(kind)
+            mem = np.flatnonzero((kind == K_LOAD) | (kind == K_STORE))
+            is_mac = (kind == K_COMPUTE) & (template["cls"] == C_MAC)
+            self._counts["macs"] += len(pes) * int(template["arg"][is_mac].sum())
+            self._counts["loads"] += len(pes) * int((kind == K_LOAD).sum())
+            self._counts["stores"] += len(pes) * int((kind == K_STORE).sum())
+            pes = np.array(pes)
+            step = max(1, BATCH_OPS // max(n, 1))
+            for lo in range(0, len(pes), step):
+                at = pes[lo:lo + step]
+                bank = np.zeros((len(at), n), dtype=np.int32)
+                level = np.zeros((len(at), n), dtype=np.uint8)
+                if len(mem):
+                    addr = np.concatenate(rows[lo:lo + step]).reshape(-1, n)[:, mem]
+                    try:
+                        b, _ = resolve_array(self.topo, regions, addr.reshape(-1))
+                    except ValueError as e:
+                        raise self._fault(name, regions, groups) from e
+                    b = b.reshape(addr.shape)
+                    bank[:, mem] = b
+                    level[:, mem] = access_levels(self.topo, at[:, None], b)
+                yield at, start, {**template, "bank": bank, "level": level}
 
-    def _batch(self, name: str, regions: list, segs: list, lo: int, counts: np.ndarray):
-        """The ops of PEs ``lo``, ``lo + 1``, ... flattened PE by PE, with
-        addresses resolved to bank and level, counted into the closed-form
-        totals: one make_chunk batch."""
-        col = {k: np.concatenate([s[k] for pe_segs in segs for s in pe_segs])
-               for k in STREAM_COLS}
-        pe = np.repeat(np.arange(lo, lo + len(counts)), counts)
-        pos = np.arange(len(pe)) - np.repeat(np.cumsum(counts) - counts, counts)
-        addr = col.pop("addr")
-        kind = col["kind"]
-        mem = (kind == K_LOAD) | (kind == K_STORE)
-        col["bank"] = np.zeros(len(kind), dtype=np.int32)
-        col["level"] = np.zeros(len(kind), dtype=np.uint8)
-        if mem.any():
-            addr = addr[mem]
+    def _fault(self, name: str, regions: list, groups: list) -> SimulationFault:
+        """The fault of a phase whose loads and stores do not all resolve:
+        it names the lowest PE whose own accesses, in stream order, fail
+        to (a bad address is some PE's, a bad region list fails every PE
+        with an access), with that PE's error."""
+        own = {}
+        for template, start, pes, rows in groups:
+            kind = template["kind"]
+            mem = (kind == K_LOAD) | (kind == K_STORE)
+            if mem.any():
+                for pe, addr in zip(pes, rows):
+                    own.setdefault(pe, []).append((start, addr[mem]))
+        for pe in sorted(own):
             try:
-                b, _ = resolve_array(self.topo, regions, addr)
+                resolve_array(self.topo, regions, np.concatenate([a for _, a in sorted(
+                    own[pe], key=lambda seg: seg[0])]))
             except ValueError as e:
-                # the lowest PE with an address outside L1; a bad region
-                # list fails on the lowest PE with any access
-                bad = (addr < 0) | (addr >= self.topo.total_bytes)
-                raise SimulationFault(
-                    f"PE {pe[mem][bad.argmax()]}, phase {name!r}: {e}") from e
-            col["bank"][mem] = b
-            col["level"][mem] = access_levels(self.topo, pe[mem], b)
-        is_comp = kind == K_COMPUTE
-        self._counts["macs"] += int(col["arg"][is_comp & (col["cls"] == C_MAC)].sum())
-        self._counts["loads"] += int((kind == K_LOAD).sum())
-        self._counts["stores"] += int((kind == K_STORE).sum())
-        return pe, pos, col
+                return SimulationFault(f"PE {pe}, phase {name!r}: {e}")
 
     # -- finish ----------------------------------------------------------------
 

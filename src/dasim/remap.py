@@ -102,30 +102,37 @@ def resolve_array(topo: ClusterTopology, regions: Sequence[MapConfig],
     any address outside L1, a misaligned region or overlapping regions.
     Used to pre-resolve whole traces and DMA destinations before
     simulation.
+
+    One pass places every address: a search over the folded regions'
+    edges gives each address its own (p, s), and the permutation is
+    shifts and masks of its word address.
     """
     _check_disjoint(regions)
     addrs = np.asarray(addrs, dtype=np.int64)
-    if addrs.size and (addrs.min() < 0 or addrs.max() >= topo.total_bytes):
+    # a negative address reads as 2**63 or more unsigned
+    if addrs.size and addrs.view(np.uint64).max() >= topo.total_bytes:
         bad = addrs[(addrs < 0) | (addrs >= topo.total_bytes)][0]
         raise ValueError(f"address 0x{int(bad):x} outside L1")
-    u = addrs // topo.word_bytes
-    # the permutation at p = s = 0: bank is the low b bits, row the rest
-    banks = (u % topo.n_banks).astype(np.int64)
-    rows = (u // topo.n_banks).astype(np.int64)
-    b = topo.bank_bits
-    for cfg in regions:
-        if not (cfg.folds and cfg.bound):
-            continue
+    folded = [cfg for cfg in regions if cfg.folds and cfg.bound]
+    for cfg in folded:
         cfg.validate(topo)
-        sel = (addrs >= cfg.base_addr) & (addrs < cfg.base_addr + cfg.size_bytes)
-        if not sel.any():
-            continue
-        p, s = cfg.p, cfg.s
-        ur = u[sel]
-        bank_lo = ur & ((1 << p) - 1)
-        row_lo = (ur >> p) & ((1 << s) - 1)
-        bank_hi = (ur >> (p + s)) & ((1 << (b - p)) - 1)
-        row_hi = ur >> (b + s)
-        banks[sel] = (bank_hi << p) | bank_lo
-        rows[sel] = (row_hi << s) | row_lo
+    p = s = 0
+    if folded:
+        folded.sort(key=lambda c: c.base_addr)
+        edges = np.array([e for c in folded for e in (c.base_addr, c.base_addr + c.size_bytes)])
+        # the gap between edges 2i and 2i + 1 is region i; every other gap
+        # lies outside all folded regions, at p = s = 0
+        p_at, s_at = np.zeros((2, len(edges) + 1), dtype=np.int64)
+        p_at[1::2] = [c.p for c in folded]
+        s_at[1::2] = [c.s for c in folded]
+        at = np.searchsorted(edges, addrs, side="right")
+        p, s = p_at[at], s_at[at]
+    u = addrs >> (topo.word_bytes.bit_length() - 1)
+    b = topo.bank_bits
+    # the bank keeps the p low bits and takes bits p+s .. b+s-1 above them;
+    # the row takes the s bits above the p low ones, then bits from b+s up
+    p_mask = (1 << p) - 1
+    s_mask = (1 << s) - 1
+    banks = (u & p_mask) | ((u >> s) & (((1 << b) - 1) ^ p_mask))
+    rows = ((u >> p) & s_mask) | ((u >> b) & ~s_mask)
     return banks, rows

@@ -114,14 +114,16 @@ def desk_default() -> ClusterTopology:
 def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
     """Hierarchy level of each (pe, bank) pair, as uint8; broadcasts.
 
-    Counts down from REMOTE once for each of group, subgroup and tile
-    that the PE and the bank share (a shared tile implies a shared
-    subgroup, which implies a shared group). Ids are not range-checked:
-    they come from end_phase's batch PE column and resolve_array's banks.
+    Counts up from TILE_LOCAL once for each of tile, subgroup and group
+    that the PE and the bank do not share. Tile ids sharing a subgroup
+    (a group) differ only below the power-of-two subgroup (group) size,
+    so the XOR of the PE's and the bank's tile ids settles all three. Ids
+    are not range-checked: they come from end_phase's PE ids and
+    resolve_array's banks.
     """
-    pt = np.asarray(pes) // topo.pes_per_tile
-    bt = np.asarray(banks) // topo.banks_per_tile
+    pt = np.asarray(pes) >> (topo.pes_per_tile.bit_length() - 1)
+    bt = np.asarray(banks) >> (topo.banks_per_tile.bit_length() - 1)
+    x = pt ^ bt
     sg = topo.tiles_per_subgroup
     gr = sg * topo.subgroups_per_group
-    shared = (pt // gr == bt // gr).astype(np.uint8) + (pt // sg == bt // sg) + (pt == bt)
-    return np.uint8(HierarchyLevel.REMOTE) - shared
+    return (x != 0).astype(np.uint8) + (x >= sg) + (x >= gr)

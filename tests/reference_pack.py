@@ -1,10 +1,10 @@
-"""Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s batches.
+"""Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s template groups.
 
-``end_phase`` here is the packer ``PlanBuilder.end_phase`` replaced: it
-writes the barrier through ``PeStream._push``, then for one PE at a time
-concatenates the stream's segments, resolves its addresses, classifies
-their levels, counts its ops and copies its row into the chunk. It takes
-the method's arguments, so a test swaps it in with
+``end_phase`` here writes the barrier through ``PeStream._push``, then
+for one PE at a time concatenates the stream's segments, resolves its
+addresses and classifies their levels with the division-based oracles
+of ``reference_remap``, counts its ops and copies its row into the
+chunk. It takes the method's arguments, so a test swaps it in with
 ``monkeypatch.setattr(PlanBuilder, "end_phase", end_phase)`` and builds
 plans unchanged under both.
 """
@@ -14,8 +14,7 @@ import numpy as np
 from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
 from dasim.engine import _COLS, PackedChunk, Phase, SimulationFault
 from dasim.kernels.plan import C_MAC, STREAM_COLS
-from dasim.remap import resolve_array
-from dasim.topology import access_levels
+from reference_remap import access_levels, resolve_array
 
 
 def take(stream) -> dict:

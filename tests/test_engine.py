@@ -132,11 +132,13 @@ def _hand_chunk(progs):
     past ``progs`` run one ALU issue."""
     kinds = [progs[pe] if pe < len(progs) else [K_COMPUTE] for pe in range(DESK.n_pes)]
     n_ops = np.array([len(ks) for ks in kinds], dtype=np.int64)
-    k = np.array([op for ks in kinds for op in ks], dtype=np.uint8)
-    cols = {"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
-            **{c: np.zeros(len(k), np.int32) for c in ("bank", "level", "dep1", "dep2")}}
-    pos = np.concatenate([np.arange(n) for n in n_ops])
-    return make_chunk(n_ops, [(np.repeat(np.arange(DESK.n_pes), n_ops), pos, cols)])
+
+    def cols(ks):
+        k = np.array(ks, dtype=np.uint8)
+        return {"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
+                **{c: np.zeros(len(k), np.int32) for c in ("bank", "level", "dep1", "dep2")}}
+
+    return make_chunk(n_ops, [(np.array([pe]), 0, cols(ks)) for pe, ks in enumerate(kinds)])
 
 
 @pytest.mark.parametrize("kinds,match", [

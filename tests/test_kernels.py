@@ -88,7 +88,9 @@ def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
     bulk, ref = [PeStream(), PeStream()], [PeStream(), PeStream()]
     for st in bulk + ref:
         st.compute(C_ALU)       # the reduction need not open the stream
-    emit_reduction([bulk[i] for i in on], loads, macs, dep_cols, out_addr, setup)
+    # the loads come in two arrays, laid side by side
+    emit_reduction([bulk[i] for i in on], (loads[..., :1], loads[..., 1:]), macs, dep_cols,
+                   out_addr, setup)
     for item, i in enumerate(on):
         _reduction_op_by_op(ref[i], loads[item], macs, dep_cols, out_addr[item], setup)
     loads[:], out_addr[:] = 0, 0      # the streams hold none of the caller's arrays

@@ -1,5 +1,5 @@
-"""PlanBuilder.end_phase's batched packer: against the per-PE oracle, and
-its memory bounded by the batch."""
+"""PlanBuilder.end_phase's template-group packer: against the per-PE
+oracle, and its memory bounded by the batch."""
 
 import tracemalloc
 
@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from dasim import das, desk_default
+from dasim._stepper import K_COMPUTE, K_LOAD, K_STORE
+from dasim.engine import SimulationFault
 from dasim.kernels import plan
 from dasim.kernels.gemm import gen_gemm
-from dasim.kernels.plan import PlanBuilder
+from dasim.kernels.plan import C_ALU, C_MAC, PlanBuilder, emit_copies
 import reference_pack
 from test_engine import _random_programs
 from test_kernels import PLAN_IDS, PLANS
@@ -93,11 +95,129 @@ def test_random_phases_pack_like_the_oracle(monkeypatch, seed, batch_ops):
     assert got_n == want_n
 
 
+# two op templates: T loads, multiplies and stores; U loads twice and adds
+T = {"kind": [K_LOAD, K_COMPUTE, K_STORE], "cls": [0, C_MAC, 0], "arg": [0, 4, 0],
+     "dep1": [0, 1, 1], "dep2": [0, 0, 0]}
+U = {"kind": [K_LOAD, K_LOAD, K_COMPUTE], "cls": [0, 0, C_ALU], "arg": [0, 0, 1],
+     "dep1": [0, 0, 1], "dep2": [0, 0, 2]}
+
+
+def _copies(rng, pb, pes, template):
+    """One copy of ``template`` per PE listed, at random L1 words, some of
+    them in the folded region that _group_builder allocates at 0."""
+    words = rng.integers(0, np.where(rng.random((len(pes), 3)) < 0.5, 1024,
+                                     DESK.total_bytes // 4))
+    emit_copies([pb.streams[pe] for pe in pes], template, words * 4)
+
+
+def _copies_on_one_stream(rng, pb):
+    # gemm's case: each PE takes its items in order, and PEs take
+    # different numbers of them
+    _copies(rng, pb, [1, 1, 1, 2, 2, 5, 7, 7, 7, 7], T)
+
+
+def _singles_between_copies(rng, pb):
+    # ops pushed one by one between copies on PEs 1 and 3 only: T's second
+    # copies start at slot 3 on PE 2, at 4 on PE 1 and at 5 on PE 3
+    _copies(rng, pb, [1, 2, 3], T)
+    pb.streams[1].load(4 * int(rng.integers(0, 1024)))
+    pb.streams[3].compute(C_ALU)
+    pb.streams[3].store(4 * int(rng.integers(0, 4096)), dep=(3,))
+    _copies(rng, pb, [1, 2, 3, 4], T)
+
+
+def _two_templates(rng, pb):
+    _copies(rng, pb, [1, 2, 3], T)
+    _copies(rng, pb, [2, 3, 4, 2], U)
+    _copies(rng, pb, [1, 4], T)
+    pb.streams[4].load(4 * int(rng.integers(0, 4096)))
+    _copies(rng, pb, [4, 1], U)
+
+
+def _empty_copies(rng, pb):
+    # copies of a template without ops, between and after other copies
+    _copies(rng, pb, [1, 2], T)
+    emit_copies([pb.streams[1], pb.streams[3]], {k: [] for k in T}, np.zeros((2, 0)))
+    _copies(rng, pb, [1], U)
+
+
+GROUP_SHAPES = {"copies-on-one-stream": _copies_on_one_stream,
+                "singles-between-copies": _singles_between_copies,
+                "two-templates": _two_templates,
+                "empty-copies": _empty_copies}
+
+
+def _group_builder(shape, seed):
+    """One phase of ``shape``'s ops on desk under DAS, after PE 0 allocates
+    a folded region, and a second phase of it without a barrier."""
+    rng = np.random.default_rng(seed)
+    pb = PlanBuilder(DESK, "das")
+    pb.begin_phase("p0")
+    pb.alloc("buf", 4096, das(4, 1))
+    GROUP_SHAPES[shape](rng, pb)
+    pb.end_phase()
+    pb.begin_phase("p1")
+    GROUP_SHAPES[shape](rng, pb)
+    pb.end_phase(barrier=False)
+    return pb.build("test", "", 1, {})
+
+
+@BATCH_CAPS
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("shape", GROUP_SHAPES)
+def test_template_groups_pack_like_the_oracle(monkeypatch, shape, seed, batch_ops):
+    got, want = _under_both_packers(monkeypatch, lambda: _group_builder(shape, seed),
+                                    batch_ops)
+    _assert_same_chunks(got, want)
+
+
+BAD = DESK.total_bytes + 8
+
+
+def _bad_after_a_lower_pe(pb):
+    # group (U, 0) holds PE 1's good copy and PE 2's bad one and is packed
+    # first; PE 1's bad address is in group (T, 3), packed after it
+    emit_copies([pb.streams[1], pb.streams[2]], U, [[0, 4, 0], [8, BAD + 4, 0]])
+    emit_copies([pb.streams[1]], T, [[BAD, 0, 12]])
+
+
+def _first_bad_in_a_later_group(pb):
+    # groups (T, 0) {PE 1}, (U, 3) {PEs 1, 2} and (U, 0) {PE 2}, packed in
+    # that order: PE 2's second bad address fails first, but its first
+    # one, in (U, 0), is the one named
+    emit_copies([pb.streams[1]], T, [[0, 0, 4]])
+    emit_copies([pb.streams[2], pb.streams[1], pb.streams[2]], U,
+                [[BAD, 0, 0], [0, 4, 0], [0, BAD + 4, 0]])
+
+
+# the builder of each phase, and the PE and address its fault names
+FAULT_SHAPES = {"bad-after-a-lower-pe": (_bad_after_a_lower_pe, 1, BAD),
+                "first-bad-in-a-later-group": (_first_bad_in_a_later_group, 2, BAD)}
+
+
+@BATCH_CAPS
+@pytest.mark.parametrize("shape", FAULT_SHAPES)
+def test_unresolvable_address_in_a_later_group_names_the_lowest_pe(monkeypatch, shape,
+                                                                   batch_ops):
+    emit, pe, addr = FAULT_SHAPES[shape]
+
+    def build():
+        pb = PlanBuilder(DESK, "interleaved")
+        pb.begin_phase("p")
+        emit(pb)
+        with pytest.raises(SimulationFault) as fault:
+            pb.end_phase()
+        return str(fault.value)
+
+    got, want = _under_both_packers(monkeypatch, build, batch_ops)
+    assert got == want == f"PE {pe}, phase 'p': address 0x{addr:x} outside L1"
+
+
 def test_end_phase_memory_is_bounded_by_the_batch(monkeypatch):
     # beyond the chunk it returns, end_phase may hold 8 stream records
-    # per op of an 8192-op batch: the batch's flat, PE and slot columns,
-    # its masks and resolve_array's and access_levels' int64 temporaries
-    # take about 6. Desk gemm 32x64x32 with n_parallel 4 packs 152k ops
+    # per op of an 8192-op batch: a block of copies' gathered addresses,
+    # its bank and level rows and resolve_array's and access_levels' int64
+    # temporaries take about 6. Desk gemm 32x64x32 with n_parallel 4 packs 152k ops
     # in its compute phase; resolving that phase at once peaks 12x over
     # the bound and raises the resident memory of a whole run by 20%, and
     # a 32k-op batch peaks 3.5x over it

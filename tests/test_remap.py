@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dasim import (ClusterTopology, das, desk_default, interleaved, resolve_array,
                    terapool_default)
 from dasim.engine import build_transfer
+import reference_remap
 
 
 def toy_topology(b=4, r=4):
@@ -186,6 +187,102 @@ def test_resolve_array_rejects_out_of_l1():
     t = toy_topology()
     with pytest.raises(ValueError):
         resolve_array(t, [], np.array([t.total_bytes]))
+
+
+# -- against the division-based oracle ---------------------------------------
+
+TOPOLOGIES = {"toy": toy_topology(), "desk": desk_default(), "terapool": terapool_default()}
+
+
+def random_regions(rng, topo, n):
+    """Up to ``n`` disjoint bound regions in random order: each one folded
+    at a random (p, s), p or s or both possibly 0, or interleaved. A base
+    is aligned to its region's block; an end is any word."""
+    regions, at = [], 0
+    for _ in range(n):
+        cfg = das(int(rng.integers(0, topo.bank_bits + 1)),
+                  int(rng.integers(0, topo.row_bits + 1)))
+        if rng.random() < 0.2:
+            cfg = interleaved()
+        block = cfg.block_bytes(topo.word_bytes)
+        base = -(-at // block) * block + block * int(rng.integers(0, 3))
+        size = topo.word_bytes * int(rng.integers(1, 3 * (block // topo.word_bytes) + 2))
+        if base + size > topo.total_bytes:
+            break
+        regions.append(bound(cfg, base, size))
+        at = base + size + topo.word_bytes * int(rng.integers(0, 3))
+    return [regions[i] for i in rng.permutation(len(regions))]
+
+
+def edge_addresses(topo, regions):
+    """The words on both sides of every region edge and of L1's own."""
+    wb = topo.word_bytes
+    edges = [e for c in regions for e in (c.base_addr, c.base_addr + c.size_bytes)]
+    near = np.array([0, topo.total_bytes] + edges)[:, None] + np.array([-2, -1, 0, 1]) * wb
+    return near[(near >= 0) & (near < topo.total_bytes)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_resolve_array_matches_the_division_oracle(name, seed):
+    t = TOPOLOGIES[name]
+    rng = np.random.default_rng(seed)
+    regions = random_regions(rng, t, int(rng.integers(0, 6)))
+    words = [rng.integers(0, t.total_bytes // t.word_bytes, 2000)]
+    words += [rng.integers(c.base_addr, c.base_addr + c.size_bytes, 50) // t.word_bytes
+              for c in regions]
+    addrs = np.concatenate([np.concatenate(words) * t.word_bytes, edge_addresses(t, regions)])
+    for regs in (regions, [c for c in regions if not c.folds], []):
+        got = resolve_array(t, regs, addrs)
+        want = reference_remap.resolve_array(t, regs, addrs)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_resolve_array_places_adjacent_regions_at_their_edge():
+    # the word at the shared edge of two folded regions takes the upper
+    # one's folding, the word before it the lower one's
+    t = toy_topology()
+    lo, hi = bound(das(2, 1), 0x40, 0x40), bound(das(1, 2), 0x80, 0x40)
+    addrs = np.array([0x3C, 0x40, 0x7C, 0x80, 0xBC, 0xC0])
+    assert places(t, [hi, lo], addrs) == [
+        interleaved_reference(t, 0xF), fold_reference(t.bank_bits, 2, 1, 0x10),
+        fold_reference(t.bank_bits, 2, 1, 0x1F), fold_reference(t.bank_bits, 1, 2, 0x20),
+        fold_reference(t.bank_bits, 1, 2, 0x2F), interleaved_reference(t, 0x30)]
+    for g, w in zip(resolve_array(t, [hi, lo], addrs),
+                    reference_remap.resolve_array(t, [hi, lo], addrs)):
+        np.testing.assert_array_equal(g, w)
+
+
+# regions and addresses that resolve_array rejects; where several faults
+# meet, overlap is reported before an address outside L1, and that before
+# a misaligned region
+REJECTED = {
+    "outside-high": ([], [0, 1 << 30, 4]),
+    "outside-negative": ([], [4, -4, 1 << 30]),
+    "outside-first-of-two": ([bound(das(2, 1), 0x40, 0x40)], [0x40, 1 << 30, -8]),
+    "misaligned-base": ([bound(das(2, 1), 0x10, 0x40)], [0x10]),
+    "size-not-words": ([bound(das(2, 1), 0x20, 0x42)], [0x20]),
+    "misaligned-no-access": ([bound(das(2, 1), 0x10, 0x40)], [0x100]),
+    "misaligned-second": ([bound(das(1, 0), 0x0, 0x8), bound(das(2, 2), 0x90, 0x40)], []),
+    "overlap": ([bound(das(2, 1), 0x40, 0x40), bound(das(2, 1), 0x60, 0x40)], [0x0]),
+    "overlap-interleaved": ([bound(das(2, 1), 0x40, 0x40), bound(interleaved(), 0x7C, 8)], []),
+    "overlap-and-outside": ([bound(das(2, 1), 0x40, 0x40), bound(das(2, 1), 0x60, 0x40)],
+                            [1 << 30]),
+    "outside-and-misaligned": ([bound(das(2, 1), 0x10, 0x40)], [0x10, 1 << 30]),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_resolve_array_rejects_like_the_division_oracle(case):
+    t = toy_topology()
+    regions, addrs = REJECTED[case]
+    with pytest.raises(ValueError) as want:
+        reference_remap.resolve_array(t, regions, np.array(addrs, dtype=np.int64))
+    with pytest.raises(ValueError) as got:
+        resolve_array(t, regions, np.array(addrs, dtype=np.int64))
+    assert str(got.value) == str(want.value)
 
 
 # -- transfer segmentation ----------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from dasim import (ClusterTopology, HierarchyLevel, access_levels,
                    desk_default, terapool_default)
+import reference_remap
 
 
 def level_reference(t, pe, bank):
@@ -55,6 +56,32 @@ def test_access_levels_broadcasts_like_scalar():
     assert grid.tolist() == [[level_reference(t, pe, b) for b in range(t.n_banks)]
                              for pe in range(t.n_pes)]
     assert access_levels(t, 5, 200) == grid[5, 200]
+
+
+@pytest.mark.parametrize("topo,levels", [
+    (desk_default(), {0, 1, 2, 3}),
+    (terapool_default(), {0, 1, 2, 3}),
+    # one tile per subgroup, one group: a tile shares only its group
+    (ClusterTopology(tiles_per_subgroup=1, groups=1), {0, 2}),
+], ids=["desk", "terapool", "one-group"])
+def test_access_levels_match_the_division_oracle(topo, levels):
+    # every (PE, bank) pair on desk; on the others every bank from the
+    # first and last PE of each tile, and random pairs at full broadcast
+    rng = np.random.default_rng(0)
+    ends = np.arange(topo.n_tiles) * topo.pes_per_tile
+    pes = np.unique(np.r_[ends, ends + topo.pes_per_tile - 1])
+    if topo.n_pes <= 64:
+        pes = np.arange(topo.n_pes)
+    cases = [(pes[:, None], np.arange(topo.n_banks)[None, :]),
+             (rng.integers(0, topo.n_pes, (50, 1)), rng.integers(0, topo.n_banks, (50, 200)))]
+    seen = set()
+    for pe, bank in cases:
+        got = access_levels(topo, pe, bank)
+        want = reference_remap.access_levels(topo, pe, bank)
+        assert got.dtype == want.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        seen |= set(np.unique(got).tolist())
+    assert seen == levels
 
 
 def test_level_multiset_per_pe():
