@@ -3,7 +3,8 @@
  * The op kinds (K_*), ledger columns and width (ACC_*), fault codes (FAULT_*),
  * DEP_RING and QH are defined in _stepper.py only and arrive as -D macros.
  * Every array is C-contiguous and int64 unless typed otherwise; the
- * caller checks sizes and index ranges before the call.
+ * caller checks sizes, index ranges and the agreement of the pointer
+ * arrays with the copies and op counts before the call.
  */
 
 #include <stdint.h>
@@ -111,14 +112,19 @@ static inline int64_t dequeue(pe_queue *q)
 
 /* Advance one segment from cycle `now`; see step_segment in _stepper.py.
  * out receives (end cycle, FAULT_* code or 0, pe, detail). work holds
- * 3 * n_pe + QH * ceil(n_pe / 64) scratch slots: the far heap, each PE's
- * cursor, the transfer each parked PE waits on and the QH bucket bitmaps
- * (see pe_queue). */
+ * 6 * n_pe + QH * ceil(n_pe / 64) scratch slots: the far heap, the
+ * transfer each parked PE waits on, each PE's cursors (its next op's index
+ * in the segment and in the template columns, its copy, its next bank)
+ * and the QH bucket bitmaps (see pe_queue). */
 void step_segment(
-    /* per-op columns [n_pe, row]; ops per PE */
-    const uint8_t *op_kind, const uint8_t *op_cls, const int32_t *op_arg,
-    const int32_t *op_bank, const uint8_t *op_level, const uint16_t *op_dep1,
-    const uint16_t *op_dep2, const int64_t *n_ops,
+    /* op templates: template t's ops are tpl_ptr[t] .. tpl_ptr[t + 1] */
+    const uint8_t *tpl_kind, const uint8_t *tpl_cls, const int32_t *tpl_arg,
+    const uint16_t *tpl_dep1, const uint16_t *tpl_dep2, const int64_t *tpl_ptr,
+    /* per PE, in stream order: the templates of its copies
+     * copy_tpl[copy_ptr[pe] .. copy_ptr[pe + 1]], the banks of its loads
+     * and stores from bank[bank_ptr[pe]] on, and its op count */
+    const int32_t *copy_tpl, const int64_t *copy_ptr,
+    const uint16_t *bank, const int64_t *bank_ptr, const int64_t *n_ops,
     /* per-PE state; ready and ready_kind are [n_pe, DEP_RING], win and
      * acct [n_pe, window] and [n_pe, ACC_WIDTH] */
     int64_t *abs_idx, int64_t *t_free, int64_t *ready, uint8_t *ready_kind,
@@ -130,23 +136,30 @@ void step_segment(
     int64_t *transfer_done, int64_t *backend_next,
     const int64_t *level_lat, const int64_t *class_lat,
     int64_t *work, int64_t *out,
-    int64_t n_pe, int64_t row, int64_t window, int64_t n_transfers,
+    int64_t n_pe, int64_t window, int64_t n_transfers,
     int64_t out_ports, int64_t in_ports, int64_t pes_per_tile, int64_t banks_per_tile,
+    int64_t tiles_per_subgroup, int64_t tiles_per_group,
     int64_t l2_lat, int64_t dma_wpc, uint64_t ins_thresh, uint64_t ins_seed,
     int64_t now)
 {
     const int64_t mask = DEP_RING - 1;
     const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
-    int64_t *cursor = work + n_pe, *parked = work + 2 * n_pe;
+    /* tile ids by shifts: every tile size is a power of two */
+    const int pe_shift = __builtin_ctzll(pes_per_tile), bank_shift = __builtin_ctzll(banks_per_tile);
+    int64_t *parked = work + n_pe, *cursor = work + 2 * n_pe, *op_at = work + 3 * n_pe;
+    int64_t *copy_at = work + 4 * n_pe, *bank_at = work + 5 * n_pe;
     int64_t n_arrived = 0, n_parked = 0;
     int64_t pe, q;
-    pe_queue queue = {.bits = (uint64_t *)(work + 3 * n_pe), .far = work,
+    pe_queue queue = {.bits = (uint64_t *)(work + 6 * n_pe), .far = work,
                       .words = (n_pe + 63) / 64, .n_pe = n_pe, .now = now};
 
     for (pe = 0; pe < n_pe; pe++) {
         if (pe == 0 || t_free[pe] < queue.now)
             queue.now = t_free[pe];
         cursor[pe] = 0;
+        copy_at[pe] = copy_ptr[pe];
+        op_at[pe] = n_ops[pe] ? tpl_ptr[copy_tpl[copy_ptr[pe]]] : 0;
+        bank_at[pe] = bank_ptr[pe];
         parked[pe] = -1;
     }
     for (q = 0; q < QH * queue.words; q++)
@@ -160,14 +173,14 @@ void step_segment(
         int64_t i = cursor[pe];
         if (i >= n_ops[pe])
             continue;
-        int64_t o = pe * row + i;
-        int k = op_kind[o];
+        int64_t o = op_at[pe];
+        int k = tpl_kind[o];
         int64_t ai = abs_idx[pe];
         int64_t *a = acct + pe * ACC_WIDTH;
 
         /* gates */
         int64_t g_lsu = now, g_raw = now, g_wfi = now;
-        int64_t deps[2] = {op_dep1[o], op_dep2[o]};
+        int64_t deps[2] = {tpl_dep1[o], tpl_dep2[o]};
         for (int s = 0; s < 2; s++) {
             if (deps[s]) {
                 int64_t j = pe * DEP_RING + ((ai - deps[s]) & mask);
@@ -201,7 +214,7 @@ void step_segment(
             if (m > g_lsu)
                 g_lsu = m;
         } else if (k == K_DMA_WAIT) {
-            int64_t tid = op_arg[o];
+            int64_t tid = tpl_arg[o];
             if (tid < 0 || tid >= n_transfers) {
                 out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
                 return;
@@ -252,12 +265,16 @@ void step_segment(
         int64_t t_ready = now + 1;      /* when the op's result is ready */
         int64_t n_issued = 1;
         if (k == K_LOAD || k == K_STORE) {
-            int64_t bank = op_bank[o];
-            int64_t lvl = op_level[o];
+            int64_t b = bank[bank_at[pe]++];
+            /* the level: how far up the hierarchy the PE's and the bank's
+             * tile ids part, as topology.access_levels classifies it */
+            int64_t src_tile = pe >> pe_shift, dst_tile = b >> bank_shift;
+            int64_t x = src_tile ^ dst_tile;
+            int64_t lvl = (x != 0) + (x >= tiles_per_subgroup) + (x >= tiles_per_group);
             int64_t serve;
             if (lvl) {
                 /* outbound port at the source tile for this level */
-                int64_t p0 = (pe / pes_per_tile * 4 + lvl) * out_ports, sp = p0;
+                int64_t p0 = (src_tile * 4 + lvl) * out_ports, sp = p0;
                 for (q = p0 + 1; q < p0 + out_ports; q++)
                     if (out_next[q] < out_next[sp])
                         sp = q;
@@ -266,7 +283,7 @@ void step_segment(
                     t_out = out_next[sp];
                 out_next[sp] = t_out + 1;
                 /* inbound port at the destination tile */
-                p0 = (bank / banks_per_tile * 4 + lvl) * in_ports;
+                p0 = (dst_tile * 4 + lvl) * in_ports;
                 sp = p0;
                 for (q = p0 + 1; q < p0 + in_ports; q++)
                     if (in_next[q] < in_next[sp])
@@ -279,15 +296,15 @@ void step_segment(
             } else {
                 serve = now + local_wait;
             }
-            if (bank_next[bank] > serve)
-                serve = bank_next[bank];
-            bank_next[bank] = serve + 1;
+            if (bank_next[b] > serve)
+                serve = bank_next[b];
+            bank_next[b] = serve + 1;
             t_ready = serve + 1;
             slots[m_slot] = t_ready;
         } else if (k == K_COMPUTE) {
-            n_issued = op_arg[o];
+            n_issued = tpl_arg[o];
             t_next = now + n_issued;
-            t_ready = t_next - 1 + class_lat[op_cls[o]];
+            t_ready = t_next - 1 + class_lat[tpl_cls[o]];
         } else if (k == K_BARRIER) {
             if (i != n_ops[pe] - 1) {
                 out[0] = now, out[1] = FAULT_BARRIER_NOT_LAST, out[2] = pe, out[3] = i;
@@ -295,7 +312,7 @@ void step_segment(
             }
             n_arrived++;
         } else if (k == K_DMA_START) {
-            int64_t tid = op_arg[o];
+            int64_t tid = tpl_arg[o];
             if (tid < 0 || tid >= n_transfers) {
                 out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
                 return;
@@ -333,6 +350,10 @@ void step_segment(
         ready_kind[pe * DEP_RING + (ai & mask)] = (uint8_t)k;
         a[ACC_ISSUED] += n_issued;
         cursor[pe] = i + 1;
+        /* past the copy's last op: on to the PE's next copy, if any */
+        if (++o == tpl_ptr[copy_tpl[copy_at[pe]] + 1] && i + 1 < n_ops[pe])
+            o = tpl_ptr[copy_tpl[++copy_at[pe]]];
+        op_at[pe] = o;
         abs_idx[pe] = ai + 1;
         t_free[pe] = t_next;
         if (k != K_BARRIER) {
@@ -360,7 +381,7 @@ void step_segment(
     } else if (n_arrived) {
         /* a barrier op ends some streams but not all, so it never releases */
         for (q = 0; q < n_pe - 1; q++)
-            if (!n_ops[q] || op_kind[q * row + n_ops[q] - 1] != K_BARRIER)
+            if (!n_ops[q] || tpl_kind[tpl_ptr[copy_tpl[copy_ptr[q + 1] - 1] + 1] - 1] != K_BARRIER)
                 break;
         out[1] = FAULT_BARRIER_PARTIAL, out[2] = q, out[3] = n_arrived;
     }

@@ -1,14 +1,21 @@
 """Cycle-stepped core of the simulator: the C stepper and its loader.
 
 One function, ``step_segment``, advances a whole barrier-delimited
-program segment, one packed chunk of per-PE op columns, over shared
-bank/port/backend state. It is written in C (``_stepper.c``), compiled
-on first import with ``gcc -O2 -shared -fPIC`` into this package's
-``__pycache__`` and loaded with ctypes over the numpy buffers. The build
-is keyed by a CRC of the source, the compiler and its flags, so an edit
-rebuilds it. A missing compiler or a failed build raises ImportError;
-there is no Python fallback here. The Python stepper the C one was
-ported from is kept as the test oracle, ``tests/reference_stepper.py``.
+program segment over shared bank/port/backend state. It reads the
+segment's engine.PackedChunk as it is stored: the op templates, each
+PE's copies of them in stream order and the banks of its loads and
+stores. Per PE it keeps a cursor into each (its copy, the op within the
+template, its next bank), and it derives each access's hierarchy level
+from the PE and the bank, as ``topology.access_levels`` does.
+
+It is written in C (``_stepper.c``), compiled on first import with
+``gcc -O2 -shared -fPIC`` into this package's ``__pycache__`` and loaded
+with ctypes over the numpy buffers. The build is keyed by a CRC of the
+source, the compiler and its flags, so an edit rebuilds it. A missing
+compiler or a failed build raises ImportError; there is no Python
+fallback here. The Python stepper the C one was ported from is kept as
+the test oracle, ``tests/reference_stepper.py``; it reads the chunk's
+flat view (``PackedChunk.cols``).
 
 The op kinds, ledger columns and width, fault codes, DEP_RING and QH
 below are the only definitions: the build passes them to the C file as
@@ -114,8 +121,8 @@ def _build(cache_dir: str, cc: str = "gcc", flags: tuple = CFLAGS) -> str:
 def _load(path: str):
     """The step_segment function of the library at ``path``, typed for ctypes."""
     fn = ctypes.CDLL(path).step_segment
-    # 27 buffers, then the sizes and parameters; the INS threshold and seed are unsigned
-    fn.argtypes = ([ctypes.c_void_p] * 27 + [ctypes.c_int64] * 10
+    # 30 buffers, then the sizes and parameters; the INS threshold and seed are unsigned
+    fn.argtypes = ([ctypes.c_void_p] * 30 + [ctypes.c_int64] * 11
                    + [ctypes.c_uint64] * 2 + [ctypes.c_int64])
     fn.restype = None
     return fn
@@ -123,34 +130,35 @@ def _load(path: str):
 
 _c_step = _load(_build(os.path.join(_HERE, "__pycache__")))
 
-# the packed per-op columns in step_segment's order, with the dtypes it reads
-COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "bank": np.int32,
-        "level": np.uint8, "dep1": np.uint16, "dep2": np.uint16}
+# an op template's columns in step_segment's order, with the dtypes it reads
+TEMPLATE_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "dep1": np.uint16,
+                 "dep2": np.uint16}
 
 
 def step_segment(chunk, acct, st, now):
     """Advance one segment from cycle ``now``, updating ``st`` in place.
 
-    ``chunk`` is the segment's engine.PackedChunk, whose COLS arrays are
-    [n_pe, L]; ``acct`` is the segment's [n_pe, ACC_WIDTH] int64 ledger;
-    ``st`` is the run's engine._State, which holds every other array and
-    parameter the C call takes, already converted. The caller checks the
-    chunk's dtypes and index ranges. The segment ends in a barrier when
-    its streams end in a barrier op. Returns ``(now, None)`` with the
-    cycle the segment ended (the barrier's release, or else the last PE's
+    ``chunk`` is the segment's engine.PackedChunk; ``acct`` is the
+    segment's [n_pe, ACC_WIDTH] int64 ledger; ``st`` is the run's
+    engine._State, which holds every other array and parameter the C
+    call takes, already converted. The caller checks the chunk's dtypes,
+    pointers and index ranges. The segment ends in a barrier when its
+    streams end in a barrier op. Returns ``(now, None)`` with the cycle
+    the segment ended (the barrier's release, or else the last PE's
     finish), or the cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
-    n_pe, row = chunk.cols["kind"].shape
-    work = np.empty(3 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
+    n_pe = len(chunk.n_ops)
+    work = np.empty(6 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
     out = np.empty(4, dtype=np.int64)
-    buffers = (*(chunk.cols[c] for c in COLS), chunk.n_ops,
+    buffers = (*(chunk.tpl[c] for c in TEMPLATE_COLS), chunk.tpl_ptr,
+               chunk.copy_tpl, chunk.copy_ptr, chunk.bank, chunk.bank_ptr, chunk.n_ops,
                st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
                st.bank_next, st.out_next, st.in_next,
                st.seg_ptr, st.seg_backend, st.seg_words, st.transfer_done, st.backend_next,
                st.level_lat, st.class_lat, work, out)
     _c_step(*[b.ctypes.data for b in buffers],
-            n_pe, row, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
-            st.pes_per_tile, st.banks_per_tile, st.l2_lat, st.dma_wpc,
-            st.ins_thresh, st.ins_seed, now)
+            n_pe, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
+            st.pes_per_tile, st.banks_per_tile, st.tiles_per_subgroup, st.tiles_per_group,
+            st.l2_lat, st.dma_wpc, st.ins_thresh, st.ins_seed, now)
     now, code, pe, detail = out.tolist()
     return now, (code, pe, detail) if code else None

@@ -1,32 +1,38 @@
 """Execution of packed per-PE programs against the banked L1.
 
-A program is a list of barrier-delimited phases, each one packed chunk
-of per-PE op columns (loads, stores, compute bursts, barriers and DMA
-handshakes) with addresses already resolved to (bank, level), plus the
-DMA transfers the handshakes name, a DmaTransfer list indexed by
-transfer id; the kernels' PlanBuilder writes both. A compute burst's
-result latency is its class's, from EngineParams. The engine issues at
-most one operation per PE per cycle in order, tracks a bounded window of
-outstanding memory operations, serializes bank access (one request per
-cycle per bank) and throttles traffic at tile boundaries with a limited
-number of ports per hierarchy level. Each bank and port keeps one
-next-free cycle, so it serves requests in booking order (issue cycle,
-then PE id), not arrival order: a request booked later waits behind
-every earlier booking, even when it reaches an idle bank first. Every
-cycle of every PE ends up in exactly one bucket of report.LEDGER.
+A program is a list of barrier-delimited phases plus the DMA transfers
+its handshakes name, a DmaTransfer list indexed by transfer id; the
+kernels' PlanBuilder writes both. Each phase is one PackedChunk in
+template form: the phase's op templates (loads, stores, compute bursts,
+barriers and DMA handshakes, with dependences as back-distances), each
+PE's copies of them in stream order, and one bank per load or store.
+The stepper reads that form as it is; ``PackedChunk.cols`` expands it
+into the flat per-PE layout, one column at a time, for tests and
+reports. A compute burst's result latency is its class's, from
+EngineParams. The engine issues at most one operation per PE per cycle
+in order, tracks a bounded window of outstanding memory operations,
+serializes bank access (one request per cycle per bank) and throttles
+traffic at tile boundaries with a limited number of ports per hierarchy
+level; an access's level follows from its PE and its bank
+(topology.access_levels). Each bank and port keeps one next-free cycle,
+so it serves requests in booking order (issue cycle, then PE id), not
+arrival order: a request booked later waits behind every earlier
+booking, even when it reaches an idle bank first. Every cycle of every
+PE ends up in exactly one bucket of report.LEDGER.
 """
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _stepper
-from ._stepper import (ACC_WFI, ACC_WIDTH, COLS as _COLS, DEP_RING, K_COMPUTE, K_DMA_WAIT,
-                       step_segment)
+from ._stepper import (ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE,
+                       TEMPLATE_COLS, step_segment)
 from .remap import MapConfig, resolve_array
 from .report import PE_KEYS, PhaseStats, SimReport
-from .topology import ClusterTopology
+from .topology import ClusterTopology, access_levels
 
 
 ALLOC_COST = 64     # cycles charged per heap allocation
@@ -98,7 +104,7 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
         raise ValueError(f"length mismatch: src {s1 - s0} vs dst {d1 - d0}")
     if d0 % topo.word_bytes or d1 % topo.word_bytes:
         raise ValueError(f"transfer dst [0x{d0:x}, 0x{d1:x}) not word-aligned")
-    banks, _ = resolve_array(topo, regions, np.arange(d0, d1, topo.word_bytes))
+    banks = resolve_array(topo, regions, np.arange(d0, d1, topo.word_bytes))
     words = np.bincount(banks // (topo.banks_per_tile * topo.tiles_per_subgroup))
     segments = [(backend, n) for backend, n in enumerate(words.tolist()) if n]
     return DmaTransfer(src=src, dst=dst, segments=segments)
@@ -106,19 +112,97 @@ def build_transfer(topo: ClusterTopology, regions: Sequence[MapConfig],
 
 # -- packed program representation --------------------------------------------
 
+# the flat view's columns, each an [n_pe, L] array of its dtype (L the
+# longest stream, at least 1): the template columns, plus each load's and
+# store's bank and hierarchy level
+FLAT_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "bank": np.uint16,
+             "level": np.uint8, "dep1": np.uint16, "dep2": np.uint16}
+# ops the flat view expands at a time
+VIEW_OPS = 8192
+
+
 @dataclass
 class PackedChunk:
-    """Rectangular per-PE op arrays; rows padded to the longest stream.
+    """One phase's ops in template form, as the stepper reads them.
 
-    ``cols`` maps each _COLS name to a C-contiguous [n_pe, L] array of
-    its dtype; ``n_ops`` is int64, one entry per PE. make_chunk writes it
-    in batches of op-template copies, one block of the same slots of
-    several PEs' rows per batch; padding and the fields an op does not
-    use stay zero.
+    ``tpl`` maps each TEMPLATE_COLS name to the phase's op templates'
+    columns, concatenated: template t's ops are ``tpl_ptr[t]`` to
+    ``tpl_ptr[t + 1]``. PE pe's copies, in stream order, are
+    ``copy_tpl[copy_ptr[pe]:copy_ptr[pe + 1]]``, each its template's
+    index; the banks of its loads and stores, in stream order, are
+    ``bank[bank_ptr[pe]:bank_ptr[pe + 1]]``; ``n_ops[pe]`` counts its
+    ops. The pointer arrays are int64, copy_tpl int32 and bank uint16.
+    No access's level is stored: it follows from the PE and the bank on
+    ``topo``. A template's ops are stored once however many copies it
+    has, so the chunk holds a few bytes per memory op and per copy.
     """
 
-    cols: dict
+    topo: ClusterTopology
     n_ops: np.ndarray
+    tpl: dict
+    tpl_ptr: np.ndarray
+    copy_ptr: np.ndarray
+    copy_tpl: np.ndarray
+    bank_ptr: np.ndarray
+    bank: np.ndarray
+
+    @property
+    def cols(self) -> "FlatView":
+        """The chunk in the flat per-PE layout, built one column at a time."""
+        return FlatView(self)
+
+
+class FlatView(Mapping):
+    """A chunk's FLAT_COLS columns, each [n_pe, L], row pe holding PE pe's
+    ops in stream order with the rest zero: ``view[name]`` builds that
+    one column afresh, and neither the view nor the chunk keeps it.
+    ``level`` is access_levels of each load's and store's PE and bank;
+    ``bank`` and ``level`` are zero on every other op. A column is
+    written a block of copies at a time, so beyond the column itself
+    the view needs memory for about VIEW_OPS ops (or one longer copy).
+    """
+
+    def __init__(self, chunk: PackedChunk):
+        self._chunk = chunk
+
+    def __iter__(self):
+        return iter(FLAT_COLS)
+
+    def __len__(self):
+        return len(FLAT_COLS)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        ch = self._chunk
+        out = np.zeros((len(ch.n_ops), max(1, int(ch.n_ops.max()))), dtype=FLAT_COLS[name])
+        flat = out.reshape(-1)
+        # per copy, PE by PE in stream order: its PE, its ops, its first
+        # op's number among the chunk's ops and its first op's flat slot
+        pe = np.repeat(np.arange(len(ch.n_ops)), np.diff(ch.copy_ptr))
+        lens = np.diff(ch.tpl_ptr)[ch.copy_tpl]
+        first = np.cumsum(lens) - lens
+        slot = pe * out.shape[1] + first - first[ch.copy_ptr[pe]]
+        col = ch.tpl.get(name)
+        if col is None:
+            # bank or level: per copy, also its first bank's index
+            is_mem = ch.tpl["kind"] <= K_STORE
+            mems = np.diff(np.concatenate(([0], np.cumsum(is_mem)))[ch.tpl_ptr])[ch.copy_tpl]
+            first_bank = np.cumsum(mems) - mems
+        # blocks of the copies that start within VIEW_OPS ops of each other
+        edges = np.unique(np.r_[0, np.searchsorted(first, np.arange(0, lens.sum(), VIEW_OPS)),
+                                len(lens)])
+        for c0, c1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            n = lens[c0:c1]
+            j = np.arange(n.sum()) - np.repeat(first[c0:c1] - first[c0], n)   # op in its copy
+            at = np.repeat(slot[c0:c1], n) + j
+            src = np.repeat(ch.tpl_ptr[ch.copy_tpl[c0:c1]], n) + j
+            if col is not None:
+                flat[at] = col[src]
+                continue
+            mem = is_mem[src]
+            bank = ch.bank[first_bank[c0]:first_bank[c0] + np.count_nonzero(mem)]
+            flat[at[mem]] = (bank if name == "bank" else
+                             access_levels(ch.topo, np.repeat(pe[c0:c1], n)[mem], bank))
+        return out
 
 
 @dataclass
@@ -133,24 +217,40 @@ class Phase:
     chunks: list
 
 
-def make_chunk(n_ops: np.ndarray, batches) -> PackedChunk:
-    """The zeroed chunk for per-PE op counts ``n_ops`` (int64), with
-    ``batches`` written into it.
+def make_chunk(n_ops: np.ndarray, batches, *, topo: ClusterTopology,
+               n_copies: np.ndarray, n_mem: np.ndarray) -> PackedChunk:
+    """The chunk of ``batches`` on ``topo``, for per-PE counts of ops,
+    copies and loads plus stores (``n_ops``, ``n_copies``, ``n_mem``,
+    int64 each).
 
-    Each batch is ``(pes, start, cols)``: k distinct PE ids and a dict of
-    every _COLS name to a column of n ops, 1-D or (k x n), that fills
-    slots ``start`` to ``start + n`` of each listed PE's row; a 1-D
-    column (an op template's) is the same for every PE. Each column is
-    written with one slice write and cast to its _COLS dtype; every slot
-    no batch writes stays zero.
+    Each batch is ``(pes, copy_ix, mem_ix, template, bank)``: k copies
+    of one op template, a dict of its TEMPLATE_COLS columns. Copy i is
+    PE ``pes[i]``'s copy number ``copy_ix[i]`` of the phase, and row i
+    of ``bank`` (k x the template's loads and stores) holds its banks,
+    which are that PE's from number ``mem_ix[i]`` on. A template is
+    stored once, however many batches carry it (the same dict); each
+    batch's copies land with one write, and its banks with another.
+    Every copy and bank of every PE must be written by some batch.
     """
-    cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((len(n_ops), cap), dtype=dtype) for name, dtype in _COLS.items()}
-    for pes, start, batch in batches:
-        at = (pes, slice(start, start + batch["kind"].shape[-1]))
-        for name, col in cols.items():
-            col[at] = batch[name]
-    return PackedChunk(cols=cols, n_ops=n_ops)
+    copy_ptr = np.concatenate(([0], np.cumsum(n_copies)))
+    bank_ptr = np.concatenate(([0], np.cumsum(n_mem)))
+    copy_tpl = np.zeros(copy_ptr[-1], dtype=np.int32)
+    bank = np.zeros(bank_ptr[-1], dtype=np.uint16)
+    index, templates = {}, []
+    for pes, copy_ix, mem_ix, template, banks in batches:
+        t = index.get(id(template))
+        if t is None:
+            t = index[id(template)] = len(templates)
+            templates.append(template)
+        copy_tpl[copy_ptr[pes] + copy_ix] = t
+        if banks.size:
+            bank[(bank_ptr[pes] + mem_ix)[:, None] + np.arange(banks.shape[1])] = banks
+    tpl_ptr = np.cumsum([0] + [len(t["kind"]) for t in templates], dtype=np.int64)
+    tpl = {name: np.concatenate([np.zeros(0, dtype)] + [t[name] for t in templates]
+                                ).astype(dtype, copy=False)
+           for name, dtype in TEMPLATE_COLS.items()}
+    return PackedChunk(topo=topo, n_ops=n_ops, tpl=tpl, tpl_ptr=tpl_ptr, copy_ptr=copy_ptr,
+                       copy_tpl=copy_tpl, bank_ptr=bank_ptr, bank=bank)
 
 
 # -- engine state and run ------------------------------------------------------
@@ -168,45 +268,66 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     """Reject a chunk that would lead the stepper out of bounds or to a wrong ring slot.
 
     The stepper trusts its input: any chunk, packed by make_chunk or
-    built by hand, passes here first. The range tests read whole
-    columns, padding and the fields an op does not use included
-    (make_chunk and PlanBuilder zero those), but a compute count only on
-    compute ops. A failure names the first bad (PE, op).
+    built by hand, passes here first. Every array must be C-contiguous,
+    1-D and of its dtype. The pointer arrays must start at 0, never fall
+    and end at their array's length, and every template must hold an
+    op; each PE's copies must hold its n_ops ops and its banks' count of
+    loads and stores. Each template op is range-checked once, however
+    many copies it has, with a compute count checked on compute ops
+    only; a failure names the template and the op. Every bank must lie
+    below ``n_banks``. Nothing is read per slot of a flat row.
     """
-    n_ops = chunk.n_ops
-    if (not isinstance(n_ops, np.ndarray) or n_ops.dtype != np.int64
-            or not n_ops.flags.c_contiguous or n_ops.shape != (topo.n_pes,)):
-        raise ValueError(f"chunk column 'n_ops' must be a C-contiguous int64 array "
-                         f"with one entry per PE ({topo.n_pes})")
-    cols = chunk.cols
-    for name, dtype in _COLS.items():
-        col = cols.get(name)
-        if (not isinstance(col, np.ndarray) or col.dtype != dtype
-                or not col.flags.c_contiguous or col.ndim != 2):
-            raise ValueError(f"chunk column {name!r} must be a C-contiguous 2-D "
+    n_pe, tpl = topo.n_pes, chunk.tpl
+    n_tpl_ops = len(tpl.get("kind", ()))
+    # each array, its dtype and its length where that is fixed
+    spec = {"n_ops": (chunk.n_ops, np.int64, n_pe),
+            "copy_ptr": (chunk.copy_ptr, np.int64, n_pe + 1),
+            "bank_ptr": (chunk.bank_ptr, np.int64, n_pe + 1),
+            "tpl_ptr": (chunk.tpl_ptr, np.int64, None),
+            "copy_tpl": (chunk.copy_tpl, np.int32, None), "bank": (chunk.bank, np.uint16, None),
+            **{name: (tpl.get(name), dtype, n_tpl_ops) for name, dtype in TEMPLATE_COLS.items()}}
+    for name, (a, dtype, length) in spec.items():
+        if (not isinstance(a, np.ndarray) or a.dtype != dtype
+                or not a.flags.c_contiguous or a.ndim != 1):
+            raise ValueError(f"chunk array {name!r} must be a C-contiguous 1-D "
                              f"{np.dtype(dtype).name} array")
-        if col.shape != cols["kind"].shape or len(col) != topo.n_pes:
-            raise ValueError(f"chunk column {name!r} has shape {col.shape}, not "
-                             f"({topo.n_pes}, L) like every column")
-    row = cols["kind"].shape[1]
-    if n_ops.min() < 0 or n_ops.max() > row:
-        raise ValueError(f"chunk column 'n_ops' must lie in [0, {row}], the row length")
-    kind = cols["kind"].ravel()
+        if length is not None and len(a) != length:
+            raise ValueError(f"chunk array {name!r} has {len(a)} entries, not {length}")
+    for name, ptr, end, least in (("tpl_ptr", chunk.tpl_ptr, n_tpl_ops, 1),
+                                  ("copy_ptr", chunk.copy_ptr, len(chunk.copy_tpl), 0),
+                                  ("bank_ptr", chunk.bank_ptr, len(chunk.bank), 0)):
+        if not len(ptr) or ptr[0] != 0 or ptr[-1] != end or (np.diff(ptr) < least).any():
+            raise ValueError(f"chunk array {name!r} must start at 0, rise by at least "
+                             f"{least} per entry and end at {end}")
+    n_tpl = len(chunk.tpl_ptr) - 1
+    copy_tpl = chunk.copy_tpl
+    if len(copy_tpl) and (copy_tpl.min() < 0 or copy_tpl.max() >= n_tpl):
+        raise ValueError(f"chunk array 'copy_tpl' names a template outside [0, {n_tpl})")
+    kind = tpl["kind"]
+    # per template its ops and loads plus stores, then per PE over its copies
+    mem_at = np.concatenate(([0], np.cumsum(kind <= K_STORE)))[chunk.tpl_ptr]
+    for name, per_tpl, want in (("n_ops", np.diff(chunk.tpl_ptr), chunk.n_ops),
+                                ("bank_ptr", np.diff(mem_at), np.diff(chunk.bank_ptr))):
+        at = np.concatenate(([0], np.cumsum(per_tpl[copy_tpl])))[chunk.copy_ptr]
+        if not np.array_equal(np.diff(at), want):
+            pe = int(np.argmax(np.diff(at) != want))
+            raise ValueError(f"chunk array {name!r} disagrees with PE {pe}'s copies")
     comp_at = np.flatnonzero(kind == K_COMPUTE)
-    # a negative bank reads as >= 2**31; ~count > -2 is a count below 1, with no overflow
+    # ~count > -2 is a count below 1, with no overflow
     for name, col, top, what in (
             ("kind", kind, K_DMA_WAIT, f"op kind above {K_DMA_WAIT}"),
-            ("bank", cols["bank"].view(np.uint32).ravel(), topo.n_banks - 1,
-             f"a bank outside [0, {topo.n_banks})"),
-            ("level", cols["level"].ravel(), 3, "a level above 3"),
-            ("cls", cols["cls"].ravel(), 2, "a class above 2"),
-            *((d, cols[d].ravel(), DEP_RING - 1, f"a dependence {DEP_RING} or more ops back")
+            ("cls", tpl["cls"], 2, "a class above 2"),
+            *((d, tpl[d], DEP_RING - 1, f"a dependence {DEP_RING} or more ops back")
               for d in ("dep1", "dep2")),
-            ("arg", ~cols["arg"].ravel()[comp_at], -2, "a compute count below 1")):
+            ("arg", ~tpl["arg"][comp_at], -2, "a compute count below 1")):
         if col.max(initial=top) > top:
-            at = np.argmax(col > top)
-            pe, i = divmod(int(comp_at[at] if name == "arg" else at), row)
-            raise ValueError(f"chunk column {name!r}: {what} (PE {pe}, op {i})")
+            at = int(np.argmax(col > top))
+            op = int(comp_at[at]) if name == "arg" else at
+            t = int(np.searchsorted(chunk.tpl_ptr, op, side="right")) - 1
+            raise ValueError(f"chunk array {name!r}: {what} (template {t}, "
+                             f"op {op - chunk.tpl_ptr[t]})")
+    if chunk.bank.max(initial=0) >= topo.n_banks:
+        raise ValueError(f"chunk array 'bank': a bank outside [0, {topo.n_banks})")
 
 
 class _State:
@@ -221,7 +342,9 @@ class _State:
     until started) and each DMA backend's next free cycle. Fixed for the
     run: the transfers' (backend, words) segments, transfer t's at
     seg_ptr[t]:seg_ptr[t + 1]; the level and class latencies, port
-    counts, tile geometry, L2 latency and DMA rate; and the INS threshold
+    counts, tile geometry (PEs and banks per tile, tiles per subgroup
+    and per group: an access's level follows from them), L2 latency and
+    DMA rate; and the INS threshold
     (the stall probability in units of 2**-53) and seed, as uint64 values.
     """
 
@@ -252,6 +375,8 @@ class _State:
                                   dtype=np.int64)
         self.out_ports, self.in_ports = params.out_ports, params.in_ports
         self.pes_per_tile, self.banks_per_tile = topo.pes_per_tile, topo.banks_per_tile
+        self.tiles_per_subgroup = topo.tiles_per_subgroup
+        self.tiles_per_group = topo.tiles_per_subgroup * topo.subgroups_per_group
         self.l2_lat, self.dma_wpc = params.l2_latency, params.dma_words_per_cycle
         self.ins_thresh = int(params.ins_stall_prob * (1 << 53))
         self.ins_seed = params.ins_seed % (1 << 64)

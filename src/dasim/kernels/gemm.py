@@ -94,11 +94,12 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     ks = np.arange(N)[:, None]
     b_win = 0 if n_parallel == 1 else tile[:, :, None] // tiles_per_prob
     c_off = rows[:, :, None] * c_ld + cols[:, None, :]
-    # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step. The
-    # address arrays live only during the call: the streams keep their own
+    # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step.
+    # Each load address is a work item's term plus a step's, summed into
+    # the copies' address matrix, so no (items x steps) array is built
     emit_reduction([pb.streams[p] for p in pe],
-                   (a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld + ks),
-                    b_op.addr(b_win, ks * b_ld + cols[:, None, :])),
+                   ((a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld), ks * wb),
+                    (b_op.addr(b_win, cols[:, None, :]), ks * (b_ld * wb))),
                    16, (7, 3), c_op.addr(tile, c_off.reshape(len(pe), 16)), setup=True)
     pb.end_phase()
 

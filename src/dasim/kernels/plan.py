@@ -9,36 +9,44 @@ copies form a template of their own, copied once). PlanBuilder.end_phase
 closes a phase: it resolves the addresses against the regions live at
 that moment (so a region freed in a later phase still resolves the
 accesses emitted while it was live) and packs the phase's single chunk
-one template group at a time, then writes the barrier op on every stream
-(unless told not to). A group is the copies of one template that start
-at the same slot of their PEs' rows: each block of its copies resolves
-in one call, and each chunk column takes it in one slice write.
+in template form, one template group at a time, then adds the barrier
+(one shared one-op template) to every stream (unless told not to). A
+group is every copy of one template in the phase: walking each PE's
+copies in stream order, end_phase notes each copy's number and its
+first load's or store's number on its PE, so each block of a group's
+copies resolves in one call and lands, copies and banks, with one write
+each. Templates are stored once per phase, never expanded per copy.
 emit_reduction writes a kernel's software-pipelined reductions and
 their result stores, one copy per work item.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .._stepper import (DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
-                        K_LOAD, K_STORE)
+                        K_LOAD, K_STORE, TEMPLATE_COLS)
 from ..alloc import das_free, das_malloc, heap_init
 from ..engine import (ALLOC_COST, EngineParams, Phase, SimulationFault,
                       build_transfer, make_chunk, run_packed)
 from ..remap import MapConfig, das, interleaved, resolve_array
-from ..topology import ClusterTopology, access_levels
+from ..topology import ClusterTopology
 
 C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat_mac, lat_div
 
 # the columns of an op record and their dtypes, from PeStream to end_phase,
-# which resolves addr into the packed chunk's bank and level columns
-STREAM_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32,
-               "addr": np.int64, "dep1": np.uint16, "dep2": np.uint16}
-# an op template's columns: every op column but the address, which each
-# copy of the template takes from its own row
-TEMPLATE_COLS = {k: d for k, d in STREAM_COLS.items() if k != "addr"}
+# which resolves each load's and store's addr to its bank: an op
+# template's columns (TEMPLATE_COLS), shared by its copies, and the
+# address, which each copy takes from its own row
+STREAM_COLS = {**TEMPLATE_COLS, "addr": np.int64}
+
+# the barrier that ends a phase's streams: one template for every PE
+BARRIER = {k: np.zeros(1, dtype=d) for k, d in TEMPLATE_COLS.items()}
+BARRIER["kind"][0] = K_BARRIER
+for _col in BARRIER.values():
+    _col.flags.writeable = False
 
 # ops of one template group that end_phase resolves and packs at a time
 # (one copy, if a copy is longer): its temporaries stay near 1 MiB however
@@ -153,14 +161,6 @@ class PeStream:
     def dma_wait(self, tid):
         return self._push(K_DMA_WAIT, 0, tid, 0, ())
 
-    def extend(self, kind, cls, arg, addr, dep1, dep2):
-        """Bulk append of parallel columns: emit_copies' one-copy case.
-
-        Dependences are back-distances that stay within the appended ops.
-        """
-        emit_copies([self], {"kind": kind, "cls": cls, "arg": arg, "dep1": dep1,
-                             "dep2": dep2}, np.asarray(addr)[None])
-
     def _append(self, template: dict, addr: np.ndarray):
         """Keep a checked, read-only template (its TEMPLATE_COLS columns,
         shared with other streams) and one copy's addresses as the stream's
@@ -241,16 +241,21 @@ def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
     lie side by side: step k loads ``loads[0][i, k]``, then
     ``loads[1][i, k]`` and so on, under the burst of ``macs`` MACs that
     retires step k-1, so operand latency hides behind compute; that
-    burst consumes step k-1's loads in columns ``dep_cols``. ``setup``
-    adds a one-ALU accumulator set-up after step 0's loads. A drain
-    burst retires the last step, and each ``out_addr[i]`` store waits
-    for it. Dependence distances come from the ops' positions in the
-    item's copy. Each array goes straight into the copies' address
-    matrix: step 0's columns, then a view with one row of w + 1 ops per
-    later step.
+    burst consumes step k-1's loads in columns ``dep_cols``. An entry of
+    ``loads`` may also be a pair of arrays that sum to such an array by
+    broadcasting, say a per-item and a per-step term. ``setup`` adds a
+    one-ALU accumulator set-up after step 0's loads. A drain burst
+    retires the last step, and each ``out_addr[i]`` store waits for it.
+    Dependence distances come from the ops' positions in the item's
+    copy. Each array, or each pair's sum, goes straight into the copies'
+    address matrix: step 0's columns, then a view with one row of w + 1
+    ops per later step. So a pair needs no array of its full size
+    besides the matrix.
     """
-    widths = [np.shape(part)[-1] for part in loads]
-    n_items, n_steps, w = len(streams), np.shape(loads[0])[-2], sum(widths)
+    pairs = [part if isinstance(part, tuple) else (part, 0) for part in loads]
+    shapes = [np.broadcast_shapes(*map(np.shape, pair)) for pair in pairs]
+    widths = [shape[-1] for shape in shapes]
+    n_items, n_steps, w = len(streams), shapes[0][-2], sum(widths)
     # step 0's loads (and set-up), then per later step its loads and the
     # burst of the step before, then the drain burst and the stores
     head = w + 1 if setup else w
@@ -275,9 +280,12 @@ def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
     # loads, then the burst retiring the step before
     later = addr[:, head:drain].reshape(n_items, n_steps - 1, w + 1)
     col = 0
-    for part, width in zip(loads, widths):
-        addr[:, col:col + width] = part[:, 0]
-        later[:, :, col:col + width] = part[:, 1:]
+    for pair, width in zip(pairs, widths):
+        a, b = (np.broadcast_to(t, (n_items, n_steps, width)) for t in pair)
+        # one sum per destination, never in place: an in-place add into a
+        # strided view may buffer a copy of the whole view
+        np.add(a[:, 0], b[:, 0], out=addr[:, col:col + width])
+        np.add(a[:, 1:], b[:, 1:], out=later[:, :, col:col + width])
         col += width
     addr[:, drain + 1:] = out_addr
     _copy_template(streams, c, addr)
@@ -384,23 +392,38 @@ class PlanBuilder:
         if name is None:
             raise RuntimeError("no phase open")
         self._phase_name = None
-        n = np.fromiter((stream.n for stream in self.streams), np.int64, len(self.streams))
+        n_pe = len(self.streams)
+        n = np.fromiter((stream.n for stream in self.streams), np.int64, n_pe)
         n_ops = n - self._packed
-        # the copies of one template that start at one slot of their PEs'
-        # rows, PE by PE: (template, start, PEs, address rows) per group
+        n_copies = np.zeros(n_pe, dtype=np.int64)
+        n_mem = np.zeros(n_pe, dtype=np.int64)
+        # every copy of one template, PE by PE in stream order: (template,
+        # its loads' and stores' positions, and per copy its PE, its number
+        # and its first load's or store's number on that PE, its addresses)
         groups = {}
         for pe in np.flatnonzero(n_ops).tolist():
-            start = 0
+            copies = mems = 0
             for template, addr in self.streams[pe]._take():
-                g = groups.get((id(template), start))
+                if not len(addr):
+                    continue            # a copy of no ops adds nothing
+                g = groups.get(id(template))
                 if g is None:
-                    g = groups[id(template), start] = (template, start, [], [])
+                    g = groups[id(template)] = (
+                        template, np.flatnonzero(template["kind"] <= K_STORE), [], [], [], [])
                 g[2].append(pe)
-                g[3].append(addr)
-                start += len(addr)
-        chunk = make_chunk(n_ops + barrier, self._pack_groups(name, list(groups.values())))
+                g[3].append(copies)
+                g[4].append(mems)
+                g[5].append(addr)
+                copies += 1
+                mems += len(g[1])
+            n_copies[pe], n_mem[pe] = copies, mems
+        batches = self._pack_groups(name, list(groups.values()))
         if barrier:
-            chunk.cols["kind"][np.arange(len(n_ops)), n_ops] = K_BARRIER
+            batches = chain(batches, [(np.arange(n_pe), n_copies, n_mem, BARRIER,
+                                       np.zeros((n_pe, 0), dtype=np.int64))])
+        chunk = make_chunk(n_ops + barrier, batches, topo=self.topo,
+                           n_copies=n_copies + barrier, n_mem=n_mem)
+        if barrier:
             for stream in self.streams:
                 stream.n += 1
         self._packed = n + barrier
@@ -409,33 +432,29 @@ class PlanBuilder:
     def _pack_groups(self, name: str, groups: list):
         """Yield each template group as make_chunk batches, counted into the
         closed-form totals: runs of its copies holding at most BATCH_OPS ops
-        (or one copy holding more), with addresses resolved to bank and level.
+        (or one copy holding more), with addresses resolved to banks.
         """
         regions = self.heap.das_regions()
-        for template, start, pes, rows in groups:
+        for template, mem, pes, copy_ix, mem_ix, rows in groups:
             kind = template["kind"]
             n = len(kind)
-            mem = np.flatnonzero((kind == K_LOAD) | (kind == K_STORE))
             is_mac = (kind == K_COMPUTE) & (template["cls"] == C_MAC)
             self._counts["macs"] += len(pes) * int(template["arg"][is_mac].sum())
             self._counts["loads"] += len(pes) * int((kind == K_LOAD).sum())
             self._counts["stores"] += len(pes) * int((kind == K_STORE).sum())
-            pes = np.array(pes)
-            step = max(1, BATCH_OPS // max(n, 1))
+            pes, copy_ix, mem_ix = np.array(pes), np.array(copy_ix), np.array(mem_ix)
+            step = max(1, BATCH_OPS // n)
             for lo in range(0, len(pes), step):
-                at = pes[lo:lo + step]
-                bank = np.zeros((len(at), n), dtype=np.int32)
-                level = np.zeros((len(at), n), dtype=np.uint8)
+                at = slice(lo, lo + step)
+                bank = np.zeros((len(pes[at]), 0), dtype=np.int64)
                 if len(mem):
-                    addr = np.concatenate(rows[lo:lo + step]).reshape(-1, n)[:, mem]
+                    addr = np.concatenate(rows[at]).reshape(-1, n)[:, mem]
                     try:
-                        b, _ = resolve_array(self.topo, regions, addr.reshape(-1))
+                        bank = resolve_array(self.topo, regions, addr.reshape(-1))
                     except ValueError as e:
                         raise self._fault(name, regions, groups) from e
-                    b = b.reshape(addr.shape)
-                    bank[:, mem] = b
-                    level[:, mem] = access_levels(self.topo, at[:, None], b)
-                yield at, start, {**template, "bank": bank, "level": level}
+                    bank = bank.reshape(addr.shape)
+                yield pes[at], copy_ix[at], mem_ix[at], template, bank
 
     def _fault(self, name: str, regions: list, groups: list) -> SimulationFault:
         """The fault of a phase whose loads and stores do not all resolve:
@@ -443,12 +462,10 @@ class PlanBuilder:
         to (a bad address is some PE's, a bad region list fails every PE
         with an access), with that PE's error."""
         own = {}
-        for template, start, pes, rows in groups:
-            kind = template["kind"]
-            mem = (kind == K_LOAD) | (kind == K_STORE)
-            if mem.any():
-                for pe, addr in zip(pes, rows):
-                    own.setdefault(pe, []).append((start, addr[mem]))
+        for _, mem, pes, copy_ix, _, rows in groups:
+            if len(mem):
+                for pe, copy, addr in zip(pes, copy_ix, rows):
+                    own.setdefault(pe, []).append((copy, addr[mem]))
         for pe in sorted(own):
             try:
                 resolve_array(self.topo, regions, np.concatenate([a for _, a in sorted(

@@ -94,14 +94,14 @@ def _check_disjoint(regions: Sequence[MapConfig]) -> None:
 
 
 def resolve_array(topo: ClusterTopology, regions: Sequence[MapConfig],
-                  addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map addresses through the region registry; returns (banks, rows).
+                  addrs: np.ndarray) -> np.ndarray:
+    """Map addresses through the region registry to their banks (int64).
 
     Addresses inside a bound folded region use that region's (p, s);
     everything else uses p = s = 0, the interleaved baseline. Raises on
     any address outside L1, a misaligned region or overlapping regions.
     Used to pre-resolve whole traces and DMA destinations before
-    simulation.
+    simulation. A word's row is not computed: no caller reads it.
 
     One pass places every address: a search over the folded regions'
     edges gives each address its own (p, s), and the permutation is
@@ -128,11 +128,6 @@ def resolve_array(topo: ClusterTopology, regions: Sequence[MapConfig],
         at = np.searchsorted(edges, addrs, side="right")
         p, s = p_at[at], s_at[at]
     u = addrs >> (topo.word_bytes.bit_length() - 1)
-    b = topo.bank_bits
-    # the bank keeps the p low bits and takes bits p+s .. b+s-1 above them;
-    # the row takes the s bits above the p low ones, then bits from b+s up
+    # the bank keeps the p low bits and takes bits p+s .. b+s-1 above them
     p_mask = (1 << p) - 1
-    s_mask = (1 << s) - 1
-    banks = (u & p_mask) | ((u >> s) & (((1 << b) - 1) ^ p_mask))
-    rows = ((u >> p) & s_mask) | ((u >> b) & ~s_mask)
-    return banks, rows
+    return (u & p_mask) | ((u >> s) & (((1 << topo.bank_bits) - 1) ^ p_mask))

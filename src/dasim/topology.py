@@ -19,6 +19,10 @@ class HierarchyLevel(IntEnum):
     REMOTE = 3
 
 
+# packed chunks store a bank id per load and store as a uint16
+MAX_BANKS = 1 << 16
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -54,6 +58,9 @@ class ClusterTopology:
         if not (1 <= lat[0] < lat[1] < lat[2] < lat[3]):
             raise ValueError(f"level_latency must start at 1 or more and increase "
                              f"strictly, got {lat}")
+        if self.n_banks > MAX_BANKS:
+            raise ValueError(f"{self.n_banks} banks: a packed bank id is a uint16, so at "
+                             f"most {MAX_BANKS} banks")
 
     # -- derived geometry ---------------------------------------------------
 
@@ -117,9 +124,9 @@ def access_levels(topo: ClusterTopology, pes, banks) -> np.ndarray:
     Counts up from TILE_LOCAL once for each of tile, subgroup and group
     that the PE and the bank do not share. Tile ids sharing a subgroup
     (a group) differ only below the power-of-two subgroup (group) size,
-    so the XOR of the PE's and the bank's tile ids settles all three. Ids
-    are not range-checked: they come from end_phase's PE ids and
-    resolve_array's banks.
+    so the XOR of the PE's and the bank's tile ids settles all three; the
+    C stepper derives each access's level by the same test. Ids are not
+    range-checked: they come from PE ids and resolve_array's banks.
     """
     pt = np.asarray(pes) >> (topo.pes_per_tile.bit_length() - 1)
     bt = np.asarray(banks) >> (topo.banks_per_tile.bit_length() - 1)

@@ -3,18 +3,30 @@
 ``end_phase`` here writes the barrier through ``PeStream._push``, then
 for one PE at a time concatenates the stream's segments, resolves its
 addresses and classifies their levels with the division-based oracles
-of ``reference_remap``, counts its ops and copies its row into the
-chunk. It takes the method's arguments, so a test swaps it in with
+of ``reference_remap``, counts its ops and copies its row into a flat
+chunk: a ``FlatChunk`` of ``[n_pe, L]`` columns, the layout that
+``PackedChunk.cols`` views a template-form chunk in. It takes the
+method's arguments, so a test swaps it in with
 ``monkeypatch.setattr(PlanBuilder, "end_phase", end_phase)`` and builds
-plans unchanged under both.
+plans unchanged under both, then compares the chunks' ``cols``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
-from dasim.engine import _COLS, PackedChunk, Phase, SimulationFault
+from dasim.engine import FLAT_COLS, Phase, SimulationFault
 from dasim.kernels.plan import C_MAC, STREAM_COLS
 from reference_remap import access_levels, resolve_array
+
+
+@dataclass
+class FlatChunk:
+    """A phase's ops with each PE's row padded to the longest stream."""
+
+    cols: dict
+    n_ops: np.ndarray
 
 
 def take(stream) -> dict:
@@ -27,13 +39,13 @@ def take(stream) -> dict:
 def _pack(columns, n_pe):
     n_ops = np.array([len(c["kind"]) for c in columns], dtype=np.int64)
     cap = max(1, int(n_ops.max()))
-    cols = {name: np.zeros((n_pe, cap), dtype=dtype) for name, dtype in _COLS.items()}
+    cols = {name: np.zeros((n_pe, cap), dtype=dtype) for name, dtype in FLAT_COLS.items()}
     for pe, c in enumerate(columns):
         n = n_ops[pe]
         if n:
-            for name in _COLS:
+            for name in FLAT_COLS:
                 cols[name][pe, :n] = c[name]
-    return PackedChunk(cols=cols, n_ops=n_ops)
+    return FlatChunk(cols=cols, n_ops=n_ops)
 
 
 def end_phase(self, barrier=True):
@@ -50,7 +62,7 @@ def end_phase(self, barrier=True):
         addr = col.pop("addr")
         kind = col["kind"]
         mem = (kind == K_LOAD) | (kind == K_STORE)
-        col["bank"] = np.zeros(len(kind), dtype=np.int32)
+        col["bank"] = np.zeros(len(kind), dtype=np.uint16)
         col["level"] = np.zeros(len(kind), dtype=np.uint8)
         if mem.any():
             try:

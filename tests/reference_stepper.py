@@ -1,23 +1,28 @@
 """Python stepper, the oracle for the C one in ``dasim._stepper``.
 
 This is the pure-Python ``step_segment`` the C file was ported from, op
-for op, with its instruction-fetch draw ``_ins_hit``. ``step_segment``
-here takes the C stepper's arguments, a chunk, its ledger, the run's
-engine._State and the start cycle, so a test swaps it in with
-``monkeypatch.setattr(engine, "step_segment", step_segment)`` and runs
-``engine.run_packed`` unchanged under both. Its loop body reads
-and writes Python ints only: numpy arrays are read as memoryviews, which
-index like ``a[pe, i]`` without making numpy scalars, and the window
-slots and ledger as lists written back at the end.
+for op, with its instruction-fetch draw ``_ins_hit``. It reads a chunk
+through its flat view, ``PackedChunk.cols``: per PE a row of ops, with
+each access's bank and its level from ``topology.access_levels``, where
+the C stepper walks the templates and derives the level itself.
+``step_segment`` here takes the C stepper's arguments, a chunk, its
+ledger, the run's engine._State and the start cycle, so a test swaps
+it in with ``monkeypatch.setattr(engine, "step_segment",
+step_segment)`` and runs ``engine.run_packed`` unchanged under both.
+Its loop body reads and writes Python ints only: numpy arrays are read
+as memoryviews, which index like ``a[pe, i]`` without making numpy
+scalars, and the window slots and ledger as lists written back at the
+end.
 """
 
 from heapq import heapify, heappop, heappush, heapreplace
 
-from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, COLS, DEP_RING,
+from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
                             FAULT_BARRIER_NOT_LAST, FAULT_BARRIER_PARTIAL,
                             FAULT_DMA_NEVER_STARTED, FAULT_DMA_RESTART,
                             FAULT_DMA_UNKNOWN, K_BARRIER, K_COMPUTE, K_DMA_START,
                             K_DMA_WAIT, K_LOAD, K_STORE)
+from dasim.engine import FLAT_COLS
 
 _M64 = (1 << 64) - 1
 
@@ -45,9 +50,9 @@ def _step(chunk, win, acct, st, now):
     """Advance one segment from cycle ``now``; ``win`` and ``acct`` are
     the window slots and ledger as one list per PE."""
     mv = memoryview
-    # per-op columns of the segment, memoryviews [n_pe, L]; ops per PE
+    # per-op columns of the segment's flat view, memoryviews [n_pe, L]; ops per PE
     op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2 = (
-        mv(chunk.cols[c]) for c in COLS)
+        mv(chunk.cols[c]) for c in FLAT_COLS)
     n_ops = chunk.n_ops.tolist()
     # per-PE state, memoryviews: the ready rings are [n_pe, DEP_RING]
     abs_idx, t_free, ins_done = mv(st.abs_idx), mv(st.t_free), mv(st.ins_done)

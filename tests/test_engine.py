@@ -13,9 +13,9 @@ from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, 
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
                           build_transfer, make_chunk, run_packed)
 from dasim.kernels import plan
-from dasim.kernels.plan import C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, run_plan
+from dasim.kernels.plan import (C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, emit_copies,
+                                run_plan)
 from reference_dma import DmaState, dma_advance
-from reference_pack import take
 import reference_stepper
 from reference_stepper import _ins_hit
 
@@ -127,18 +127,23 @@ def test_barrier_wfi():
 
 
 def _hand_chunk(progs):
-    """A chunk from per-PE op-kind lists, with every other column zero
-    but compute counts, which are 1: a compute op is one ALU issue. PEs
-    past ``progs`` run one ALU issue."""
+    """A chunk from per-PE op-kind lists, one template copied once per PE
+    with ops, whose other columns are zero but compute counts, which are
+    1: a compute op is one ALU issue. Every load and store is on bank 0.
+    PEs past ``progs`` run one ALU issue."""
     kinds = [progs[pe] if pe < len(progs) else [K_COMPUTE] for pe in range(DESK.n_pes)]
     n_ops = np.array([len(ks) for ks in kinds], dtype=np.int64)
+    n_mem = np.array([sum(k <= K_STORE for k in ks) for ks in kinds], dtype=np.int64)
 
-    def cols(ks):
+    def template(ks):
         k = np.array(ks, dtype=np.uint8)
         return {"kind": k, "cls": np.zeros_like(k), "arg": np.ones(len(k), np.int32),
-                **{c: np.zeros(len(k), np.int32) for c in ("bank", "level", "dep1", "dep2")}}
+                **{c: np.zeros(len(k), np.uint16) for c in ("dep1", "dep2")}}
 
-    return make_chunk(n_ops, [(np.array([pe]), 0, cols(ks)) for pe, ks in enumerate(kinds)])
+    one = np.zeros(1, dtype=np.int64)
+    batches = [(np.array([pe]), one, one, template(ks), np.zeros((1, n_mem[pe]), np.int64))
+               for pe, ks in enumerate(kinds) if ks]
+    return make_chunk(n_ops, batches, topo=DESK, n_copies=np.minimum(n_ops, 1), n_mem=n_mem)
 
 
 @pytest.mark.parametrize("kinds,match", [
@@ -152,58 +157,93 @@ def test_misplaced_barrier_faults(kinds, match):
         run_packed(DESK, EngineParams(), [Phase("a", [_hand_chunk([kinds])])])
 
 
-def _shrink_rows(chunk, dma):
-    chunk.cols = {name: col[:-1].copy() for name, col in chunk.cols.items()}
-
-
-def _set(name, pe, i, value):
+def _set(name, i, value):
     def corrupt(chunk, dma):
-        chunk.cols[name][pe, i] = value
+        arrays = chunk.tpl if name in chunk.tpl else vars(chunk)
+        arrays[name][i] = value
     return corrupt
+
+
+def _replace(name, fn):
+    def corrupt(chunk, dma):
+        arrays = chunk.tpl if name in chunk.tpl else vars(chunk)
+        arrays[name] = fn(arrays[name])
+    return corrupt
+
+
+def _empty_template(chunk, dma):
+    # a template of no ops ahead of the others, copied by no PE
+    chunk.tpl_ptr = np.concatenate(([0], chunk.tpl_ptr))
+    chunk.copy_tpl += 1
+
+
+def _extra_bank(chunk, dma):
+    # PE 0 holds a third bank for its two loads and stores
+    chunk.bank = np.append(chunk.bank, np.uint16(0))
+    chunk.bank_ptr[1:] += 1
 
 
 # one case per check run_packed makes before stepping: each would make
 # the stepper index memory out of bounds, or read a wrong dependence
-# ring slot (dep1, dep2). PE 0 loads, computes, stores
-# and starts transfer 0; the fault names the column
+# ring slot (dep1, dep2). PE 0 loads, computes, stores and starts
+# transfer 0, as template 0 of the chunk; every other PE copies a
+# one-ALU template of its own. The fault names the array
 BAD_CHUNKS = {
-    "dtype": (lambda c, d: c.cols.update(arg=c.cols["arg"].astype(np.int64)), "'arg'"),
-    "contiguity": (lambda c, d: c.cols.update(dep1=np.asfortranarray(c.cols["dep1"])),
-                   "'dep1'"),
-    "n_ops-dtype": (lambda c, d: setattr(c, "n_ops", c.n_ops.astype(np.int32)), "'n_ops'"),
-    "n_ops-long": (lambda c, d: c.n_ops.__setitem__(0, c.cols["kind"].shape[1] + 1),
-                   "'n_ops'"),
-    "n_ops-rows": (lambda c, d: setattr(c, "n_ops", c.n_ops[:-1].copy()), "'n_ops'"),
-    "rows": (_shrink_rows, "'kind'"),
-    "kind": (_set("kind", 0, 1, 6), "'kind'"),
-    "bank-high": (_set("bank", 0, 0, DESK.n_banks), "'bank'"),
-    "bank-negative": (_set("bank", 0, 2, -1), "'bank'"),
-    "bank-unused": (_set("bank", 0, 1, -7), "'bank'"),    # on the compute op
-    "level": (_set("level", 0, 0, 4), "'level'"),
-    "cls": (_set("cls", 0, 1, 3), "'cls'"),
-    "dep1": (_set("dep1", 0, 2, DEP_RING), "'dep1'"),
-    "dep2": (_set("dep2", 0, 1, DEP_RING), "'dep2'"),
-    "arg": (_set("arg", 0, 1, 0), "'arg'"),
+    "dtype": (_replace("arg", lambda a: a.astype(np.int64)), "'arg'"),
+    "contiguity": (_replace("dep1", lambda a: np.repeat(a, 2)[::2]), "'dep1'"),
+    "template-length": (_replace("cls", lambda a: a[:-1].copy()), "'cls'"),
+    "n_ops-dtype": (_replace("n_ops", lambda a: a.astype(np.int32)), "'n_ops'"),
+    "n_ops-long": (_set("n_ops", 0, 5), "'n_ops'"),
+    "n_ops-rows": (_replace("n_ops", lambda a: a[:-1].copy()), "'n_ops'"),
+    "rows": (_replace("copy_ptr", lambda a: a[:-1].copy()), "'copy_ptr'"),
+    "copy_ptr-start": (_replace("copy_ptr", lambda a: a + 1), "'copy_ptr'"),
+    "copy_tpl": (_set("copy_tpl", 1, DESK.n_pes), "'copy_tpl'"),
+    "tpl_ptr-end": (_set("tpl_ptr", -1, 10 ** 6), "'tpl_ptr'"),
+    "tpl_ptr-empty": (_empty_template, "'tpl_ptr'"),
+    "bank_ptr-rows": (_replace("bank_ptr", lambda a: a[1:].copy()), "'bank_ptr'"),
+    "bank-negative": (_set("bank_ptr", 1, 3), "'bank_ptr'"),     # PE 1 holds -1 banks
+    "bank-unused": (_extra_bank, "'bank_ptr'"),
+    "bank-high": (_set("bank", 1, DESK.n_banks), "'bank'"),
+    "kind": (_set("kind", 1, 6), "'kind'"),
+    "cls": (_set("cls", 1, 3), "'cls'"),
+    "dep1": (_set("dep1", 2, DEP_RING), "'dep1'"),
+    "dep2": (_set("dep2", 1, DEP_RING), "'dep2'"),
+    "arg": (_set("arg", 1, 0), "'arg'"),
     "backend": (lambda c, d: d.append((DESK.n_subgroups, 4)), "backend"),
     "words": (lambda c, d: d.append((0, 0)), "words"),
 }
 
 
+def _run_bad_chunk(corrupt):
+    chunk = _hand_chunk([[K_LOAD, K_COMPUTE, K_STORE, K_DMA_START]])
+    chunk.tpl["arg"][3] = 0
+    segments = [(1, 8)]
+    corrupt(chunk, segments)
+    tr = DmaTransfer((0, 0), (0, 0), segments=segments)
+    return run_packed(DESK, EngineParams(), [Phase("a", [chunk])], [tr])
+
+
 @pytest.mark.parametrize("case", BAD_CHUNKS)
 def test_run_packed_rejects_chunks_the_stepper_cannot_take(case):
     corrupt, column = BAD_CHUNKS[case]
-
-    def run(corrupt):
-        chunk = _hand_chunk([[K_LOAD, K_COMPUTE, K_STORE, K_DMA_START]])
-        chunk.cols["arg"][0, 3] = 0
-        segments = [(1, 8)]
-        corrupt(chunk, segments)
-        tr = DmaTransfer((0, 0), (0, 0), segments=segments)
-        return run_packed(DESK, EngineParams(), [Phase("a", [chunk])], [tr])
-
-    assert run(lambda c, d: None).cycles == 4
+    assert _run_bad_chunk(lambda c, d: None).cycles == 4
     with pytest.raises(ValueError, match=column):
-        run(corrupt)
+        _run_bad_chunk(corrupt)
+
+
+# the chunk arrays whose dtype BAD_CHUNKS leaves unchecked (it has arg's
+# and n_ops')
+CHUNK_ARRAYS = ["tpl_ptr", "copy_ptr", "copy_tpl", "bank_ptr", "bank", "kind", "cls",
+                "dep1", "dep2"]
+
+
+@pytest.mark.parametrize("name", CHUNK_ARRAYS)
+def test_run_packed_rejects_each_chunk_array_in_another_dtype(name):
+    # every array keeps its values; only its dtype is a wider or a signed one
+    other = {np.dtype(np.int64): np.int32, np.dtype(np.int32): np.int64,
+             np.dtype(np.uint16): np.int32, np.dtype(np.uint8): np.int16}
+    with pytest.raises(ValueError, match=f"'{name}' must be a C-contiguous 1-D"):
+        _run_bad_chunk(_replace(name, lambda a: a.astype(other[a.dtype])))
 
 
 @pytest.mark.parametrize("other_alus,release", [(0, 3), (5, 6)])
@@ -247,20 +287,6 @@ def test_unresolvable_address_faults(monkeypatch, progs, batch_ops, pe):
     (3, "load", (0, (3,))),                     # not an earlier op
     (3, "load", (0, (-1,))),
     (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
-    (0, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [5], [0])),     # before op 0
-    (3, "extend", ([K_COMPUTE], [C_ALU], [1], [0], [-1], [0])),
-    # beyond the ring, though within the appended ops
-    (DEP_RING + 1000, "extend", ([K_COMPUTE] * (DEP_RING + 1), [C_ALU] * (DEP_RING + 1),
-                                 [1] * (DEP_RING + 1), [0] * (DEP_RING + 1),
-                                 [0] * (DEP_RING + 1), [0] * DEP_RING + [DEP_RING])),
-    # a column shorter or longer than kind, or a scalar one
-    (3, "extend", ([K_COMPUTE] * 3, [C_MAC], [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
-    (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, [5], [0] * 3, [0] * 3, [0] * 3)),
-    (3, "extend", ([K_LOAD] * 3, [0] * 3, [0] * 3, [0, 4], [0] * 3, [0] * 3)),
-    (3, "extend", ([K_COMPUTE], [C_MAC] * 3, [5] * 3, [0] * 3, [0] * 3, [0] * 3)),
-    (3, "extend", ([K_COMPUTE] * 3, [C_MAC] * 3, 5, [0] * 3, [0] * 3, [0] * 3)),
-    (3, "extend", ([K_COMPUTE] * 2, [C_ALU] * 2, [1] * 2, [0] * 2,
-                   [0, 2], [0, 0])),        # before the appended ops
 ])
 def test_stream_rejects_bad_ops(n_before, method, args):
     s = PeStream()
@@ -269,22 +295,6 @@ def test_stream_rejects_bad_ops(n_before, method, args):
     with pytest.raises(ValueError):
         getattr(s, method)(*args)
     assert s.n == n_before
-
-
-def test_stream_extend_keeps_its_own_copy():
-    # columns already in the stream's dtypes; the caller then reuses them
-    s = PeStream()
-    cols = [np.full(3, K_LOAD, dtype=np.uint8), np.zeros(3, dtype=np.uint8),
-            np.zeros(3, dtype=np.int32), np.array([0, 4, 8], dtype=np.int64),
-            np.zeros(3, dtype=np.uint16), np.zeros(3, dtype=np.uint16)]
-    s.extend(*cols)
-    for c in cols:
-        c[:] = 1
-    got = take(s)
-    assert got["kind"].tolist() == [K_LOAD] * 3
-    assert got["addr"].tolist() == [0, 4, 8]
-    for name in ("cls", "arg", "dep1", "dep2"):
-        assert got[name].tolist() == [0] * 3
 
 
 def test_store_consumes_bank_bandwidth():
@@ -837,12 +847,61 @@ def _under_both_steppers(monkeypatch, run):
         return c, _outcome(run)
 
 
+TERAPOOL = terapool_default()
+# a load, a MAC burst on it and the store of its result
+LOAD_MAC_STORE = {"kind": [K_LOAD, K_COMPUTE, K_STORE], "cls": [0, C_MAC, 0],
+                  "arg": [0, 2, 0], "dep1": [0, 1, 1], "dep2": [0, 0, 0]}
+
+
+def _terapool_case(seed, ports):
+    """A two-phase DAS plan on all 1,024 PEs of TeraPool, and its params.
+
+    Each phase gives every PE a load and an ALU op on it, then 0-3
+    copies of LOAD_MAC_STORE, so PEs step from one copy to the next and
+    from single ops into copies and back; then 64 PEs store once more.
+    Words are drawn from all of L1 and from a region folded over each
+    tile's banks, so accesses reach every hierarchy level. The first
+    phase ends in a barrier, the second does not.
+    """
+    rng = np.random.default_rng(seed)
+    t = TERAPOOL
+    pb = PlanBuilder(t, "das")
+
+    def addrs(shape):
+        words = rng.integers(0, t.total_bytes // t.word_bytes, shape)
+        folded = rng.integers(0, (64 << 10) // t.word_bytes, shape)
+        return t.word_bytes * np.where(rng.random(shape) < 0.5, words, folded)
+
+    for ph, barrier in enumerate((True, False)):
+        pb.begin_phase(f"p{ph}")
+        if ph == 0:
+            pb.alloc("buf", 64 << 10, das(5, 1))
+        for stream, addr in zip(pb.streams, addrs(t.n_pes).tolist()):
+            stream.compute(C_ALU, 1, (stream.load(addr),))
+        on = np.repeat(np.arange(t.n_pes), rng.integers(0, 4, t.n_pes))
+        emit_copies([pb.streams[pe] for pe in on], LOAD_MAC_STORE, addrs((len(on), 3)))
+        for pe, addr in zip(rng.choice(t.n_pes, 64, replace=False), addrs(64).tolist()):
+            pb.streams[pe].store(addr)
+        pb.end_phase(barrier)
+    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports)
+    return pb.build("test", "", 1, {}), params
+
+
 @pytest.mark.parametrize("ports", [1, 3])
 def test_c_stepper_matches_oracle(monkeypatch, ports):
     for seed in range(150):
         plan, params = _oracle_case(seed, ports)
         c, oracle = _under_both_steppers(monkeypatch, lambda: run_plan(plan, params))
         assert c == oracle, f"seed {seed}"
+    # the per-PE cursors and the derived levels at 1,024 PEs
+    plan, params = _terapool_case(ports, ports)
+    for phase in plan.phases:
+        (chunk,) = phase.chunks
+        kind, level = chunk.cols["kind"], chunk.cols["level"]
+        live = np.arange(kind.shape[1]) < chunk.n_ops[:, None]
+        assert set(level[live & (kind <= K_STORE)].tolist()) == {0, 1, 2, 3}
+    c, oracle = _under_both_steppers(monkeypatch, lambda: run_plan(plan, params))
+    assert c == oracle
 
 
 _TR = build_transfer(DESK, [], (0, 32), (0, 32))

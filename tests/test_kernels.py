@@ -101,6 +101,26 @@ def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+def test_emit_reduction_sums_each_pair_of_terms_into_its_loads(n_steps):
+    # each part of the loads given as a per-item term plus a per-step term
+    # writes the same streams as the parts given as their sums
+    on, width = (0, 1, 0), 8
+    item = 4 * n_steps * width * np.arange(len(on))[:, None, None] + 4 * np.arange(width)
+    step = 4 * width * np.arange(n_steps)[:, None]
+    out_addr = 4096 + 4 * np.arange(len(on) * 3).reshape(len(on), 3)
+    streams = {split: [PeStream(), PeStream()] for split in (True, False)}
+    for split, sts in streams.items():
+        loads = ((item[..., :3], step), (item[..., 3:], step)) if split else (
+            (item + step)[..., :3], (item + step)[..., 3:])
+        emit_reduction([sts[i] for i in on], loads, 16, (7, 3), out_addr, True)
+    for a, b in zip(streams[True], streams[False]):
+        assert a.n == b.n
+        got, want = take(a), take(b)
+        for name in STREAM_COLS:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
 def _template(n_ops, dep1=(), dep2=()):
     """``n_ops`` one-ALU ops; ``dep1``/``dep2`` name (op, distance) pairs."""
     t = {"kind": [K_COMPUTE] * n_ops, "cls": [C_ALU] * n_ops, "arg": [1] * n_ops,

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dasim import das, desk_default
+from dasim import das, desk_default, terapool_default
 from dasim._stepper import K_COMPUTE, K_LOAD, K_STORE
 from dasim.engine import SimulationFault
 from dasim.kernels import plan
@@ -17,6 +17,7 @@ from test_engine import _random_programs
 from test_kernels import PLAN_IDS, PLANS
 
 DESK = desk_default()
+TERAPOOL = terapool_default()
 
 # BATCH_OPS settings: one PE per batch (an op cap below every stream),
 # batches that split PEs unevenly, and the whole phase in one batch
@@ -213,14 +214,20 @@ def test_unresolvable_address_in_a_later_group_names_the_lowest_pe(monkeypatch, 
     assert got == want == f"PE {pe}, phase 'p': address 0x{addr:x} outside L1"
 
 
+def _held(chunk) -> list:
+    """Every array a chunk holds, its template columns included."""
+    return [a for v in vars(chunk).values()
+            for a in (v.values() if isinstance(v, dict) else [v]) if isinstance(a, np.ndarray)]
+
+
 def test_end_phase_memory_is_bounded_by_the_batch(monkeypatch):
     # beyond the chunk it returns, end_phase may hold 8 stream records
     # per op of an 8192-op batch: a block of copies' gathered addresses,
-    # its bank and level rows and resolve_array's and access_levels' int64
-    # temporaries take about 6. Desk gemm 32x64x32 with n_parallel 4 packs 152k ops
-    # in its compute phase; resolving that phase at once peaks 12x over
-    # the bound and raises the resident memory of a whole run by 20%, and
-    # a 32k-op batch peaks 3.5x over it
+    # its banks and resolve_array's int64 temporaries take about 5. Desk
+    # gemm 32x64x32 with n_parallel 4 packs 152k ops in its compute
+    # phase; resolving that phase at once peaks 12x over the bound and
+    # raises the resident memory of a whole run by 20%, and a 32k-op
+    # batch peaks 3.5x over it
     bound = 8 * 8192 * sum(np.dtype(d).itemsize for d in plan.STREAM_COLS.values())
     extra = []
     end_phase = PlanBuilder.end_phase
@@ -233,8 +240,25 @@ def test_end_phase_memory_is_bounded_by_the_batch(monkeypatch):
         finally:
             tracemalloc.stop()
         (chunk,) = self.phases[-1].chunks
-        extra.append(peak - chunk.n_ops.nbytes - sum(c.nbytes for c in chunk.cols.values()))
+        extra.append(peak - sum(a.nbytes for a in _held(chunk)))
 
     monkeypatch.setattr(PlanBuilder, "end_phase", traced)
     gen_gemm(DESK, 32, 64, 32, 4, "das")
     assert max(extra) < bound, extra
+
+
+def test_a_plan_holds_no_padding():
+    # tp gemm 64^3's compute phase gives 128 of 1,024 PEs 1,187 ops and
+    # the rest only the barrier: padded to the longest stream, its 15-byte
+    # slots took 17.4 MiB for 152,832 ops. In template form a chunk holds
+    # 2 bytes per load and store, 4 per copy and 4 pointers per PE, and
+    # reading the flat view leaves nothing behind
+    p = gen_gemm(TERAPOOL, 64, 64, 64, 1, "das")
+    for phase in p.phases:
+        (chunk,) = phase.chunks
+        held = sum(a.nbytes for a in _held(chunk))
+        assert held <= 2 * int(chunk.n_ops.sum()) + 40 * TERAPOOL.n_pes, phase.name
+        flat = dict(chunk.cols)
+        assert flat["kind"].shape == (TERAPOOL.n_pes, max(1, chunk.n_ops.max()))
+        assert all(a.ndim == 1 for a in _held(chunk))
+        assert sum(a.nbytes for a in _held(chunk)) == held

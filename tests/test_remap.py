@@ -58,8 +58,10 @@ def bound(cfg, base, size):
 
 
 def places(topo, regions, addrs):
-    """(bank, row) of each address, as Python ints."""
-    banks, rows = resolve_array(topo, regions, np.asarray(addrs))
+    """(bank, row) of each address, as Python ints: resolve_array's bank
+    and the permutation's row by its shifts and masks."""
+    banks = resolve_array(topo, regions, np.asarray(addrs))
+    rows = reference_remap.shift_rows(topo, regions, addrs)
     return list(zip(banks.tolist(), rows.tolist()))
 
 
@@ -156,7 +158,7 @@ def test_locality_one_tile_per_block():
     p = 3  # log2(banks_per_tile)
     for s in (0, 1, 2):
         cfg = bound(das(p, s), 0, t.total_bytes)
-        banks, _ = resolve_array(t, [cfg], np.arange(0, t.total_bytes, 4))
+        banks = resolve_array(t, [cfg], np.arange(0, t.total_bytes, 4))
         tiles = (banks // t.banks_per_tile).reshape(-1, 2 ** (p + s))
         assert (tiles == tiles[:, :1]).all()
 
@@ -233,7 +235,7 @@ def test_resolve_array_matches_the_division_oracle(name, seed):
               for c in regions]
     addrs = np.concatenate([np.concatenate(words) * t.word_bytes, edge_addresses(t, regions)])
     for regs in (regions, [c for c in regions if not c.folds], []):
-        got = resolve_array(t, regs, addrs)
+        got = resolve_array(t, regs, addrs), reference_remap.shift_rows(t, regs, addrs)
         want = reference_remap.resolve_array(t, regs, addrs)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -250,8 +252,8 @@ def test_resolve_array_places_adjacent_regions_at_their_edge():
         interleaved_reference(t, 0xF), fold_reference(t.bank_bits, 2, 1, 0x10),
         fold_reference(t.bank_bits, 2, 1, 0x1F), fold_reference(t.bank_bits, 1, 2, 0x20),
         fold_reference(t.bank_bits, 1, 2, 0x2F), interleaved_reference(t, 0x30)]
-    for g, w in zip(resolve_array(t, [hi, lo], addrs),
-                    reference_remap.resolve_array(t, [hi, lo], addrs)):
+    got = resolve_array(t, [hi, lo], addrs), reference_remap.shift_rows(t, [hi, lo], addrs)
+    for g, w in zip(got, reference_remap.resolve_array(t, [hi, lo], addrs)):
         np.testing.assert_array_equal(g, w)
 
 

@@ -110,3 +110,12 @@ def test_invalid_geometry_rejected():
         ClusterTopology(level_latency=(0, 1, 2, 3))
     with pytest.raises(ValueError, match="one entry per hierarchy level"):
         ClusterTopology(level_latency=(1, 3, 5))
+
+
+def test_more_banks_than_a_uint16_holds_rejected():
+    # packed chunks store each load's and store's bank as a uint16: 65,536
+    # banks fit, twice as many do not
+    fits = ClusterTopology(banks_per_tile=256, groups=8)
+    assert fits.n_banks == 1 << 16
+    with pytest.raises(ValueError, match="131072 banks: a packed bank id is a uint16"):
+        ClusterTopology(banks_per_tile=512, groups=8)
