@@ -97,7 +97,7 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step.
     # Each load address is a work item's term plus a step's, summed into
     # the copies' address matrix, so no (items x steps) array is built
-    emit_reduction([pb.streams[p] for p in pe],
+    emit_reduction(pb, pe,
                    ((a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld), ks * wb),
                     (b_op.addr(b_win, cols[:, None, :]), ks * (b_ld * wb))),
                    16, (7, 3), c_op.addr(tile, c_off.reshape(len(pe), 16)), setup=True)

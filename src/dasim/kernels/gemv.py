@@ -69,7 +69,7 @@ def reduce_partials(pb: PlanBuilder, g: dict, n_parallel: int, c_part: Operand,
     addr = np.zeros((len(pe), 2 * n_peer + 1), dtype=np.int64)
     addr[:, :-1:2] = c_part.addr(peer // ppt, peer % ppt * rows_per_pe + row)
     addr[:, -1:] = c_final.addr(pe // ppt, pe % ppt * rows_per_pe + row)
-    emit_copies([pb.streams[p] for p in pe[:, 0]], chain, addr)
+    emit_copies(pb, pe[:, 0], chain, addr)
 
 
 def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
@@ -101,8 +101,8 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
     b_addr = b_op.base + (gg // gpp * N + gg % gpp * n_chunk + ks) * wb
     a_addr = a_op.addr(tile[:, :, None], (slot + blk4)[:, None, :] * n_chunk + ks[:, None])
     # per step: b, a0-a3; each burst consumes a3 and b of its step
-    emit_reduction([pb.streams[p] for p in pe[:, 0]], (b_addr[:, :, None], a_addr), 4,
-                   (4, 0), c_part.addr(tile, slot + blk4), setup=False)
+    emit_reduction(pb, pe[:, 0], (b_addr[:, :, None], a_addr), 4, (4, 0),
+                   c_part.addr(tile, slot + blk4), setup=False)
     pb.end_phase()
 
     if gpp > 1:

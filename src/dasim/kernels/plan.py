@@ -2,20 +2,23 @@
 
 A plan bundles the allocation sequence, per-PE operation streams split
 into named phases, and the DMA transfers for one kernel under one
-mapping scheme. Programs are written on one PeStream per PE, with byte
-addresses: a kernel loop as emit_copies, one copy of an op template per
-work item, and single ops one at a time (the ops pushed between two
-copies form a template of their own, copied once). PlanBuilder.end_phase
-closes a phase: it resolves the addresses against the regions live at
-that moment (so a region freed in a later phase still resolves the
-accesses emitted while it was live) and packs the phase's single chunk
-in template form, one template group at a time, then adds the barrier
-(one shared one-op template) to every stream (unless told not to). A
-group is every copy of one template in the phase: walking each PE's
-copies in stream order, end_phase notes each copy's number and its
-first load's or store's number on its PE, so each block of a group's
-copies resolves in one call and lands, copies and banks, with one write
-each. Templates are stored once per phase, never expanded per copy.
+mapping scheme. A PlanBuilder holds its open phase as one copy table,
+with byte addresses: an entry (template, pes, addr) per emit_copies or
+emit_reduction call, in call order, holding one copy of an op template
+per work item, item i's on PE pes[i] with addresses addr[i]. A PE's
+stream is its copies in table order, then item order within an entry.
+Ops pushed one at a time on ``pb.streams[pe]`` close into a one-copy
+entry of their own before the next entry is added. Per PE the builder
+keeps only an op counter, which runs on across phases.
+
+PlanBuilder.end_phase closes a phase. A stable sort of the table's PEs
+numbers each copy, and its first load or store, on its PE. Each entry's
+blocks of copies then resolve their addresses against the regions live
+at that moment (so a region freed in a later phase still resolves the
+accesses emitted while it was live) and land in the phase's single
+chunk in template form, copies and banks with one write each. Then the
+barrier (one shared one-op template) ends every stream, unless told
+not to. Templates are stored once per phase, never expanded per copy.
 emit_reduction writes a kernel's software-pipelined reductions and
 their result stores, one copy per work item.
 """
@@ -36,9 +39,9 @@ from ..topology import ClusterTopology
 
 C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat_mac, lat_div
 
-# the columns of an op record and their dtypes, from PeStream to end_phase,
-# which resolves each load's and store's addr to its bank: an op
-# template's columns (TEMPLATE_COLS), shared by its copies, and the
+# the columns of an op record and their dtypes, from a table entry to
+# end_phase, which resolves each load's and store's addr to its bank: an
+# op template's columns (TEMPLATE_COLS), shared by its copies, and the
 # address, which each copy takes from its own row
 STREAM_COLS = {**TEMPLATE_COLS, "addr": np.int64}
 
@@ -48,7 +51,7 @@ BARRIER["kind"][0] = K_BARRIER
 for _col in BARRIER.values():
     _col.flags.writeable = False
 
-# ops of one template group that end_phase resolves and packs at a time
+# ops of one table entry that end_phase resolves and packs at a time
 # (one copy, if a copy is longer): its temporaries stay near 1 MiB however
 # large the phase (a whole phase at once raised desk gemm n_parallel 4's
 # peak resident memory by 20%)
@@ -99,24 +102,27 @@ class Operand:
 
 
 class PeStream:
-    """Op accumulator for one PE: copies of op templates, in stream order.
+    """One PE's stream on a PlanBuilder, for ops pushed one at a time.
 
-    A copy is a template's TEMPLATE_COLS columns, shared with every other
-    copy, and the copy's own addresses. Ops pushed one at a time gather
-    column by column until the next copy or hand-over closes them into a
-    template of their own.
+    A handle that ``pb.streams[pe]`` makes when asked: the ops it pushes
+    gather in the builder, column by column, until the next table entry,
+    end_phase or free closes them into a one-copy entry of their own.
 
-    Each op method returns the op's absolute index in the stream. ``dep``
-    names up to two earlier ops whose results the op consumes: waiting
-    for a load is an LSU stall, waiting for a compute result a RAW stall.
+    Each op method returns the op's absolute index in the stream, the
+    PE's op counter before it. ``dep`` names up to two earlier ops whose
+    results the op consumes: waiting for a load is an LSU stall, waiting
+    for a compute result a RAW stall.
     """
 
-    __slots__ = ("n", "_segs", "_cur")
+    __slots__ = ("_pb", "pe")
 
-    def __init__(self):
-        self.n = 0
-        self._segs = []         # (template, addr) per copy, in stream order
-        self._cur = None        # ops pushed since the last copy: a list per column
+    def __init__(self, pb: "PlanBuilder", pe: int):
+        self._pb, self.pe = pb, pe
+
+    @property
+    def n(self) -> int:
+        """Ops in the stream so far, every phase's."""
+        return int(self._pb._n[self.pe])
 
     def _push(self, kind, cls, arg, addr, dep):
         n = self.n
@@ -127,17 +133,17 @@ class PeStream:
             if not 0 <= dep_ix < n or n - dep_ix >= DEP_RING:
                 raise ValueError(f"dep {dep_ix} out of ring range at op {n}")
             dist[slot] = n - dep_ix
-        c = self._cur
+        c = self._pb._singles.get(self.pe)
         if c is None:
-            c = self._cur = {k: [] for k in STREAM_COLS}
+            c = self._pb._singles[self.pe] = {k: [] for k in STREAM_COLS}
         c["kind"].append(kind)
         c["cls"].append(cls)
         c["arg"].append(arg)
         c["addr"].append(addr)
         c["dep1"].append(dist[0])
         c["dep2"].append(dist[1])
-        self.n += 1
-        return self.n - 1
+        self._pb._n[self.pe] += 1
+        return n
 
     def load(self, addr, dep=()):
         return self._push(K_LOAD, 0, 0, addr, dep)
@@ -161,63 +167,50 @@ class PeStream:
     def dma_wait(self, tid):
         return self._push(K_DMA_WAIT, 0, tid, 0, ())
 
-    def _append(self, template: dict, addr: np.ndarray):
-        """Keep a checked, read-only template (its TEMPLATE_COLS columns,
-        shared with other streams) and one copy's addresses as the stream's
-        next ops."""
-        self._flush()
-        self._segs.append((template, addr))
-        self.n += len(addr)
 
-    def _flush(self):
-        """Close the ops pushed one by one into a template of their own."""
-        if self._cur is not None:
-            cols = {k: np.array(v, dtype=STREAM_COLS[k]) for k, v in self._cur.items()}
-            self._segs.append((cols, cols.pop("addr")))
-            self._cur = None
+class _Streams:
+    """A builder's ``streams``: PE pe's PeStream, made when indexed."""
 
-    def touches(self, lo, hi) -> bool:
-        """Whether a load or store not yet handed over lies in [lo, hi)."""
-        self._flush()
-        return any(((t["kind"] <= K_STORE) & (a >= lo) & (a < hi)).any()
-                   for t, a in self._segs)
+    __slots__ = ("_pb",)
 
-    def _take(self) -> list:
-        """Hand over and clear the accumulated (template, addr) pairs, in
-        stream order; the op counter keeps running."""
-        self._flush()
-        segs, self._segs = self._segs, []
-        return segs
+    def __init__(self, pb: "PlanBuilder"):
+        self._pb = pb
 
-    def segments(self) -> list:
-        """Hand over and clear the accumulated segments (op counter keeps running).
+    def __len__(self) -> int:
+        return self._pb.topo.n_pes
 
-        Each segment is a dict of STREAM_COLS arrays, in stream order.
-        """
-        return [{**t, "addr": a} for t, a in self._take()]
+    def __getitem__(self, pe) -> PeStream:
+        if not 0 <= pe < len(self):
+            raise IndexError(f"PE {pe} of {len(self)}")
+        return PeStream(self._pb, int(pe))
 
 
-def emit_copies(streams: list, template: dict, addr) -> None:
-    """One copy of an op template per work item: item i's on ``streams[i]``.
+def emit_copies(pb: "PlanBuilder", pes, template: dict, addr) -> None:
+    """One copy of an op template per work item: item i's on PE ``pes[i]``.
 
     ``template`` holds the TEMPLATE_COLS columns of the ops, and row i of
     ``addr`` (n_items x ops) the byte addresses of item i's copy. Each
     dependence distance stays within one copy, so the template is checked
-    once for every item. A stream listed for several items takes their
-    copies in item order. The streams keep their own read-only copies:
-    the template's columns, shared between them, and their rows of addr.
+    once for every item. A PE listed for several items takes their
+    copies in item order. The call adds one entry to ``pb``'s copy
+    table, which keeps its own read-only copies of the template's
+    columns, ``pes`` and ``addr``.
     """
-    _copy_template(streams, template, np.array(addr, dtype=np.int64))
+    _copy_template(pb, pes, template, np.array(addr, dtype=np.int64))
 
 
-def _copy_template(streams: list, template: dict, addr: np.ndarray) -> None:
+def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray) -> None:
     """emit_copies with an int64 address matrix that no caller keeps: the
-    streams take its rows as they are, not a copy of them."""
+    table takes it as it is, not a copy of it."""
+    pes = np.array(pes, dtype=np.int64)
     cols = {k: np.asarray(template[k]) for k in TEMPLATE_COLS}
     n = cols["kind"].size
-    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(streams), n):
+    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(pes), n):
         raise ValueError(f"template columns {[c.shape for c in cols.values()]} and "
-                         f"addresses {np.shape(addr)} for {len(streams)} items do not agree")
+                         f"addresses {np.shape(addr)} for {len(pes)} items do not agree")
+    n_pe = pb.topo.n_pes
+    if pes.ndim != 1 or pes.size and not 0 <= pes.min() <= pes.max() < n_pe:
+        raise ValueError(f"work items' PEs must be a row of PE numbers below {n_pe}")
     dist = np.asarray((cols["dep1"], cols["dep2"]), dtype=np.int64)
     bad = (dist < 0) | (dist >= DEP_RING) | (dist > np.arange(n))
     if bad.any():
@@ -227,16 +220,16 @@ def _copy_template(streams: list, template: dict, addr: np.ndarray) -> None:
     for c, d in TEMPLATE_COLS.items():
         cols[c] = cols[c].astype(d)
         cols[c].flags.writeable = False
-    addr.flags.writeable = False
-    for st, row in zip(streams, addr):
-        st._append(cols, row)
+    pes.flags.writeable = addr.flags.writeable = False
+    pb._add(cols, pes, addr)
 
 
-def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
+def emit_reduction(pb: "PlanBuilder", pes, loads: tuple, macs: int, dep_cols: tuple,
                    out_addr: np.ndarray, setup: bool) -> None:
     """Software-pipelined reductions, then the stores of their results.
 
-    Work item i runs on ``streams[i]``. ``loads`` is a tuple of byte
+    Work item i runs on PE ``pes[i]``, as one copy of a template in one
+    entry of ``pb``'s copy table. ``loads`` is a tuple of byte
     address arrays, each (items x steps x its own width), whose columns
     lie side by side: step k loads ``loads[0][i, k]``, then
     ``loads[1][i, k]`` and so on, under the burst of ``macs`` MACs that
@@ -255,7 +248,7 @@ def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
     pairs = [part if isinstance(part, tuple) else (part, 0) for part in loads]
     shapes = [np.broadcast_shapes(*map(np.shape, pair)) for pair in pairs]
     widths = [shape[-1] for shape in shapes]
-    n_items, n_steps, w = len(streams), shapes[0][-2], sum(widths)
+    n_items, n_steps, w = len(pes), shapes[0][-2], sum(widths)
     # step 0's loads (and set-up), then per later step its loads and the
     # burst of the step before, then the drain burst and the stores
     head = w + 1 if setup else w
@@ -288,7 +281,7 @@ def emit_reduction(streams: list, loads: tuple, macs: int, dep_cols: tuple,
         np.add(a[:, 1:], b[:, 1:], out=later[:, :, col:col + width])
         col += width
     addr[:, drain + 1:] = out_addr
-    _copy_template(streams, c, addr)
+    _copy_template(pb, pes, c, addr)
 
 
 @dataclass
@@ -307,7 +300,14 @@ class KernelPlan:
 
 
 class PlanBuilder:
-    """Accumulates allocations, streams and phases into a KernelPlan."""
+    """Accumulates allocations, streams and phases into a KernelPlan.
+
+    The open phase is a copy table, ``(template, pes, addr)`` per entry
+    in call order (see the module docstring), plus the ops pushed one at
+    a time since the last entry, per PE that pushed any. Per PE the
+    builder holds only its op counter, an int64 that runs on across
+    phases; ``streams[pe]`` makes PE pe's PeStream when asked.
+    """
 
     def __init__(self, topo: ClusterTopology, scheme: str):
         if scheme not in ("das", "interleaved"):
@@ -315,14 +315,21 @@ class PlanBuilder:
         self.topo = topo
         self.scheme = scheme
         self.heap = heap_init(0, topo.total_bytes, topo.word_bytes)
-        self.streams = [PeStream() for _ in range(topo.n_pes)]
-        self._packed = np.zeros(topo.n_pes, dtype=np.int64)   # each stream's n at the last pack
+        self._n = np.zeros(topo.n_pes, dtype=np.int64)    # each PE's ops, every phase's
+        self._table = []            # the open phase's (template, pes, addr) entries
+        self._singles = {}          # PE -> the ops it pushed since the last entry, per column
         self.phases = []
         self.transfers = []
         self.alloc_log = []
         self._owners = {}           # live region base -> the Operand allocated there
         self._phase_name = None
         self._counts = {"macs": 0, "loads": 0, "stores": 0}
+
+    @property
+    def streams(self) -> _Streams:
+        """``streams[pe]`` is PE pe's PeStream, for ops pushed one at a time
+        (made when asked, so that no builder refers to itself)."""
+        return _Streams(self)
 
     # -- allocation ----------------------------------------------------------
 
@@ -360,10 +367,14 @@ class PlanBuilder:
             raise RuntimeError(f"free of {operand.name!r}: the region at 0x{operand.base:x} "
                                f"is not its own (freed already or never allocated here)")
         cfg = self.heap.regions[operand.base]
-        for pe, stream in enumerate(self.streams):
-            if stream.touches(cfg.base_addr, cfg.base_addr + cfg.size_bytes):
-                raise RuntimeError(f"free of {operand.name!r} in phase "
-                                   f"{self._phase_name!r} after PE {pe} accessed it")
+        lo, hi = cfg.base_addr, cfg.base_addr + cfg.size_bytes
+        self._flush()
+        hit = [pes[((a >= lo) & (a < hi) & (t["kind"] <= K_STORE)).any(axis=1)]
+               for t, pes, a in self._table]
+        pe = min((int(h.min()) for h in hit if h.size), default=None)
+        if pe is not None:
+            raise RuntimeError(f"free of {operand.name!r} in phase "
+                               f"{self._phase_name!r} after PE {pe} accessed it")
         del self._owners[operand.base]
         das_free(self.heap, operand.base)
 
@@ -387,89 +398,101 @@ class PlanBuilder:
             raise RuntimeError("previous phase still open")
         self._phase_name = name
 
+    def _add(self, template: dict, pes: np.ndarray, addr: np.ndarray) -> None:
+        """Add a checked, read-only entry to the copy table, after the ops
+        pushed one at a time before it. An entry of no copies or of a
+        template without ops adds nothing."""
+        self._flush()
+        n = len(template["kind"])
+        if len(pes) and n:
+            self._table.append((template, pes, addr))
+            self._n += np.bincount(pes, minlength=self.topo.n_pes) * n
+
+    def _flush(self) -> None:
+        """Close the ops each PE pushed one at a time into a one-copy entry."""
+        for pe, c in self._singles.items():
+            cols = {k: np.array(v, dtype=STREAM_COLS[k]) for k, v in c.items()}
+            self._table.append((cols, np.array([pe]), cols.pop("addr")[None]))
+        self._singles = {}
+
     def end_phase(self, barrier: bool = True) -> None:
+        """Close the open phase into one chunk, its copy table numbered
+        per PE with numpy, and end every stream with a barrier unless told
+        not to."""
         name = self._phase_name
         if name is None:
             raise RuntimeError("no phase open")
         self._phase_name = None
-        n_pe = len(self.streams)
-        n = np.fromiter((stream.n for stream in self.streams), np.int64, n_pe)
-        n_ops = n - self._packed
-        n_copies = np.zeros(n_pe, dtype=np.int64)
-        n_mem = np.zeros(n_pe, dtype=np.int64)
-        # every copy of one template, PE by PE in stream order: (template,
-        # its loads' and stores' positions, and per copy its PE, its number
-        # and its first load's or store's number on that PE, its addresses)
-        groups = {}
-        for pe in np.flatnonzero(n_ops).tolist():
-            copies = mems = 0
-            for template, addr in self.streams[pe]._take():
-                if not len(addr):
-                    continue            # a copy of no ops adds nothing
-                g = groups.get(id(template))
-                if g is None:
-                    g = groups[id(template)] = (
-                        template, np.flatnonzero(template["kind"] <= K_STORE), [], [], [], [])
-                g[2].append(pe)
-                g[3].append(copies)
-                g[4].append(mems)
-                g[5].append(addr)
-                copies += 1
-                mems += len(g[1])
-            n_copies[pe], n_mem[pe] = copies, mems
-        batches = self._pack_groups(name, list(groups.values()))
+        self._flush()
+        table, self._table = self._table, []
+        n_pe = self.topo.n_pes
+        # per entry its template's loads and stores, per copy its PE, ops
+        # and loads plus stores, in table order
+        mem_pos = [np.flatnonzero(t["kind"] <= K_STORE) for t, _, _ in table]
+        items = [len(pes) for _, pes, _ in table]
+        pes = np.concatenate([np.zeros(0, dtype=np.int64)] + [pes for _, pes, _ in table])
+        copy_ops = np.repeat([len(t["kind"]) for t, _, _ in table], items).astype(np.int64)
+        copy_mem = np.repeat([len(m) for m in mem_pos], items).astype(np.int64)
+        n_ops = np.bincount(pes, copy_ops, n_pe).astype(np.int64)
+        n_copies = np.bincount(pes, minlength=n_pe)
+        n_mem = np.bincount(pes, copy_mem, n_pe).astype(np.int64)
+        # the copies in stream order, PE by PE: each one's number and its
+        # first load's or store's on its PE are its place in that order
+        # less its PE's first copy's and first load's or store's
+        order = np.argsort(pes, kind="stable")
+        on, mem = pes[order], copy_mem[order]
+        copy_ix, mem_ix = np.empty((2, len(pes)), dtype=np.int64)
+        copy_ix[order] = np.arange(len(pes)) - (np.cumsum(n_copies) - n_copies)[on]
+        mem_ix[order] = np.cumsum(mem) - mem - (np.cumsum(n_mem) - n_mem)[on]
+        at = np.cumsum(items)[:-1]
+        entries = list(zip(table, mem_pos, np.split(copy_ix, at), np.split(mem_ix, at)))
+        batches = self._pack_table(name, entries, n_mem)
         if barrier:
             batches = chain(batches, [(np.arange(n_pe), n_copies, n_mem, BARRIER,
                                        np.zeros((n_pe, 0), dtype=np.int64))])
         chunk = make_chunk(n_ops + barrier, batches, topo=self.topo,
                            n_copies=n_copies + barrier, n_mem=n_mem)
-        if barrier:
-            for stream in self.streams:
-                stream.n += 1
-        self._packed = n + barrier
+        self._n += barrier
         self.phases.append(Phase(name=name, chunks=[chunk]))
 
-    def _pack_groups(self, name: str, groups: list):
-        """Yield each template group as make_chunk batches, counted into the
-        closed-form totals: runs of its copies holding at most BATCH_OPS ops
-        (or one copy holding more), with addresses resolved to banks.
+    def _pack_table(self, name: str, entries: list, n_mem: np.ndarray):
+        """Yield each table entry as make_chunk batches, counted into the
+        closed-form totals: row slices of its address matrix holding at
+        most BATCH_OPS ops (or one copy holding more), with addresses
+        resolved to banks.
         """
         regions = self.heap.das_regions()
-        for template, mem, pes, copy_ix, mem_ix, rows in groups:
+        for (template, pes, addr), mem, copy_ix, mem_ix in entries:
             kind = template["kind"]
-            n = len(kind)
             is_mac = (kind == K_COMPUTE) & (template["cls"] == C_MAC)
             self._counts["macs"] += len(pes) * int(template["arg"][is_mac].sum())
             self._counts["loads"] += len(pes) * int((kind == K_LOAD).sum())
             self._counts["stores"] += len(pes) * int((kind == K_STORE).sum())
-            pes, copy_ix, mem_ix = np.array(pes), np.array(copy_ix), np.array(mem_ix)
-            step = max(1, BATCH_OPS // n)
+            step = max(1, BATCH_OPS // len(kind))
             for lo in range(0, len(pes), step):
                 at = slice(lo, lo + step)
                 bank = np.zeros((len(pes[at]), 0), dtype=np.int64)
                 if len(mem):
-                    addr = np.concatenate(rows[at]).reshape(-1, n)[:, mem]
                     try:
-                        bank = resolve_array(self.topo, regions, addr.reshape(-1))
+                        bank = resolve_array(self.topo, regions, addr[at, mem].reshape(-1))
                     except ValueError as e:
-                        raise self._fault(name, regions, groups) from e
-                    bank = bank.reshape(addr.shape)
+                        raise self._fault(name, regions, entries, n_mem) from e
+                    bank = bank.reshape(-1, len(mem))
                 yield pes[at], copy_ix[at], mem_ix[at], template, bank
 
-    def _fault(self, name: str, regions: list, groups: list) -> SimulationFault:
+    def _fault(self, name: str, regions: list, entries: list,
+               n_mem: np.ndarray) -> SimulationFault:
         """The fault of a phase whose loads and stores do not all resolve:
         it names the lowest PE whose own accesses, in stream order, fail
         to (a bad address is some PE's, a bad region list fails every PE
         with an access), with that PE's error."""
-        own = {}
-        for _, mem, pes, copy_ix, _, rows in groups:
-            if len(mem):
-                for pe, copy, addr in zip(pes, copy_ix, rows):
-                    own.setdefault(pe, []).append((copy, addr[mem]))
-        for pe in sorted(own):
+        ptr = np.concatenate(([0], np.cumsum(n_mem)))
+        own = np.zeros(ptr[-1], dtype=np.int64)
+        for (_, pes, addr), mem, _, mem_ix in entries:
+            own[(ptr[pes] + mem_ix)[:, None] + np.arange(len(mem))] = addr[:, mem]
+        for pe in np.flatnonzero(n_mem).tolist():
             try:
-                resolve_array(self.topo, regions, np.concatenate([a for _, a in sorted(
-                    own[pe], key=lambda seg: seg[0])]))
+                resolve_array(self.topo, regions, own[ptr[pe]:ptr[pe + 1]])
             except ValueError as e:
                 return SimulationFault(f"PE {pe}, phase {name!r}: {e}")
 

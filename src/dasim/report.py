@@ -89,7 +89,21 @@ class SimReport:
         }
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=1)
+        """``json.dumps(self.to_json(), sort_keys=True, indent=1)``, byte for
+        byte. With an indent, json formats each int in Python, one call at
+        a time, so each per-PE list is spliced in as its list's repr."""
+        d = self.to_json()
+        per_pe = ",\n".join(f"  {json.dumps(k)}: {_int_list(v)}"
+                             for k, v in sorted(d["per_pe"].items()))
+        d["per_pe"] = None
+        # json escapes a newline inside a string: this is the top-level key
+        return json.dumps(d, sort_keys=True, indent=1).replace(
+            '\n "per_pe": null', '\n "per_pe": {\n' + per_pe + "\n }", 1)
+
+
+def _int_list(v: list) -> str:
+    """json's text of a list of ints two levels deep at indent 1."""
+    return "[\n   " + repr(v)[1:-1].replace(", ", ",\n   ") + "\n  ]" if v else "[]"
 
 
 def markdown_table(reports: Sequence[SimReport]) -> str:

@@ -1,9 +1,10 @@
-"""Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s template groups.
+"""Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s copy table.
 
-``end_phase`` here writes the barrier through ``PeStream._push``, then
-for one PE at a time concatenates the stream's segments, resolves its
-addresses and classifies their levels with the division-based oracles
-of ``reference_remap``, counts its ops and copies its row into a flat
+``end_phase`` here rebuilds each PE's ops in stream order from the
+builder's copy table, one copy at a time (``stream_ops``), and adds the
+barrier. Then for one PE at a time it resolves the addresses and
+classifies their levels with the division-based oracles of
+``reference_remap``, counts its ops and copies its row into a flat
 chunk: a ``FlatChunk`` of ``[n_pe, L]`` columns, the layout that
 ``PackedChunk.cols`` views a template-form chunk in. It takes the
 method's arguments, so a test swaps it in with
@@ -29,11 +30,18 @@ class FlatChunk:
     n_ops: np.ndarray
 
 
-def take(stream) -> dict:
-    """A stream's accumulated ops as one array per column, cleared from it."""
-    segs = stream.segments()
-    return {k: np.concatenate([s[k] for s in segs]) if segs else np.zeros(0, dtype=d)
-            for k, d in STREAM_COLS.items()}
+def stream_ops(pb) -> list:
+    """Each PE's ops of the open phase, in stream order, as one array per
+    STREAM_COLS column: its copies entry by entry, item by item, then
+    the ops it pushed one at a time since the last entry."""
+    copies = [[] for _ in range(len(pb.streams))]
+    for template, pes, addr in pb._table:
+        for pe, row in zip(pes.tolist(), addr):
+            copies[pe].append({**template, "addr": row})
+    for pe, cols in pb._singles.items():
+        copies[pe].append(cols)
+    return [{k: np.concatenate([np.zeros(0, dtype=d)] + [c[k] for c in cs]).astype(d)
+             for k, d in STREAM_COLS.items()} for cs in copies]
 
 
 def _pack(columns, n_pe):
@@ -55,10 +63,10 @@ def end_phase(self, barrier=True):
     self._phase_name = None
     regions = self.heap.das_regions()
     columns = []
-    for pe, stream in enumerate(self.streams):
+    for pe, col in enumerate(stream_ops(self)):
         if barrier:
-            stream._push(K_BARRIER, 0, 0, 0, ())
-        col = take(stream)
+            col = {k: np.append(v, K_BARRIER if k == "kind" else 0).astype(v.dtype)
+                   for k, v in col.items()}
         addr = col.pop("addr")
         kind = col["kind"]
         mem = (kind == K_LOAD) | (kind == K_STORE)
@@ -76,4 +84,6 @@ def end_phase(self, barrier=True):
         self._counts["loads"] += int((kind == K_LOAD).sum())
         self._counts["stores"] += int((kind == K_STORE).sum())
         columns.append(col)
+    self._table, self._singles = [], {}
+    self._n += barrier
     self.phases.append(Phase(name=name, chunks=[_pack(columns, self.topo.n_pes)]))

@@ -13,7 +13,7 @@ from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, 
 from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
                           build_transfer, make_chunk, run_packed)
 from dasim.kernels import plan
-from dasim.kernels.plan import (C_ALU, C_DIV, C_MAC, PeStream, PlanBuilder, emit_copies,
+from dasim.kernels.plan import (C_ALU, C_DIV, C_MAC, PlanBuilder, emit_copies,
                                 run_plan)
 from reference_dma import DmaState, dma_advance
 import reference_stepper
@@ -289,7 +289,7 @@ def test_unresolvable_address_faults(monkeypatch, progs, batch_ops, pe):
     (DEP_RING, "store", (0, (0,))),             # beyond the dependence ring
 ])
 def test_stream_rejects_bad_ops(n_before, method, args):
-    s = PeStream()
+    s = PlanBuilder(DESK, "interleaved").streams[1]
     for _ in range(n_before):
         s.compute(C_ALU)
     with pytest.raises(ValueError):
@@ -416,6 +416,23 @@ def test_free_after_an_access_in_the_open_phase_is_rejected(realloc):
     pb.end_phase()
     (chunk,) = pb.phases[0].chunks
     assert (chunk.cols["bank"][1, 0], chunk.cols["level"][1, 0]) == (0, 0)
+
+
+def test_free_names_the_lowest_pe_that_accessed_the_region():
+    # PEs 6 and 3 store into buf from one call, listed out of PE order, and
+    # PE 4 loads from it one op at a time. PE 1's load and PE 2's store
+    # lie past it; PE 2's compute op carries an address in buf, but it
+    # accesses no memory
+    pb = _builder_in_phase()
+    buf = pb.alloc("buf", 4096, das(4, 1))
+    past = buf.addr(0, 1024)
+    pb.streams[1].load(past)
+    emit_copies(pb, [6, 3, 2, 6], {"kind": [K_COMPUTE, K_STORE], "cls": [C_ALU, 0],
+                                   "arg": [1, 0], "dep1": [0, 1], "dep2": [0, 0]},
+                [[0, buf.addr(0, 4)], [0, buf.addr(0, 8)], [buf.addr(0, 0), past], [0, 0]])
+    pb.streams[4].load(buf.addr(0, 8))
+    with pytest.raises(RuntimeError, match="'buf' in phase 'a' after PE 3 accessed it"):
+        pb.free(buf)
 
 
 @pytest.mark.parametrize("case", ["stale", "stale-twin", "foreign"])
@@ -879,7 +896,7 @@ def _terapool_case(seed, ports):
         for stream, addr in zip(pb.streams, addrs(t.n_pes).tolist()):
             stream.compute(C_ALU, 1, (stream.load(addr),))
         on = np.repeat(np.arange(t.n_pes), rng.integers(0, 4, t.n_pes))
-        emit_copies([pb.streams[pe] for pe in on], LOAD_MAC_STORE, addrs((len(on), 3)))
+        emit_copies(pb, on, LOAD_MAC_STORE, addrs((len(on), 3)))
         for pe, addr in zip(rng.choice(t.n_pes, 64, replace=False), addrs(64).tolist()):
             pb.streams[pe].store(addr)
         pb.end_phase(barrier)

@@ -8,9 +8,9 @@ from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD
 from dasim.kernels import gemv
 from dasim.kernels.gemm import gemm_geometry, gen_gemm, work_items
 from dasim.kernels.gemv import gen_gemv
-from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, ShapeError,
+from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, PlanBuilder, ShapeError,
                                 emit_copies, emit_reduction, group_window_cfg)
-from reference_pack import take
+from reference_pack import stream_ops
 
 DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
 TERAPOOL = terapool_default()
@@ -85,18 +85,19 @@ def test_emit_reduction_matches_op_by_op(n_steps, width, macs, dep_cols, setup):
     on = (0, 1, 0)
     loads = 4 * np.arange(len(on) * n_steps * width).reshape(len(on), n_steps, width)
     out_addr = 4096 + 4 * np.arange(len(on) * 4).reshape(len(on), 4)
-    bulk, ref = [PeStream(), PeStream()], [PeStream(), PeStream()]
-    for st in bulk + ref:
-        st.compute(C_ALU)       # the reduction need not open the stream
+    bulk, ref = PlanBuilder(DESK, "das"), PlanBuilder(DESK, "das")
+    for pb in (bulk, ref):
+        for pe in range(2):
+            pb.streams[pe].compute(C_ALU)       # the reduction need not open the stream
     # the loads come in two arrays, laid side by side
-    emit_reduction([bulk[i] for i in on], (loads[..., :1], loads[..., 1:]), macs, dep_cols,
+    pes = np.array(on)
+    emit_reduction(bulk, pes, (loads[..., :1], loads[..., 1:]), macs, dep_cols,
                    out_addr, setup)
     for item, i in enumerate(on):
-        _reduction_op_by_op(ref[i], loads[item], macs, dep_cols, out_addr[item], setup)
-    loads[:], out_addr[:] = 0, 0      # the streams hold none of the caller's arrays
-    for b, r in zip(bulk, ref):
-        assert b.n == r.n
-        got, want = take(b), take(r)
+        _reduction_op_by_op(ref.streams[i], loads[item], macs, dep_cols, out_addr[item], setup)
+    loads[:], out_addr[:], pes[:] = 0, 0, 1     # the table holds none of the caller's arrays
+    assert [s.n for s in bulk.streams] == [s.n for s in ref.streams]
+    for got, want in zip(stream_ops(bulk), stream_ops(ref)):
         for name in STREAM_COLS:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
@@ -109,14 +110,14 @@ def test_emit_reduction_sums_each_pair_of_terms_into_its_loads(n_steps):
     item = 4 * n_steps * width * np.arange(len(on))[:, None, None] + 4 * np.arange(width)
     step = 4 * width * np.arange(n_steps)[:, None]
     out_addr = 4096 + 4 * np.arange(len(on) * 3).reshape(len(on), 3)
-    streams = {split: [PeStream(), PeStream()] for split in (True, False)}
-    for split, sts in streams.items():
+    builders = {split: PlanBuilder(DESK, "das") for split in (True, False)}
+    for split, pb in builders.items():
         loads = ((item[..., :3], step), (item[..., 3:], step)) if split else (
             (item + step)[..., :3], (item + step)[..., 3:])
-        emit_reduction([sts[i] for i in on], loads, 16, (7, 3), out_addr, True)
-    for a, b in zip(streams[True], streams[False]):
-        assert a.n == b.n
-        got, want = take(a), take(b)
+        emit_reduction(pb, on, loads, 16, (7, 3), out_addr, True)
+    a, b = builders[True], builders[False]
+    assert [s.n for s in a.streams] == [s.n for s in b.streams]
+    for got, want in zip(stream_ops(a), stream_ops(b)):
         for name in STREAM_COLS:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
@@ -132,7 +133,7 @@ def _template(n_ops, dep1=(), dep2=()):
 
 
 # templates and address shapes emit_copies rejects, for two items on
-# streams that already hold 3 ops
+# PEs whose streams already hold 3 ops
 COPIES_REJECTED = {
     "dep-before-copy": (_template(2, dep1=[(1, 2)]), (2, 2)),
     "dep-ring": (_template(DEP_RING + 1, dep2=[(DEP_RING, DEP_RING)]), (2, DEP_RING + 1)),
@@ -148,30 +149,41 @@ COPIES_REJECTED = {
 @pytest.mark.parametrize("case", COPIES_REJECTED)
 def test_emit_copies_rejects_bad_templates(case):
     template, addr_shape = COPIES_REJECTED[case]
-    streams = [PeStream(), PeStream()]
-    for st in streams:
+    pb = PlanBuilder(DESK, "das")
+    for pe in range(2):
         for _ in range(3):
-            st.compute(C_ALU)
+            pb.streams[pe].compute(C_ALU)
     with pytest.raises(ValueError):
-        emit_copies(streams, template, np.zeros(addr_shape, dtype=np.int64))
-    assert [st.n for st in streams] == [3, 3]
-    assert [len(take(st)["kind"]) for st in streams] == [3, 3]
+        emit_copies(pb, [0, 1], template, np.zeros(addr_shape, dtype=np.int64))
+    assert [st.n for st in pb.streams] == [3, 3] + [0] * (DESK.n_pes - 2)
+    assert [len(ops["kind"]) for ops in stream_ops(pb)[:2]] == [3, 3]
+
+
+@pytest.mark.parametrize("pes", [[-1, 0], [0, 64], [[0], [1]]],
+                         ids=["negative", "past-the-last", "not-a-row"])
+def test_emit_copies_rejects_work_items_off_the_cluster(pes):
+    pb = PlanBuilder(DESK, "das")
+    with pytest.raises(ValueError, match="PE numbers below 64"):
+        emit_copies(pb, pes, _template(2), np.zeros((2, 2), dtype=np.int64))
+    assert [st.n for st in pb.streams] == [0] * DESK.n_pes
 
 
 def test_emit_copies_keeps_its_own_copy():
-    # a load and an ALU op on it; one stream takes two copies, one takes one
+    # a load and an ALU op on it
     template = {"kind": np.array([K_LOAD, K_COMPUTE], dtype=np.uint8),
                 "cls": np.array([0, C_ALU], dtype=np.uint8),
                 "arg": np.array([0, 1], dtype=np.int32),
                 "dep1": np.array([0, 1], dtype=np.uint16),
                 "dep2": np.zeros(2, dtype=np.uint16)}
     addr = np.array([[8, 0], [12, 0], [16, 0]], dtype=np.int64)
-    two, one = PeStream(), PeStream()
-    emit_copies([two, one, two], template, addr)
-    for col in (*template.values(), addr):
+    pes = np.array([0, 1, 0])       # PE 0 takes two copies, PE 1 one
+    pb = PlanBuilder(DESK, "das")
+    emit_copies(pb, pes, template, addr)
+    for col in (*template.values(), addr, pes):
         col[:] = 3
-    for st, addrs in ((two, [8, 0, 16, 0]), (one, [12, 0])):
-        got = take(st)
+    ops = stream_ops(pb)
+    for pe, addrs in ((0, [8, 0, 16, 0]), (1, [12, 0])):
+        got = ops[pe]
         k = len(addrs) // 2
         assert got["kind"].tolist() == [K_LOAD, K_COMPUTE] * k
         assert got["cls"].tolist() == [0, C_ALU] * k

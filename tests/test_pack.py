@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dasim import das, desk_default, terapool_default
-from dasim._stepper import K_COMPUTE, K_LOAD, K_STORE
+from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
 from dasim.engine import SimulationFault
 from dasim.kernels import plan
 from dasim.kernels.gemm import gen_gemm
@@ -108,7 +108,7 @@ def _copies(rng, pb, pes, template):
     them in the folded region that _group_builder allocates at 0."""
     words = rng.integers(0, np.where(rng.random((len(pes), 3)) < 0.5, 1024,
                                      DESK.total_bytes // 4))
-    emit_copies([pb.streams[pe] for pe in pes], template, words * 4)
+    emit_copies(pb, pes, template, words * 4)
 
 
 def _copies_on_one_stream(rng, pb):
@@ -138,14 +138,34 @@ def _two_templates(rng, pb):
 def _empty_copies(rng, pb):
     # copies of a template without ops, between and after other copies
     _copies(rng, pb, [1, 2], T)
-    emit_copies([pb.streams[1], pb.streams[3]], {k: [] for k in T}, np.zeros((2, 0)))
+    emit_copies(pb, [1, 3], {k: [] for k in T}, np.zeros((2, 0)))
     _copies(rng, pb, [1], U)
+
+
+def _one_template_from_two_calls(rng, pb):
+    # PE 1's copies of T come from two calls, with a copy of U and single
+    # ops between them; PE 2 takes T from the second call only
+    _copies(rng, pb, [1, 1], T)
+    _copies(rng, pb, [1], U)
+    pb.streams[1].compute(C_ALU)
+    pb.streams[1].store(4 * int(rng.integers(0, 4096)))
+    rows = 4 * rng.integers(0, 1024, (3, 3))
+    emit_copies(pb, [2, 1], T, rows[:2])
+    emit_copies(pb, [1], T, rows[2:])
+
+
+def _pe_listed_out_of_item_order(rng, pb):
+    # one call lists PE 3 three times and PEs 1 and 2 twice, interleaved
+    _copies(rng, pb, [3, 1, 3, 2, 1, 3, 2], T)
+    _copies(rng, pb, [2, 3], U)
 
 
 GROUP_SHAPES = {"copies-on-one-stream": _copies_on_one_stream,
                 "singles-between-copies": _singles_between_copies,
                 "two-templates": _two_templates,
-                "empty-copies": _empty_copies}
+                "empty-copies": _empty_copies,
+                "one-template-from-two-calls": _one_template_from_two_calls,
+                "pe-listed-out-of-item-order": _pe_listed_out_of_item_order}
 
 
 def _group_builder(shape, seed):
@@ -172,22 +192,90 @@ def test_template_groups_pack_like_the_oracle(monkeypatch, shape, seed, batch_op
     _assert_same_chunks(got, want)
 
 
+def _singles_around_copies_across_phases():
+    """Single ops before and after copies in two phases, the first ended
+    without a barrier; PE 2's first op of the second phase depends on its
+    last of the first."""
+    rng = np.random.default_rng(7)
+    pb = PlanBuilder(DESK, "das")
+    pb.begin_phase("p0")
+    pb.alloc("buf", 4096, das(4, 1))
+    first = pb.streams[2].load(4 * int(rng.integers(0, 4096)))
+    _copies(rng, pb, [1, 2, 1], T)
+    last = pb.streams[2].compute(C_ALU, dep=(first,))
+    pb.end_phase(barrier=False)
+    pb.begin_phase("p1")
+    pb.streams[2].compute(C_ALU, dep=(last,))
+    pb.streams[1].store(4 * int(rng.integers(0, 4096)), dep=(pb.streams[1].n - 1,))
+    _copies(rng, pb, [2, 1], U)
+    pb.streams[2].store(4 * int(rng.integers(0, 4096)), dep=(last,))
+    pb.end_phase()
+    return pb.build("test", "", 1, {})
+
+
+def _terapool_barrier_only():
+    """A TeraPool phase in which 128 PEs, one per 8, take 0-3 copies and a
+    single op, and the other 896 hold only the barrier."""
+    rng = np.random.default_rng(8)
+    pb = PlanBuilder(TERAPOOL, "das")
+    pb.begin_phase("p")
+    on = np.repeat(np.arange(0, TERAPOOL.n_pes, 8), rng.integers(0, 4, TERAPOOL.n_pes // 8))
+    emit_copies(pb, rng.permutation(on), T, 4 * rng.integers(0, 1 << 16, (len(on), 3)))
+    for pe in range(0, TERAPOOL.n_pes, 8):
+        pb.streams[pe].load(4 * int(rng.integers(0, 1 << 16)))
+    pb.end_phase()
+    return pb.build("test", "", 1, {})
+
+
+@BATCH_CAPS
+@pytest.mark.parametrize("build", [_singles_around_copies_across_phases,
+                                   _terapool_barrier_only],
+                         ids=["singles-across-phases", "terapool-barrier-only"])
+def test_copy_numbering_packs_like_the_oracle(monkeypatch, build, batch_ops):
+    got, want = _under_both_packers(monkeypatch, build, batch_ops)
+    _assert_same_chunks(got, want)
+
+
+def test_a_dependence_reaches_across_a_phase_without_a_barrier():
+    # PE 2's stream: p0 holds its load, one copy of T and an ALU op (ops
+    # 0-4), p1 an ALU op on op 4 and, after U's copy, a store on op 4
+    p1 = _singles_around_copies_across_phases().phases[1].chunks[0]
+    assert p1.n_ops[2] == 6
+    assert p1.cols["kind"][2].tolist() == [K_COMPUTE, K_LOAD, K_LOAD, K_COMPUTE, K_STORE,
+                                           K_BARRIER]
+    assert (p1.cols["dep1"][2, 0], p1.cols["dep1"][2, 4]) == (1, 5)
+
+
+def test_a_terapool_builder_holds_no_object_per_pe():
+    # a builder keeps one int64 op counter per PE, 8 KiB at 1,024 PEs, and
+    # makes a PE's stream only when asked: 1,024 stream objects held
+    # about 125 KiB
+    tracemalloc.start()
+    try:
+        pb = PlanBuilder(TERAPOOL, "das")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 32 << 10, held
+    assert len(pb.streams) == TERAPOOL.n_pes
+
+
 BAD = DESK.total_bytes + 8
 
 
 def _bad_after_a_lower_pe(pb):
     # group (U, 0) holds PE 1's good copy and PE 2's bad one and is packed
     # first; PE 1's bad address is in group (T, 3), packed after it
-    emit_copies([pb.streams[1], pb.streams[2]], U, [[0, 4, 0], [8, BAD + 4, 0]])
-    emit_copies([pb.streams[1]], T, [[BAD, 0, 12]])
+    emit_copies(pb, [1, 2], U, [[0, 4, 0], [8, BAD + 4, 0]])
+    emit_copies(pb, [1], T, [[BAD, 0, 12]])
 
 
 def _first_bad_in_a_later_group(pb):
     # groups (T, 0) {PE 1}, (U, 3) {PEs 1, 2} and (U, 0) {PE 2}, packed in
     # that order: PE 2's second bad address fails first, but its first
     # one, in (U, 0), is the one named
-    emit_copies([pb.streams[1]], T, [[0, 0, 4]])
-    emit_copies([pb.streams[2], pb.streams[1], pb.streams[2]], U,
+    emit_copies(pb, [1], T, [[0, 0, 4]])
+    emit_copies(pb, [2, 1, 2], U,
                 [[BAD, 0, 0], [0, 4, 0], [0, BAD + 4, 0]])
 
 

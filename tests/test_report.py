@@ -1,10 +1,13 @@
 import csv
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dasim import _stepper
+from dasim import _stepper, terapool_default
+from dasim.kernels.gemv import gen_gemv
+from dasim.kernels.plan import run_plan
 from dasim.report import (LEDGER, PhaseStats, SimReport, markdown_table,
                           write_stacked_bar_csv)
 
@@ -70,3 +73,35 @@ def test_conservation_names_the_leaking_pe():
     r.per_pe["wfi_stall"][1] -= 1
     with pytest.raises(AssertionError, match="leak on PE 1:"):
         r.check_conservation()
+
+
+def _one_pe_report():
+    r = two_pe_report("interleaved")
+    r.per_pe = {k: v[:1] for k, v in r.per_pe.items()}
+    return r
+
+
+def _labelled_report():
+    r = two_pe_report("das", speedup=1.25)
+    r.baseline = "interleaved"
+    return r
+
+
+def _terapool_reports():
+    return [run_plan(gen_gemv(terapool_default(), 256, 256, 1, s))
+            for s in ("das", "interleaved")]
+
+
+# each case's reports: 2 PEs, 1 PE, speedup and baseline set, and both
+# schemes' reports of a 1,024-PE plan
+JSON_CASES = {"two-pe": lambda: [two_pe_report("das")], "one-pe": lambda: [_one_pe_report()],
+              "labelled": lambda: [_labelled_report()], "terapool": _terapool_reports}
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_to_json_str_writes_what_json_dumps_writes(case):
+    for r in JSON_CASES[case]():
+        got, want = r.to_json_str(), json.dumps(r.to_json(), sort_keys=True, indent=1)
+        if got != want:     # pytest's own diff of a 1,024-PE report takes minutes
+            at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\0")) if a != b)
+            pytest.fail(f"from byte {at}: {got[at:at + 40]!r}, not {want[at:at + 40]!r}")
