@@ -408,11 +408,11 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             raise SimulationFault(
                 f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
                 f"phase {phase.name!r}, cycle {clock})")
+        # idle fill so every PE's ledger covers the common phase end
+        acct[:, ACC_WFI] += clock - start - acct.sum(axis=1)
         totals += acct
         st.t_free[:] = clock
         phase_rows.append(PhaseStats(phase.name, start, clock, *acct.sum(axis=0).tolist()))
-        # idle fill so every PE's ledger covers the common phase end
-        totals[:, ACC_WFI] += clock - start - acct.sum(axis=1)
     per_pe = {"cycles_total": np.full(n_pe, clock, dtype=np.int64),
               **{k: totals[:, i].copy() for i, k in enumerate(PE_KEYS)}}
     return SimReport(

@@ -51,6 +51,8 @@ class SimReport:
         return float(self.per_pe[PE_KEYS[0]].sum()) / (self.n_pe * self.cycles)
 
     def check_conservation(self) -> None:
+        """Every PE's buckets sum to its cycles, and every phase row's to
+        the phase's cycles times the PE count."""
         total = sum(self.per_pe[k] for k in PE_KEYS)
         if not np.array_equal(total, self.per_pe["cycles_total"]):
             bad = int(np.nonzero(total != self.per_pe["cycles_total"])[0][0])
@@ -58,6 +60,12 @@ class SimReport:
                 f"stall accounting leak on PE {bad}: "
                 f"{[int(self.per_pe[k][bad]) for k in PE_KEYS]} vs "
                 f"{int(self.per_pe['cycles_total'][bad])}")
+        for ph in self.phases:
+            buckets = [getattr(ph, b) for b in BUCKETS]
+            if sum(buckets) != ph.cycles * self.n_pe:
+                raise AssertionError(
+                    f"stall accounting leak in phase {ph.name!r} ({ph.start}-{ph.end}): "
+                    f"{buckets} vs {ph.cycles} cycles x {self.n_pe} PEs")
 
     def stage_rows(self) -> list:
         """Phases merged by name, in order of first appearance."""

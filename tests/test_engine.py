@@ -605,6 +605,15 @@ def test_zero_memory_programs_scheme_invariant():
         assert np.array_equal(col, b.per_pe[key]), key
 
 
+def test_a_phase_without_a_barrier_fills_its_row():
+    # a PE that ends before the phase does idles to the phase's end, in the
+    # phase's row as in the per-PE totals
+    rep = simulate([[("compute", C_ALU)] * 5, [("compute", C_ALU)]])
+    (row,) = rep.phases
+    assert (row.cycles, row.issued, row.lsu, row.raw) == (5, 6, 0, 0)
+    assert row.wfi == 5 * DESK.n_pes - 6 == rep.per_pe["wfi_stall"].sum()
+
+
 def test_run_state_on_terapool_stays_small():
     # mostly the dependence rings, [n_pe, DEP_RING] int64 and uint8; an
     # array of 4 MiB or more may be backed by huge pages, so its resident
@@ -758,23 +767,23 @@ def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
 # one version (test_conservation_and_determinism_random) cannot
 PINNED = [
     (1, (False,), (), 0.0, 0,
-     "fd1fabce1edaff9e8b4a094205567cd6a248c63b9c9125ef5654dd2eae98b2ae"),
+     "7a6b7b303fdcca0815c1ce1e0efe4cb073175d7bb3eea38654d4f865edd26ebf"),
     (2, (True,), (), 0.0, 0,
      "b732b94554a4524eced7b526cf6eaacbe1ac1d3fa42e1d5464138c4e63bd3102"),
     (3, (False,), (2, 5), 0.0, 0,
-     "1ae2dd076f763756e5a5d972c2f1e97bf01260bef7b4166374908f1570f4c239"),
+     "9bec649270fe7647460da4b2d46a4a52f89931a3c8f002eca98ebb4a1c42d956"),
     (4, (True,), (0, 6), 0.25, 0,
      "a274203cc65c6c29174a504c7839139b3cd1665577cd7356ecb6f05bbf39a938"),
     (5, (False,), (), 0.5, 0,
-     "78945a166f5de87eda6dc16d83da94dad96977d3e27f34919584309de4b9f3ee"),
+     "09ad6a98f8e8f8269da4bed491ba232bd694543dcf17f34f7e626d92325e70bb"),
     (6, (False,), (4,), 0.0, 3,
-     "7fd6714838456b3b87df54c03510c3bb454dd9489c1a39566a5636292a4f0cdd"),
+     "539b6614839e55451def81abdc7480359a8fb5af866c02e60cb83db920ee776f"),
     (7, (True,), (1,), 0.2, 4,
      "e32090e51d3a56de892f13a8e48f88fdd9c82733f60e3087a7325001726fbb4f"),
     (8, (True, False), (), 0.0, 2,
-     "5c5f7fcb2396250f8e06693f79ce21941ebd36986af4129dd862fa11f9aba18a"),
+     "8e3181e3b3e299ac64be7c73f93205bd85b8d6ffeba386b8b02de3df623d400d"),
     (9, (True, False), (3,), 0.3, 3,
-     "34ea5338d8504fe94b47de535a957c8070c1f58007966de3729e849b08ce54fc"),
+     "c782568f149ebf2632ef1070d1f9625323b1d1be859887fb7c54a5d9aa0c0351"),
 ]
 
 

@@ -75,6 +75,14 @@ def test_conservation_names_the_leaking_pe():
         r.check_conservation()
 
 
+def test_conservation_names_the_leaking_phase():
+    # per-PE totals that add up do not excuse a phase row that does not
+    r = two_pe_report("das")
+    r.phases[1].wfi -= 1
+    with pytest.raises(AssertionError, match=r"leak in phase 'compute' \(4-7\)"):
+        r.check_conservation()
+
+
 def _one_pe_report():
     r = two_pe_report("interleaved")
     r.per_pe = {k: v[:1] for k, v in r.per_pe.items()}
