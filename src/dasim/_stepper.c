@@ -13,16 +13,6 @@
 #error "QH must be a power of two from 1 to 64: one occupancy bit per bucket"
 #endif
 
-/* splitmix64 of (seed, pe, idx) against the stall probability */
-static int ins_hit(uint64_t seed, int64_t pe, int64_t idx, uint64_t thresh)
-{
-    uint64_t z = (seed ^ ((uint64_t)pe << 32) ^ (uint64_t)idx) + 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    return (z >> 11) < thresh;
-}
-
 /* binary min-heap of n unique keys */
 static void sift_down(int64_t *h, int64_t n, int64_t i)
 {
@@ -128,7 +118,7 @@ void step_segment(
     /* per-PE state; ready and ready_kind are [n_pe, DEP_RING], win and
      * acct [n_pe, window] and [n_pe, ACC_WIDTH] */
     int64_t *abs_idx, int64_t *t_free, int64_t *ready, uint8_t *ready_kind,
-    int64_t *win, int64_t *acct, int64_t *ins_done,
+    int64_t *win, int64_t *acct,
     /* shared memory-system state */
     int64_t *bank_next, int64_t *out_next, int64_t *in_next,
     /* DMA: transfer t's segments are seg_ptr[t] .. seg_ptr[t + 1] */
@@ -139,8 +129,7 @@ void step_segment(
     int64_t n_pe, int64_t window, int64_t n_transfers,
     int64_t out_ports, int64_t in_ports, int64_t pes_per_tile, int64_t banks_per_tile,
     int64_t tiles_per_subgroup, int64_t tiles_per_group,
-    int64_t l2_lat, int64_t dma_wpc, uint64_t ins_thresh, uint64_t ins_seed,
-    int64_t now)
+    int64_t l2_lat, int64_t dma_wpc, int64_t now)
 {
     const int64_t mask = DEP_RING - 1;
     const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
@@ -236,27 +225,18 @@ void step_segment(
         if (g_wfi > t_issue)
             t_issue = g_wfi;
 
-        /* one instruction-fetch stall cycle, decided per op */
-        int64_t extra_ins = ins_thresh && ins_done[pe] != ai && ins_hit(ins_seed, pe, ai, ins_thresh);
-
-        if (t_issue + extra_ins > now) {
+        if (t_issue > now) {
             /* cannot issue this cycle: attribute the whole wait to the
              * latest gate (LSU beats RAW beats WFI on ties) and jump */
             int64_t stall = t_issue - now;
-            if (stall > 0) {
-                if (g_lsu == t_issue)
-                    a[ACC_LSU] += stall;
-                else if (g_raw == t_issue)
-                    a[ACC_RAW] += stall;
-                else
-                    a[ACC_WFI] += stall;
-            }
-            if (extra_ins) {
-                a[ACC_INS] += 1;
-                ins_done[pe] = ai;
-            }
-            t_free[pe] = t_issue + extra_ins;
-            enqueue(&queue, pe, t_free[pe]);
+            if (g_lsu == t_issue)
+                a[ACC_LSU] += stall;
+            else if (g_raw == t_issue)
+                a[ACC_RAW] += stall;
+            else
+                a[ACC_WFI] += stall;
+            t_free[pe] = t_issue;
+            enqueue(&queue, pe, t_issue);
             continue;
         }
 

@@ -56,7 +56,7 @@ K_DMA_WAIT = 5
 ACC_ISSUED = 0
 ACC_LSU = 1
 ACC_RAW = 2
-ACC_INS = 3
+ACC_INS = 3         # always 0: the model has no instruction-fetch stall
 ACC_WFI = 4
 ACC_WIDTH = 5       # columns of the ledger; report.LEDGER names them
 
@@ -121,9 +121,8 @@ def _build(cache_dir: str, cc: str = "gcc", flags: tuple = CFLAGS) -> str:
 def _load(path: str):
     """The step_segment function of the library at ``path``, typed for ctypes."""
     fn = ctypes.CDLL(path).step_segment
-    # 30 buffers, then the sizes and parameters; the INS threshold and seed are unsigned
-    fn.argtypes = ([ctypes.c_void_p] * 30 + [ctypes.c_int64] * 11
-                   + [ctypes.c_uint64] * 2 + [ctypes.c_int64])
+    # 29 buffers, then the sizes, the parameters and the start cycle
+    fn.argtypes = [ctypes.c_void_p] * 29 + [ctypes.c_int64] * 12
     fn.restype = None
     return fn
 
@@ -152,13 +151,13 @@ def step_segment(chunk, acct, st, now):
     out = np.empty(4, dtype=np.int64)
     buffers = (*(chunk.tpl[c] for c in TEMPLATE_COLS), chunk.tpl_ptr,
                chunk.copy_tpl, chunk.copy_ptr, chunk.bank, chunk.bank_ptr, chunk.n_ops,
-               st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct, st.ins_done,
+               st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct,
                st.bank_next, st.out_next, st.in_next,
                st.seg_ptr, st.seg_backend, st.seg_words, st.transfer_done, st.backend_next,
                st.level_lat, st.class_lat, work, out)
     _c_step(*[b.ctypes.data for b in buffers],
             n_pe, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
             st.pes_per_tile, st.banks_per_tile, st.tiles_per_subgroup, st.tiles_per_group,
-            st.l2_lat, st.dma_wpc, st.ins_thresh, st.ins_seed, now)
+            st.l2_lat, st.dma_wpc, now)
     now, code, pe, detail = out.tolist()
     return now, (code, pe, detail) if code else None

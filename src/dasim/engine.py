@@ -51,8 +51,8 @@ class EngineParams:
     dma_words_per_cycle: int = 4    # per backend
     l2_latency: int = 100           # transfer initiation
     alloc_cost: int = ALLOC_COST    # reported; must be ALLOC_COST, charged at plan time
-    ins_stall_prob: float = 0.0
-    ins_seed: int = 0
+    ins_stall_prob: float = 0.0     # reported; must be 0, the model has no INS stall
+    ins_seed: int = 0               # reported; must be 0, the model has no INS stall
 
     def __post_init__(self):
         for name in ("window", "lat_alu", "lat_mac", "lat_div", "out_ports", "in_ports",
@@ -63,10 +63,9 @@ class EngineParams:
             raise ValueError(f"l2_latency must be at least 0, got {self.l2_latency}")
         if self.alloc_cost != ALLOC_COST:
             raise ValueError(f"alloc_cost must be ALLOC_COST ({ALLOC_COST}), got {self.alloc_cost}")
-        if self.ins_stall_prob < 0 or self.ins_stall_prob > 1:
-            raise ValueError("ins_stall_prob must be in [0, 1]")
-        if self.ins_stall_prob > 0 and self.ins_seed == 0:
-            raise ValueError("a nonzero ins_seed is required with ins_stall_prob > 0")
+        if self.ins_stall_prob != 0 or self.ins_seed != 0:
+            raise ValueError("ins_stall_prob and ins_seed must be 0: the model has no instruction-"
+                             f"fetch (INS) stall; got {self.ins_stall_prob} and {self.ins_seed}")
 
 
 class SimulationFault(Exception):
@@ -337,15 +336,13 @@ class _State:
     the absolute index of its next op, the cycle it can next act, its
     dependence rings (each of its last DEP_RING ops' result cycle and
     kind), its window slots (the cycle each outstanding memory op
-    retires) and the last op charged an INS stall; shared, each bank's
-    and port's next free cycle, each transfer's completion cycle (-1
-    until started) and each DMA backend's next free cycle. Fixed for the
-    run: the transfers' (backend, words) segments, transfer t's at
-    seg_ptr[t]:seg_ptr[t + 1]; the level and class latencies, port
-    counts, tile geometry (PEs and banks per tile, tiles per subgroup
-    and per group: an access's level follows from them), L2 latency and
-    DMA rate; and the INS threshold
-    (the stall probability in units of 2**-53) and seed, as uint64 values.
+    retires); shared, each bank's and port's next free cycle, each
+    transfer's completion cycle (-1 until started) and each DMA
+    backend's next free cycle. Fixed for the run: the transfers'
+    (backend, words) segments, transfer t's at seg_ptr[t]:seg_ptr[t + 1];
+    the level and class latencies, port counts, tile geometry (PEs and
+    banks per tile, tiles per subgroup and per group: an access's level
+    follows from them), L2 latency and DMA rate.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
@@ -356,7 +353,6 @@ class _State:
         self.ready = np.zeros((n_pe, DEP_RING), dtype=np.int64)
         self.ready_kind = np.zeros((n_pe, DEP_RING), dtype=np.uint8)
         self.win = np.zeros((n_pe, params.window), dtype=np.int64)
-        self.ins_done = np.full(n_pe, -1, dtype=np.int64)
         self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
         self.out_next = np.zeros(topo.n_tiles * 4 * params.out_ports, dtype=np.int64)
         self.in_next = np.zeros(topo.n_tiles * 4 * params.in_ports, dtype=np.int64)
@@ -378,8 +374,6 @@ class _State:
         self.tiles_per_subgroup = topo.tiles_per_subgroup
         self.tiles_per_group = topo.tiles_per_subgroup * topo.subgroups_per_group
         self.l2_lat, self.dma_wpc = params.l2_latency, params.dma_words_per_cycle
-        self.ins_thresh = int(params.ins_stall_prob * (1 << 53))
-        self.ins_seed = params.ins_seed % (1 << 64)
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,

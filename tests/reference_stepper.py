@@ -1,10 +1,10 @@
 """Python stepper, the oracle for the C one in ``dasim._stepper``.
 
 This is the pure-Python ``step_segment`` the C file was ported from, op
-for op, with its instruction-fetch draw ``_ins_hit``. It reads a chunk
-through its flat view, ``PackedChunk.cols``: per PE a row of ops, with
-each access's bank and its level from ``topology.access_levels``, where
-the C stepper walks the templates and derives the level itself.
+for op. It reads a chunk through its flat view, ``PackedChunk.cols``:
+per PE a row of ops, with each access's bank and its level from
+``topology.access_levels``, where the C stepper walks the templates and
+derives the level itself.
 ``step_segment`` here takes the C stepper's arguments, a chunk, its
 ledger, the run's engine._State and the start cycle, so a test swaps
 it in with ``monkeypatch.setattr(engine, "step_segment",
@@ -17,25 +17,12 @@ end.
 
 from heapq import heapify, heappop, heappush, heapreplace
 
-from dasim._stepper import (ACC_INS, ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
+from dasim._stepper import (ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
                             FAULT_BARRIER_NOT_LAST, FAULT_BARRIER_PARTIAL,
                             FAULT_DMA_NEVER_STARTED, FAULT_DMA_RESTART,
                             FAULT_DMA_UNKNOWN, K_BARRIER, K_COMPUTE, K_DMA_START,
                             K_DMA_WAIT, K_LOAD, K_STORE)
 from dasim.engine import FLAT_COLS
-
-_M64 = (1 << 64) - 1
-
-
-def _ins_hit(seed, pe, idx, thresh):
-    # splitmix64 of (seed, pe, idx) against the stall threshold, the
-    # probability in units of 2**-53
-    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    z ^= z >> 31
-    return (z >> 11) < thresh
-
 
 def step_segment(chunk, acct, st, now):
     """``dasim._stepper.step_segment``'s contract, stepped in Python."""
@@ -55,7 +42,7 @@ def _step(chunk, win, acct, st, now):
         mv(chunk.cols[c]) for c in FLAT_COLS)
     n_ops = chunk.n_ops.tolist()
     # per-PE state, memoryviews: the ready rings are [n_pe, DEP_RING]
-    abs_idx, t_free, ins_done = mv(st.abs_idx), mv(st.t_free), mv(st.ins_done)
+    abs_idx, t_free = mv(st.abs_idx), mv(st.t_free)
     ready, ready_kind = mv(st.ready), mv(st.ready_kind)
     # shared memory-system state: [n_banks], [(tile * 4 + level) * ports + port]
     bank_next, out_next, in_next = mv(st.bank_next), mv(st.out_next), mv(st.in_next)
@@ -70,7 +57,6 @@ def _step(chunk, win, acct, st, now):
     out_ports, in_ports = st.out_ports, st.in_ports
     pes_per_tile, banks_per_tile = st.pes_per_tile, st.banks_per_tile
     l2_lat, dma_wpc = st.l2_lat, st.dma_wpc
-    ins_thresh, ins_seed = st.ins_thresh, st.ins_seed
 
     n_pe = len(n_ops)
     n_transfers = len(segments)
@@ -134,28 +120,19 @@ def _step(chunk, win, acct, st, now):
         if g_wfi > t_issue:
             t_issue = g_wfi
 
-        # one instruction-fetch stall cycle, decided per op
-        extra_ins = 0
-        if ins_thresh and ins_done[pe] != ai and _ins_hit(ins_seed, pe, ai, ins_thresh):
-            extra_ins = 1
-
-        if t_issue + extra_ins > now:
+        if t_issue > now:
             # cannot issue this cycle: attribute the whole wait to the
             # latest gate (LSU beats RAW beats WFI on ties) and jump
             stall = t_issue - now
             a = acct[pe]
-            if stall > 0:
-                if g_lsu == t_issue:
-                    a[ACC_LSU] += stall
-                elif g_raw == t_issue:
-                    a[ACC_RAW] += stall
-                else:
-                    a[ACC_WFI] += stall
-            if extra_ins:
-                a[ACC_INS] += 1
-                ins_done[pe] = ai
-            t_free[pe] = t_issue + extra_ins
-            heapreplace(queue, (t_issue + extra_ins) * n_pe + pe)
+            if g_lsu == t_issue:
+                a[ACC_LSU] += stall
+            elif g_raw == t_issue:
+                a[ACC_RAW] += stall
+            else:
+                a[ACC_WFI] += stall
+            t_free[pe] = t_issue
+            heapreplace(queue, t_issue * n_pe + pe)
             continue
 
         # ---- issue at now ----

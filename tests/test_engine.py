@@ -17,7 +17,6 @@ from dasim.kernels.plan import (C_ALU, C_DIV, C_MAC, PlanBuilder, emit_copies,
                                 run_plan)
 from reference_dma import DmaState, dma_advance
 import reference_stepper
-from reference_stepper import _ins_hit
 
 DESK = desk_default()
 
@@ -627,59 +626,17 @@ def test_run_state_on_terapool_stays_small():
     assert peak < 4 << 20
 
 
-def test_ins_stall_injection():
-    params = EngineParams(ins_stall_prob=1.0, ins_seed=7)
-    rep = simulate([[("compute", C_ALU)] * 5], params)
-    assert rep.per_pe["ins_stall"][0] == 5
-    assert rep.cycles == 10
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ins_stall_draws_without_overflow_warnings():
-    params = EngineParams(ins_stall_prob=0.5, ins_seed=7)
-    rep = simulate([[("compute", C_ALU)] * 40 for _ in range(4)], params)
-    assert rep.per_pe["ins_stall"].sum() == 71
-
-
-def _splitmix_hit(seed, pe, idx, prob):
-    # reference draw in Python integers
-    m = (1 << 64) - 1
-    z = ((seed ^ (pe << 32) ^ idx) + 0x9E3779B97F4A7C15) & m
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
-    z ^= z >> 31
-    return (z >> 11) < int(prob * (1 << 53))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ins_hit_matches_splitmix_reference():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        seed = int(rng.integers(1, 1 << 62))
-        pe, idx = int(rng.integers(0, 1024)), int(rng.integers(0, 1 << 20))
-        prob = float(rng.random())
-        hit = _ins_hit(seed, pe, idx, int(prob * (1 << 53)))
-        assert bool(hit) == _splitmix_hit(seed, pe, idx, prob)
-
-
-def test_ins_stall_requires_seed():
-    with pytest.raises(ValueError):
-        EngineParams(ins_stall_prob=0.5)
-    # with a seed, only the range guard rejects a probability above 1
-    with pytest.raises(ValueError, match=r"ins_stall_prob must be in \[0, 1\]"):
-        EngineParams(ins_stall_prob=1.5, ins_seed=1)
-
-
 @pytest.mark.parametrize("knob,value", [
     ("lat_alu", 0), ("lat_mac", -3), ("lat_div", 0),
     ("dma_words_per_cycle", 0), ("dma_words_per_cycle", -1), ("l2_latency", -50),
     ("out_ports", 0), ("in_ports", 0), ("ins_stall_prob", -0.1),
-    ("alloc_cost", 1000),
+    ("ins_stall_prob", 0.5), ("ins_seed", 7), ("alloc_cost", 1000),
 ])
 def test_timing_knobs_rejected_out_of_range(knob, value):
     # each would simulate the wrong thing: a negative DMA rate or MAC
     # latency shortens the run, a zero DMA rate divides by zero, and an
-    # alloc_cost other than ALLOC_COST is reported but never charged
+    # alloc_cost other than ALLOC_COST or an INS stall setting is
+    # reported but never charged
     with pytest.raises(ValueError, match=knob):
         EngineParams(**{knob: value})
 
@@ -718,8 +675,8 @@ def test_conservation_and_determinism_random(seed, bar):
     assert a.to_json_str() == b.to_json_str()
 
 
-def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
-    """``_random_programs`` phases with empty PEs, INS stalls and DMA added.
+def _pinned_run(seed, barriers, empty, n_dma):
+    """``_random_programs`` phases with empty PEs and DMA added.
 
     One phase per entry of ``barriers``, which says whether it ends in a
     barrier. With one phase, PE ``t < n_dma`` ends by starting transfer
@@ -738,12 +695,11 @@ def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
         transfers.append(DmaTransfer((0, 0), (0, 0), segments=[
             (int(rng.integers(0, DESK.n_subgroups)), int(rng.integers(1, 65)))
             for _ in range(int(rng.integers(1, 4)))]))
-    params = EngineParams(ins_stall_prob=ins_prob, ins_seed=seed if ins_prob else 0)
     if len(barriers) == 1:
         (progs,) = phases
         for t in range(n_dma):
             progs[t] += [("dma_start", t), ("compute", C_ALU, 8), ("dma_wait", t)]
-        return simulate(progs, params, barrier=barriers[0], transfers=transfers)
+        return simulate(progs, barrier=barriers[0], transfers=transfers)
     first, second = phases
     last_first = [len(prog) - 1 for prog in first]
     for t in range(n_dma):
@@ -759,38 +715,37 @@ def _pinned_run(seed, barriers, empty, ins_prob, n_dma):
             op[:3] + (tuple(d + shift for d in op[3]),) if op[0] == "compute" else op
             for op in prog]
     _emit_phase(pb, "b", second, barriers[1])
-    return run_plan(pb.build("test", "", 1, {}), params)
+    return run_plan(pb.build("test", "", 1, {}))
 
 
-# (seed, per-phase barriers, empty PEs, ins_stall_prob, transfers, report
-# SHA-256): pins the scheduling order across versions, which two runs of
+# (seed, per-phase barriers, empty PEs, transfers, report SHA-256): pins the scheduling order across versions, which two runs of
 # one version (test_conservation_and_determinism_random) cannot
 PINNED = [
-    (1, (False,), (), 0.0, 0,
+    (1, (False,), (), 0,
      "7a6b7b303fdcca0815c1ce1e0efe4cb073175d7bb3eea38654d4f865edd26ebf"),
-    (2, (True,), (), 0.0, 0,
+    (2, (True,), (), 0,
      "b732b94554a4524eced7b526cf6eaacbe1ac1d3fa42e1d5464138c4e63bd3102"),
-    (3, (False,), (2, 5), 0.0, 0,
+    (3, (False,), (2, 5), 0,
      "9bec649270fe7647460da4b2d46a4a52f89931a3c8f002eca98ebb4a1c42d956"),
-    (4, (True,), (0, 6), 0.25, 0,
-     "a274203cc65c6c29174a504c7839139b3cd1665577cd7356ecb6f05bbf39a938"),
-    (5, (False,), (), 0.5, 0,
-     "09ad6a98f8e8f8269da4bed491ba232bd694543dcf17f34f7e626d92325e70bb"),
-    (6, (False,), (4,), 0.0, 3,
+    (4, (True,), (0, 6), 0,
+     "0c09e04260bb1ea43195f4f3136c9e33abe2d1f8599208cbe8d4bb192ed15376"),
+    (5, (False,), (), 0,
+     "44ae7fec33c2eff22928879ecded10086298c5a88a54ff8f6a0d50d667cbde03"),
+    (6, (False,), (4,), 3,
      "539b6614839e55451def81abdc7480359a8fb5af866c02e60cb83db920ee776f"),
-    (7, (True,), (1,), 0.2, 4,
-     "e32090e51d3a56de892f13a8e48f88fdd9c82733f60e3087a7325001726fbb4f"),
-    (8, (True, False), (), 0.0, 2,
+    (7, (True,), (1,), 4,
+     "fd97162f83bb723896ea25efe32d570fd14e0526682771b2aecfa7f57af1b7a6"),
+    (8, (True, False), (), 2,
      "8e3181e3b3e299ac64be7c73f93205bd85b8d6ffeba386b8b02de3df623d400d"),
-    (9, (True, False), (3,), 0.3, 3,
-     "c782568f149ebf2632ef1070d1f9625323b1d1be859887fb7c54a5d9aa0c0351"),
+    (9, (True, False), (3,), 3,
+     "ae655a12c669eb92f3fed744d644015ba65bb4049b348fdb4179b3bbc1404d9e"),
 ]
 
 
-@pytest.mark.parametrize("seed,barriers,empty,ins_prob,n_dma,digest", PINNED,
+@pytest.mark.parametrize("seed,barriers,empty,n_dma,digest", PINNED,
                          ids=[f"seed{c[0]}" for c in PINNED])
-def test_random_programs_pinned(seed, barriers, empty, ins_prob, n_dma, digest):
-    rep = _pinned_run(seed, barriers, empty, ins_prob, n_dma)
+def test_random_programs_pinned(seed, barriers, empty, n_dma, digest):
+    rep = _pinned_run(seed, barriers, empty, n_dma)
     assert hashlib.sha256(rep.to_json_str().encode()).hexdigest() == digest
 
 
@@ -840,11 +795,10 @@ def _oracle_case(seed, ports):
     One or two phases of ``_random_programs`` on 8 PEs of DESK, some of
     them empty, and up to three transfers (see ``_plan_with_transfers``):
     PE t starts transfer t and PE t + 1 waits for it. Window 1-5,
-    ``ports`` out and in ports, INS stalls on odd seeds.
+    ``ports`` out and in ports.
     """
     rng = np.random.default_rng(seed)
-    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
-                          ins_stall_prob=0.3 * (seed % 2), ins_seed=seed % 2 * seed)
+    params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports)
     n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(0, 4))
 
     def programs(rng):
@@ -970,14 +924,13 @@ def _queue_edge_case(seed, topo):
     latency of 100 cycles. About one compute op in five is a burst of
     QH - 1, QH, QH + 1 or 3 * QH issues. So PEs leave the far heap in
     cycles that PEs queued in the buckets share, with lower ids and
-    higher. Window 1-5, 1-3 ports, INS stalls on odd seeds.
+    higher. Window 1-5, 1-3 ports.
     """
     qh = _stepper.QH
     rng = np.random.default_rng(seed)
     ports = int(rng.integers(1, 4))
     params = EngineParams(window=int(rng.integers(1, 6)), out_ports=ports, in_ports=ports,
-                          l2_latency=100, ins_stall_prob=0.3 * (seed % 2),
-                          ins_seed=seed % 2 * seed)
+                          l2_latency=100)
     n_phases, n_dma = int(rng.integers(1, 3)), int(rng.integers(1, 4))
     starter = rng.choice(topo.n_pes, n_dma, replace=False).tolist()
     waiters = [set(rng.choice(topo.n_pes, int(rng.integers(1, 5))).tolist()) - {starter[t]}

@@ -34,7 +34,7 @@ def test_c_call_declares_the_parameters_the_loader_passes():
     # argtypes is undefined behaviour in the call, not an error
     with open(os.path.join(os.path.dirname(_stepper.__file__), "_stepper.c")) as f:
         params = _c_params(f.read())
-    ctype = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t", ctypes.c_uint64: "uint64_t"}
+    ctype = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t"}
     argtypes = _stepper._c_step.argtypes
     assert len(params) == len(argtypes)
     assert params == [ctype[t] for t in argtypes]
