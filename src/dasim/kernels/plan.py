@@ -23,7 +23,7 @@ emit_reduction writes a kernel's software-pipelined reductions and
 their result stores, one copy per work item.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -296,7 +296,6 @@ class KernelPlan:
     expected_ops: dict
     counted_ops: dict
     alloc_events: list
-    references: dict = field(default_factory=dict)
 
 
 class PlanBuilder:
@@ -515,11 +514,11 @@ class PlanBuilder:
 
 
 def run_plan(plan: KernelPlan, params: Optional[EngineParams] = None):
-    """Simulate a plan; the report carries kernel metadata for tables."""
+    """Simulate a plan; the report carries kernel metadata (and schema v1's empty references)."""
     params = params or EngineParams()
     meta = {"kernel": plan.name, "scheme": plan.scheme,
             "workload": plan.workload, "n_parallel": plan.n_parallel,
-            "expected_ops": plan.expected_ops, "references": plan.references}
+            "expected_ops": plan.expected_ops, "references": {}}
     rep = run_packed(plan.topo, params, plan.phases, plan.dma, meta=meta,
                      alloc_events=plan.alloc_events)
     rep.check_conservation()
