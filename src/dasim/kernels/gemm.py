@@ -12,10 +12,8 @@ plan.emit_reduction, after a one-ALU accumulator set-up.
 
 import numpy as np
 
-from ..remap import interleaved
 from ..topology import ClusterTopology
-from .plan import (KernelPlan, PlanBuilder, ShapeError, emit_reduction,
-                   group_window_cfg)
+from .plan import KernelPlan, PlanBuilder, ShapeError, emit_reduction
 
 
 def pad_odd(words: int) -> int:
@@ -75,15 +73,9 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     c_ld = pad_odd(P)
 
     pb.begin_phase("config")
-    a_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * a_ld)
-    a_op = pb.alloc("a_rows", topo.n_tiles * a_cfg.block_bytes(wb), a_cfg)
-    c_cfg = group_window_cfg(topo, 1, blocks_per_tile * 4 * c_ld)
-    c_op = pb.alloc("c_rows", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
-    if n_parallel == 1:
-        b_op = pb.alloc("b_cols", N * b_ld * wb, interleaved())
-    else:
-        b_cfg = group_window_cfg(topo, tiles_per_prob, N * b_ld)
-        b_op = pb.alloc("b_cols", n_parallel * b_cfg.block_bytes(wb), b_cfg)
+    a_op = pb.alloc_windows("a_rows", 1, blocks_per_tile * 4 * a_ld)
+    c_op = pb.alloc_windows("c_rows", 1, blocks_per_tile * 4 * c_ld)
+    b_op = pb.alloc_windows("b_cols", tiles_per_prob, N * b_ld)
     pb.end_phase()
 
     pb.begin_phase("compute")
@@ -92,14 +84,13 @@ def gen_gemm(topo: ClusterTopology, M: int, N: int, P: int, n_parallel: int,
     rows = lb[:, None] * 4 + np.arange(4)
     cols = win[:, None] * 4 + np.arange(4)
     ks = np.arange(N)[:, None]
-    b_win = 0 if n_parallel == 1 else tile[:, :, None] // tiles_per_prob
     c_off = rows[:, :, None] * c_ld + cols[:, None, :]
     # per step: A0-A3, B0-B3; each burst consumes B3 and A3 of its step.
     # Each load address is a work item's term plus a step's, summed into
     # the copies' address matrix, so no (items x steps) array is built
     emit_reduction(pb, pe,
                    ((a_op.addr(tile[:, :, None], rows[:, None, :] * a_ld), ks * wb),
-                    (b_op.addr(b_win, cols[:, None, :]), ks * (b_ld * wb))),
+                    (b_op.addr(tile[:, :, None], cols[:, None, :]), ks * (b_ld * wb))),
                    16, (7, 3), c_op.addr(tile, c_off.reshape(len(pe), 16)), setup=True)
     pb.end_phase()
 

@@ -16,11 +16,10 @@ row's sum of partials one copy of the reduce phase's chain template.
 
 import numpy as np
 
-from ..remap import interleaved
 from ..topology import ClusterTopology
 from .._stepper import K_COMPUTE, K_LOAD, K_STORE
 from .plan import (C_ALU, KernelPlan, Operand, PlanBuilder, ShapeError, emit_copies,
-                   emit_reduction, group_window_cfg, pow2_floor)
+                   emit_reduction, pow2_floor)
 
 
 def _two_adic(n: int) -> int:
@@ -77,18 +76,15 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
     g = gemv_geometry(topo, M, N, n_parallel)
     ppg, gpp, rows_per_pe, n_chunk = g["ppg"], g["gpp"], g["rows_per_pe"], g["n_chunk"]
     ppt = topo.pes_per_tile
-    wb = topo.word_bytes
 
     pb = PlanBuilder(topo, scheme)
 
     pb.begin_phase("config")
-    a_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe * n_chunk)
-    a_op = pb.alloc("a_rows", topo.n_tiles * a_cfg.block_bytes(wb), a_cfg)
-    b_op = pb.alloc("b_vec", n_parallel * N * wb, interleaved())
-    c_cfg = group_window_cfg(topo, 1, ppt * rows_per_pe)
-    c_part = pb.alloc("c_partial", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
+    a_op = pb.alloc_windows("a_rows", 1, ppt * rows_per_pe * n_chunk)
+    b_op = pb.alloc_windows("b_vec", topo.n_tiles, n_parallel * N)
+    c_part = pb.alloc_windows("c_partial", 1, ppt * rows_per_pe)
     if gpp > 1:
-        c_final = pb.alloc("c_out", topo.n_tiles * c_cfg.block_bytes(wb), c_cfg)
+        c_final = pb.alloc_windows("c_out", 1, ppt * rows_per_pe)
     pb.end_phase()
 
     pb.begin_phase("compute")
@@ -98,7 +94,7 @@ def gen_gemv(topo: ClusterTopology, M: int, N: int, n_parallel: int,
     tile, slot = pe // ppt, pe % ppt * rows_per_pe
     gg = pe // ppg
     ks = np.arange(n_chunk)
-    b_addr = b_op.base + (gg // gpp * N + gg % gpp * n_chunk + ks) * wb
+    b_addr = b_op.addr(0, gg // gpp * N + gg % gpp * n_chunk + ks)
     a_addr = a_op.addr(tile[:, :, None], (slot + blk4)[:, None, :] * n_chunk + ks[:, None])
     # per step: b, a0-a3; each burst consumes a3 and b of its step
     emit_reduction(pb, pe[:, 0], (b_addr[:, :, None], a_addr), 4, (4, 0),

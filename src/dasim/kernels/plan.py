@@ -62,43 +62,30 @@ class ShapeError(ValueError):
     """Workload shape violates the kernel's blocking rules."""
 
 
-def ceil_log2(n: int) -> int:
-    return max(0, (n - 1).bit_length())
-
-
 def pow2_floor(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def group_window_cfg(topo: ClusterTopology, tiles_per_group: int,
-                     footprint_words: int) -> MapConfig:
-    """Folding config spanning the banks of a contiguous tile group.
-
-    With ``tiles_per_group`` 1 the partition is exactly one tile's banks.
-    """
-    banks = topo.banks_per_tile * tiles_per_group
-    p = banks.bit_length() - 1
-    s = max(0, ceil_log2(-(-footprint_words // banks)))
-    if s > topo.row_bits:
-        raise ShapeError(
-            f"footprint of {footprint_words} words per {tiles_per_group}-tile "
-            f"window needs s={s} > {topo.row_bits} row bits; shrink the slice "
-            f"or use more tiles")
-    return das(p, s)
-
-
 @dataclass
 class Operand:
-    """An allocation plus the window arithmetic to address it."""
+    """An allocation plus the window arithmetic to address it.
+
+    Group g of ``tiles`` consecutive tiles has the window ``g * win_bytes``
+    past ``base``: the stride is one block of the folding under both schemes,
+    the padded layout. addr assumes that a folded region's window g sits on
+    group g's banks, which holds only if ``base`` is a multiple of a whole
+    cluster's windows; das_malloc aligns a region to one block.
+    """
 
     name: str
     base: int
-    win_bytes: int            # one block of the folding the kernel asked for
+    win_bytes: int            # window stride: one block of the folding
     word_bytes: int
+    tiles: int = 1            # consecutive tiles sharing one window
 
-    def addr(self, window_index, offset_words):
-        """Byte address of offset_words within a window; numpy-friendly."""
-        return self.base + window_index * self.win_bytes + offset_words * self.word_bytes
+    def addr(self, tile, offset_words):
+        """Byte address of offset_words in tile's window; numpy-friendly."""
+        return self.base + tile // self.tiles * self.win_bytes + offset_words * self.word_bytes
 
 
 class PeStream:
@@ -351,6 +338,30 @@ class PlanBuilder:
                                "mapping": cfg.to_json()})
         self.streams[0].compute(C_ALU, count=ALLOC_COST)
         self._owners[base] = op
+        return op
+
+    def alloc_windows(self, name: str, tiles: int, words: int) -> Operand:
+        """A ``words``-word window per group of ``tiles`` consecutive tiles,
+        folded over the group's banks under 'das' (Operand has the stride).
+        A window over every tile is one interleaved region of ``words`` words:
+        folded over every bank, each word would sit on the same bank.
+        """
+        topo, wb = self.topo, self.topo.word_bytes
+        if tiles < 1 or tiles & (tiles - 1) or topo.n_tiles % tiles:
+            raise ValueError(f"{tiles} tiles per window is not a power of two "
+                             f"dividing {topo.n_tiles} tiles")
+        if tiles == topo.n_tiles:
+            folding, stride = interleaved(), words * wb
+        else:
+            banks = topo.banks_per_tile * tiles
+            s = (max(words - 1, 0) // banks).bit_length()
+            if s > topo.row_bits:
+                raise ShapeError(f"footprint of {words} words per {tiles}-tile window needs s={s}"
+                                 f" > {topo.row_bits} row bits; shrink the slice or use more tiles")
+            folding = das(banks.bit_length() - 1, s)
+            stride = folding.block_bytes(wb)
+        op = self.alloc(name, topo.n_tiles // tiles * stride, folding)
+        op.tiles, op.win_bytes = tiles, stride
         return op
 
     def free(self, operand: Operand) -> None:

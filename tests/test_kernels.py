@@ -1,15 +1,17 @@
 """Kernel generators: shape rules and the plans they pack."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dasim import desk_default, terapool_default
-from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD
+from dasim import das, desk_default, resolve_array, terapool_default
+from dasim._stepper import DEP_RING, K_COMPUTE, K_LOAD, K_STORE
 from dasim.kernels import gemv
 from dasim.kernels.gemm import gemm_geometry, gen_gemm, work_items
 from dasim.kernels.gemv import gen_gemv
 from dasim.kernels.plan import (C_ALU, C_MAC, STREAM_COLS, PeStream, PlanBuilder, ShapeError,
-                                emit_copies, emit_reduction, group_window_cfg)
+                                emit_copies, emit_reduction)
 from reference_pack import stream_ops
 
 DESK = desk_default()   # 64 PEs in 16 tiles of 16 banks, 256 rows per bank
@@ -51,14 +53,83 @@ def test_gemv_shape_errors(shape, n_parallel, match):
         gen_gemv(DESK, *shape, n_parallel, "das")
 
 
+def _in_phase(scheme="das"):
+    pb = PlanBuilder(DESK, scheme)
+    pb.begin_phase("config")
+    return pb
+
+
 @pytest.mark.parametrize("tiles", [1, 4])
 def test_window_footprint_limit(tiles):
     # a group of `tiles` tiles folds at most 256 rows of its banks
     words = tiles * DESK.banks_per_tile * DESK.rows_per_bank
-    cfg = group_window_cfg(DESK, tiles, words)
-    assert cfg.s == DESK.row_bits
+    pb = _in_phase()
     with pytest.raises(ShapeError, match="row bits"):
-        group_window_cfg(DESK, tiles, words + 1)
+        pb.alloc_windows("over", tiles, words + 1)
+    pb.alloc_windows("full", tiles, words)
+    (event,) = pb.alloc_log
+    assert event["mapping"]["s"] == DESK.row_bits
+
+
+@pytest.mark.parametrize("tiles", [0, 3, 32])
+def test_windows_need_a_power_of_two_tile_group(tiles):
+    with pytest.raises(ValueError, match="power of two dividing 16 tiles"):
+        _in_phase().alloc_windows("w", tiles, 20)
+
+
+@pytest.mark.parametrize("scheme", ["das", "interleaved"])
+def test_a_window_over_every_tile_is_one_interleaved_region(scheme):
+    # exactly its words, word-aligned behind an odd-sized region
+    pb = _in_phase(scheme)
+    pb.alloc_windows("odd", DESK.n_tiles, 3)
+    op = pb.alloc_windows("v", DESK.n_tiles, 5)
+    assert op.base == 12
+    assert pb.alloc_log[-1]["mapping"] == {"kind": "interleaved", "base_addr": 12,
+                                           "size_bytes": 5 * DESK.word_bytes}
+    assert (op.addr(np.arange(DESK.n_tiles), 4) == 28).all()
+    # folded over every bank, each word would sit where interleaving puts it
+    addrs = np.arange(0, 4 * DESK.n_banks, DESK.word_bytes)
+    folded = replace(das(DESK.bank_bits, 2), base_addr=0, size_bytes=4 * DESK.n_banks)
+    np.testing.assert_array_equal(resolve_array(DESK, [folded], addrs),
+                                  resolve_array(DESK, [], addrs))
+
+
+# 20 words per window: 2 rows of one tile's 16 banks, or 1 row of four tiles' 64
+@pytest.mark.parametrize("tiles,folding,stride", [(1, (4, 1), 128), (4, (6, 0), 256)])
+@pytest.mark.parametrize("scheme", ["das", "interleaved"])
+def test_each_tile_group_has_its_own_window(scheme, tiles, folding, stride):
+    pb = _in_phase(scheme)
+    op = pb.alloc_windows("w", tiles, 20)
+    event = pb.alloc_log[-1]
+    assert event["size_bytes"] == DESK.n_tiles // tiles * stride
+    if scheme == "das":
+        assert (event["mapping"]["p"], event["mapping"]["s"]) == folding
+    # every tile of group g reaches the window g strides from the base
+    tile = np.arange(DESK.n_tiles)
+    np.testing.assert_array_equal(op.addr(tile, 3), op.base + tile // tiles * stride + 12)
+
+
+def test_free_takes_a_window_operand():
+    pb = _in_phase()
+    for tiles in (1, 4, DESK.n_tiles):
+        pb.free(pb.alloc_windows("w", tiles, 20))
+    assert not pb.heap.regions
+
+
+@pytest.mark.parametrize("gen,shape", [
+    (gen_gemm, (32, 32, 32)),
+    pytest.param(gen_gemv, (64, 64), marks=pytest.mark.xfail(strict=True, reason=(
+        "c_partial's base is 260 blocks into L1, so its window 0 sits on tile 4: "
+        "Operand.addr assumes that window w sits on tile w"))),
+], ids=["gemm-32x32x32", "gemv-64x64"])
+def test_compute_stores_are_tile_local_under_das(gen, shape):
+    # each PE stores its results into its own tile's folded window
+    plan = gen(DESK, *shape, 1, "das")
+    (chunk,) = next(p for p in plan.phases if p.name == "compute").chunks
+    cols = chunk.cols
+    stores = cols["kind"] == K_STORE
+    assert stores.any()
+    assert (cols["level"][stores] == 0).all()
 
 
 def _reduction_op_by_op(st, loads, macs, dep_cols, out_addr, setup):
