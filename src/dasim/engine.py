@@ -37,6 +37,10 @@ from .topology import ClusterTopology, access_levels
 
 ALLOC_COST = 64     # cycles charged per heap allocation
 
+# report params of schema v1 that no knob sets: the allocation charge is
+# fixed at plan time, and the model has no instruction-fetch (INS) stall
+V1_PARAMS = {"alloc_cost": ALLOC_COST, "ins_stall_prob": 0.0, "ins_seed": 0}
+
 
 @dataclass(frozen=True)
 class EngineParams:
@@ -50,9 +54,6 @@ class EngineParams:
     in_ports: int = 1               # per tile, per level, requests/cycle in
     dma_words_per_cycle: int = 4    # per backend
     l2_latency: int = 100           # transfer initiation
-    alloc_cost: int = ALLOC_COST    # reported; must be ALLOC_COST, charged at plan time
-    ins_stall_prob: float = 0.0     # reported; must be 0, the model has no INS stall
-    ins_seed: int = 0               # reported; must be 0, the model has no INS stall
 
     def __post_init__(self):
         for name in ("window", "lat_alu", "lat_mac", "lat_div", "out_ports", "in_ports",
@@ -61,11 +62,6 @@ class EngineParams:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.l2_latency < 0:
             raise ValueError(f"l2_latency must be at least 0, got {self.l2_latency}")
-        if self.alloc_cost != ALLOC_COST:
-            raise ValueError(f"alloc_cost must be ALLOC_COST ({ALLOC_COST}), got {self.alloc_cost}")
-        if self.ins_stall_prob != 0 or self.ins_seed != 0:
-            raise ValueError("ins_stall_prob and ins_seed must be 0: the model has no instruction-"
-                             f"fetch (INS) stall; got {self.ins_stall_prob} and {self.ins_seed}")
 
 
 class SimulationFault(Exception):
@@ -410,6 +406,6 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     per_pe = {"cycles_total": np.full(n_pe, clock, dtype=np.int64),
               **{k: totals[:, i].copy() for i, k in enumerate(PE_KEYS)}}
     return SimReport(
-        topology=asdict(topo), params=asdict(params),
+        topology=asdict(topo), params={**asdict(params), **V1_PARAMS},
         meta=meta or {}, cycles=clock, per_pe=per_pe, phases=phase_rows,
         alloc_events=alloc_events or [])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dasim import (ClusterTopology, _stepper, das, desk_default, engine, interleaved,
                    terapool_default)
 from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, K_STORE
-from dasim.engine import (ALLOC_COST, DmaTransfer, EngineParams, Phase, SimulationFault,
-                          build_transfer, make_chunk, run_packed)
+from dasim.engine import (ALLOC_COST, V1_PARAMS, DmaTransfer, EngineParams, Phase,
+                          SimulationFault, build_transfer, make_chunk, run_packed)
 from dasim.kernels import plan
 from dasim.kernels.plan import (C_ALU, C_DIV, C_MAC, PlanBuilder, emit_copies,
                                 run_plan)
@@ -634,10 +634,10 @@ def test_run_state_on_terapool_stays_small():
 ])
 def test_timing_knobs_rejected_out_of_range(knob, value):
     # each would simulate the wrong thing: a negative DMA rate or MAC
-    # latency shortens the run, a zero DMA rate divides by zero, and an
-    # alloc_cost other than ALLOC_COST or an INS stall setting is
-    # reported but never charged
-    with pytest.raises(ValueError, match=knob):
+    # latency shortens the run, and a zero DMA rate divides by zero. The
+    # allocation charge and the INS stall are not knobs: a report carries
+    # them as schema-v1 constants
+    with pytest.raises(TypeError if knob in V1_PARAMS else ValueError, match=knob):
         EngineParams(**{knob: value})
 
 
@@ -988,18 +988,6 @@ def test_c_stepper_matches_oracle_with_a_two_cycle_horizon(monkeypatch, tmp_path
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_monotone_contention(seed):
-    # extra traffic from a new PE never speeds anyone else up
-    rng = np.random.default_rng(seed)
-    progs = _random_programs(rng, 6)
-    base = finish_times(simulate(progs))
-    extra = _random_programs(np.random.default_rng(seed + 1), 7)[-1]
-    grown = finish_times(simulate(progs + [extra]))
-    assert (grown[:6] >= base[:6]).all()
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000))
 def test_contention_never_beats_a_solo_run(seed):
     # traffic from other PEs never speeds a PE up past its run alone, with
     # six PEs or with a seventh added
@@ -1018,7 +1006,8 @@ def test_contention_can_speed_another_pe_up():
     # anomaly): PE 4's remote load books bank 0 for cycle 2, which delays
     # PE 0's load there by a cycle and so its load of bank 1 to cycle 5.
     # PE 1's load of bank 1 at cycle 4 then no longer waits behind it. So
-    # test_monotone_contention fails for some seeds
+    # added traffic can make another PE finish sooner, and only the solo
+    # run bounds a PE's finish from below
     progs = [
         [("compute", C_ALU, 2), ("load", bank_addr(0)), ("compute", C_ALU, 1, (1,)),
          ("load", bank_addr(1))],
