@@ -5,6 +5,17 @@
  * Every array is C-contiguous and int64 unless typed otherwise; the
  * caller checks sizes, index ranges and the agreement of the pointer
  * arrays with the copies and op counts before the call.
+ *
+ * Two selections on the issue path are conditional selects, not branches,
+ * because their outcome is data that a branch predictor guesses wrong
+ * often enough to bound the loop: the free window slot of a load or store
+ * (the first slot holding the minimum), and whether an access goes through
+ * the ports. Every access books an outbound and an inbound port entry for
+ * its level; a tile-local one books its own tile's level-0 entries, which
+ * are scratch bookings that no access reads for its timing, and takes
+ * now + local_wait by a select in place of the ports' cycle. The other
+ * branches stay: as selects, stall attribution measured no faster, and
+ * the dependence gate and the kind dispatch slower.
  */
 
 #include <stdint.h>
@@ -185,13 +196,15 @@ void step_segment(
         int64_t *slots = win + pe * window;
         int64_t m = 0, m_slot = 0;
         if (k == K_LOAD || k == K_STORE) {
-            /* a free window slot: responses retire in any order */
+            /* a free window slot, the first that frees soonest: responses
+             * retire in any order. Selected, not branched on (see the top) */
             m = slots[0];
-            for (int64_t s = 1; s < window; s++)
-                if (slots[s] < m) {
-                    m = slots[s];
-                    m_slot = s;
-                }
+            for (int64_t s = 1; s < window; s++) {
+                int64_t v = slots[s];
+                int lt = v < m;
+                m = lt ? v : m;
+                m_slot = lt ? s : m_slot;
+            }
             if (m > g_lsu)
                 g_lsu = m;
         } else if (k == K_BARRIER) {
@@ -251,31 +264,28 @@ void step_segment(
             int64_t src_tile = pe >> pe_shift, dst_tile = b >> bank_shift;
             int64_t x = src_tile ^ dst_tile;
             int64_t lvl = (x != 0) + (x >= tiles_per_subgroup) + (x >= tiles_per_group);
-            int64_t serve;
-            if (lvl) {
-                /* outbound port at the source tile for this level */
-                int64_t p0 = (src_tile * 4 + lvl) * out_ports, sp = p0;
-                for (q = p0 + 1; q < p0 + out_ports; q++)
-                    if (out_next[q] < out_next[sp])
-                        sp = q;
-                int64_t t_out = now;
-                if (out_next[sp] > t_out)
-                    t_out = out_next[sp];
-                out_next[sp] = t_out + 1;
-                /* inbound port at the destination tile */
-                p0 = (dst_tile * 4 + lvl) * in_ports;
-                sp = p0;
-                for (q = p0 + 1; q < p0 + in_ports; q++)
-                    if (in_next[q] < in_next[sp])
-                        sp = q;
-                int64_t t_in = t_out + level_lat[lvl] - 2;
-                if (in_next[sp] > t_in)
-                    t_in = in_next[sp];
-                in_next[sp] = t_in + 1;
-                serve = t_in + 1;
-            } else {
-                serve = now + local_wait;
-            }
+            /* outbound port at the source tile for this level, then the
+             * inbound one at the destination tile; at level 0 both are the
+             * own tile's scratch entries, and the select below drops their
+             * cycle (see the top) */
+            int64_t p0 = (src_tile * 4 + lvl) * out_ports, sp = p0;
+            for (q = p0 + 1; q < p0 + out_ports; q++)
+                if (out_next[q] < out_next[sp])
+                    sp = q;
+            int64_t t_out = now;
+            if (out_next[sp] > t_out)
+                t_out = out_next[sp];
+            out_next[sp] = t_out + 1;
+            p0 = (dst_tile * 4 + lvl) * in_ports;
+            sp = p0;
+            for (q = p0 + 1; q < p0 + in_ports; q++)
+                if (in_next[q] < in_next[sp])
+                    sp = q;
+            int64_t t_in = t_out + level_lat[lvl] - 2;
+            if (in_next[sp] > t_in)
+                t_in = in_next[sp];
+            in_next[sp] = t_in + 1;
+            int64_t serve = lvl ? t_in + 1 : now + local_wait;
             if (bank_next[b] > serve)
                 serve = bank_next[b];
             bank_next[b] = serve + 1;

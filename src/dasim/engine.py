@@ -334,11 +334,15 @@ class _State:
     kind), its window slots (the cycle each outstanding memory op
     retires); shared, each bank's and port's next free cycle, each
     transfer's completion cycle (-1 until started) and each DMA
-    backend's next free cycle. Fixed for the run: the transfers'
-    (backend, words) segments, transfer t's at seg_ptr[t]:seg_ptr[t + 1];
-    the level and class latencies, port counts, tile geometry (PEs and
-    banks per tile, tiles per subgroup and per group: an access's level
-    follows from them), L2 latency and DMA rate.
+    backend's next free cycle. Ports are [n_tiles, 4 levels, ports]: a
+    tile-local access books its own tile's level-0 entries, scratch that
+    no access reads for its timing, so that the stepper picks its serve
+    cycle by a select, not by a mispredicted branch on the level. Fixed
+    for the run: the transfers' (backend, words) segments, transfer t's
+    at seg_ptr[t]:seg_ptr[t + 1]; the level and class latencies, port
+    counts, tile geometry (PEs and banks per tile, tiles per subgroup and
+    per group: an access's level follows from them), L2 latency and DMA
+    rate.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dasim import (ClusterTopology, _stepper, das, desk_default, engine, interleaved,
                    terapool_default)
-from dasim._stepper import DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_LOAD, K_STORE
+from dasim._stepper import (ACC_WIDTH, DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START,
+                            K_LOAD, K_STORE)
 from dasim.engine import (ALLOC_COST, V1_PARAMS, DmaTransfer, EngineParams, Phase,
                           SimulationFault, build_transfer, make_chunk, run_packed)
 from dasim.kernels import plan
@@ -1025,3 +1026,57 @@ def test_latency_floor_under_contention():
     rep = simulate(progs)
     done = finish_times(rep)[:16]
     assert (np.asarray(done) >= 7 + 1).all()
+
+
+def _step_one_phase(progs, level0=0):
+    """Step ``progs`` as one phase on DESK by a direct step_segment call
+    on a fresh run state whose level-0 port entries all read ``level0``;
+    the state, the end cycle and the ledger."""
+    pb = PlanBuilder(DESK, "interleaved")
+    _emit_phase(pb, "run", progs, False)
+    (phase,) = pb.build("test", "", 1, {}).phases
+    (chunk,) = phase.chunks
+    st = engine._State(DESK, EngineParams(), [])
+    for ports in (st.out_next, st.in_next):
+        ports.reshape(DESK.n_tiles, 4, -1)[:, 0] = level0
+    acct = np.zeros((DESK.n_pes, ACC_WIDTH), dtype=np.int64)
+    end, fault = engine.step_segment(chunk, acct, st, 0)
+    assert fault is None
+    return st, end, acct
+
+
+def _level_progs(distances):
+    """Per PE: a load from each tile at a tile-id distance (xor) in
+    ``distances`` from its own, a MAC burst on the last two and a store
+    of its result to the first such tile. A tile's PEs load the same
+    banks, so requests queue at them."""
+    bpt, progs = DESK.banks_per_tile, []
+    for pe in range(DESK.n_pes):
+        tile = pe // DESK.pes_per_tile
+        loads = [("load", bank_addr((tile ^ d) * bpt + j, pe % 3))
+                 for j, d in enumerate(distances)]
+        n = len(loads)
+        progs.append(loads + [("compute", C_MAC, 2, (n - 2, n - 1)),
+                              ("store", bank_addr((tile ^ distances[0]) * bpt + pe % bpt, 5),
+                               (n,))])
+    return progs
+
+
+def test_tile_local_accesses_book_no_port_above_level_0():
+    # a tile-local access books its own tile's level-0 port entries, which
+    # no access reads for its timing: the ports of levels 1-3 stay untouched,
+    # and level-0 entries set far ahead change no cycle
+    progs = _level_progs((0, 0, 0))
+    st, end, acct = _step_one_phase(progs)
+    for ports in (st.out_next, st.in_next):
+        assert not ports.reshape(DESK.n_tiles, 4, -1)[:, 1:].any()
+    _, end_far, acct_far = _step_one_phase(progs, level0=1 << 40)
+    assert end_far == end
+    assert np.array_equal(acct_far, acct)
+
+
+def test_remote_accesses_book_the_ports_of_their_level():
+    # tile-id distances 1, 2 and 4 on DESK are levels 1, 2 and 3
+    st, _, _ = _step_one_phase(_level_progs((0, 1, 2, 4)))
+    for ports in (st.out_next, st.in_next):
+        assert ports.reshape(DESK.n_tiles, 4, -1)[:, 1:].any(axis=(0, 2)).all()

@@ -57,6 +57,23 @@ TERAPOOL_GEMM_64 = [
      "4891c2eaafdaf787d029ee8926b22792bb458f8282fc9d330e658c5d9dc011bd"),
 ]
 
+# the benchmark's other two workloads, per scheme: the 1024-PE gemv, whose
+# accesses are port-bound, and the 64-PE gemm that runs four problems at once
+BENCH_WORKLOADS = [
+    pytest.param(terapool_default, gen_gemv, (256, 256), 1, "das", 2847,
+                 "58c3ab11f9dce9bd690636bd4e20ebb90cc946245f1c6ce96d10dd3925a60d6e",
+                 id="tp-gemv-256-das"),
+    pytest.param(terapool_default, gen_gemv, (256, 256), 1, "interleaved", 3236,
+                 "0b33d029c2eea0e5e69e5c358e24962d5236efa5e91e4eb3ae6de1052b57ed9c",
+                 id="tp-gemv-256-interleaved"),
+    pytest.param(desk_default, gen_gemm, (32, 64, 32), 4, "das", 7107,
+                 "fc6fdd6c0fde1c4452987d90104b032cd08052320d6e04038ce9e9981e077aa3",
+                 id="desk-gemm-par4-das"),
+    pytest.param(desk_default, gen_gemm, (32, 64, 32), 4, "interleaved", 10963,
+                 "843cac9a070aef1432dc34f5d432fb6dc6667594240747bd1d26a6da63a68c3c",
+                 id="desk-gemm-par4-interleaved"),
+]
+
 
 def _digest(rep):
     return hashlib.sha256(rep.to_json_str().encode()).hexdigest()
@@ -74,5 +91,12 @@ def test_desk_report_digest(gen, shape, scheme, cycles, digest):
                          ids=[s for s, _, _ in TERAPOOL_GEMM_64])
 def test_terapool_gemm_report_digest(scheme, cycles, digest):
     rep = run_plan(gen_gemm(terapool_default(), 64, 64, 64, 1, scheme))
+    assert rep.cycles == cycles
+    assert _digest(rep) == digest
+
+
+@pytest.mark.parametrize("topo,gen,shape,n_parallel,scheme,cycles,digest", BENCH_WORKLOADS)
+def test_bench_workload_report_digest(topo, gen, shape, n_parallel, scheme, cycles, digest):
+    rep = run_plan(gen(topo(), *shape, n_parallel, scheme))
     assert rep.cycles == cycles
     assert _digest(rep) == digest
