@@ -15,65 +15,37 @@
  * are scratch bookings that no access reads for its timing, and takes
  * now + local_wait by a select in place of the ports' cycle. The other
  * branches stay: as selects, stall attribution measured no faster, and
- * the dependence gate and the kind dispatch slower.
+ * the dependence gate and the kind dispatch slower. A dependence ring
+ * slot is one record, the op's result cycle << 1 | whether it is a
+ * compute op, so the gate reads one cache line per dependence.
  */
 
 #include <stdint.h>
 
-#if QH < 1 || QH > 64 || (QH & (QH - 1))
-#error "QH must be a power of two from 1 to 64: one occupancy bit per bucket"
+#if QH < 2 || QH > 64 || (QH & (QH - 1))
+#error "QH must be a power of two from 2 to 64: one occupancy bit per bucket"
 #endif
 
-/* binary min-heap of n unique keys */
-static void sift_down(int64_t *h, int64_t n, int64_t i)
-{
-    int64_t key = h[i];
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= n)
-            break;
-        if (c + 1 < n && h[c + 1] < h[c])
-            c++;
-        if (h[c] >= key)
-            break;
-        h[i] = h[c];
-        i = c;
-    }
-    h[i] = key;
-}
-
-static void sift_up(int64_t *h, int64_t i)
-{
-    int64_t key = h[i];
-    while (i > 0 && h[(i - 1) / 2] > key) {
-        h[i] = h[(i - 1) / 2];
-        i = (i - 1) / 2;
-    }
-    h[i] = key;
-}
-
-/* The PEs that can act, by the cycle they next act at. A PE due fewer
- * than QH cycles after the current one, `now`, sits in bucket t % QH,
- * a bitmap of PE ids of `words` 64-bit words; bit b of `occ` is set while
- * bucket b may hold a PE. A PE due QH or more cycles ahead waits in the
- * far heap, keyed t * n_pe + pe, and joins its bucket once `now` comes
- * within QH cycles of it. The current bucket is read from word `w` on:
+/* The PEs that can act, by the cycle they next act at: a ring of QH
+ * buckets, bucket t % QH a bitmap of PE ids of `words` 64-bit words, with
+ * bit b of `occ` set while bucket b may hold a PE. A PE due QH or more
+ * cycles after the current one, `now`, is queued in the horizon bucket,
+ * now + QH - 1; the caller queues it again when that cycle comes (a
+ * horizon visit, see step_segment), so it is in its own cycle's bucket
+ * when that cycle is read. The current bucket is read from word `w` on:
  * every PE queued while it is read is due later, so it only empties. */
 typedef struct {
     uint64_t *bits, occ;
-    int64_t *far, n_far, words, n_pe, now, w;
+    int64_t words, now, w;
 } pe_queue;
 
 static inline void enqueue(pe_queue *q, int64_t pe, int64_t t)
 {
-    if (t - q->now < QH) {
-        int64_t b = t & (QH - 1);
-        q->bits[b * q->words + pe / 64] |= 1ULL << (pe % 64);
-        q->occ |= 1ULL << b;
-    } else {
-        q->far[q->n_far] = t * q->n_pe + pe;
-        sift_up(q->far, q->n_far++);
-    }
+    if (t - q->now >= QH)
+        t = q->now + QH - 1;
+    int64_t b = t & (QH - 1);
+    q->bits[b * q->words + pe / 64] |= 1ULL << (pe % 64);
+    q->occ |= 1ULL << b;
 }
 
 /* The next PE in (cycle, PE id) order, taken off the queue with q->now
@@ -93,30 +65,20 @@ static inline int64_t dequeue(pe_queue *q)
         /* the current cycle is done: on to the next one with a PE due */
         int64_t s = q->now & (QH - 1);
         q->occ &= ~(1ULL << s);
-        if (q->occ) {
-            uint64_t later = q->occ >> s;
-            q->now += later ? __builtin_ctzll(later) : QH - s + __builtin_ctzll(q->occ);
-        } else if (q->n_far) {
-            q->now = q->far[0] / q->n_pe;
-        } else {
+        if (!q->occ)
             return -1;
-        }
+        uint64_t later = q->occ >> s;
+        q->now += later ? __builtin_ctzll(later) : QH - s + __builtin_ctzll(q->occ);
         q->w = 0;
-        while (q->n_far && q->far[0] / q->n_pe - q->now < QH) {
-            int64_t key = q->far[0];
-            q->far[0] = q->far[--q->n_far];
-            sift_down(q->far, q->n_far, 0);
-            enqueue(q, key % q->n_pe, key / q->n_pe);
-        }
     }
 }
 
 /* Advance one segment from cycle `now`; see step_segment in _stepper.py.
  * out receives (end cycle, FAULT_* code or 0, pe, detail). work holds
- * 6 * n_pe + QH * ceil(n_pe / 64) scratch slots: the far heap, the
- * transfer each parked PE waits on, each PE's cursors (its next op's index
- * in the segment and in the template columns, its copy, its next bank)
- * and the QH bucket bitmaps (see pe_queue). */
+ * 5 * n_pe + QH * ceil(n_pe / 64) scratch slots: the transfer each
+ * parked PE waits on, each PE's cursors (its next op's index in the
+ * segment and in the template columns, its copy, its next bank) and the
+ * QH bucket bitmaps (see pe_queue). */
 void step_segment(
     /* op templates: template t's ops are tpl_ptr[t] .. tpl_ptr[t + 1] */
     const uint8_t *tpl_kind, const uint8_t *tpl_cls, const int32_t *tpl_arg,
@@ -126,10 +88,9 @@ void step_segment(
      * and stores from bank[bank_ptr[pe]] on, and its op count */
     const int32_t *copy_tpl, const int64_t *copy_ptr,
     const uint16_t *bank, const int64_t *bank_ptr, const int64_t *n_ops,
-    /* per-PE state; ready and ready_kind are [n_pe, DEP_RING], win and
-     * acct [n_pe, window] and [n_pe, ACC_WIDTH] */
-    int64_t *abs_idx, int64_t *t_free, int64_t *ready, uint8_t *ready_kind,
-    int64_t *win, int64_t *acct,
+    /* per-PE state; ready is [n_pe, DEP_RING] records (see the top), win
+     * and acct [n_pe, window] and [n_pe, ACC_WIDTH] */
+    int64_t *abs_idx, int64_t *t_free, int64_t *ready, int64_t *win, int64_t *acct,
     /* shared memory-system state */
     int64_t *bank_next, int64_t *out_next, int64_t *in_next,
     /* DMA: transfer t's segments are seg_ptr[t] .. seg_ptr[t + 1] */
@@ -146,12 +107,12 @@ void step_segment(
     const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
     /* tile ids by shifts: every tile size is a power of two */
     const int pe_shift = __builtin_ctzll(pes_per_tile), bank_shift = __builtin_ctzll(banks_per_tile);
-    int64_t *parked = work + n_pe, *cursor = work + 2 * n_pe, *op_at = work + 3 * n_pe;
-    int64_t *copy_at = work + 4 * n_pe, *bank_at = work + 5 * n_pe;
+    int64_t *parked = work, *cursor = work + n_pe, *op_at = work + 2 * n_pe;
+    int64_t *copy_at = work + 3 * n_pe, *bank_at = work + 4 * n_pe;
     int64_t n_arrived = 0, n_parked = 0;
     int64_t pe, q;
-    pe_queue queue = {.bits = (uint64_t *)(work + 6 * n_pe), .far = work,
-                      .words = (n_pe + 63) / 64, .n_pe = n_pe, .now = now};
+    pe_queue queue = {.bits = (uint64_t *)(work + 5 * n_pe), .words = (n_pe + 63) / 64,
+                      .now = now};
 
     for (pe = 0; pe < n_pe; pe++) {
         if (pe == 0 || t_free[pe] < queue.now)
@@ -170,6 +131,12 @@ void step_segment(
 
     while ((pe = dequeue(&queue)) >= 0) {
         now = queue.now;
+        if (t_free[pe] > now) {
+            /* a horizon visit: not due yet, so on to its cycle or the
+             * next horizon, booking nothing (see pe_queue) */
+            enqueue(&queue, pe, t_free[pe]);
+            continue;
+        }
         int64_t i = cursor[pe];
         if (i >= n_ops[pe])
             continue;
@@ -183,9 +150,9 @@ void step_segment(
         int64_t deps[2] = {tpl_dep1[o], tpl_dep2[o]};
         for (int s = 0; s < 2; s++) {
             if (deps[s]) {
-                int64_t j = pe * DEP_RING + ((ai - deps[s]) & mask);
-                int64_t rt = ready[j];
-                if (ready_kind[j] == K_COMPUTE) {
+                int64_t r = ready[pe * DEP_RING + ((ai - deps[s]) & mask)];
+                int64_t rt = r >> 1;
+                if (r & 1) {
                     if (rt > g_raw)
                         g_raw = rt;
                 } else if (rt > g_lsu) {
@@ -336,8 +303,7 @@ void step_segment(
         }
 
         /* shared by every kind; a DMA wait with its gate met needs only this */
-        ready[pe * DEP_RING + (ai & mask)] = t_ready;
-        ready_kind[pe * DEP_RING + (ai & mask)] = (uint8_t)k;
+        ready[pe * DEP_RING + (ai & mask)] = t_ready << 1 | (k == K_COMPUTE);
         a[ACC_ISSUED] += n_issued;
         cursor[pe] = i + 1;
         /* past the copy's last op: on to the PE's next copy, if any */

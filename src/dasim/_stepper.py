@@ -29,9 +29,9 @@ by cycle and, within a cycle, by PE id: the order of a scan over all
 PEs per cycle. Shared-resource bookings therefore happen in
 chronological order with PE id as the tie-break, which makes every run
 bit-deterministic. The queue is a ring of QH per-cycle buckets, each a
-bitmap of PE ids read lowest bit first, for the PEs due fewer than QH
-cycles ahead, and a binary heap keyed (cycle, PE) for the rest, which
-join their bucket once their cycle comes within range.
+bitmap of PE ids read lowest bit first. A PE due QH or more cycles ahead
+waits in the ring's last bucket and, when that cycle comes, is queued
+again without acting (a horizon visit), until its own cycle is in range.
 """
 
 import ctypes
@@ -65,10 +65,10 @@ ACC_WIDTH = 5       # columns of the ledger; report.LEDGER names them
 # is 16 (gemm, desk 32^3 to tp 256^3) and gemv's 11 (desk 64^2, tp 256^2)
 DEP_RING = 256
 
-# the stepper queues a PE due fewer than QH cycles ahead in that cycle's
-# bucket bitmap, and a PE due later in a heap; a power of two up to 64, one
-# bit of the occupancy word per bucket. At 64 the buckets take all but 0.04%
-# of the requeues of the bench gemm workloads and 91-93% of tp gemv 256^2's
+# the stepper's buckets: a PE due QH or more cycles ahead takes a horizon
+# visit; a power of two from 2 to 64, one occupancy bit per bucket. At 64,
+# 0.04% or fewer of the bench gemm workloads' requeues take one, and 9.2%
+# (das) and 7.9% (interleaved) of tp gemv 256^2's
 QH = 64
 
 # fault codes
@@ -121,8 +121,8 @@ def _build(cache_dir: str, cc: str = "gcc", flags: tuple = CFLAGS) -> str:
 def _load(path: str):
     """The step_segment function of the library at ``path``, typed for ctypes."""
     fn = ctypes.CDLL(path).step_segment
-    # 29 buffers, then the sizes, the parameters and the start cycle
-    fn.argtypes = [ctypes.c_void_p] * 29 + [ctypes.c_int64] * 12
+    # 28 buffers, then the sizes, the parameters and the start cycle
+    fn.argtypes = [ctypes.c_void_p] * 28 + [ctypes.c_int64] * 12
     fn.restype = None
     return fn
 
@@ -147,11 +147,11 @@ def step_segment(chunk, acct, st, now):
     finish), or the cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
     n_pe = len(chunk.n_ops)
-    work = np.empty(6 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
+    work = np.empty(5 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
     out = np.empty(4, dtype=np.int64)
     buffers = (*(chunk.tpl[c] for c in TEMPLATE_COLS), chunk.tpl_ptr,
                chunk.copy_tpl, chunk.copy_ptr, chunk.bank, chunk.bank_ptr, chunk.n_ops,
-               st.abs_idx, st.t_free, st.ready, st.ready_kind, st.win, acct,
+               st.abs_idx, st.t_free, st.ready, st.win, acct,
                st.bank_next, st.out_next, st.in_next,
                st.seg_ptr, st.seg_backend, st.seg_words, st.transfer_done, st.backend_next,
                st.level_lat, st.class_lat, work, out)

@@ -330,19 +330,19 @@ class _State:
 
     Kept from phase to phase and updated in place by the stepper: per PE,
     the absolute index of its next op, the cycle it can next act, its
-    dependence rings (each of its last DEP_RING ops' result cycle and
-    kind), its window slots (the cycle each outstanding memory op
-    retires); shared, each bank's and port's next free cycle, each
-    transfer's completion cycle (-1 until started) and each DMA
-    backend's next free cycle. Ports are [n_tiles, 4 levels, ports]: a
-    tile-local access books its own tile's level-0 entries, scratch that
-    no access reads for its timing, so that the stepper picks its serve
-    cycle by a select, not by a mispredicted branch on the level. Fixed
-    for the run: the transfers' (backend, words) segments, transfer t's
-    at seg_ptr[t]:seg_ptr[t + 1]; the level and class latencies, port
-    counts, tile geometry (PEs and banks per tile, tiles per subgroup and
-    per group: an access's level follows from them), L2 latency and DMA
-    rate.
+    dependence ring (one int64 record for each of its last DEP_RING ops,
+    the result cycle << 1 | whether the op is a compute op), its window
+    slots (the cycle each outstanding memory op retires); shared, each
+    bank's and port's next free cycle, each transfer's completion cycle
+    (-1 until started) and each DMA backend's next free cycle. Ports are
+    [n_tiles, 4 levels, ports]: a tile-local access books its own tile's
+    level-0 entries, scratch that no access reads for its timing, so that
+    the stepper picks its serve cycle by a select, not by a mispredicted
+    branch on the level. Fixed for the run: the transfers' (backend,
+    words) segments, transfer t's at seg_ptr[t]:seg_ptr[t + 1]; the level
+    and class latencies, port counts, tile geometry (PEs and banks per
+    tile, tiles per subgroup and per group: an access's level follows from
+    them), L2 latency and DMA rate.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
@@ -351,7 +351,6 @@ class _State:
         self.abs_idx = np.zeros(n_pe, dtype=np.int64)
         self.t_free = np.zeros(n_pe, dtype=np.int64)
         self.ready = np.zeros((n_pe, DEP_RING), dtype=np.int64)
-        self.ready_kind = np.zeros((n_pe, DEP_RING), dtype=np.uint8)
         self.win = np.zeros((n_pe, params.window), dtype=np.int64)
         self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
         self.out_next = np.zeros(topo.n_tiles * 4 * params.out_ports, dtype=np.int64)

@@ -43,7 +43,7 @@ def _step(chunk, win, acct, st, now):
     n_ops = chunk.n_ops.tolist()
     # per-PE state, memoryviews: the ready rings are [n_pe, DEP_RING]
     abs_idx, t_free = mv(st.abs_idx), mv(st.t_free)
-    ready, ready_kind = mv(st.ready), mv(st.ready_kind)
+    ready = mv(st.ready)
     # shared memory-system state: [n_banks], [(tile * 4 + level) * ports + port]
     bank_next, out_next, in_next = mv(st.bank_next), mv(st.out_next), mv(st.in_next)
     # DMA: per transfer id, its (backend, words) segments and completion
@@ -83,9 +83,9 @@ def _step(chunk, win, acct, st, now):
         g_lsu = g_raw = g_wfi = now
         for d in (op_dep1[pe, i], op_dep2[pe, i]):
             if d:
-                j = (ai - d) & mask
-                rt = ready[pe, j]
-                if ready_kind[pe, j] == K_COMPUTE:
+                r = ready[pe, (ai - d) & mask]
+                rt = r >> 1
+                if r & 1:
                     if rt > g_raw:
                         g_raw = rt
                 elif rt > g_lsu:
@@ -202,8 +202,7 @@ def _step(chunk, win, acct, st, now):
                 heappush(queue, (now + 1) * n_pe + q)
 
         # shared by every kind; a DMA wait with its gate met needs only this
-        ready[pe, ai & mask] = t_ready
-        ready_kind[pe, ai & mask] = k
+        ready[pe, ai & mask] = t_ready << 1 | (k == K_COMPUTE)
         acct[pe][ACC_ISSUED] += n_issued
         cursor[pe] = i + 1
         abs_idx[pe] = ai + 1

@@ -615,16 +615,16 @@ def test_a_phase_without_a_barrier_fills_its_row():
 
 
 def test_run_state_on_terapool_stays_small():
-    # mostly the dependence rings, [n_pe, DEP_RING] int64 and uint8; an
-    # array of 4 MiB or more may be backed by huge pages, so its resident
-    # size varies from run to run
+    # mostly the dependence rings, [n_pe, DEP_RING] int64 records (2 MiB);
+    # an array of 4 MiB or more may be backed by huge pages, so its
+    # resident size varies from run to run
     tracemalloc.start()
     try:
         engine._State(terapool_default(), EngineParams(), [])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 9 << 18   # 2.25 MiB
 
 
 @pytest.mark.parametrize("knob,value", [
@@ -923,9 +923,10 @@ def _queue_edge_case(seed, topo):
     transfers, as in ``_plan_with_transfers``; each transfer is started
     by a random PE and waited for by up to four others, behind an L2
     latency of 100 cycles. About one compute op in five is a burst of
-    QH - 1, QH, QH + 1 or 3 * QH issues. So PEs leave the far heap in
-    cycles that PEs queued in the buckets share, with lower ids and
-    higher. Window 1-5, 1-3 ports.
+    QH - 1, QH, QH + 1, 3 * QH or 5 * QH + 3 issues. So PEs take one or
+    several horizon visits before their cycle, and reach it in cycles
+    that PEs queued there directly share, with lower ids and higher.
+    Window 1-5, 1-3 ports.
     """
     qh = _stepper.QH
     rng = np.random.default_rng(seed)
@@ -942,7 +943,8 @@ def _queue_edge_case(seed, topo):
         for prog in progs:
             for j, op in enumerate(prog):
                 if op[0] == "compute" and rng.random() < 0.2:
-                    prog[j] = op[:2] + (int(rng.choice([qh - 1, qh, qh + 1, 3 * qh])), op[3])
+                    burst = int(rng.choice([qh - 1, qh, qh + 1, 3 * qh, 5 * qh + 3]))
+                    prog[j] = op[:2] + (burst, op[3])
         return progs
 
     return _plan_with_transfers(rng, topo, n_phases, _random_transfers(rng, topo, n_dma),
@@ -959,7 +961,7 @@ def test_c_stepper_matches_oracle_at_queue_edges(monkeypatch, topo):
 
 def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):
     # PEs 0 and 2 reach cycle QH + 1 through the buckets (QH - 1 issues,
-    # then 2 more), PE 1 from the far heap (QH + 1 issues from cycle 0);
+    # then 2 more), PE 1 after a horizon visit (QH + 1 issues from cycle 0);
     # there all three load bank 0 of their tile. The bank serves them in
     # PE id order, at QH + 1, QH + 2 and QH + 3, so each dependent ALU op
     # waits one cycle longer than the PE's before and retires a cycle later
@@ -976,7 +978,7 @@ def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):
 
 
 def test_c_stepper_matches_oracle_with_a_two_cycle_horizon(monkeypatch, tmp_path):
-    # a stepper built with QH 2 sends nearly every wait through the far heap
+    # a stepper built with QH 2 sends nearly every wait through horizon visits
     monkeypatch.setattr(_stepper, "QH", 2)
     monkeypatch.setattr(_stepper, "_c_step", _stepper._load(_stepper._build(str(tmp_path))))
     for ports in (1, 3):
