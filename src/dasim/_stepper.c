@@ -1,4 +1,5 @@
-/* Cycle-stepped core of the simulator: step_segment, loaded by _stepper.py.
+/* Cycle-stepped core of the simulator, step_segment, and the word placement
+ * its banks come from, resolve; both loaded by _stepper.py.
  *
  * The op kinds (K_*), ledger columns and width (ACC_*), fault codes (FAULT_*),
  * DEP_RING and QH are defined in _stepper.py only and arrive as -D macros.
@@ -84,10 +85,10 @@ void step_segment(
     const uint8_t *tpl_kind, const uint8_t *tpl_cls, const int32_t *tpl_arg,
     const uint16_t *tpl_dep1, const uint16_t *tpl_dep2, const int64_t *tpl_ptr,
     /* per PE, in stream order: the templates of its copies
-     * copy_tpl[copy_ptr[pe] .. copy_ptr[pe + 1]], the banks of its loads
-     * and stores from bank[bank_ptr[pe]] on, and its op count */
-    const int32_t *copy_tpl, const int64_t *copy_ptr,
-    const uint16_t *bank, const int64_t *bank_ptr, const int64_t *n_ops,
+     * copy_tpl[copy_ptr[pe] .. copy_ptr[pe + 1]], and its op count; copy c's
+     * loads and stores take their banks from bank[copy_bank[c]] on */
+    const int32_t *copy_tpl, const int64_t *copy_ptr, const int64_t *copy_bank,
+    const uint16_t *bank, const int64_t *n_ops,
     /* per-PE state; ready is [n_pe, DEP_RING] records (see the top), win
      * and acct [n_pe, window] and [n_pe, ACC_WIDTH] */
     int64_t *abs_idx, int64_t *t_free, int64_t *ready, int64_t *win, int64_t *acct,
@@ -120,7 +121,7 @@ void step_segment(
         cursor[pe] = 0;
         copy_at[pe] = copy_ptr[pe];
         op_at[pe] = n_ops[pe] ? tpl_ptr[copy_tpl[copy_ptr[pe]]] : 0;
-        bank_at[pe] = bank_ptr[pe];
+        bank_at[pe] = n_ops[pe] ? copy_bank[copy_ptr[pe]] : 0;
         parked[pe] = -1;
     }
     for (q = 0; q < QH * queue.words; q++)
@@ -306,9 +307,13 @@ void step_segment(
         ready[pe * DEP_RING + (ai & mask)] = t_ready << 1 | (k == K_COMPUTE);
         a[ACC_ISSUED] += n_issued;
         cursor[pe] = i + 1;
-        /* past the copy's last op: on to the PE's next copy, if any */
-        if (++o == tpl_ptr[copy_tpl[copy_at[pe]] + 1] && i + 1 < n_ops[pe])
-            o = tpl_ptr[copy_tpl[++copy_at[pe]]];
+        /* past the copy's last op: on to the PE's next copy, if any, and
+         * its first bank */
+        if (++o == tpl_ptr[copy_tpl[copy_at[pe]] + 1] && i + 1 < n_ops[pe]) {
+            int64_t c = ++copy_at[pe];
+            o = tpl_ptr[copy_tpl[c]];
+            bank_at[pe] = copy_bank[c];
+        }
         op_at[pe] = o;
         abs_idx[pe] = ai + 1;
         t_free[pe] = t_next;
@@ -343,4 +348,44 @@ void step_segment(
     }
     /* else a segment without a terminating barrier: PEs end independently,
      * and the last one taken from the queue finishes last */
+}
+
+/* The bank of each of the n byte addresses addrs[i], written to out[i]: the
+ * address-bit permutation of remap.resolve_array. regions holds n_regions
+ * folded regions, disjoint and sorted by base, as rows (base, end, p, s);
+ * an address in none of them takes p = s = 0. Returns the index of the
+ * first address outside [0, total_bytes), or -1 once every one is placed. */
+int64_t resolve(const int64_t *addrs, int64_t n, const int64_t *regions, int64_t n_regions,
+                int64_t word_shift, int64_t bank_bits, int64_t total_bytes, int64_t *out)
+{
+    const uint64_t bank_mask = (1ULL << bank_bits) - 1;
+    int64_t r = 0;      /* the region of the address before, tried first */
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = addrs[i];
+        /* a negative address reads as 2^63 or more unsigned */
+        if ((uint64_t)a >= (uint64_t)total_bytes)
+            return i;
+        const int64_t *g = regions + 4 * r;
+        if (n_regions && !(g[0] <= a && a < g[1])) {
+            /* the last region whose base is at or below a, if any */
+            int64_t lo = 0, hi = n_regions;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) / 2;
+                if (regions[4 * mid] <= a)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            r = lo ? lo - 1 : 0;
+            g = regions + 4 * r;
+        }
+        int64_t p = 0, s = 0;
+        if (n_regions && g[0] <= a && a < g[1])
+            p = g[2], s = g[3];
+        /* the bank keeps the p low bits of the word address and takes bits
+         * p+s .. b+s-1 above them */
+        uint64_t u = (uint64_t)a >> word_shift, p_mask = (1ULL << p) - 1;
+        out[i] = (int64_t)((u & p_mask) | ((u >> s) & (bank_mask ^ p_mask)));
+    }
+    return -1;
 }

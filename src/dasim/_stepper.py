@@ -3,10 +3,12 @@
 One function, ``step_segment``, advances a whole barrier-delimited
 program segment over shared bank/port/backend state. It reads the
 segment's engine.PackedChunk as it is stored: the op templates, each
-PE's copies of them in stream order and the banks of its loads and
-stores. Per PE it keeps a cursor into each (its copy, the op within the
-template, its next bank), and it derives each access's hierarchy level
-from the PE and the bank, as ``topology.access_levels`` does.
+PE's copies of them in stream order, and the banks, from each copy's
+``copy_bank`` entry on. Per PE it keeps a cursor into each (its copy,
+the op within the template, its next bank), and it derives each
+access's hierarchy level from the PE and the bank, as
+``topology.access_levels`` does. Its library also places words for
+remap.resolve_array (``resolve``).
 
 It is written in C (``_stepper.c``), compiled on first import with
 ``gcc -O2 -shared -fPIC`` into this package's ``__pycache__`` and loaded
@@ -119,15 +121,16 @@ def _build(cache_dir: str, cc: str = "gcc", flags: tuple = CFLAGS) -> str:
 
 
 def _load(path: str):
-    """The step_segment function of the library at ``path``, typed for ctypes."""
-    fn = ctypes.CDLL(path).step_segment
+    """The library at ``path``, its step_segment and resolve typed for ctypes."""
+    lib, ptr, i64 = ctypes.CDLL(path), ctypes.c_void_p, ctypes.c_int64
     # 28 buffers, then the sizes, the parameters and the start cycle
-    fn.argtypes = [ctypes.c_void_p] * 28 + [ctypes.c_int64] * 12
-    fn.restype = None
-    return fn
+    lib.step_segment.argtypes, lib.step_segment.restype = [ptr] * 28 + [i64] * 12, None
+    # the addresses and the region rows, each with its count, three parameters, the banks
+    lib.resolve.argtypes, lib.resolve.restype = [ptr, i64] * 2 + [i64] * 3 + [ptr], i64
+    return lib
 
 
-_c_step = _load(_build(os.path.join(_HERE, "__pycache__")))
+_lib = _load(_build(os.path.join(_HERE, "__pycache__")))
 
 # an op template's columns in step_segment's order, with the dtypes it reads
 TEMPLATE_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "dep1": np.uint16,
@@ -150,14 +153,15 @@ def step_segment(chunk, acct, st, now):
     work = np.empty(5 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
     out = np.empty(4, dtype=np.int64)
     buffers = (*(chunk.tpl[c] for c in TEMPLATE_COLS), chunk.tpl_ptr,
-               chunk.copy_tpl, chunk.copy_ptr, chunk.bank, chunk.bank_ptr, chunk.n_ops,
+               chunk.copy_tpl, chunk.copy_ptr, chunk.copy_bank, chunk.bank, chunk.n_ops,
                st.abs_idx, st.t_free, st.ready, st.win, acct,
                st.bank_next, st.out_next, st.in_next,
                st.seg_ptr, st.seg_backend, st.seg_words, st.transfer_done, st.backend_next,
                st.level_lat, st.class_lat, work, out)
-    _c_step(*[b.ctypes.data for b in buffers],
-            n_pe, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
-            st.pes_per_tile, st.banks_per_tile, st.tiles_per_subgroup, st.tiles_per_group,
-            st.l2_lat, st.dma_wpc, now)
+    _lib.step_segment(*[b.ctypes.data for b in buffers],
+                      n_pe, st.win.shape[1], len(st.transfer_done), st.out_ports, st.in_ports,
+                      st.pes_per_tile, st.banks_per_tile, st.tiles_per_subgroup,
+                      st.tiles_per_group, st.l2_lat, st.dma_wpc, now)
     now, code, pe, detail = out.tolist()
     return now, (code, pe, detail) if code else None
+

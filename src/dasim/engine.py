@@ -124,12 +124,13 @@ class PackedChunk:
     columns, concatenated: template t's ops are ``tpl_ptr[t]`` to
     ``tpl_ptr[t + 1]``. PE pe's copies, in stream order, are
     ``copy_tpl[copy_ptr[pe]:copy_ptr[pe + 1]]``, each its template's
-    index; the banks of its loads and stores, in stream order, are
-    ``bank[bank_ptr[pe]:bank_ptr[pe + 1]]``; ``n_ops[pe]`` counts its
-    ops. The pointer arrays are int64, copy_tpl int32 and bank uint16.
-    No access's level is stored: it follows from the PE and the bank on
-    ``topo``. A template's ops are stored once however many copies it
-    has, so the chunk holds a few bytes per memory op and per copy.
+    index; ``n_ops[pe]`` counts its ops. Copy c's loads and stores take
+    their banks from ``bank[copy_bank[c]]`` on, ``bank`` being in
+    make_chunk's batch order, not PE by PE. The pointer arrays and
+    copy_bank are int64, copy_tpl int32 and bank uint16. No access's
+    level is stored: it follows from the PE and the bank on ``topo``. A
+    template's ops are stored once however many copies it has, so the
+    chunk holds a few bytes per memory op and per copy.
     """
 
     topo: ClusterTopology
@@ -138,7 +139,7 @@ class PackedChunk:
     tpl_ptr: np.ndarray
     copy_ptr: np.ndarray
     copy_tpl: np.ndarray
-    bank_ptr: np.ndarray
+    copy_bank: np.ndarray
     bank: np.ndarray
 
     @property
@@ -178,10 +179,10 @@ class FlatView(Mapping):
         slot = pe * out.shape[1] + first - first[ch.copy_ptr[pe]]
         col = ch.tpl.get(name)
         if col is None:
-            # bank or level: per copy, also its first bank's index
+            # bank or level: op j of copy c, a load or store, has bank base[c] + mem_at[j]
             is_mem = ch.tpl["kind"] <= K_STORE
-            mems = np.diff(np.concatenate(([0], np.cumsum(is_mem)))[ch.tpl_ptr])[ch.copy_tpl]
-            first_bank = np.cumsum(mems) - mems
+            mem_at = np.cumsum(is_mem) - is_mem
+            base = ch.copy_bank - mem_at[ch.tpl_ptr[:-1]][ch.copy_tpl]
         # blocks of the copies that start within VIEW_OPS ops of each other
         edges = np.unique(np.r_[0, np.searchsorted(first, np.arange(0, lens.sum(), VIEW_OPS)),
                                 len(lens)])
@@ -194,7 +195,7 @@ class FlatView(Mapping):
                 flat[at] = col[src]
                 continue
             mem = is_mem[src]
-            bank = ch.bank[first_bank[c0]:first_bank[c0] + np.count_nonzero(mem)]
+            bank = ch.bank[(np.repeat(base[c0:c1], n) + mem_at[src])[mem]]
             flat[at[mem]] = (bank if name == "bank" else
                              access_levels(ch.topo, np.repeat(pe[c0:c1], n)[mem], bank))
         return out
@@ -213,39 +214,41 @@ class Phase:
 
 
 def make_chunk(n_ops: np.ndarray, batches, *, topo: ClusterTopology,
-               n_copies: np.ndarray, n_mem: np.ndarray) -> PackedChunk:
-    """The chunk of ``batches`` on ``topo``, for per-PE counts of ops,
-    copies and loads plus stores (``n_ops``, ``n_copies``, ``n_mem``,
-    int64 each).
+               n_copies: np.ndarray, n_mem: int) -> PackedChunk:
+    """The chunk of ``batches`` on ``topo``, for per-PE counts of ops and
+    copies (``n_ops``, ``n_copies``, int64 each) and ``n_mem`` loads plus
+    stores in all.
 
-    Each batch is ``(pes, copy_ix, mem_ix, template, bank)``: k copies
-    of one op template, a dict of its TEMPLATE_COLS columns. Copy i is
-    PE ``pes[i]``'s copy number ``copy_ix[i]`` of the phase, and row i
-    of ``bank`` (k x the template's loads and stores) holds its banks,
-    which are that PE's from number ``mem_ix[i]`` on. A template is
-    stored once, however many batches carry it (the same dict); each
-    batch's copies land with one write, and its banks with another.
-    Every copy and bank of every PE must be written by some batch.
+    Each batch is ``(pes, copy_ix, template, banks)``: k copies of one op
+    template, a dict of its TEMPLATE_COLS columns. Copy i is PE
+    ``pes[i]``'s copy number ``copy_ix[i]`` of the phase; ``banks`` (1-D)
+    holds the copies' banks, copy by copy, and goes into ``bank`` after
+    the batch before's with one write. A template is stored once, however
+    many batches carry it (the same dict). Every copy and bank must be
+    written by some batch.
     """
     copy_ptr = np.concatenate(([0], np.cumsum(n_copies)))
-    bank_ptr = np.concatenate(([0], np.cumsum(n_mem)))
     copy_tpl = np.zeros(copy_ptr[-1], dtype=np.int32)
-    bank = np.zeros(bank_ptr[-1], dtype=np.uint16)
-    index, templates = {}, []
-    for pes, copy_ix, mem_ix, template, banks in batches:
+    copy_bank = np.zeros(copy_ptr[-1], dtype=np.int64)
+    bank = np.zeros(n_mem, dtype=np.uint16)
+    index, templates, mems, at = {}, [], [], 0
+    for pes, copy_ix, template, banks in batches:
         t = index.get(id(template))
         if t is None:
             t = index[id(template)] = len(templates)
             templates.append(template)
-        copy_tpl[copy_ptr[pes] + copy_ix] = t
-        if banks.size:
-            bank[(bank_ptr[pes] + mem_ix)[:, None] + np.arange(banks.shape[1])] = banks
+            mems.append(int(np.count_nonzero(template["kind"] <= K_STORE)))
+        copy = copy_ptr[pes] + copy_ix
+        copy_tpl[copy] = t
+        copy_bank[copy] = at + mems[t] * np.arange(len(pes))
+        bank[at:at + len(pes) * mems[t]] = banks
+        at += len(pes) * mems[t]
     tpl_ptr = np.cumsum([0] + [len(t["kind"]) for t in templates], dtype=np.int64)
     tpl = {name: np.concatenate([np.zeros(0, dtype)] + [t[name] for t in templates]
                                 ).astype(dtype, copy=False)
            for name, dtype in TEMPLATE_COLS.items()}
     return PackedChunk(topo=topo, n_ops=n_ops, tpl=tpl, tpl_ptr=tpl_ptr, copy_ptr=copy_ptr,
-                       copy_tpl=copy_tpl, bank_ptr=bank_ptr, bank=bank)
+                       copy_tpl=copy_tpl, copy_bank=copy_bank, bank=bank)
 
 
 # -- engine state and run ------------------------------------------------------
@@ -266,20 +269,21 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     built by hand, passes here first. Every array must be C-contiguous,
     1-D and of its dtype. The pointer arrays must start at 0, never fall
     and end at their array's length, and every template must hold an
-    op; each PE's copies must hold its n_ops ops and its banks' count of
-    loads and stores. Each template op is range-checked once, however
-    many copies it has, with a compute count checked on compute ops
-    only; a failure names the template and the op. Every bank must lie
-    below ``n_banks``. Nothing is read per slot of a flat row.
+    op; each PE's copies must hold its n_ops ops, and each copy's banks
+    lie in ``bank``, which holds all copies' loads and stores. Each
+    template op is range-checked once, however many copies it has, with
+    a compute count checked on compute ops only; a failure names the
+    template and the op. Every bank must lie below ``n_banks``. Nothing
+    is read per slot of a flat row.
     """
     n_pe, tpl = topo.n_pes, chunk.tpl
     n_tpl_ops = len(tpl.get("kind", ()))
     # each array, its dtype and its length where that is fixed
     spec = {"n_ops": (chunk.n_ops, np.int64, n_pe),
             "copy_ptr": (chunk.copy_ptr, np.int64, n_pe + 1),
-            "bank_ptr": (chunk.bank_ptr, np.int64, n_pe + 1),
             "tpl_ptr": (chunk.tpl_ptr, np.int64, None),
             "copy_tpl": (chunk.copy_tpl, np.int32, None), "bank": (chunk.bank, np.uint16, None),
+            "copy_bank": (chunk.copy_bank, np.int64, len(chunk.copy_tpl)),
             **{name: (tpl.get(name), dtype, n_tpl_ops) for name, dtype in TEMPLATE_COLS.items()}}
     for name, (a, dtype, length) in spec.items():
         if (not isinstance(a, np.ndarray) or a.dtype != dtype
@@ -289,8 +293,7 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
         if length is not None and len(a) != length:
             raise ValueError(f"chunk array {name!r} has {len(a)} entries, not {length}")
     for name, ptr, end, least in (("tpl_ptr", chunk.tpl_ptr, n_tpl_ops, 1),
-                                  ("copy_ptr", chunk.copy_ptr, len(chunk.copy_tpl), 0),
-                                  ("bank_ptr", chunk.bank_ptr, len(chunk.bank), 0)):
+                                  ("copy_ptr", chunk.copy_ptr, len(chunk.copy_tpl), 0)):
         if not len(ptr) or ptr[0] != 0 or ptr[-1] != end or (np.diff(ptr) < least).any():
             raise ValueError(f"chunk array {name!r} must start at 0, rise by at least "
                              f"{least} per entry and end at {end}")
@@ -299,14 +302,18 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     if len(copy_tpl) and (copy_tpl.min() < 0 or copy_tpl.max() >= n_tpl):
         raise ValueError(f"chunk array 'copy_tpl' names a template outside [0, {n_tpl})")
     kind = tpl["kind"]
-    # per template its ops and loads plus stores, then per PE over its copies
-    mem_at = np.concatenate(([0], np.cumsum(kind <= K_STORE)))[chunk.tpl_ptr]
-    for name, per_tpl, want in (("n_ops", np.diff(chunk.tpl_ptr), chunk.n_ops),
-                                ("bank_ptr", np.diff(mem_at), np.diff(chunk.bank_ptr))):
-        at = np.concatenate(([0], np.cumsum(per_tpl[copy_tpl])))[chunk.copy_ptr]
-        if not np.array_equal(np.diff(at), want):
-            pe = int(np.argmax(np.diff(at) != want))
-            raise ValueError(f"chunk array {name!r} disagrees with PE {pe}'s copies")
+    # per PE its copies' ops, and per copy its loads and stores
+    ops = np.diff(np.cumsum(np.r_[0, np.diff(chunk.tpl_ptr)[copy_tpl]])[chunk.copy_ptr])
+    mems = np.diff(np.cumsum(np.r_[0, kind <= K_STORE])[chunk.tpl_ptr])[copy_tpl]
+    if not np.array_equal(ops, chunk.n_ops):
+        raise ValueError(f"chunk array 'n_ops' disagrees with PE "
+                         f"{int(np.argmax(ops != chunk.n_ops))}'s copies")
+    # each copy's last bank, compared with no overflow
+    out = (chunk.copy_bank < 0) | (chunk.copy_bank > len(chunk.bank) - mems)
+    if out.any():
+        raise ValueError(f"chunk array 'copy_bank': copy {np.argmax(out)} reads outside 'bank'")
+    if mems.sum() != len(chunk.bank):
+        raise ValueError(f"chunk array 'bank' holds {len(chunk.bank)} banks, not {mems.sum()}")
     comp_at = np.flatnonzero(kind == K_COMPUTE)
     # ~count > -2 is a count below 1, with no overflow
     for name, col, top, what in (

@@ -5,18 +5,18 @@ into named phases, and the DMA transfers for one kernel under one
 mapping scheme. A PlanBuilder holds its open phase as one copy table,
 with byte addresses: an entry (template, pes, addr) per emit_copies or
 emit_reduction call, in call order, holding one copy of an op template
-per work item, item i's on PE pes[i] with addresses addr[i]. A PE's
-stream is its copies in table order, then item order within an entry.
-Ops pushed one at a time on ``pb.streams[pe]`` close into a one-copy
-entry of their own before the next entry is added. Per PE the builder
-keeps only an op counter, which runs on across phases.
+per work item, item i's on PE pes[i] with addresses addr[i], one per
+load and store. A PE's stream is its copies in table order, then item
+order within an entry. Ops pushed one at a time on ``pb.streams[pe]``
+close into a one-copy entry of their own before the next entry is added.
+Per PE the builder keeps only an op counter, which runs on across phases.
 
 PlanBuilder.end_phase closes a phase. A stable sort of the table's PEs
-numbers each copy, and its first load or store, on its PE. Each entry's
-blocks of copies then resolve their addresses against the regions live
-at that moment (so a region freed in a later phase still resolves the
-accesses emitted while it was live) and land in the phase's single
-chunk in template form, copies and banks with one write each. Then the
+numbers each copy on its PE. Each entry's blocks of rows then resolve
+their addresses against the regions live at that moment (so a region
+freed in a later phase still resolves the accesses emitted while it was
+live), a call per block, and land in the phase's single chunk in
+template form, copies and banks with one write each. Then the
 barrier (one shared one-op template) ends every stream, unless told
 not to. Templates are stored once per phase, never expanded per copy.
 emit_reduction writes a kernel's software-pipelined reductions and
@@ -39,10 +39,9 @@ from ..topology import ClusterTopology
 
 C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat_mac, lat_div
 
-# the columns of an op record and their dtypes, from a table entry to
-# end_phase, which resolves each load's and store's addr to its bank: an
-# op template's columns (TEMPLATE_COLS), shared by its copies, and the
-# address, which each copy takes from its own row
+# the columns of an op record and their dtypes: an op template's columns
+# (TEMPLATE_COLS), shared by its copies, and the address, which a table
+# entry keeps for loads and stores only, a row per copy
 STREAM_COLS = {**TEMPLATE_COLS, "addr": np.int64}
 
 # the barrier that ends a phase's streams: one template for every PE
@@ -51,8 +50,8 @@ BARRIER["kind"][0] = K_BARRIER
 for _col in BARRIER.values():
     _col.flags.writeable = False
 
-# ops of one table entry that end_phase resolves and packs at a time
-# (one copy, if a copy is longer): its temporaries stay near 1 MiB however
+# addresses of one table entry that end_phase resolves and packs at a time
+# (one copy's, if a copy has more): its temporaries stay small however
 # large the phase (a whole phase at once raised desk gemm n_parallel 4's
 # peak resident memory by 20%)
 BATCH_OPS = 8192
@@ -176,23 +175,27 @@ def emit_copies(pb: "PlanBuilder", pes, template: dict, addr) -> None:
     """One copy of an op template per work item: item i's on PE ``pes[i]``.
 
     ``template`` holds the TEMPLATE_COLS columns of the ops, and row i of
-    ``addr`` (n_items x ops) the byte addresses of item i's copy. Each
-    dependence distance stays within one copy, so the template is checked
-    once for every item. A PE listed for several items takes their
-    copies in item order. The call adds one entry to ``pb``'s copy
-    table, which keeps its own read-only copies of the template's
-    columns, ``pes`` and ``addr``.
+    ``addr`` (n_items x ops) the byte addresses of item i's copy; only its
+    loads' and stores' are kept. Each dependence distance stays within
+    one copy, so the template is checked once for every item. A PE listed
+    for several items takes their copies in item order. The call adds one
+    entry to ``pb``'s copy table, which keeps its own read-only copies of
+    the template's columns, ``pes`` and the load and store addresses.
     """
-    _copy_template(pb, pes, template, np.array(addr, dtype=np.int64))
+    _copy_template(pb, pes, template, np.asarray(addr, dtype=np.int64), every_op=True)
 
 
-def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray) -> None:
-    """emit_copies with an int64 address matrix that no caller keeps: the
-    table takes it as it is, not a copy of it."""
+def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray,
+                   every_op: bool = False) -> None:
+    """emit_copies with an int64 matrix of the loads' and stores' addresses
+    that no caller keeps, which the table takes as it is; ``every_op``
+    gives one of a column per op, of which the table copies those."""
     pes = np.array(pes, dtype=np.int64)
     cols = {k: np.asarray(template[k]) for k in TEMPLATE_COLS}
     n = cols["kind"].size
-    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(pes), n):
+    is_mem = cols["kind"].astype(TEMPLATE_COLS["kind"]) <= K_STORE
+    width = n if every_op else np.count_nonzero(is_mem)
+    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(pes), width):
         raise ValueError(f"template columns {[c.shape for c in cols.values()]} and "
                          f"addresses {np.shape(addr)} for {len(pes)} items do not agree")
     n_pe = pb.topo.n_pes
@@ -207,6 +210,7 @@ def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray) -> 
     for c, d in TEMPLATE_COLS.items():
         cols[c] = cols[c].astype(d)
         cols[c].flags.writeable = False
+    addr = addr[:, is_mem] if every_op else addr
     pes.flags.writeable = addr.flags.writeable = False
     pb._add(cols, pes, addr)
 
@@ -228,9 +232,9 @@ def emit_reduction(pb: "PlanBuilder", pes, loads: tuple, macs: int, dep_cols: tu
     retires the last step, and each ``out_addr[i]`` store waits for it.
     Dependence distances come from the ops' positions in the item's
     copy. Each array, or each pair's sum, goes straight into the copies'
-    address matrix: step 0's columns, then a view with one row of w + 1
-    ops per later step. So a pair needs no array of its full size
-    besides the matrix.
+    address matrix, which holds the loads step by step, then the stores:
+    a view of its loads as items x steps x w takes each with one write.
+    So a pair needs no array of its full size besides the matrix.
     """
     pairs = [part if isinstance(part, tuple) else (part, 0) for part in loads]
     shapes = [np.broadcast_shapes(*map(np.shape, pair)) for pair in pairs]
@@ -255,19 +259,16 @@ def emit_reduction(pb: "PlanBuilder", pes, loads: tuple, macs: int, dep_cols: tu
         c["kind"][w], c["cls"][w], c["arg"][w] = K_COMPUTE, C_ALU, 1
     c["kind"][store_pos] = K_STORE
     c["dep1"][store_pos] = store_pos - drain
-    addr = np.zeros((n_items, len(c["kind"])), dtype=np.int64)
-    # step 0's loads, and from op ``head`` on a row per later step: its
-    # loads, then the burst retiring the step before
-    later = addr[:, head:drain].reshape(n_items, n_steps - 1, w + 1)
+    addr = np.empty((n_items, n_steps * w + out_addr.shape[1]), dtype=np.int64)
+    loaded = addr[:, :n_steps * w].reshape(n_items, n_steps, w)
     col = 0
     for pair, width in zip(pairs, widths):
         a, b = (np.broadcast_to(t, (n_items, n_steps, width)) for t in pair)
-        # one sum per destination, never in place: an in-place add into a
+        # one sum into the view, never in place: an in-place add into a
         # strided view may buffer a copy of the whole view
-        np.add(a[:, 0], b[:, 0], out=addr[:, col:col + width])
-        np.add(a[:, 1:], b[:, 1:], out=later[:, :, col:col + width])
+        np.add(a, b, out=loaded[:, :, col:col + width])
         col += width
-    addr[:, drain + 1:] = out_addr
+    addr[:, n_steps * w:] = out_addr
     _copy_template(pb, pes, c, addr)
 
 
@@ -379,8 +380,7 @@ class PlanBuilder:
         cfg = self.heap.regions[operand.base]
         lo, hi = cfg.base_addr, cfg.base_addr + cfg.size_bytes
         self._flush()
-        hit = [pes[((a >= lo) & (a < hi) & (t["kind"] <= K_STORE)).any(axis=1)]
-               for t, pes, a in self._table]
+        hit = [pes[((a >= lo) & (a < hi)).any(axis=1)] for _, pes, a in self._table]
         pe = min((int(h.min()) for h in hit if h.size), default=None)
         if pe is not None:
             raise RuntimeError(f"free of {operand.name!r} in phase "
@@ -422,13 +422,13 @@ class PlanBuilder:
         """Close the ops each PE pushed one at a time into a one-copy entry."""
         for pe, c in self._singles.items():
             cols = {k: np.array(v, dtype=STREAM_COLS[k]) for k, v in c.items()}
-            self._table.append((cols, np.array([pe]), cols.pop("addr")[None]))
+            addr = cols.pop("addr")[cols["kind"] <= K_STORE]
+            self._table.append((cols, np.array([pe]), addr[None]))
         self._singles = {}
 
     def end_phase(self, barrier: bool = True) -> None:
-        """Close the open phase into one chunk, its copy table numbered
-        per PE with numpy, and end every stream with a barrier unless told
-        not to."""
+        """Close the open phase into one chunk, its copies numbered per PE
+        with numpy, and end every stream with a barrier unless told not to."""
         name = self._phase_name
         if name is None:
             raise RuntimeError("no phase open")
@@ -436,73 +436,57 @@ class PlanBuilder:
         self._flush()
         table, self._table = self._table, []
         n_pe = self.topo.n_pes
-        # per entry its template's loads and stores, per copy its PE, ops
-        # and loads plus stores, in table order
-        mem_pos = [np.flatnonzero(t["kind"] <= K_STORE) for t, _, _ in table]
+        # per copy its PE and ops, in table order
         items = [len(pes) for _, pes, _ in table]
         pes = np.concatenate([np.zeros(0, dtype=np.int64)] + [pes for _, pes, _ in table])
         copy_ops = np.repeat([len(t["kind"]) for t, _, _ in table], items).astype(np.int64)
-        copy_mem = np.repeat([len(m) for m in mem_pos], items).astype(np.int64)
         n_ops = np.bincount(pes, copy_ops, n_pe).astype(np.int64)
         n_copies = np.bincount(pes, minlength=n_pe)
-        n_mem = np.bincount(pes, copy_mem, n_pe).astype(np.int64)
-        # the copies in stream order, PE by PE: each one's number and its
-        # first load's or store's on its PE are its place in that order
-        # less its PE's first copy's and first load's or store's
+        # the copies in stream order, PE by PE: each one's number on its PE
+        # is its place in that order less its PE's first copy's
         order = np.argsort(pes, kind="stable")
-        on, mem = pes[order], copy_mem[order]
-        copy_ix, mem_ix = np.empty((2, len(pes)), dtype=np.int64)
-        copy_ix[order] = np.arange(len(pes)) - (np.cumsum(n_copies) - n_copies)[on]
-        mem_ix[order] = np.cumsum(mem) - mem - (np.cumsum(n_mem) - n_mem)[on]
-        at = np.cumsum(items)[:-1]
-        entries = list(zip(table, mem_pos, np.split(copy_ix, at), np.split(mem_ix, at)))
-        batches = self._pack_table(name, entries, n_mem)
+        copy_ix = np.empty(len(pes), dtype=np.int64)
+        copy_ix[order] = np.arange(len(pes)) - (np.cumsum(n_copies) - n_copies)[pes[order]]
+        batches = self._pack_table(name, table, np.split(copy_ix, np.cumsum(items)[:-1]))
         if barrier:
-            batches = chain(batches, [(np.arange(n_pe), n_copies, n_mem, BARRIER,
-                                       np.zeros((n_pe, 0), dtype=np.int64))])
+            batches = chain(batches, [(np.arange(n_pe), n_copies, BARRIER, np.zeros(0, np.int64))])
         chunk = make_chunk(n_ops + barrier, batches, topo=self.topo,
-                           n_copies=n_copies + barrier, n_mem=n_mem)
+                           n_copies=n_copies + barrier, n_mem=sum(a.size for _, _, a in table))
         self._n += barrier
         self.phases.append(Phase(name=name, chunks=[chunk]))
 
-    def _pack_table(self, name: str, entries: list, n_mem: np.ndarray):
+    def _pack_table(self, name: str, table: list, copy_ixs: list):
         """Yield each table entry as make_chunk batches, counted into the
         closed-form totals: row slices of its address matrix holding at
-        most BATCH_OPS ops (or one copy holding more), with addresses
-        resolved to banks.
-        """
+        most BATCH_OPS addresses (or one copy holding more), resolved to
+        banks by one resolve_array call each."""
         regions = self.heap.das_regions()
-        for (template, pes, addr), mem, copy_ix, mem_ix in entries:
+        for (template, pes, addr), copy_ix in zip(table, copy_ixs):
             kind = template["kind"]
             is_mac = (kind == K_COMPUTE) & (template["cls"] == C_MAC)
             self._counts["macs"] += len(pes) * int(template["arg"][is_mac].sum())
             self._counts["loads"] += len(pes) * int((kind == K_LOAD).sum())
             self._counts["stores"] += len(pes) * int((kind == K_STORE).sum())
-            step = max(1, BATCH_OPS // len(kind))
+            width = addr.shape[1]
+            step = max(1, BATCH_OPS // width) if width else len(pes)
             for lo in range(0, len(pes), step):
-                at = slice(lo, lo + step)
-                bank = np.zeros((len(pes[at]), 0), dtype=np.int64)
-                if len(mem):
+                block = addr[lo:lo + step].reshape(-1)      # its addresses, then their banks
+                if width:
                     try:
-                        bank = resolve_array(self.topo, regions, addr[at, mem].reshape(-1))
+                        block = resolve_array(self.topo, regions, block)
                     except ValueError as e:
-                        raise self._fault(name, regions, entries, n_mem) from e
-                    bank = bank.reshape(-1, len(mem))
-                yield pes[at], copy_ix[at], mem_ix[at], template, bank
+                        raise self._fault(name, regions, table) from e
+                yield pes[lo:lo + step], copy_ix[lo:lo + step], template, block
 
-    def _fault(self, name: str, regions: list, entries: list,
-               n_mem: np.ndarray) -> SimulationFault:
+    def _fault(self, name: str, regions: list, table: list) -> SimulationFault:
         """The fault of a phase whose loads and stores do not all resolve:
         it names the lowest PE whose own accesses, in stream order, fail
         to (a bad address is some PE's, a bad region list fails every PE
         with an access), with that PE's error."""
-        ptr = np.concatenate(([0], np.cumsum(n_mem)))
-        own = np.zeros(ptr[-1], dtype=np.int64)
-        for (_, pes, addr), mem, _, mem_ix in entries:
-            own[(ptr[pes] + mem_ix)[:, None] + np.arange(len(mem))] = addr[:, mem]
-        for pe in np.flatnonzero(n_mem).tolist():
+        for pe in np.unique(np.concatenate([pes for _, pes, a in table if a.size])).tolist():
+            own = np.concatenate([a[pes == pe].reshape(-1) for _, pes, a in table])
             try:
-                resolve_array(self.topo, regions, own[ptr[pe]:ptr[pe + 1]])
+                resolve_array(self.topo, regions, own)
             except ValueError as e:
                 return SimulationFault(f"PE {pe}, phase {name!r}: {e}")
 

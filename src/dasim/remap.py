@@ -16,10 +16,12 @@ bits below b+s ever move, the permutation acts within aligned
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _stepper
 from .topology import ClusterTopology
 
 
@@ -103,31 +105,34 @@ def resolve_array(topo: ClusterTopology, regions: Sequence[MapConfig],
     Used to pre-resolve whole traces and DMA destinations before
     simulation. A word's row is not computed: no caller reads it.
 
-    One pass places every address: a search over the folded regions'
-    edges gives each address its own (p, s), and the permutation is
-    shifts and masks of its word address.
+    One pass in C (``resolve`` in the stepper's library) places every
+    address: a search over the folded regions' edges gives each its own
+    (p, s), and the permutation is shifts and masks of its word address.
     """
-    _check_disjoint(regions)
+    table, invalid = _folded_table(topo, tuple(regions))
     addrs = np.asarray(addrs, dtype=np.int64)
-    # a negative address reads as 2**63 or more unsigned
-    if addrs.size and addrs.view(np.uint64).max() >= topo.total_bytes:
-        bad = addrs[(addrs < 0) | (addrs >= topo.total_bytes)][0]
-        raise ValueError(f"address 0x{int(bad):x} outside L1")
+    src, banks = np.ascontiguousarray(addrs), np.empty(addrs.shape, dtype=np.int64)
+    bad = _stepper._lib.resolve(src.ctypes.data, src.size, table.ctypes.data, len(table),
+                                topo.word_bytes.bit_length() - 1, topo.bank_bits,
+                                topo.total_bytes, banks.ctypes.data)
+    if bad >= 0 or invalid:
+        raise ValueError(invalid if bad < 0 else f"address 0x{int(addrs.flat[bad]):x} outside L1")
+    return banks
+
+
+@lru_cache(maxsize=16)
+def _folded_table(topo: ClusterTopology, regions: tuple) -> tuple:
+    """The bound folded regions as read-only int64 rows (base, end, p, s) by
+    base and None, or no rows and the error of the first one not valid on
+    ``topo``; raises if regions overlap. Cached: a phase's blocks share one list."""
+    _check_disjoint(regions)
     folded = [cfg for cfg in regions if cfg.folds and cfg.bound]
-    for cfg in folded:
-        cfg.validate(topo)
-    p = s = 0
-    if folded:
-        folded.sort(key=lambda c: c.base_addr)
-        edges = np.array([e for c in folded for e in (c.base_addr, c.base_addr + c.size_bytes)])
-        # the gap between edges 2i and 2i + 1 is region i; every other gap
-        # lies outside all folded regions, at p = s = 0
-        p_at, s_at = np.zeros((2, len(edges) + 1), dtype=np.int64)
-        p_at[1::2] = [c.p for c in folded]
-        s_at[1::2] = [c.s for c in folded]
-        at = np.searchsorted(edges, addrs, side="right")
-        p, s = p_at[at], s_at[at]
-    u = addrs >> (topo.word_bytes.bit_length() - 1)
-    # the bank keeps the p low bits and takes bits p+s .. b+s-1 above them
-    p_mask = (1 << p) - 1
-    return (u & p_mask) | ((u >> s) & (((1 << topo.bank_bits) - 1) ^ p_mask))
+    try:
+        for cfg in folded:
+            cfg.validate(topo)
+    except ValueError as e:
+        return np.zeros((0, 4), dtype=np.int64), str(e)
+    table = np.array(sorted((c.base_addr, c.base_addr + c.size_bytes, c.p, c.s)
+                            for c in folded), dtype=np.int64).reshape(-1, 4)
+    table.flags.writeable = False       # every caller of a region list shares it
+    return table, None

@@ -33,11 +33,15 @@ class FlatChunk:
 def stream_ops(pb) -> list:
     """Each PE's ops of the open phase, in stream order, as one array per
     STREAM_COLS column: its copies entry by entry, item by item, then
-    the ops it pushed one at a time since the last entry."""
+    the ops it pushed one at a time since the last entry. A table row
+    holds an address per load and store; every other op's is 0."""
     copies = [[] for _ in range(len(pb.streams))]
     for template, pes, addr in pb._table:
+        mem = (template["kind"] == K_LOAD) | (template["kind"] == K_STORE)
         for pe, row in zip(pes.tolist(), addr):
-            copies[pe].append({**template, "addr": row})
+            ops = np.zeros(len(mem), dtype=np.int64)
+            ops[mem] = row
+            copies[pe].append({**template, "addr": ops})
     for pe, cols in pb._singles.items():
         copies[pe].append(cols)
     return [{k: np.concatenate([np.zeros(0, dtype=d)] + [c[k] for c in cs]).astype(d)

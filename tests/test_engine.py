@@ -133,7 +133,7 @@ def _hand_chunk(progs):
     PEs past ``progs`` run one ALU issue."""
     kinds = [progs[pe] if pe < len(progs) else [K_COMPUTE] for pe in range(DESK.n_pes)]
     n_ops = np.array([len(ks) for ks in kinds], dtype=np.int64)
-    n_mem = np.array([sum(k <= K_STORE for k in ks) for ks in kinds], dtype=np.int64)
+    n_mem = [sum(k <= K_STORE for k in ks) for ks in kinds]
 
     def template(ks):
         k = np.array(ks, dtype=np.uint8)
@@ -141,9 +141,10 @@ def _hand_chunk(progs):
                 **{c: np.zeros(len(k), np.uint16) for c in ("dep1", "dep2")}}
 
     one = np.zeros(1, dtype=np.int64)
-    batches = [(np.array([pe]), one, one, template(ks), np.zeros((1, n_mem[pe]), np.int64))
+    batches = [(np.array([pe]), one, template(ks), np.zeros(n_mem[pe], np.int64))
                for pe, ks in enumerate(kinds) if ks]
-    return make_chunk(n_ops, batches, topo=DESK, n_copies=np.minimum(n_ops, 1), n_mem=n_mem)
+    return make_chunk(n_ops, batches, topo=DESK, n_copies=np.minimum(n_ops, 1),
+                      n_mem=sum(n_mem))
 
 
 @pytest.mark.parametrize("kinds,match", [
@@ -178,9 +179,8 @@ def _empty_template(chunk, dma):
 
 
 def _extra_bank(chunk, dma):
-    # PE 0 holds a third bank for its two loads and stores
+    # a third bank for the two loads and stores of PE 0, the chunk's only ones
     chunk.bank = np.append(chunk.bank, np.uint16(0))
-    chunk.bank_ptr[1:] += 1
 
 
 # one case per check run_packed makes before stepping: each would make
@@ -200,9 +200,10 @@ BAD_CHUNKS = {
     "copy_tpl": (_set("copy_tpl", 1, DESK.n_pes), "'copy_tpl'"),
     "tpl_ptr-end": (_set("tpl_ptr", -1, 10 ** 6), "'tpl_ptr'"),
     "tpl_ptr-empty": (_empty_template, "'tpl_ptr'"),
-    "bank_ptr-rows": (_replace("bank_ptr", lambda a: a[1:].copy()), "'bank_ptr'"),
-    "bank-negative": (_set("bank_ptr", 1, 3), "'bank_ptr'"),     # PE 1 holds -1 banks
-    "bank-unused": (_extra_bank, "'bank_ptr'"),
+    "copy_bank-rows": (_replace("copy_bank", lambda a: a[1:].copy()), "'copy_bank'"),
+    "bank-negative": (_set("copy_bank", 1, -1), "'copy_bank'"),    # PE 1's copy, no banks
+    "bank-past-end": (_set("copy_bank", 0, 1), "'copy_bank'"),     # PE 0's store past the end
+    "bank-unused": (_extra_bank, "'bank'"),
     "bank-high": (_set("bank", 1, DESK.n_banks), "'bank'"),
     "kind": (_set("kind", 1, 6), "'kind'"),
     "cls": (_set("cls", 1, 3), "'cls'"),
@@ -233,7 +234,7 @@ def test_run_packed_rejects_chunks_the_stepper_cannot_take(case):
 
 # the chunk arrays whose dtype BAD_CHUNKS leaves unchecked (it has arg's
 # and n_ops')
-CHUNK_ARRAYS = ["tpl_ptr", "copy_ptr", "copy_tpl", "bank_ptr", "bank", "kind", "cls",
+CHUNK_ARRAYS = ["tpl_ptr", "copy_ptr", "copy_tpl", "copy_bank", "bank", "kind", "cls",
                 "dep1", "dep2"]
 
 
@@ -980,7 +981,7 @@ def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):
 def test_c_stepper_matches_oracle_with_a_two_cycle_horizon(monkeypatch, tmp_path):
     # a stepper built with QH 2 sends nearly every wait through horizon visits
     monkeypatch.setattr(_stepper, "QH", 2)
-    monkeypatch.setattr(_stepper, "_c_step", _stepper._load(_stepper._build(str(tmp_path))))
+    monkeypatch.setattr(_stepper, "_lib", _stepper._load(_stepper._build(str(tmp_path))))
     for ports in (1, 3):
         test_c_stepper_matches_oracle(monkeypatch, ports)
     for case in FAULT_CASES:

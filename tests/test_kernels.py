@@ -1,5 +1,6 @@
 """Kernel generators: shape rules and the plans they pack."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,28 @@ def test_emit_reduction_sums_each_pair_of_terms_into_its_loads(n_steps):
     for got, want in zip(stream_ops(a), stream_ops(b)):
         for name in STREAM_COLS:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_emit_reduction_sums_into_its_matrix_without_a_copy_of_a_view():
+    # each pair's sum goes through one strided view of the address matrix
+    # (items x steps x the pair's width); numpy buffers such an add in
+    # blocks of a fixed size (about 0.45 MiB beyond the matrix here),
+    # never in a copy of the view, which is 1.5 MiB for the first pair
+    on, n_steps, width = np.arange(64), 1024, 8
+    item = 4 * n_steps * width * on[:, None, None] + 4 * np.arange(width)
+    step = 4 * width * np.arange(n_steps)[:, None]
+    out_addr = 4096 + 4 * np.arange(len(on) * 4).reshape(len(on), 4)
+    pb = PlanBuilder(DESK, "das")
+    tracemalloc.start()
+    try:
+        emit_reduction(pb, on, ((item[..., :3], step), (item[..., 3:], step)), 16, (7, 3),
+                       out_addr, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (_, _, addr), = pb._table
+    assert addr.shape == (len(on), n_steps * width + 4)
+    assert peak - addr.nbytes < 1 << 20, peak - addr.nbytes
 
 
 def _template(n_ops, dep1=(), dep2=()):

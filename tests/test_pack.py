@@ -160,12 +160,23 @@ def _pe_listed_out_of_item_order(rng, pb):
     _copies(rng, pb, [2, 3], U)
 
 
+def _entries_a_b_a(rng, pb):
+    # PE 1's copies come from entries A (T), B (U) and A again (T, a later
+    # call); PE 2's from both A entries, so its first copy's banks lie
+    # ahead of PE 1's last in the chunk's bank array, and copy_bank falls
+    # from PE 1's copies to PE 2's
+    _copies(rng, pb, [2, 1], T)
+    _copies(rng, pb, [1, 3], U)
+    _copies(rng, pb, [1, 2], T)
+
+
 GROUP_SHAPES = {"copies-on-one-stream": _copies_on_one_stream,
                 "singles-between-copies": _singles_between_copies,
                 "two-templates": _two_templates,
                 "empty-copies": _empty_copies,
                 "one-template-from-two-calls": _one_template_from_two_calls,
-                "pe-listed-out-of-item-order": _pe_listed_out_of_item_order}
+                "pe-listed-out-of-item-order": _pe_listed_out_of_item_order,
+                "entries-a-b-a": _entries_a_b_a}
 
 
 def _group_builder(shape, seed):
@@ -190,6 +201,44 @@ def test_template_groups_pack_like_the_oracle(monkeypatch, shape, seed, batch_op
     got, want = _under_both_packers(monkeypatch, lambda: _group_builder(shape, seed),
                                     batch_ops)
     _assert_same_chunks(got, want)
+
+
+def test_entries_a_b_a_point_copy_bank_backwards():
+    (chunk,) = _group_builder("entries-a-b-a", 0).phases[0].chunks
+    pe1, pe2 = (chunk.copy_bank[chunk.copy_ptr[pe]:chunk.copy_ptr[pe + 1]] for pe in (1, 2))
+    assert len(pe1) == 4 and len(pe2) == 3            # the barrier is a copy too
+    assert (np.diff(pe1[:3]) > 0).all() and pe2[0] < pe1[2]
+
+
+@BATCH_CAPS
+@pytest.mark.parametrize("kernel", PLANS, ids=PLAN_IDS)
+def test_end_phase_resolves_each_block_as_one_row_of_addresses(monkeypatch, kernel,
+                                                                batch_ops):
+    # each resolve_array call that end_phase makes takes a 1-D array, and
+    # a phase's calls take as many addresses as its streams hold loads and
+    # stores
+    gen, shape, n_parallel = kernel
+    calls, phases = [], []
+    resolve, end_phase = plan.resolve_array, PlanBuilder.end_phase
+
+    def counted(topo, regions, addrs):
+        calls.append(addrs.shape)
+        return resolve(topo, regions, addrs)
+
+    def traced(self, barrier=True):
+        mem = sum(int((ops["kind"] <= K_STORE).sum()) for ops in reference_pack.stream_ops(self))
+        calls.clear()
+        end_phase(self, barrier)
+        phases.append((mem, list(calls)))
+
+    monkeypatch.setattr(plan, "BATCH_OPS", batch_ops)
+    monkeypatch.setattr(plan, "resolve_array", counted)
+    monkeypatch.setattr(PlanBuilder, "end_phase", traced)
+    gen(DESK, *shape, n_parallel, "das")
+    assert sum(mem for mem, _ in phases) > 0
+    for mem, shapes in phases:
+        assert all(len(sh) == 1 for sh in shapes), shapes
+        assert sum(sh[0] for sh in shapes) == mem
 
 
 def _singles_around_copies_across_phases():

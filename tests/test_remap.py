@@ -242,6 +242,32 @@ def test_resolve_array_matches_the_division_oracle(name, seed):
             np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("name", ["desk", "terapool"])
+def test_resolve_array_matches_the_division_oracle_over_many_adjacent_regions(name):
+    # 40 folded regions end to end, listed out of address order: far more
+    # than random_regions draws, so the search over region edges takes
+    # many steps, and every word at an edge is checked on both sides
+    t = TOPOLOGIES[name]
+    rng = np.random.default_rng(40)
+    regions, at = [], 64 * t.word_bytes
+    for _ in range(40):
+        p = int(rng.integers(0, 4))
+        cfg = das(p, int(rng.integers(0 if p else 1, 4)))
+        size = 64 * t.word_bytes * int(rng.integers(1, 5))      # whole 64-word blocks
+        regions.append(bound(cfg, at, size))
+        at += size
+    regions = [regions[i] for i in rng.permutation(len(regions))]
+    inside = [rng.integers(c.base_addr, c.base_addr + c.size_bytes, 20) // t.word_bytes
+              for c in regions]
+    addrs = np.concatenate([np.concatenate(inside) * t.word_bytes,
+                            edge_addresses(t, regions),
+                            rng.integers(0, t.total_bytes // t.word_bytes, 500) * t.word_bytes])
+    got = resolve_array(t, regions, addrs), reference_remap.shift_rows(t, regions, addrs)
+    for g, w in zip(got, reference_remap.resolve_array(t, regions, addrs)):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
 def test_resolve_array_places_adjacent_regions_at_their_edge():
     # the word at the shared edge of two folded regions takes the upper
     # one's folding, the word before it the lower one's

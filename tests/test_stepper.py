@@ -35,35 +35,41 @@ def test_one_cycle_horizon_does_not_build(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def _c_params(text: str) -> list:
-    """step_segment's parameter types in the C source, "*" for a pointer."""
-    head = re.search(r"void step_segment\((.*?)\)\s*\{", text, re.S).group(1)
-    head = re.sub(r"/\*.*?\*/", "", head, flags=re.S)
-    return ["*" if "*" in p else " ".join(p.split()[:-1]) for p in head.split(",")]
+def _c_functions(text: str) -> dict:
+    """Each exported (not static) function of the C source: its return
+    type and its parameter types, "*" for a pointer."""
+    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    return {name: (ret, ["*" if "*" in p else " ".join(p.split()[:-1])
+                         for p in head.split(",")])
+            for ret, name, head in re.findall(r"^(\w+) (\w+)\((.*?)\)\s*\{", text, re.S | re.M)}
 
 
 def test_c_call_declares_the_parameters_the_loader_passes():
     # a count or type that differs between _stepper.c and the ctypes
-    # argtypes is undefined behaviour in the call, not an error
+    # argtypes or restype is undefined behaviour in the call, not an error
     with open(os.path.join(os.path.dirname(_stepper.__file__), "_stepper.c")) as f:
-        params = _c_params(f.read())
-    ctype = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t"}
-    argtypes = _stepper._c_step.argtypes
-    assert len(params) == len(argtypes)
-    assert params == [ctype[t] for t in argtypes]
+        functions = _c_functions(f.read())
+    assert sorted(functions) == ["resolve", "step_segment"]
+    ctype = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t", None: "void"}
+    for name, (ret, params) in functions.items():
+        fn = getattr(_stepper._lib, name)
+        assert ctype[fn.restype] == ret, name
+        assert len(params) == len(fn.argtypes), name
+        assert params == [ctype[t] for t in fn.argtypes], name
 
 
 UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=undefined")
 
-# runs the golden rows given as JSON in argv[2] with the stepper at argv[1]
-# and prints their cycles; undefined behaviour aborts the process
+# builds and runs the golden rows given as JSON in argv[2] with the library
+# at argv[1], its resolve placing their words and its step_segment stepping
+# them, and prints their cycles; undefined behaviour aborts the process
 _UBSAN_RUN = """
 import json, sys
 from dasim import _stepper, desk_default
 from dasim.kernels.gemm import gen_gemm
 from dasim.kernels.gemv import gen_gemv
 from dasim.kernels.plan import run_plan
-_stepper._c_step = _stepper._load(sys.argv[1])
+_stepper._lib = _stepper._load(sys.argv[1])
 gens = {"gen_gemm": gen_gemm, "gen_gemv": gen_gemv}
 print(json.dumps([run_plan(gens[g](desk_default(), *shape, 1, scheme)).cycles
                   for g, shape, scheme in json.loads(sys.argv[2])]))
