@@ -110,7 +110,7 @@ void step_segment(
     const int pe_shift = __builtin_ctzll(pes_per_tile), bank_shift = __builtin_ctzll(banks_per_tile);
     int64_t *parked = work, *cursor = work + n_pe, *op_at = work + 2 * n_pe;
     int64_t *copy_at = work + 3 * n_pe, *bank_at = work + 4 * n_pe;
-    int64_t n_arrived = 0, n_parked = 0;
+    int64_t n_parked = 0;
     int64_t pe, q;
     pe_queue queue = {.bits = (uint64_t *)(work + 5 * n_pe), .words = (n_pe + 63) / 64,
                       .now = now};
@@ -173,14 +173,6 @@ void step_segment(
                 m = lt ? v : m;
                 m_slot = lt ? s : m_slot;
             }
-            if (m > g_lsu)
-                g_lsu = m;
-        } else if (k == K_BARRIER) {
-            /* memory must drain before synchronizing */
-            m = slots[0];
-            for (int64_t s = 1; s < window; s++)
-                if (slots[s] > m)
-                    m = slots[s];
             if (m > g_lsu)
                 g_lsu = m;
         } else if (k == K_DMA_WAIT) {
@@ -263,12 +255,6 @@ void step_segment(
             n_issued = tpl_arg[o];
             t_next = now + n_issued;
             t_ready = t_next - 1 + class_lat[tpl_cls[o]];
-        } else if (k == K_BARRIER) {
-            if (i != n_ops[pe] - 1) {
-                out[0] = now, out[1] = FAULT_BARRIER_NOT_LAST, out[2] = pe, out[3] = i;
-                return;
-            }
-            n_arrived++;
         } else if (k == K_DMA_START) {
             int64_t tid = tpl_arg[o];
             if (tid < 0 || tid >= n_transfers) {
@@ -317,37 +303,17 @@ void step_segment(
         op_at[pe] = o;
         abs_idx[pe] = ai + 1;
         t_free[pe] = t_next;
-        if (k != K_BARRIER) {
-            enqueue(&queue, pe, t_next);
-        } else if (n_arrived < n_pe) {
-            /* waits off the queue for the release */
-        } else {
-            /* PEs arrive in cycle order, so this last one arrives at now;
-             * each PE waits from its own t_free (its arrival + 1) */
-            int64_t release = now + 1;
-            for (q = 0; q < n_pe; q++) {
-                acct[q * ACC_WIDTH + ACC_WFI] += release - t_free[q];
-                t_free[q] = release;
-            }
-            out[0] = release;
-            return;
-        }
+        enqueue(&queue, pe, t_next);
     }
 
+    /* PEs end independently, and the last one taken from the queue
+     * finishes last */
     out[0] = queue.now;
     if (n_parked) {
         for (q = 0; parked[q] < 0; q++)
             ;
         out[1] = FAULT_DMA_NEVER_STARTED, out[2] = q, out[3] = parked[q];
-    } else if (n_arrived) {
-        /* a barrier op ends some streams but not all, so it never releases */
-        for (q = 0; q < n_pe - 1; q++)
-            if (!n_ops[q] || tpl_kind[tpl_ptr[copy_tpl[copy_ptr[q + 1] - 1] + 1] - 1] != K_BARRIER)
-                break;
-        out[1] = FAULT_BARRIER_PARTIAL, out[2] = q, out[3] = n_arrived;
     }
-    /* else a segment without a terminating barrier: PEs end independently,
-     * and the last one taken from the queue finishes last */
 }
 
 /* The bank of each of the n byte addresses addrs[i], written to out[i]: the

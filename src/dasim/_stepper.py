@@ -1,12 +1,12 @@
 """Cycle-stepped core of the simulator: the C stepper and its loader.
 
-One function, ``step_segment``, advances a whole barrier-delimited
-program segment over shared bank/port/backend state. It reads the
-segment's engine.PackedChunk as it is stored: the op templates, each
-PE's copies of them in stream order, and the banks, from each copy's
-``copy_bank`` entry on. Per PE it keeps a cursor into each (its copy,
-the op within the template, its next bank), and it derives each
-access's hierarchy level from the PE and the bank, as
+One function, ``step_segment``, advances one phase's ops over shared
+bank/port/backend state; engine.run_packed applies the phase's barrier
+after it. It reads the phase's engine.PackedChunk as it is stored: the
+op templates, each PE's copies of them in stream order, and the banks,
+from each copy's ``copy_bank`` entry on. Per PE it keeps a cursor into
+each (its copy, the op within the template, its next bank), and it
+derives each access's hierarchy level from the PE and the bank, as
 ``topology.access_levels`` does. Its library also places words for
 remap.resolve_array (``resolve``).
 
@@ -24,8 +24,8 @@ below are the only definitions: the build passes them to the C file as
 -D macros.
 
 A PE is visited only at the cycle it can next act: it leaves the queue
-while it waits at the barrier, after its last op and while it waits on a
-DMA transfer nobody has started yet. A PE that stalls, issues or is
+after its last op and while it waits on a DMA transfer nobody has
+started yet. A PE that stalls, issues or is
 woken at a cycle is queued again at a later one, so the order is cycle
 by cycle and, within a cycle, by PE id: the order of a scan over all
 PEs per cycle. Shared-resource bookings therefore happen in
@@ -50,9 +50,8 @@ HAVE_NUMBA = False
 K_LOAD = 0
 K_STORE = 1
 K_COMPUTE = 2
-K_BARRIER = 3
-K_DMA_START = 4
-K_DMA_WAIT = 5
+K_DMA_START = 3
+K_DMA_WAIT = 4
 
 # accounting columns
 ACC_ISSUED = 0
@@ -76,9 +75,7 @@ QH = 64
 # fault codes
 FAULT_DMA_RESTART = 1
 FAULT_DMA_UNKNOWN = 2
-FAULT_BARRIER_NOT_LAST = 3
-FAULT_DMA_NEVER_STARTED = 4
-FAULT_BARRIER_PARTIAL = 5
+FAULT_DMA_NEVER_STARTED = 3
 
 CFLAGS = ("-O2", "-shared", "-fPIC")
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -138,16 +135,14 @@ TEMPLATE_COLS = {"kind": np.uint8, "cls": np.uint8, "arg": np.int32, "dep1": np.
 
 
 def step_segment(chunk, acct, st, now):
-    """Advance one segment from cycle ``now``, updating ``st`` in place.
+    """Advance one phase's ops from cycle ``now``, updating ``st`` in place.
 
-    ``chunk`` is the segment's engine.PackedChunk; ``acct`` is the
-    segment's [n_pe, ACC_WIDTH] int64 ledger; ``st`` is the run's
-    engine._State, which holds every other array and parameter the C
-    call takes, already converted. The caller checks the chunk's dtypes,
-    pointers and index ranges. The segment ends in a barrier when its
-    streams end in a barrier op. Returns ``(now, None)`` with the cycle
-    the segment ended (the barrier's release, or else the last PE's
-    finish), or the cycle of a fault and ``(FAULT_*, pe, detail)``.
+    ``chunk`` is the phase's engine.PackedChunk; ``acct`` is the phase's
+    [n_pe, ACC_WIDTH] int64 ledger; ``st`` is the run's engine._State,
+    which holds every other array and parameter the C call takes,
+    already converted. The caller checks the chunk's dtypes, pointers
+    and index ranges. Returns ``(now, None)`` with the last PE's next
+    free cycle, or the cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
     n_pe = len(chunk.n_ops)
     work = np.empty(5 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)

@@ -1,11 +1,11 @@
 """Execution of packed per-PE programs against the banked L1.
 
-A program is a list of barrier-delimited phases plus the DMA transfers
-its handshakes name, a DmaTransfer list indexed by transfer id; the
-kernels' PlanBuilder writes both. Each phase is one PackedChunk in
-template form: the phase's op templates (loads, stores, compute bursts,
-barriers and DMA handshakes, with dependences as back-distances), each
-PE's copies of them in stream order, and one bank per load or store.
+A program is a list of phases plus the DMA transfers its handshakes
+name, a DmaTransfer list indexed by transfer id; the kernels'
+PlanBuilder writes both. Each phase is one PackedChunk in template
+form: the phase's op templates (loads, stores, compute bursts and DMA
+handshakes, with dependences as back-distances), each PE's copies of
+them in stream order, and one bank per load or store.
 The stepper reads that form as it is; ``PackedChunk.cols`` expands it
 into the flat per-PE layout, one column at a time, for tests and
 reports. A compute burst's result latency is its class's, from
@@ -19,6 +19,16 @@ so it serves requests in booking order (issue cycle, then PE id), not
 arrival order: a request booked later waits behind every earlier
 booking, even when it reaches an idle bank first. Every cycle of every
 PE ends up in exactly one bucket of report.LEDGER.
+
+A phase's barrier (``Phase.barrier``) books no bank, port or backend,
+so run_packed applies it in closed form after the phase's ops: each PE
+issues it once its window drains, at ``arrive = max(t_free, latest
+window slot)``, as one op (an LSU stall until then), and all go on at
+``max(arrive) + 1``. A phase without a barrier ends at its last PE's
+next free cycle; its outstanding loads and stores retire in the next
+phase, or in a plan's last phase never count. So a level-3 load at
+cycle 0 beside a 2-cycle ALU burst ends such a phase at 2, though its
+data returns at 7. Every kernel phase ends in a barrier.
 """
 
 from collections.abc import Mapping
@@ -28,8 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _stepper
-from ._stepper import (ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE,
-                       TEMPLATE_COLS, step_segment)
+from ._stepper import (ACC_ISSUED, ACC_LSU, ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE,
+                       K_DMA_WAIT, K_STORE, TEMPLATE_COLS, step_segment)
 from .remap import MapConfig, resolve_array
 from .report import PE_KEYS, PhaseStats, SimReport
 from .topology import ClusterTopology, access_levels
@@ -203,14 +213,14 @@ class FlatView(Mapping):
 
 @dataclass
 class Phase:
-    """Segment of the run; it ends in a global barrier when its streams do.
+    """Segment of the run; it ends in a global barrier if ``barrier``.
 
-    ``chunks`` holds exactly one PackedChunk. A barrier op is the last op
-    of every stream or of none.
+    ``chunks`` holds exactly one PackedChunk.
     """
 
     name: str
     chunks: list
+    barrier: bool = False
 
 
 def make_chunk(n_ops: np.ndarray, batches, *, topo: ClusterTopology,
@@ -256,9 +266,7 @@ def make_chunk(n_ops: np.ndarray, batches, *, topo: ClusterTopology,
 _FAULT_TEXT = {
     _stepper.FAULT_DMA_RESTART: "transfer {} started twice",
     _stepper.FAULT_DMA_UNKNOWN: "unknown transfer {}",
-    _stepper.FAULT_BARRIER_NOT_LAST: "barrier at op {} not at segment end",
     _stepper.FAULT_DMA_NEVER_STARTED: "wait on transfer {}, which no PE starts",
-    _stepper.FAULT_BARRIER_PARTIAL: "barrier reached by {} PEs, but not this one",
 }
 
 
@@ -389,8 +397,9 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
     """Execute packed phases and assemble the report.
 
     ``dma`` lists the transfers; a transfer's id is its index there.
-    Each phase's chunk is checked, then stepped by one step_segment
-    call, which writes that phase's [n_pe, ACC_WIDTH] ledger.
+    Each phase's chunk is checked and stepped by one step_segment call,
+    which writes that phase's [n_pe, ACC_WIDTH] ledger; then its barrier
+    is applied, if it has one (see the module docstring).
     """
     st = _State(topo, params, dma)
     n_pe = topo.n_pes
@@ -408,6 +417,14 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             raise SimulationFault(
                 f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
                 f"phase {phase.name!r}, cycle {clock})")
+        if phase.barrier:
+            # each PE's wait, issue and dependence ring slot, as an op's
+            arrive = np.maximum(st.t_free, st.win.max(axis=1))
+            acct[:, ACC_LSU] += arrive - st.t_free
+            acct[:, ACC_ISSUED] += 1
+            st.ready[np.arange(n_pe), st.abs_idx & (DEP_RING - 1)] = (arrive + 1) << 1
+            st.abs_idx += 1
+            clock = int(arrive.max()) + 1
         # idle fill so every PE's ledger covers the common phase end
         acct[:, ACC_WFI] += clock - start - acct.sum(axis=1)
         totals += acct

@@ -65,8 +65,9 @@ def reduce_partials(pb: PlanBuilder, g: dict, n_parallel: int, c_part: Operand,
     pr, lane, row = np.indices((n_parallel, ppg, rows_per_pe)).reshape(3, -1, 1)
     pe = pr * gpp * ppg + lane
     peer = (pr * gpp + np.arange(1, gpp)) * ppg + lane
-    addr = np.zeros((len(pe), 2 * n_peer + 1), dtype=np.int64)
-    addr[:, :-1:2] = c_part.addr(peer // ppt, peer % ppt * rows_per_pe + row)
+    # per row its loads from the peers, then its store
+    addr = np.empty((len(pe), n_peer + 1), dtype=np.int64)
+    addr[:, :-1] = c_part.addr(peer // ppt, peer % ppt * rows_per_pe + row)
     addr[:, -1:] = c_final.addr(pe // ppt, pe % ppt * rows_per_pe + row)
     emit_copies(pb, pe[:, 0], chain, addr)
 

@@ -16,21 +16,20 @@ numbers each copy on its PE. Each entry's blocks of rows then resolve
 their addresses against the regions live at that moment (so a region
 freed in a later phase still resolves the accesses emitted while it was
 live), a call per block, and land in the phase's single chunk in
-template form, copies and banks with one write each. Then the
-barrier (one shared one-op template) ends every stream, unless told
-not to. Templates are stored once per phase, never expanded per copy.
+template form, copies and banks with one write each. The phase ends in
+a barrier, which the engine applies, unless told not to. Templates are
+stored once per phase, never expanded per copy.
 emit_reduction writes a kernel's software-pipelined reductions and
 their result stores, one copy per work item.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .._stepper import (DEP_RING, K_BARRIER, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
-                        K_LOAD, K_STORE, TEMPLATE_COLS)
+from .._stepper import (DEP_RING, K_COMPUTE, K_DMA_START, K_DMA_WAIT, K_LOAD, K_STORE,
+                        TEMPLATE_COLS)
 from ..alloc import das_free, das_malloc, heap_init
 from ..engine import (ALLOC_COST, EngineParams, Phase, SimulationFault,
                       build_transfer, make_chunk, run_packed)
@@ -43,12 +42,6 @@ C_ALU, C_MAC, C_DIV = range(3)      # compute classes: EngineParams.lat_alu, lat
 # (TEMPLATE_COLS), shared by its copies, and the address, which a table
 # entry keeps for loads and stores only, a row per copy
 STREAM_COLS = {**TEMPLATE_COLS, "addr": np.int64}
-
-# the barrier that ends a phase's streams: one template for every PE
-BARRIER = {k: np.zeros(1, dtype=d) for k, d in TEMPLATE_COLS.items()}
-BARRIER["kind"][0] = K_BARRIER
-for _col in BARRIER.values():
-    _col.flags.writeable = False
 
 # addresses of one table entry that end_phase resolves and packs at a time
 # (one copy's, if a copy has more): its temporaries stay small however
@@ -175,27 +168,22 @@ def emit_copies(pb: "PlanBuilder", pes, template: dict, addr) -> None:
     """One copy of an op template per work item: item i's on PE ``pes[i]``.
 
     ``template`` holds the TEMPLATE_COLS columns of the ops, and row i of
-    ``addr`` (n_items x ops) the byte addresses of item i's copy; only its
-    loads' and stores' are kept. Each dependence distance stays within
-    one copy, so the template is checked once for every item. A PE listed
-    for several items takes their copies in item order. The call adds one
-    entry to ``pb``'s copy table, which keeps its own read-only copies of
-    the template's columns, ``pes`` and the load and store addresses.
+    ``addr`` (n_items x the template's loads and stores) the byte
+    addresses of item i's loads and stores, in op order. Each dependence
+    distance stays within one copy, so the template is checked once for
+    every item. A PE listed for several items takes their copies in item
+    order. The call adds one entry to ``pb``'s copy table, which keeps
+    its own read-only copies of the template's columns, ``pes`` and
+    ``addr``; an int64 ``addr`` that owns its memory and is read-only
+    already (emit_reduction's) is kept as it is.
     """
-    _copy_template(pb, pes, template, np.asarray(addr, dtype=np.int64), every_op=True)
-
-
-def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray,
-                   every_op: bool = False) -> None:
-    """emit_copies with an int64 matrix of the loads' and stores' addresses
-    that no caller keeps, which the table takes as it is; ``every_op``
-    gives one of a column per op, of which the table copies those."""
     pes = np.array(pes, dtype=np.int64)
+    addr = np.asarray(addr, dtype=np.int64)
+    addr = addr.copy() if addr.flags.writeable or not addr.flags.owndata else addr
     cols = {k: np.asarray(template[k]) for k in TEMPLATE_COLS}
     n = cols["kind"].size
-    is_mem = cols["kind"].astype(TEMPLATE_COLS["kind"]) <= K_STORE
-    width = n if every_op else np.count_nonzero(is_mem)
-    if any(c.shape != (n,) for c in cols.values()) or np.shape(addr) != (len(pes), width):
+    width = np.count_nonzero(cols["kind"].astype(TEMPLATE_COLS["kind"]) <= K_STORE)
+    if any(c.shape != (n,) for c in cols.values()) or addr.shape != (len(pes), width):
         raise ValueError(f"template columns {[c.shape for c in cols.values()]} and "
                          f"addresses {np.shape(addr)} for {len(pes)} items do not agree")
     n_pe = pb.topo.n_pes
@@ -210,7 +198,6 @@ def _copy_template(pb: "PlanBuilder", pes, template: dict, addr: np.ndarray,
     for c, d in TEMPLATE_COLS.items():
         cols[c] = cols[c].astype(d)
         cols[c].flags.writeable = False
-    addr = addr[:, is_mem] if every_op else addr
     pes.flags.writeable = addr.flags.writeable = False
     pb._add(cols, pes, addr)
 
@@ -234,7 +221,8 @@ def emit_reduction(pb: "PlanBuilder", pes, loads: tuple, macs: int, dep_cols: tu
     copy. Each array, or each pair's sum, goes straight into the copies'
     address matrix, which holds the loads step by step, then the stores:
     a view of its loads as items x steps x w takes each with one write.
-    So a pair needs no array of its full size besides the matrix.
+    So a pair needs no array of its full size besides the matrix, which
+    goes to the copy table read-only, without a copy.
     """
     pairs = [part if isinstance(part, tuple) else (part, 0) for part in loads]
     shapes = [np.broadcast_shapes(*map(np.shape, pair)) for pair in pairs]
@@ -269,7 +257,8 @@ def emit_reduction(pb: "PlanBuilder", pes, loads: tuple, macs: int, dep_cols: tu
         np.add(a, b, out=loaded[:, :, col:col + width])
         col += width
     addr[:, n_steps * w:] = out_addr
-    _copy_template(pb, pes, c, addr)
+    addr.flags.writeable = False
+    emit_copies(pb, pes, c, addr)
 
 
 @dataclass
@@ -428,7 +417,7 @@ class PlanBuilder:
 
     def end_phase(self, barrier: bool = True) -> None:
         """Close the open phase into one chunk, its copies numbered per PE
-        with numpy, and end every stream with a barrier unless told not to."""
+        with numpy, ending in a barrier unless told not to."""
         name = self._phase_name
         if name is None:
             raise RuntimeError("no phase open")
@@ -448,12 +437,10 @@ class PlanBuilder:
         copy_ix = np.empty(len(pes), dtype=np.int64)
         copy_ix[order] = np.arange(len(pes)) - (np.cumsum(n_copies) - n_copies)[pes[order]]
         batches = self._pack_table(name, table, np.split(copy_ix, np.cumsum(items)[:-1]))
-        if barrier:
-            batches = chain(batches, [(np.arange(n_pe), n_copies, BARRIER, np.zeros(0, np.int64))])
-        chunk = make_chunk(n_ops + barrier, batches, topo=self.topo,
-                           n_copies=n_copies + barrier, n_mem=sum(a.size for _, _, a in table))
+        chunk = make_chunk(n_ops, batches, topo=self.topo, n_copies=n_copies,
+                           n_mem=sum(a.size for _, _, a in table))
         self._n += barrier
-        self.phases.append(Phase(name=name, chunks=[chunk]))
+        self.phases.append(Phase(name=name, chunks=[chunk], barrier=barrier))
 
     def _pack_table(self, name: str, table: list, copy_ixs: list):
         """Yield each table entry as make_chunk batches, counted into the

@@ -1,12 +1,12 @@
 """Per-PE packer, the oracle for ``PlanBuilder.end_phase``'s copy table.
 
 ``end_phase`` here rebuilds each PE's ops in stream order from the
-builder's copy table, one copy at a time (``stream_ops``), and adds the
-barrier. Then for one PE at a time it resolves the addresses and
-classifies their levels with the division-based oracles of
-``reference_remap``, counts its ops and copies its row into a flat
-chunk: a ``FlatChunk`` of ``[n_pe, L]`` columns, the layout that
-``PackedChunk.cols`` views a template-form chunk in. It takes the
+builder's copy table, one copy at a time (``stream_ops``). Then for one
+PE at a time it resolves the addresses and classifies their levels with
+the division-based oracles of ``reference_remap``, counts its ops and
+copies its row into a flat chunk: a ``FlatChunk`` of ``[n_pe, L]`` columns, the layout that
+``PackedChunk.cols`` views a template-form chunk in, in a phase that
+ends in a barrier unless told not to (``Phase.barrier``). It takes the
 method's arguments, so a test swaps it in with
 ``monkeypatch.setattr(PlanBuilder, "end_phase", end_phase)`` and builds
 plans unchanged under both, then compares the chunks' ``cols``.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
+from dasim._stepper import K_COMPUTE, K_LOAD, K_STORE
 from dasim.engine import FLAT_COLS, Phase, SimulationFault
 from dasim.kernels.plan import C_MAC, STREAM_COLS
 from reference_remap import access_levels, resolve_array
@@ -68,9 +68,6 @@ def end_phase(self, barrier=True):
     regions = self.heap.das_regions()
     columns = []
     for pe, col in enumerate(stream_ops(self)):
-        if barrier:
-            col = {k: np.append(v, K_BARRIER if k == "kind" else 0).astype(v.dtype)
-                   for k, v in col.items()}
         addr = col.pop("addr")
         kind = col["kind"]
         mem = (kind == K_LOAD) | (kind == K_STORE)
@@ -90,4 +87,5 @@ def end_phase(self, barrier=True):
         columns.append(col)
     self._table, self._singles = [], {}
     self._n += barrier
-    self.phases.append(Phase(name=name, chunks=[_pack(columns, self.topo.n_pes)]))
+    self.phases.append(Phase(name=name, chunks=[_pack(columns, self.topo.n_pes)],
+                             barrier=barrier))

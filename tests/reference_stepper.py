@@ -18,10 +18,9 @@ end.
 from heapq import heapify, heappop, heappush, heapreplace
 
 from dasim._stepper import (ACC_ISSUED, ACC_LSU, ACC_RAW, ACC_WFI, DEP_RING,
-                            FAULT_BARRIER_NOT_LAST, FAULT_BARRIER_PARTIAL,
                             FAULT_DMA_NEVER_STARTED, FAULT_DMA_RESTART,
-                            FAULT_DMA_UNKNOWN, K_BARRIER, K_COMPUTE, K_DMA_START,
-                            K_DMA_WAIT, K_LOAD, K_STORE)
+                            FAULT_DMA_UNKNOWN, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
+                            K_LOAD, K_STORE)
 from dasim.engine import FLAT_COLS
 
 def step_segment(chunk, acct, st, now):
@@ -34,8 +33,8 @@ def step_segment(chunk, acct, st, now):
 
 
 def _step(chunk, win, acct, st, now):
-    """Advance one segment from cycle ``now``; ``win`` and ``acct`` are
-    the window slots and ledger as one list per PE."""
+    """Advance one phase's ops from cycle ``now``; ``win`` and ``acct``
+    are the window slots and ledger as one list per PE."""
     mv = memoryview
     # per-op columns of the segment's flat view, memoryviews [n_pe, L]; ops per PE
     op_kind, op_cls, op_arg, op_bank, op_level, op_dep1, op_dep2 = (
@@ -66,7 +65,6 @@ def _step(chunk, win, acct, st, now):
     queue = [t_free[pe] * n_pe + pe for pe in range(n_pe)]
     heapify(queue)
     cursor = [0] * n_pe
-    n_arrived = 0
     parked = {}     # pe: transfer it waits on, which no PE has started yet
 
     while queue:
@@ -94,11 +92,6 @@ def _step(chunk, win, acct, st, now):
         if k == K_LOAD or k == K_STORE:
             # a free window slot: responses retire in any order
             m = min(slots)
-            if m > g_lsu:
-                g_lsu = m
-        elif k == K_BARRIER:
-            # memory must drain before synchronizing
-            m = max(slots)
             if m > g_lsu:
                 g_lsu = m
         elif k == K_DMA_WAIT:
@@ -173,10 +166,6 @@ def _step(chunk, win, acct, st, now):
             n_issued = op_arg[pe, i]
             t_next = now + n_issued
             t_ready = t_next - 1 + class_lat[op_cls[pe, i]]
-        elif k == K_BARRIER:
-            if i != n_ops[pe] - 1:
-                return now, (FAULT_BARRIER_NOT_LAST, pe, i)
-            n_arrived += 1
         elif k == K_DMA_START:
             tid = op_arg[pe, i]
             if tid < 0 or tid >= n_transfers:
@@ -207,26 +196,11 @@ def _step(chunk, win, acct, st, now):
         cursor[pe] = i + 1
         abs_idx[pe] = ai + 1
         t_free[pe] = t_next
-        if k != K_BARRIER:
-            heapreplace(queue, t_next * n_pe + pe)
-        elif n_arrived < n_pe:
-            heappop(queue)  # waits off the queue for the release
-        else:
-            # PEs arrive in cycle order, so this last one arrives at now;
-            # each PE waits from its own t_free (its arrival + 1)
-            release = now + 1
-            for q in range(n_pe):
-                acct[q][ACC_WFI] += release - t_free[q]
-                t_free[q] = release
-            return release, None
+        heapreplace(queue, t_next * n_pe + pe)
 
     if parked:
         q = min(parked)
         return now, (FAULT_DMA_NEVER_STARTED, q, parked[q])
-    if n_arrived:
-        # a barrier op ends some streams but not all, so it never releases
-        q = next(q for q in range(n_pe) if not n_ops[q] or op_kind[q, n_ops[q] - 1] != K_BARRIER)
-        return now, (FAULT_BARRIER_PARTIAL, q, n_arrived)
-    # segment without a terminating barrier: PEs end independently, and
-    # the last one popped from the queue finishes last
+    # PEs end independently, and the last one popped from the queue
+    # finishes last
     return now, None

@@ -1,5 +1,6 @@
 """Kernel generators: shape rules and the plans they pack."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -229,14 +230,14 @@ def _template(n_ops, dep1=(), dep2=()):
 # templates and address shapes emit_copies rejects, for two items on
 # PEs whose streams already hold 3 ops
 COPIES_REJECTED = {
-    "dep-before-copy": (_template(2, dep1=[(1, 2)]), (2, 2)),
-    "dep-ring": (_template(DEP_RING + 1, dep2=[(DEP_RING, DEP_RING)]), (2, DEP_RING + 1)),
-    "dep-negative": (_template(2, dep2=[(1, -1)]), (2, 2)),
-    "addr-items": (_template(2), (1, 2)),
-    "addr-ops": (_template(2), (2, 3)),
-    "addr-flat": (_template(2), (4,)),
-    "column-length": ({**_template(2), "arg": [1]}, (2, 2)),
-    "column-scalar": ({**_template(2), "arg": 1}, (2, 2)),
+    "dep-before-copy": (_template(2, dep1=[(1, 2)]), (2, 0)),
+    "dep-ring": (_template(DEP_RING + 1, dep2=[(DEP_RING, DEP_RING)]), (2, 0)),
+    "dep-negative": (_template(2, dep2=[(1, -1)]), (2, 0)),
+    "addr-items": (_template(2), (1, 0)),
+    "addr-ops": (_template(2), (2, 2)),
+    "addr-flat": (_template(2), (0,)),
+    "column-length": ({**_template(2), "arg": [1]}, (2, 0)),
+    "column-scalar": ({**_template(2), "arg": 1}, (2, 0)),
 }
 
 
@@ -258,7 +259,7 @@ def test_emit_copies_rejects_bad_templates(case):
 def test_emit_copies_rejects_work_items_off_the_cluster(pes):
     pb = PlanBuilder(DESK, "das")
     with pytest.raises(ValueError, match="PE numbers below 64"):
-        emit_copies(pb, pes, _template(2), np.zeros((2, 2), dtype=np.int64))
+        emit_copies(pb, pes, _template(2), np.zeros((2, 0), dtype=np.int64))
     assert [st.n for st in pb.streams] == [0] * DESK.n_pes
 
 
@@ -269,15 +270,18 @@ def test_emit_copies_keeps_its_own_copy():
                 "arg": np.array([0, 1], dtype=np.int32),
                 "dep1": np.array([0, 1], dtype=np.uint16),
                 "dep2": np.zeros(2, dtype=np.uint16)}
-    addr = np.array([[8, 0], [12, 0], [16, 0]], dtype=np.int64)
+    addr = np.array([[8], [12], [16]], dtype=np.int64)
     pes = np.array([0, 1, 0])       # PE 0 takes two copies, PE 1 one
-    pb = PlanBuilder(DESK, "das")
-    emit_copies(pb, pes, template, addr)
+    # and from a read-only view of addr, which writes to addr still change
+    view = addr.view()
+    view.flags.writeable = False
+    builders = [PlanBuilder(DESK, "das") for _ in range(2)]
+    for pb, a in zip(builders, (addr, view)):
+        emit_copies(pb, pes, template, a)
     for col in (*template.values(), addr, pes):
         col[:] = 3
-    ops = stream_ops(pb)
-    for pe, addrs in ((0, [8, 0, 16, 0]), (1, [12, 0])):
-        got = ops[pe]
+    for pb, (pe, addrs) in itertools.product(builders, ((0, [8, 0, 16, 0]), (1, [12, 0]))):
+        got = stream_ops(pb)[pe]
         k = len(addrs) // 2
         assert got["kind"].tolist() == [K_LOAD, K_COMPUTE] * k
         assert got["cls"].tolist() == [0, C_ALU] * k

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dasim import das, desk_default, terapool_default
-from dasim._stepper import K_BARRIER, K_COMPUTE, K_LOAD, K_STORE
+from dasim._stepper import K_COMPUTE, K_LOAD, K_STORE
 from dasim.engine import SimulationFault
 from dasim.kernels import plan
 from dasim.kernels.gemm import gen_gemm
@@ -37,7 +37,8 @@ def _under_both_packers(monkeypatch, build, batch_ops):
 
 def _assert_same_chunks(got, want):
     assert got.counted_ops == want.counted_ops
-    assert [p.name for p in got.phases] == [p.name for p in want.phases]
+    assert [(p.name, p.barrier) for p in got.phases] == [(p.name, p.barrier)
+                                                         for p in want.phases]
     for pg, pw in zip(got.phases, want.phases):
         (cg,), (cw,) = pg.chunks, pw.chunks
         assert cg.n_ops.dtype == cw.n_ops.dtype
@@ -104,9 +105,10 @@ U = {"kind": [K_LOAD, K_LOAD, K_COMPUTE], "cls": [0, 0, C_ALU], "arg": [0, 0, 1]
 
 
 def _copies(rng, pb, pes, template):
-    """One copy of ``template`` per PE listed, at random L1 words, some of
-    them in the folded region that _group_builder allocates at 0."""
-    words = rng.integers(0, np.where(rng.random((len(pes), 3)) < 0.5, 1024,
+    """One copy of ``template`` per PE listed, its two loads and stores at
+    random L1 words, some of them in the folded region that
+    _group_builder allocates at 0."""
+    words = rng.integers(0, np.where(rng.random((len(pes), 2)) < 0.5, 1024,
                                      DESK.total_bytes // 4))
     emit_copies(pb, pes, template, words * 4)
 
@@ -149,7 +151,7 @@ def _one_template_from_two_calls(rng, pb):
     _copies(rng, pb, [1], U)
     pb.streams[1].compute(C_ALU)
     pb.streams[1].store(4 * int(rng.integers(0, 4096)))
-    rows = 4 * rng.integers(0, 1024, (3, 3))
+    rows = 4 * rng.integers(0, 1024, (3, 2))
     emit_copies(pb, [2, 1], T, rows[:2])
     emit_copies(pb, [1], T, rows[2:])
 
@@ -206,8 +208,8 @@ def test_template_groups_pack_like_the_oracle(monkeypatch, shape, seed, batch_op
 def test_entries_a_b_a_point_copy_bank_backwards():
     (chunk,) = _group_builder("entries-a-b-a", 0).phases[0].chunks
     pe1, pe2 = (chunk.copy_bank[chunk.copy_ptr[pe]:chunk.copy_ptr[pe + 1]] for pe in (1, 2))
-    assert len(pe1) == 4 and len(pe2) == 3            # the barrier is a copy too
-    assert (np.diff(pe1[:3]) > 0).all() and pe2[0] < pe1[2]
+    assert len(pe1) == 3 and len(pe2) == 2
+    assert (np.diff(pe1) > 0).all() and pe2[0] < pe1[2]
 
 
 @BATCH_CAPS
@@ -264,12 +266,12 @@ def _singles_around_copies_across_phases():
 
 def _terapool_barrier_only():
     """A TeraPool phase in which 128 PEs, one per 8, take 0-3 copies and a
-    single op, and the other 896 hold only the barrier."""
+    single op, and the other 896 hold no op, only the phase's barrier."""
     rng = np.random.default_rng(8)
     pb = PlanBuilder(TERAPOOL, "das")
     pb.begin_phase("p")
     on = np.repeat(np.arange(0, TERAPOOL.n_pes, 8), rng.integers(0, 4, TERAPOOL.n_pes // 8))
-    emit_copies(pb, rng.permutation(on), T, 4 * rng.integers(0, 1 << 16, (len(on), 3)))
+    emit_copies(pb, rng.permutation(on), T, 4 * rng.integers(0, 1 << 16, (len(on), 2)))
     for pe in range(0, TERAPOOL.n_pes, 8):
         pb.streams[pe].load(4 * int(rng.integers(0, 1 << 16)))
     pb.end_phase()
@@ -289,9 +291,8 @@ def test_a_dependence_reaches_across_a_phase_without_a_barrier():
     # PE 2's stream: p0 holds its load, one copy of T and an ALU op (ops
     # 0-4), p1 an ALU op on op 4 and, after U's copy, a store on op 4
     p1 = _singles_around_copies_across_phases().phases[1].chunks[0]
-    assert p1.n_ops[2] == 6
-    assert p1.cols["kind"][2].tolist() == [K_COMPUTE, K_LOAD, K_LOAD, K_COMPUTE, K_STORE,
-                                           K_BARRIER]
+    assert p1.n_ops[2] == 5
+    assert p1.cols["kind"][2].tolist() == [K_COMPUTE, K_LOAD, K_LOAD, K_COMPUTE, K_STORE]
     assert (p1.cols["dep1"][2, 0], p1.cols["dep1"][2, 4]) == (1, 5)
 
 
@@ -315,17 +316,16 @@ BAD = DESK.total_bytes + 8
 def _bad_after_a_lower_pe(pb):
     # group (U, 0) holds PE 1's good copy and PE 2's bad one and is packed
     # first; PE 1's bad address is in group (T, 3), packed after it
-    emit_copies(pb, [1, 2], U, [[0, 4, 0], [8, BAD + 4, 0]])
-    emit_copies(pb, [1], T, [[BAD, 0, 12]])
+    emit_copies(pb, [1, 2], U, [[0, 4], [8, BAD + 4]])
+    emit_copies(pb, [1], T, [[BAD, 12]])
 
 
 def _first_bad_in_a_later_group(pb):
     # groups (T, 0) {PE 1}, (U, 3) {PEs 1, 2} and (U, 0) {PE 2}, packed in
     # that order: PE 2's second bad address fails first, but its first
     # one, in (U, 0), is the one named
-    emit_copies(pb, [1], T, [[0, 0, 4]])
-    emit_copies(pb, [2, 1, 2], U,
-                [[BAD, 0, 0], [0, 4, 0], [0, BAD + 4, 0]])
+    emit_copies(pb, [1], T, [[0, 4]])
+    emit_copies(pb, [2, 1, 2], U, [[BAD, 0], [0, 4], [0, BAD + 4]])
 
 
 # the builder of each phase, and the PE and address its fault names
@@ -385,8 +385,8 @@ def test_end_phase_memory_is_bounded_by_the_batch(monkeypatch):
 
 
 def test_a_plan_holds_no_padding():
-    # tp gemm 64^3's compute phase gives 128 of 1,024 PEs 1,187 ops and
-    # the rest only the barrier: padded to the longest stream, its 15-byte
+    # tp gemm 64^3's compute phase gives 128 of 1,024 PEs 1,186 ops and
+    # the rest none: padded to the longest stream, its 15-byte
     # slots took 17.4 MiB for 152,832 ops. In template form a chunk holds
     # 2 bytes per load and store, 4 per copy and 4 pointers per PE, and
     # reading the flat view leaves nothing behind
