@@ -7,18 +7,30 @@
  * caller checks sizes, index ranges and the agreement of the pointer
  * arrays with the copies and op counts before the call.
  *
- * Two selections on the issue path are conditional selects, not branches,
- * because their outcome is data that a branch predictor guesses wrong
- * often enough to bound the loop: the free window slot of a load or store
- * (the first slot holding the minimum), and whether an access goes through
- * the ports. Every access books an outbound and an inbound port entry for
- * its level; a tile-local one books its own tile's level-0 entries, which
- * are scratch bookings that no access reads for its timing, and takes
+ * Issue is in order, so once a PE's op issues, the gates of its next op
+ * are final, but for a DMA wait's transfer: they read only the PE's own
+ * dependence ring and window slots. So advance gates the next op at once,
+ * charges its stall, issues it in place if it is a compute burst, which
+ * books no bank, port or backend, and goes on to the op after, until it
+ * reaches a load, store or DMA start, which it queues at its issue cycle.
+ * A DMA wait is queued at its free cycle and gated when visited: until
+ * that cycle's turn another PE may start its transfer, and whether the
+ * wait parks depends on that. Every shared booking thus happens at its own
+ * cycle, in PE-id order, as in a scan over all PEs per cycle.
+ *
+ * Three choices are conditional selects, not branches, because their
+ * outcome is data that a branch predictor guesses wrong often enough to
+ * bound the loop: the free window slot of a load or store (the first
+ * slot holding the minimum), whether an access goes through the ports,
+ * and the ledger column a stall is charged to, which runs on every op.
+ * Every access books an outbound and an inbound port entry for its level;
+ * a tile-local one books its own tile's level-0 entries, which are
+ * scratch bookings that no access reads for its timing, and takes
  * now + local_wait by a select in place of the ports' cycle. The other
- * branches stay: as selects, stall attribution measured no faster, and
- * the dependence gate and the kind dispatch slower. A dependence ring
- * slot is one record, the op's result cycle << 1 | whether it is a
- * compute op, so the gate reads one cache line per dependence.
+ * branches stay: as selects, the dependence gate and the kind dispatch
+ * measured slower. A dependence ring slot is one record, the op's result
+ * cycle << 1 | whether it is a compute op, so the gate reads one cache
+ * line per dependence.
  */
 
 #include <stdint.h>
@@ -74,12 +86,130 @@ static inline int64_t dequeue(pe_queue *q)
     }
 }
 
+/* One PE's cursors and clock, one 64-byte record (see WORK_LAYOUT);
+ * abs_idx and t_free are copied in from the caller's arrays and back out
+ * on every exit */
+typedef struct {
+    int64_t abs_idx;    /* its next op's absolute index: its ring slot */
+    int64_t end;        /* the absolute index past its last op */
+    int64_t o;          /* its next op's index in the template columns */
+    int64_t copy;       /* its copy */
+    int64_t bank;       /* its next bank */
+    int64_t t_free;     /* the cycle it next acts: a queued op's issue cycle */
+    int64_t slot;       /* the window slot its gated load or store takes */
+    int64_t pad;        /* to 64 bytes */
+} pe_rec;
+
+/* WORK_LAYOUT: step_segment's `work` holds, in order, parked[n_pe], the
+ * transfer each PE parked on a DMA wait waits on (-1 for none); the QH
+ * bucket bitmaps of pe_queue, QH * ceil(n_pe / 64) words; and one pe_rec
+ * per PE from the first 64-byte boundary on, 8 * n_pe + 7 slots. So it
+ * takes 9 * n_pe + QH * ceil(n_pe / 64) + 7 int64 slots in all. */
+
+/* What advance reads and writes besides a PE's record */
+typedef struct {
+    const uint8_t *kind, *cls;
+    const int32_t *arg, *copy_tpl;
+    const uint16_t *dep1, *dep2;
+    const int64_t *tpl_ptr, *copy_bank, *class_lat;
+    int64_t *ready, *win, *acct;
+    int64_t window;
+    pe_queue *queue;
+} segment;
+
+/* Raise *g_lsu and *g_raw to the cycles template op o's dependences are
+ * ready at, read from ring, the dependence ring of a PE whose next op is
+ * absolute op ai: a compute op's result gates as RAW, any other's as LSU */
+static inline void dep_gates(const segment *g, const int64_t *ring, int64_t ai, int64_t o,
+                             int64_t *g_lsu, int64_t *g_raw)
+{
+    int64_t deps[2] = {g->dep1[o], g->dep2[o]};
+    for (int s = 0; s < 2; s++) {
+        if (deps[s]) {
+            int64_t r = ring[(ai - deps[s]) & (DEP_RING - 1)];
+            int64_t rt = r >> 1;
+            if (r & 1) {
+                if (rt > *g_raw)
+                    *g_raw = rt;
+            } else if (rt > *g_lsu) {
+                *g_lsu = rt;
+            }
+        }
+    }
+}
+
+/* Step r past the op that just issued: past its copy's last op, on to the
+ * PE's next copy, if any, and that copy's first bank */
+static inline void next_op(const segment *g, pe_rec *r)
+{
+    r->abs_idx++;
+    if (++r->o == g->tpl_ptr[g->copy_tpl[r->copy] + 1] && r->abs_idx < r->end) {
+        int64_t c = ++r->copy;
+        r->o = g->tpl_ptr[g->copy_tpl[c]];
+        r->bank = g->copy_bank[c];
+    }
+}
+
+/* PE pe is free at cycle t, its next op at r's cursors: gate ops from
+ * there, charging each one's stall and issuing each compute burst in
+ * place, up to the PE's next load, store or DMA start, queued at the
+ * cycle it issues, or its next DMA wait, queued at the cycle it is free
+ * (see the top). Past its last op the PE ends at its free cycle. Inlined
+ * at both calls: as a call it cost the stepper 8-10% on the bench
+ * workloads. */
+static inline __attribute__((always_inline)) void advance(segment *g, pe_rec *r,
+                                                          int64_t pe, int64_t t)
+{
+    int64_t *ring = g->ready + pe * DEP_RING, *a = g->acct + pe * ACC_WIDTH;
+    for (;;) {
+        if (r->abs_idx == r->end) {
+            r->t_free = t;
+            return;
+        }
+        int64_t o = r->o;
+        int k = g->kind[o];
+        if (k == K_DMA_WAIT) {
+            r->t_free = t;
+            enqueue(g->queue, pe, t);
+            return;
+        }
+        int64_t g_lsu = t, g_raw = t;
+        dep_gates(g, ring, r->abs_idx, o, &g_lsu, &g_raw);
+        if (k == K_LOAD || k == K_STORE) {
+            /* a free window slot, the first that frees soonest: responses
+             * retire in any order. Selected, not branched on (see the top) */
+            const int64_t *slots = g->win + pe * g->window;
+            int64_t m = slots[0], m_slot = 0;
+            for (int64_t s = 1; s < g->window; s++) {
+                int64_t v = slots[s];
+                int lt = v < m;
+                m = lt ? v : m;
+                m_slot = lt ? s : m_slot;
+            }
+            r->slot = m_slot;
+            if (m > g_lsu)
+                g_lsu = m;
+        }
+        /* the whole wait goes to the latest gate, LSU on a tie */
+        int64_t t_issue = g_lsu > g_raw ? g_lsu : g_raw;
+        a[g_lsu == t_issue ? ACC_LSU : ACC_RAW] += t_issue - t;
+        if (k != K_COMPUTE) {
+            r->t_free = t_issue;
+            enqueue(g->queue, pe, t_issue);
+            return;
+        }
+        /* a compute burst books nothing shared, so it issues here */
+        int64_t n = g->arg[o];
+        t = t_issue + n;
+        ring[r->abs_idx & (DEP_RING - 1)] = (t - 1 + g->class_lat[g->cls[o]]) << 1 | 1;
+        a[ACC_ISSUED] += n;
+        next_op(g, r);
+    }
+}
+
 /* Advance one segment from cycle `now`; see step_segment in _stepper.py.
- * out receives (end cycle, FAULT_* code or 0, pe, detail). work holds
- * 5 * n_pe + QH * ceil(n_pe / 64) scratch slots: the transfer each
- * parked PE waits on, each PE's cursors (its next op's index in the
- * segment and in the template columns, its copy, its next bank) and the
- * QH bucket bitmaps (see pe_queue). */
+ * out receives (end cycle, FAULT_* code or 0, pe, detail). work is
+ * scratch laid out as WORK_LAYOUT states. */
 void step_segment(
     /* op templates: template t's ops are tpl_ptr[t] .. tpl_ptr[t + 1] */
     const uint8_t *tpl_kind, const uint8_t *tpl_cls, const int32_t *tpl_arg,
@@ -104,121 +234,51 @@ void step_segment(
     int64_t tiles_per_subgroup, int64_t tiles_per_group,
     int64_t l2_lat, int64_t dma_wpc, int64_t now)
 {
-    const int64_t mask = DEP_RING - 1;
     const int64_t local_wait = level_lat[0] - 1;  /* a tile-local request's cycles before the bank */
     /* tile ids by shifts: every tile size is a power of two */
     const int pe_shift = __builtin_ctzll(pes_per_tile), bank_shift = __builtin_ctzll(banks_per_tile);
-    int64_t *parked = work, *cursor = work + n_pe, *op_at = work + 2 * n_pe;
-    int64_t *copy_at = work + 3 * n_pe, *bank_at = work + 4 * n_pe;
-    int64_t n_parked = 0;
+    int64_t *parked = work, n_parked = 0;
     int64_t pe, q;
-    pe_queue queue = {.bits = (uint64_t *)(work + 5 * n_pe), .words = (n_pe + 63) / 64,
-                      .now = now};
+    pe_queue queue = {.bits = (uint64_t *)(work + n_pe), .words = (n_pe + 63) / 64, .now = now};
+    pe_rec *rec = (pe_rec *)(((uintptr_t)(work + n_pe + QH * queue.words) + 63) & ~(uintptr_t)63);
+    segment g = {.kind = tpl_kind, .cls = tpl_cls, .arg = tpl_arg, .copy_tpl = copy_tpl,
+                 .dep1 = tpl_dep1, .dep2 = tpl_dep2, .tpl_ptr = tpl_ptr, .copy_bank = copy_bank,
+                 .class_lat = class_lat, .ready = ready, .win = win, .acct = acct,
+                 .window = window, .queue = &queue};
 
     for (pe = 0; pe < n_pe; pe++) {
         if (pe == 0 || t_free[pe] < queue.now)
             queue.now = t_free[pe];
-        cursor[pe] = 0;
-        copy_at[pe] = copy_ptr[pe];
-        op_at[pe] = n_ops[pe] ? tpl_ptr[copy_tpl[copy_ptr[pe]]] : 0;
-        bank_at[pe] = n_ops[pe] ? copy_bank[copy_ptr[pe]] : 0;
         parked[pe] = -1;
     }
     for (q = 0; q < QH * queue.words; q++)
         queue.bits[q] = 0;
-    for (pe = 0; pe < n_pe; pe++)
-        enqueue(&queue, pe, t_free[pe]);
+    for (pe = 0; pe < n_pe; pe++) {
+        int64_t c = copy_ptr[pe];
+        rec[pe] = (pe_rec){.abs_idx = abs_idx[pe], .end = abs_idx[pe] + n_ops[pe],
+                           .o = n_ops[pe] ? tpl_ptr[copy_tpl[c]] : 0, .copy = c,
+                           .bank = n_ops[pe] ? copy_bank[c] : 0};
+        advance(&g, rec + pe, pe, t_free[pe]);
+    }
     out[1] = out[2] = out[3] = 0;
 
     while ((pe = dequeue(&queue)) >= 0) {
         now = queue.now;
-        if (t_free[pe] > now) {
+        pe_rec *r = rec + pe;
+        if (r->t_free > now) {
             /* a horizon visit: not due yet, so on to its cycle or the
              * next horizon, booking nothing (see pe_queue) */
-            enqueue(&queue, pe, t_free[pe]);
+            enqueue(&queue, pe, r->t_free);
             continue;
         }
-        int64_t i = cursor[pe];
-        if (i >= n_ops[pe])
-            continue;
-        int64_t o = op_at[pe];
+        /* a gated load, store or DMA start issues now; a DMA wait is
+         * gated first, and then issues here whenever its gates open */
+        int64_t o = r->o;
         int k = tpl_kind[o];
-        int64_t ai = abs_idx[pe];
         int64_t *a = acct + pe * ACC_WIDTH;
-
-        /* gates */
-        int64_t g_lsu = now, g_raw = now, g_wfi = now;
-        int64_t deps[2] = {tpl_dep1[o], tpl_dep2[o]};
-        for (int s = 0; s < 2; s++) {
-            if (deps[s]) {
-                int64_t r = ready[pe * DEP_RING + ((ai - deps[s]) & mask)];
-                int64_t rt = r >> 1;
-                if (r & 1) {
-                    if (rt > g_raw)
-                        g_raw = rt;
-                } else if (rt > g_lsu) {
-                    g_lsu = rt;
-                }
-            }
-        }
-        int64_t *slots = win + pe * window;
-        int64_t m = 0, m_slot = 0;
-        if (k == K_LOAD || k == K_STORE) {
-            /* a free window slot, the first that frees soonest: responses
-             * retire in any order. Selected, not branched on (see the top) */
-            m = slots[0];
-            for (int64_t s = 1; s < window; s++) {
-                int64_t v = slots[s];
-                int lt = v < m;
-                m = lt ? v : m;
-                m_slot = lt ? s : m_slot;
-            }
-            if (m > g_lsu)
-                g_lsu = m;
-        } else if (k == K_DMA_WAIT) {
-            int64_t tid = tpl_arg[o];
-            if (tid < 0 || tid >= n_transfers) {
-                out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
-                return;
-            }
-            int64_t t_done = transfer_done[tid];
-            if (t_done < 0) {
-                /* off the queue until some PE starts the transfer */
-                parked[pe] = tid;
-                n_parked++;
-                continue;
-            }
-            if (t_done > g_wfi)
-                g_wfi = t_done;
-        }
-
-        int64_t t_issue = g_lsu;
-        if (g_raw > t_issue)
-            t_issue = g_raw;
-        if (g_wfi > t_issue)
-            t_issue = g_wfi;
-
-        if (t_issue > now) {
-            /* cannot issue this cycle: attribute the whole wait to the
-             * latest gate (LSU beats RAW beats WFI on ties) and jump */
-            int64_t stall = t_issue - now;
-            if (g_lsu == t_issue)
-                a[ACC_LSU] += stall;
-            else if (g_raw == t_issue)
-                a[ACC_RAW] += stall;
-            else
-                a[ACC_WFI] += stall;
-            t_free[pe] = t_issue;
-            enqueue(&queue, pe, t_issue);
-            continue;
-        }
-
-        /* ---- issue at now ---- */
-        int64_t t_next = now + 1;       /* when the PE can act again */
         int64_t t_ready = now + 1;      /* when the op's result is ready */
-        int64_t n_issued = 1;
         if (k == K_LOAD || k == K_STORE) {
-            int64_t b = bank[bank_at[pe]++];
+            int64_t b = bank[r->bank++];
             /* the level: how far up the hierarchy the PE's and the bank's
              * tile ids part, as topology.access_levels classifies it */
             int64_t src_tile = pe >> pe_shift, dst_tile = b >> bank_shift;
@@ -250,20 +310,16 @@ void step_segment(
                 serve = bank_next[b];
             bank_next[b] = serve + 1;
             t_ready = serve + 1;
-            slots[m_slot] = t_ready;
-        } else if (k == K_COMPUTE) {
-            n_issued = tpl_arg[o];
-            t_next = now + n_issued;
-            t_ready = t_next - 1 + class_lat[tpl_cls[o]];
+            win[pe * window + r->slot] = t_ready;
         } else if (k == K_DMA_START) {
             int64_t tid = tpl_arg[o];
             if (tid < 0 || tid >= n_transfers) {
                 out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
-                return;
+                goto done;
             }
             if (transfer_done[tid] >= 0) {
                 out[0] = now, out[1] = FAULT_DMA_RESTART, out[2] = pe, out[3] = tid;
-                return;
+                goto done;
             }
             int64_t base_t = now + 1 + l2_lat, t_done = base_t;
             for (int64_t s = seg_ptr[tid]; s < seg_ptr[tid + 1]; s++) {
@@ -282,37 +338,57 @@ void step_segment(
                 if (parked[q] == tid) {
                     parked[q] = -1;
                     n_parked--;
-                    acct[q * ACC_WIDTH + ACC_WFI] += now + 1 - t_free[q];
-                    t_free[q] = now + 1;
+                    acct[q * ACC_WIDTH + ACC_WFI] += now + 1 - rec[q].t_free;
+                    rec[q].t_free = now + 1;
                     enqueue(&queue, q, now + 1);
                 }
             }
+        } else {
+            int64_t tid = tpl_arg[o];
+            if (tid < 0 || tid >= n_transfers) {
+                out[0] = now, out[1] = FAULT_DMA_UNKNOWN, out[2] = pe, out[3] = tid;
+                goto done;
+            }
+            int64_t t_done = transfer_done[tid];
+            if (t_done < 0) {
+                /* off the queue until some PE starts the transfer */
+                parked[pe] = tid;
+                n_parked++;
+                continue;
+            }
+            int64_t g_lsu = now, g_raw = now, g_wfi = t_done > now ? t_done : now;
+            dep_gates(&g, ready + pe * DEP_RING, r->abs_idx, o, &g_lsu, &g_raw);
+            int64_t t_issue = g_lsu > g_raw ? g_lsu : g_raw;
+            if (g_wfi > t_issue)
+                t_issue = g_wfi;
+            /* the whole wait goes to the latest gate, LSU beats RAW beats
+             * WFI on ties */
+            a[g_lsu == t_issue ? ACC_LSU : g_raw == t_issue ? ACC_RAW : ACC_WFI] += t_issue - now;
+            t_ready = t_issue + 1;
         }
 
-        /* shared by every kind; a DMA wait with its gate met needs only this */
-        ready[pe * DEP_RING + (ai & mask)] = t_ready << 1 | (k == K_COMPUTE);
-        a[ACC_ISSUED] += n_issued;
-        cursor[pe] = i + 1;
-        /* past the copy's last op: on to the PE's next copy, if any, and
-         * its first bank */
-        if (++o == tpl_ptr[copy_tpl[copy_at[pe]] + 1] && i + 1 < n_ops[pe]) {
-            int64_t c = ++copy_at[pe];
-            o = tpl_ptr[copy_tpl[c]];
-            bank_at[pe] = copy_bank[c];
-        }
-        op_at[pe] = o;
-        abs_idx[pe] = ai + 1;
-        t_free[pe] = t_next;
-        enqueue(&queue, pe, t_next);
+        /* shared by every kind: none of these is a compute op */
+        ready[pe * DEP_RING + (r->abs_idx & (DEP_RING - 1))] = t_ready << 1;
+        a[ACC_ISSUED]++;
+        next_op(&g, r);
+        advance(&g, r, pe, k == K_DMA_WAIT ? t_ready : now + 1);
     }
 
-    /* PEs end independently, and the last one taken from the queue
-     * finishes last */
+    /* PEs end independently: the run ends at the last PE's end, or at
+     * the last cycle a PE was taken from the queue, where it may park */
     out[0] = queue.now;
+    for (pe = 0; pe < n_pe; pe++)
+        if (rec[pe].t_free > out[0])
+            out[0] = rec[pe].t_free;
     if (n_parked) {
         for (q = 0; parked[q] < 0; q++)
             ;
         out[1] = FAULT_DMA_NEVER_STARTED, out[2] = q, out[3] = parked[q];
+    }
+done:
+    for (pe = 0; pe < n_pe; pe++) {
+        abs_idx[pe] = rec[pe].abs_idx;
+        t_free[pe] = rec[pe].t_free;
     }
 }
 

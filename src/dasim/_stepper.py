@@ -23,17 +23,24 @@ The op kinds, ledger columns and width, fault codes, DEP_RING and QH
 below are the only definitions: the build passes them to the C file as
 -D macros.
 
-A PE is visited only at the cycle it can next act: it leaves the queue
+A PE is queued at the cycle its next shared op issues, a load, store or
+DMA start, or, for a DMA wait, at the first cycle it can check its
+transfer, the cycle it is free; compute bursts never enter the queue.
+When an op issues, the stepper gates the PE's next op at once, charges
+its stall and issues any compute bursts in place, since they book
+nothing shared. Under in-order issue those gates are final by then, but
+for a DMA wait's transfer, which another PE may start until the wait's
+own cycle comes; so a wait is gated when visited. A PE leaves the queue
 after its last op and while it waits on a DMA transfer nobody has
-started yet. A PE that stalls, issues or is
-woken at a cycle is queued again at a later one, so the order is cycle
-by cycle and, within a cycle, by PE id: the order of a scan over all
-PEs per cycle. Shared-resource bookings therefore happen in
-chronological order with PE id as the tie-break, which makes every run
-bit-deterministic. The queue is a ring of QH per-cycle buckets, each a
-bitmap of PE ids read lowest bit first. A PE due QH or more cycles ahead
-waits in the ring's last bucket and, when that cycle comes, is queued
-again without acting (a horizon visit), until its own cycle is in range.
+started yet, and is queued again for the cycle after the transfer's
+start. So the visits go cycle by cycle and, within a cycle, by PE id:
+the order of a scan over all PEs per cycle. Shared-resource bookings
+therefore happen in chronological order with PE id as the tie-break,
+which makes every run bit-deterministic. The queue is a ring of QH
+per-cycle buckets, each a bitmap of PE ids read lowest bit first. A PE
+due QH or more cycles ahead waits in the ring's last bucket and, when
+that cycle comes, is queued again without acting (a horizon visit),
+until its own cycle is in range.
 """
 
 import ctypes
@@ -68,8 +75,8 @@ DEP_RING = 256
 
 # the stepper's buckets: a PE due QH or more cycles ahead takes a horizon
 # visit; a power of two from 2 to 64, one occupancy bit per bucket. At 64,
-# 0.04% or fewer of the bench gemm workloads' requeues take one, and 9.2%
-# (das) and 7.9% (interleaved) of tp gemv 256^2's
+# 0.07% or fewer of the bench gemm workloads' visits are one, and 19.3%
+# (das) and 18.2% (interleaved) of tp gemv 256^2's
 QH = 64
 
 # fault codes
@@ -145,7 +152,8 @@ def step_segment(chunk, acct, st, now):
     free cycle, or the cycle of a fault and ``(FAULT_*, pe, detail)``.
     """
     n_pe = len(chunk.n_ops)
-    work = np.empty(5 * n_pe + QH * -(-n_pe // 64), dtype=np.int64)
+    # the stepper's scratch, as WORK_LAYOUT in _stepper.c lays it out
+    work = np.empty(9 * n_pe + QH * -(-n_pe // 64) + 7, dtype=np.int64)
     out = np.empty(4, dtype=np.int64)
     buffers = (*(chunk.tpl[c] for c in TEMPLATE_COLS), chunk.tpl_ptr,
                chunk.copy_tpl, chunk.copy_ptr, chunk.copy_bank, chunk.bank, chunk.n_ops,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dasim import (ClusterTopology, _stepper, das, desk_default, engine, interleaved,
                    terapool_default)
 from dasim._stepper import (ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_START, K_DMA_WAIT,
-                            K_LOAD, K_STORE)
+                            K_LOAD, K_STORE, TEMPLATE_COLS)
 from dasim.engine import (ALLOC_COST, V1_PARAMS, DmaTransfer, EngineParams, Phase,
                           SimulationFault, build_transfer, make_chunk, run_packed)
 from dasim.kernels import plan
@@ -1016,6 +1016,100 @@ def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):
     assert finish_times(rep)[:3].tolist() == [t + 2, t + 3, t + 4]
     assert rep.per_pe["lsu_stall"][:3].tolist() == [0, 1, 2]
     _under_both_steppers(monkeypatch, lambda: simulate([near, far, near]))
+
+
+def _pe0_run(copies, order, dma=(), params=None):
+    """The report of one barrier-ended phase on DESK whose only ops are
+    PE 0's: ``copies`` lists its copies in stream order, each a
+    (template, banks) pair, a template being a dict of TEMPLATE_COLS
+    lists (absent columns zero) and banks its loads' and stores' banks.
+    The chunk stores the copies' banks in ``order``, a permutation of
+    their stream positions. A template is stored once, however many
+    copies it has."""
+    tpls, batches = {}, []
+    for c in order:
+        t, banks = copies[c]
+        n = len(t["kind"])
+        tpl = tpls.setdefault(id(t), {name: np.array(t.get(name, [0] * n), dtype)
+                                      for name, dtype in TEMPLATE_COLS.items()})
+        batches.append((np.array([0]), np.array([c]), tpl, np.array(banks, np.int64)))
+    n_ops, n_copies = np.zeros((2, DESK.n_pes), dtype=np.int64)
+    n_ops[0], n_copies[0] = sum(len(t["kind"]) for t, _ in copies), len(copies)
+    chunk = make_chunk(n_ops, batches, topo=DESK, n_copies=n_copies,
+                       n_mem=sum(len(banks) for _, banks in copies))
+    return run_packed(DESK, params or EngineParams(), [Phase("run", [chunk], barrier=True)],
+                      dma)
+
+
+def _pe0_ledger(rep):
+    return {k: int(rep.per_pe[k][0]) for k in ("instr_issued", "lsu_stall", "raw_stall",
+                                                "wfi_stall")}
+
+
+def test_a_stall_whose_load_and_compute_gates_tie_is_lsu(monkeypatch):
+    # a level-3 load at 0 returns at 7 and a 3-issue MAC burst from 1 is
+    # ready at 3 + 4 = 7, so the ALU op on both, free at 4, waits 3 cycles
+    # for two gates that open together: LSU beats RAW on a tie
+    progs = [[("load", bank_addr(4 * DESK.banks_per_tile)), ("compute", C_MAC, 3),
+              ("compute", C_ALU, 1, (0, 1))]]
+    rep = simulate(progs)
+    assert rep.cycles == 8
+    assert _pe0_ledger(rep) == {"instr_issued": 5, "lsu_stall": 3, "raw_stall": 0,
+                                "wfi_stall": 0}
+    _under_both_steppers(monkeypatch, lambda: simulate(progs))
+
+
+# a DMA start, a 9-issue MAC burst and a wait on the transfer that also
+# reads the burst's result
+START_MAC_WAIT = {"kind": [K_DMA_START, K_COMPUTE, K_DMA_WAIT], "cls": [0, C_MAC, 0],
+                  "arg": [0, 9, 0], "dep1": [0, 0, 1]}
+
+
+def test_a_dma_wait_whose_compute_gate_opens_with_its_transfer_is_raw(monkeypatch):
+    # the start at 0 books backend 0 from 0 + 1 + 10 for 8 words at 4 a
+    # cycle, done at 13; the burst from 1 is ready at 9 + 4 = 13. So the
+    # wait, free at 10, waits 3 cycles for both: RAW beats WFI on a tie.
+    # The barrier is the 12th issue, at 14
+    dma = [DmaTransfer((0, 0), (0, 0), segments=[(0, 8)])]
+    params = EngineParams(l2_latency=10)
+
+    def run():
+        return _pe0_run([(START_MAC_WAIT, [])], [0], dma, params)
+
+    rep = run()
+    assert rep.cycles == 15
+    assert _pe0_ledger(rep) == {"instr_issued": 12, "lsu_stall": 0, "raw_stall": 3,
+                                "wfi_stall": 0}
+    _under_both_steppers(monkeypatch, run)
+
+
+# A loads, adds one to the word and stores it, so it ends in a store; B
+# loads and starts a MAC on the word, so it ends in a compute burst
+LOAD_ALU_STORE = {"kind": [K_LOAD, K_COMPUTE, K_STORE], "arg": [0, 1, 0], "dep1": [0, 1, 1]}
+LOAD_MAC = {"kind": [K_LOAD, K_COMPUTE], "cls": [0, C_MAC], "arg": [0, 1], "dep1": [0, 1]}
+
+
+def test_a_copy_switch_takes_the_next_copys_banks(monkeypatch):
+    # PE 0 runs copies A, B, A, whose banks the chunk stores as B, A, A:
+    # no copy's banks follow the copy before's. So the bank cursor must be
+    # reloaded at the switch after A's store and at the one after B's MAC.
+    # A's first copy stays on PE 0's tile (level 0, no stall); B loads from
+    # tile 4 (level 3) at 3, back at 10, so the MAC waits 6 cycles; the
+    # second A loads from tile 1 (level 1) at 11, back at 14, a 2-cycle
+    # wait for the ALU op, and stores to tile 2 (level 2) at 15, done at 20.
+    # The barrier waits for it from 16 and issues at 20
+    bpt = DESK.banks_per_tile
+    copies = [(LOAD_ALU_STORE, [1, 2]), (LOAD_MAC, [4 * bpt + 6]),
+              (LOAD_ALU_STORE, [bpt + 1, 2 * bpt + 8])]
+
+    def run():
+        return _pe0_run(copies, [1, 0, 2])
+
+    rep = run()
+    assert rep.cycles == 21
+    assert _pe0_ledger(rep) == {"instr_issued": 9, "lsu_stall": 12, "raw_stall": 0,
+                                "wfi_stall": 0}
+    _under_both_steppers(monkeypatch, run)
 
 
 def test_c_stepper_matches_oracle_with_a_two_cycle_horizon(monkeypatch, tmp_path):
