@@ -21,25 +21,27 @@ booking, even when it reaches an idle bank first. Every cycle of every
 PE ends up in exactly one bucket of report.LEDGER.
 
 A phase's barrier (``Phase.barrier``) books no bank, port or backend,
-so run_packed applies it in closed form after the phase's ops: each PE
-issues it once its window drains, at ``arrive = max(t_free, latest
-window slot)``, as one op (an LSU stall until then), and all go on at
-``max(arrive) + 1``. A phase without a barrier ends at its last PE's
-next free cycle; its outstanding loads and stores retire in the next
-phase, or in a plan's last phase never count. So a level-3 load at
-cycle 0 beside a 2-cycle ALU burst ends such a phase at 2, though its
-data returns at 7. Every kernel phase ends in a barrier.
+so run_packed applies it in closed form after the phase's ops
+(``_stepper.end_phase``): each PE issues it once its window drains, at
+``arrive = max(t_free, latest window slot)``, as one op (an LSU stall
+until then), and all go on at ``max(arrive) + 1``. A phase without a
+barrier ends at its last PE's next free cycle; its outstanding loads
+and stores retire in the next phase, or in a plan's last phase never
+count. So a level-3 load at cycle 0 beside a 2-cycle ALU burst ends
+such a phase at 2, though its data returns at 7. Every kernel phase
+ends in a barrier.
 """
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _stepper
-from ._stepper import (ACC_ISSUED, ACC_LSU, ACC_WFI, ACC_WIDTH, DEP_RING, K_COMPUTE,
-                       K_DMA_WAIT, K_STORE, TEMPLATE_COLS, step_segment)
+from ._stepper import (ACC_WIDTH, DEP_RING, K_COMPUTE, K_DMA_WAIT, K_STORE, TEMPLATE_COLS,
+                       end_phase, step_segment)
 from .remap import MapConfig, resolve_array
 from .report import PE_KEYS, PhaseStats, SimReport
 from .topology import ClusterTopology, access_levels
@@ -270,6 +272,14 @@ _FAULT_TEXT = {
 }
 
 
+# the template columns whose values have a ceiling, in the order they are
+# checked: each one's name, its highest value and what a higher one is
+_TPL_CEILINGS = (("kind", K_DMA_WAIT, f"op kind above {K_DMA_WAIT}"),
+                 ("cls", 2, "a class above 2"),
+                 *((d, DEP_RING - 1, f"a dependence {DEP_RING} or more ops back")
+                   for d in ("dep1", "dep2")))
+
+
 def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     """Reject a chunk that would lead the stepper out of bounds or to a wrong ring slot.
 
@@ -282,62 +292,76 @@ def _check_chunk(topo: ClusterTopology, chunk: PackedChunk) -> None:
     template op is range-checked once, however many copies it has, with
     a compute count checked on compute ops only; a failure names the
     template and the op. Every bank must lie below ``n_banks``. Nothing
-    is read per slot of a flat row.
+    is read per slot of a flat row, and each check is a few numpy calls
+    on the chunk's arrays as they are.
     """
     n_pe, tpl = topo.n_pes, chunk.tpl
+    ptr, copy_ptr, copy_tpl, copy_bank = (chunk.tpl_ptr, chunk.copy_ptr, chunk.copy_tpl,
+                                          chunk.copy_bank)
     n_tpl_ops = len(tpl.get("kind", ()))
     # each array, its dtype and its length where that is fixed
-    spec = {"n_ops": (chunk.n_ops, np.int64, n_pe),
-            "copy_ptr": (chunk.copy_ptr, np.int64, n_pe + 1),
-            "tpl_ptr": (chunk.tpl_ptr, np.int64, None),
-            "copy_tpl": (chunk.copy_tpl, np.int32, None), "bank": (chunk.bank, np.uint16, None),
-            "copy_bank": (chunk.copy_bank, np.int64, len(chunk.copy_tpl)),
-            **{name: (tpl.get(name), dtype, n_tpl_ops) for name, dtype in TEMPLATE_COLS.items()}}
-    for name, (a, dtype, length) in spec.items():
+    for name, a, dtype, length in (
+            ("n_ops", chunk.n_ops, np.int64, n_pe), ("copy_ptr", copy_ptr, np.int64, n_pe + 1),
+            ("tpl_ptr", ptr, np.int64, None), ("copy_tpl", copy_tpl, np.int32, None),
+            ("bank", chunk.bank, np.uint16, None),
+            ("copy_bank", copy_bank, np.int64, len(copy_tpl)),
+            *((name, tpl.get(name), dtype, n_tpl_ops) for name, dtype in TEMPLATE_COLS.items())):
         if (not isinstance(a, np.ndarray) or a.dtype != dtype
                 or not a.flags.c_contiguous or a.ndim != 1):
             raise ValueError(f"chunk array {name!r} must be a C-contiguous 1-D "
                              f"{np.dtype(dtype).name} array")
         if length is not None and len(a) != length:
             raise ValueError(f"chunk array {name!r} has {len(a)} entries, not {length}")
-    for name, ptr, end, least in (("tpl_ptr", chunk.tpl_ptr, n_tpl_ops, 1),
-                                  ("copy_ptr", chunk.copy_ptr, len(chunk.copy_tpl), 0)):
-        if not len(ptr) or ptr[0] != 0 or ptr[-1] != end or (np.diff(ptr) < least).any():
+    # an entry that rises by less than `least` over the one before: compared,
+    # not subtracted, so no overflow hides one
+    for name, p, end, least, short in (("tpl_ptr", ptr, n_tpl_ops, 1, np.less_equal),
+                                       ("copy_ptr", copy_ptr, len(copy_tpl), 0, np.less)):
+        if not len(p) or p[0] != 0 or p[-1] != end or short(p[1:], p[:-1]).any():
             raise ValueError(f"chunk array {name!r} must start at 0, rise by at least "
                              f"{least} per entry and end at {end}")
-    n_tpl = len(chunk.tpl_ptr) - 1
-    copy_tpl = chunk.copy_tpl
-    if len(copy_tpl) and (copy_tpl.min() < 0 or copy_tpl.max() >= n_tpl):
+    n_tpl = len(ptr) - 1
+    # a negative template index reads as 2^31 or more unsigned
+    if len(copy_tpl) and copy_tpl.view(np.uint32).max() >= n_tpl:
         raise ValueError(f"chunk array 'copy_tpl' names a template outside [0, {n_tpl})")
     kind = tpl["kind"]
-    # per PE its copies' ops, and per copy its loads and stores
-    ops = np.diff(np.cumsum(np.r_[0, np.diff(chunk.tpl_ptr)[copy_tpl]])[chunk.copy_ptr])
-    mems = np.diff(np.cumsum(np.r_[0, kind <= K_STORE])[chunk.tpl_ptr])[copy_tpl]
-    if not np.array_equal(ops, chunk.n_ops):
-        raise ValueError(f"chunk array 'n_ops' disagrees with PE "
-                         f"{int(np.argmax(ops != chunk.n_ops))}'s copies")
+    # per copy its loads and stores, from its template's: each template
+    # holds an op, so reduceat sums each one's own
+    mems = np.add.reduceat(kind <= K_STORE, ptr[:-1], dtype=np.int64).take(copy_tpl)
+    # per PE its copies' ops, as running totals over the PEs: these part
+    # from n_ops' running totals first at the first PE whose count
+    # differs, overflow or not
+    total = np.zeros(len(copy_tpl) + 1, dtype=np.int64)
+    np.add.accumulate((ptr[1:] - ptr[:-1]).take(copy_tpl), out=total[1:])
+    bad = total.take(copy_ptr[1:]) != np.add.accumulate(chunk.n_ops)
+    if bad.any():
+        raise ValueError(f"chunk array 'n_ops' disagrees with PE {int(np.argmax(bad))}'s copies")
     # each copy's last bank, compared with no overflow
-    out = (chunk.copy_bank < 0) | (chunk.copy_bank > len(chunk.bank) - mems)
+    out = (copy_bank < 0) | (copy_bank > len(chunk.bank) - mems)
     if out.any():
         raise ValueError(f"chunk array 'copy_bank': copy {np.argmax(out)} reads outside 'bank'")
     if mems.sum() != len(chunk.bank):
         raise ValueError(f"chunk array 'bank' holds {len(chunk.bank)} banks, not {mems.sum()}")
-    comp_at = np.flatnonzero(kind == K_COMPUTE)
-    # ~count > -2 is a count below 1, with no overflow
-    for name, col, top, what in (
-            ("kind", kind, K_DMA_WAIT, f"op kind above {K_DMA_WAIT}"),
-            ("cls", tpl["cls"], 2, "a class above 2"),
-            *((d, tpl[d], DEP_RING - 1, f"a dependence {DEP_RING} or more ops back")
-              for d in ("dep1", "dep2")),
-            ("arg", ~tpl["arg"][comp_at], -2, "a compute count below 1")):
-        if col.max(initial=top) > top:
-            at = int(np.argmax(col > top))
-            op = int(comp_at[at]) if name == "arg" else at
-            t = int(np.searchsorted(chunk.tpl_ptr, op, side="right")) - 1
-            raise ValueError(f"chunk array {name!r}: {what} (template {t}, "
-                             f"op {op - chunk.tpl_ptr[t]})")
+    for name, top, what in _TPL_CEILINGS:
+        if tpl[name].max(initial=top) > top:
+            _reject_op(ptr, name, tpl[name] > top, what)
+    is_compute, arg = kind == K_COMPUTE, tpl["arg"]
+    if arg.min(initial=1, where=is_compute) < 1:
+        _reject_op(ptr, "arg", is_compute & (arg < 1), "a compute count below 1")
     if chunk.bank.max(initial=0) >= topo.n_banks:
         raise ValueError(f"chunk array 'bank': a bank outside [0, {topo.n_banks})")
+
+
+def _reject_op(tpl_ptr: np.ndarray, name: str, bad: np.ndarray, what: str):
+    """Raise for the first template op of ``bad``, naming its template."""
+    op = int(np.argmax(bad))
+    t = int(np.searchsorted(tpl_ptr, op, side="right")) - 1
+    raise ValueError(f"chunk array {name!r}: {what} (template {t}, op {op - tpl_ptr[t]})")
+
+
+def _fields(obj) -> dict:
+    """dataclasses.asdict of a dataclass whose fields are ints and tuples
+    of ints, at a tenth of its cost: such values need no copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 class _State:
@@ -357,37 +381,52 @@ class _State:
     words) segments, transfer t's at seg_ptr[t]:seg_ptr[t + 1]; the level
     and class latencies, port counts, tile geometry (PEs and banks per
     tile, tiles per subgroup and per group: an access's level follows from
-    them), L2 latency and DMA rate.
+    them), L2 latency and DMA rate. Last, the stepper's scratch ``work``
+    and result ``out``. The arrays are views of one zeroed int64 buffer
+    (_stepper.state_arrays), and ``c_args`` holds the C calls' arguments
+    from all of these, built once per run (_stepper.state_args): so no
+    attribute may be bound again once set, and an attempt raises
+    AttributeError. Arrays are updated in place.
     """
 
     def __init__(self, topo: ClusterTopology, params: EngineParams,
                  dma: Sequence[DmaTransfer]):
-        n_pe = topo.n_pes
-        self.abs_idx = np.zeros(n_pe, dtype=np.int64)
-        self.t_free = np.zeros(n_pe, dtype=np.int64)
-        self.ready = np.zeros((n_pe, DEP_RING), dtype=np.int64)
-        self.win = np.zeros((n_pe, params.window), dtype=np.int64)
-        self.bank_next = np.zeros(topo.n_banks, dtype=np.int64)
-        self.out_next = np.zeros(topo.n_tiles * 4 * params.out_ports, dtype=np.int64)
-        self.in_next = np.zeros(topo.n_tiles * 4 * params.in_ports, dtype=np.int64)
-        self.transfer_done = np.full(len(dma), -1, dtype=np.int64)
-        self.backend_next = np.zeros(topo.n_subgroups, dtype=np.int64)
-        pairs = [seg for t in dma for seg in t.segments]
-        self.seg_ptr = np.cumsum([0] + [len(t.segments) for t in dma], dtype=np.int64)
-        self.seg_backend, self.seg_words = (
-            np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy())
-        if ((self.seg_backend < 0) | (self.seg_backend >= topo.n_subgroups)).any():
-            raise ValueError(f"DMA segment backend outside [0, {topo.n_subgroups})")
-        if (self.seg_words < 1).any():
-            raise ValueError("DMA segment words must be at least 1")
-        self.level_lat = np.array(topo.level_latency, dtype=np.int64)
-        self.class_lat = np.array([params.lat_alu, params.lat_mac, params.lat_div],
-                                  dtype=np.int64)
+        n_pe, n_seg = topo.n_pes, sum(len(t.segments) for t in dma)
+        arrays, addresses = _stepper.state_arrays({
+            "abs_idx": n_pe, "t_free": n_pe, "ready": (n_pe, DEP_RING),
+            "win": (n_pe, params.window), "bank_next": topo.n_banks,
+            "out_next": topo.n_tiles * 4 * params.out_ports,
+            "in_next": topo.n_tiles * 4 * params.in_ports,
+            "seg_ptr": len(dma) + 1, "seg_backend": n_seg, "seg_words": n_seg,
+            "transfer_done": len(dma), "backend_next": topo.n_subgroups,
+            "level_lat": len(topo.level_latency), "class_lat": 3,
+            "work": _stepper.work_slots(n_pe), "out": 4})
+        for name, a in zip(_stepper.STATE_ARRAYS, arrays):
+            setattr(self, name, a)
+        self.transfer_done[:] = -1
+        if n_seg:
+            self.seg_ptr[1:] = np.cumsum([len(t.segments) for t in dma])
+            self.seg_backend[:], self.seg_words[:] = np.array(
+                [seg for t in dma for seg in t.segments], dtype=np.int64).T
+            if ((self.seg_backend < 0) | (self.seg_backend >= topo.n_subgroups)).any():
+                raise ValueError(f"DMA segment backend outside [0, {topo.n_subgroups})")
+            if (self.seg_words < 1).any():
+                raise ValueError("DMA segment words must be at least 1")
+        self.level_lat[:] = topo.level_latency
+        self.class_lat[:] = params.lat_alu, params.lat_mac, params.lat_div
         self.out_ports, self.in_ports = params.out_ports, params.in_ports
         self.pes_per_tile, self.banks_per_tile = topo.pes_per_tile, topo.banks_per_tile
         self.tiles_per_subgroup = topo.tiles_per_subgroup
         self.tiles_per_group = topo.tiles_per_subgroup * topo.subgroups_per_group
         self.l2_lat, self.dma_wpc = params.l2_latency, params.dma_words_per_cycle
+        self.c_args = _stepper.state_args(self, addresses)
+
+    def __setattr__(self, name, value):
+        # an in-place update such as `st.abs_idx += 1` binds the same array again
+        if getattr(self, name, value) is not value:
+            raise AttributeError(f"run state {name!r} is bound for the run: "
+                                 f"update it in place")
+        object.__setattr__(self, name, value)
 
 
 def run_packed(topo: ClusterTopology, params: EngineParams,
@@ -398,18 +437,20 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
 
     ``dma`` lists the transfers; a transfer's id is its index there.
     Each phase's chunk is checked and stepped by one step_segment call,
-    which writes that phase's [n_pe, ACC_WIDTH] ledger; then its barrier
-    is applied, if it has one (see the module docstring).
+    which adds the phase's cycles to the run's [n_pe, ACC_WIDTH] ledger;
+    then end_phase applies its barrier, if it has one, and fills its idle
+    cycles (see the module docstring).
     """
     st = _State(topo, params, dma)
     n_pe = topo.n_pes
-    totals = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
-    phase_rows = []
-    clock = 0
+    # the run's ledger: each phase adds its cycles to it, so a phase's row
+    # is what the ledger's column sums grew by
+    acct = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
+    ones = np.ones(n_pe, dtype=np.int64)     # sums the ledger's columns
+    phase_rows, sums, clock = [], [0] * ACC_WIDTH, 0
     for phase in phases:
         (chunk,) = phase.chunks
         _check_chunk(topo, chunk)
-        acct = np.zeros((n_pe, ACC_WIDTH), dtype=np.int64)
         start = clock
         clock, fault = step_segment(chunk, acct, st, clock)
         if fault:
@@ -417,22 +458,12 @@ def run_packed(topo: ClusterTopology, params: EngineParams,
             raise SimulationFault(
                 f"{_FAULT_TEXT[code].format(detail)} (PE {pe}, "
                 f"phase {phase.name!r}, cycle {clock})")
-        if phase.barrier:
-            # each PE's wait, issue and dependence ring slot, as an op's
-            arrive = np.maximum(st.t_free, st.win.max(axis=1))
-            acct[:, ACC_LSU] += arrive - st.t_free
-            acct[:, ACC_ISSUED] += 1
-            st.ready[np.arange(n_pe), st.abs_idx & (DEP_RING - 1)] = (arrive + 1) << 1
-            st.abs_idx += 1
-            clock = int(arrive.max()) + 1
-        # idle fill so every PE's ledger covers the common phase end
-        acct[:, ACC_WFI] += clock - start - acct.sum(axis=1)
-        totals += acct
-        st.t_free[:] = clock
-        phase_rows.append(PhaseStats(phase.name, start, clock, *acct.sum(axis=0).tolist()))
+        clock = end_phase(acct, st, clock, phase.barrier)
+        before, sums = sums, (ones @ acct).tolist()
+        phase_rows.append(PhaseStats(phase.name, start, clock, *map(sub, sums, before)))
     per_pe = {"cycles_total": np.full(n_pe, clock, dtype=np.int64),
-              **{k: totals[:, i].copy() for i, k in enumerate(PE_KEYS)}}
+              **dict(zip(PE_KEYS, acct.T.copy()))}
     return SimReport(
-        topology=asdict(topo), params={**asdict(params), **V1_PARAMS},
+        topology=_fields(topo), params={**_fields(params), **V1_PARAMS},
         meta=meta or {}, cycles=clock, per_pe=per_pe, phases=phase_rows,
         alloc_events=alloc_events or [])

@@ -110,8 +110,9 @@ class SimReport:
 
 
 def _int_list(v: list) -> str:
-    """json's text of a list of ints two levels deep at indent 1."""
-    return "[\n   " + repr(v)[1:-1].replace(", ", ",\n   ") + "\n  ]" if v else "[]"
+    """json's text of a list of ints two levels deep at indent 1, written
+    by one %-format: ``%d`` writes an int as json does."""
+    return ("[\n   " + "%d,\n   " * (len(v) - 1) + "%d\n  ]") % tuple(v) if v else "[]"
 
 
 def markdown_table(reports: Sequence[SimReport]) -> str:

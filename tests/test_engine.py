@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from dataclasses import replace
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,32 +210,61 @@ def _extra_bank(chunk, dma):
 # the stepper index memory out of bounds, or read a wrong dependence
 # ring slot (dep1, dep2). PE 0 loads, computes, stores and starts
 # transfer 0, as template 0 of the chunk; every other PE copies a
-# one-ALU template of its own. The fault names the array
+# one-ALU template of its own. Each case holds its corruption and the
+# error's whole message, as the checks word it
 BAD_CHUNKS = {
-    "dtype": (_replace("arg", lambda a: a.astype(np.int64)), "'arg'"),
-    "contiguity": (_replace("dep1", lambda a: np.repeat(a, 2)[::2]), "'dep1'"),
-    "template-length": (_replace("cls", lambda a: a[:-1].copy()), "'cls'"),
-    "n_ops-dtype": (_replace("n_ops", lambda a: a.astype(np.int32)), "'n_ops'"),
-    "n_ops-long": (_set("n_ops", 0, 5), "'n_ops'"),
-    "n_ops-rows": (_replace("n_ops", lambda a: a[:-1].copy()), "'n_ops'"),
-    "rows": (_replace("copy_ptr", lambda a: a[:-1].copy()), "'copy_ptr'"),
-    "copy_ptr-start": (_replace("copy_ptr", lambda a: a + 1), "'copy_ptr'"),
-    "copy_tpl": (_set("copy_tpl", 1, DESK.n_pes), "'copy_tpl'"),
-    "tpl_ptr-end": (_set("tpl_ptr", -1, 10 ** 6), "'tpl_ptr'"),
-    "tpl_ptr-empty": (_empty_template, "'tpl_ptr'"),
-    "copy_bank-rows": (_replace("copy_bank", lambda a: a[1:].copy()), "'copy_bank'"),
-    "bank-negative": (_set("copy_bank", 1, -1), "'copy_bank'"),    # PE 1's copy, no banks
-    "bank-past-end": (_set("copy_bank", 0, 1), "'copy_bank'"),     # PE 0's store past the end
-    "bank-unused": (_extra_bank, "'bank'"),
-    "bank-high": (_set("bank", 1, DESK.n_banks), "'bank'"),
-    "kind": (_set("kind", 1, 6), "'kind'"),
-    "kind-past-dma-wait": (_set("kind", 1, K_DMA_WAIT + 1), "'kind'"),
-    "cls": (_set("cls", 1, 3), "'cls'"),
-    "dep1": (_set("dep1", 2, DEP_RING), "'dep1'"),
-    "dep2": (_set("dep2", 1, DEP_RING), "'dep2'"),
-    "arg": (_set("arg", 1, 0), "'arg'"),
-    "backend": (lambda c, d: d.append((DESK.n_subgroups, 4)), "backend"),
-    "words": (lambda c, d: d.append((0, 0)), "words"),
+    "dtype": (_replace("arg", lambda a: a.astype(np.int64)),
+              "chunk array 'arg' must be a C-contiguous 1-D int32 array"),
+    "contiguity": (_replace("dep1", lambda a: np.repeat(a, 2)[::2]),
+                   "chunk array 'dep1' must be a C-contiguous 1-D uint16 array"),
+    "template-length": (_replace("cls", lambda a: a[:-1].copy()),
+                        "chunk array 'cls' has 66 entries, not 67"),
+    "n_ops-dtype": (_replace("n_ops", lambda a: a.astype(np.int32)),
+                    "chunk array 'n_ops' must be a C-contiguous 1-D int64 array"),
+    "n_ops-long": (_set("n_ops", 0, 5),
+                   "chunk array 'n_ops' disagrees with PE 0's copies"),
+    "n_ops-rows": (_replace("n_ops", lambda a: a[:-1].copy()),
+                   "chunk array 'n_ops' has 63 entries, not 64"),
+    "rows": (_replace("copy_ptr", lambda a: a[:-1].copy()),
+             "chunk array 'copy_ptr' has 64 entries, not 65"),
+    "copy_ptr-start": (_replace("copy_ptr", lambda a: a + 1),
+                       "chunk array 'copy_ptr' must start at 0, rise by at least 0 per entry "
+                       "and end at 64"),
+    "copy_tpl": (_set("copy_tpl", 1, DESK.n_pes),
+                 "chunk array 'copy_tpl' names a template outside [0, 64)"),
+    "tpl_ptr-end": (_set("tpl_ptr", -1, 10 ** 6),
+                    "chunk array 'tpl_ptr' must start at 0, rise by at least 1 per entry "
+                    "and end at 67"),
+    "tpl_ptr-empty": (_empty_template,
+                      "chunk array 'tpl_ptr' must start at 0, rise by at least 1 per entry "
+                      "and end at 67"),
+    "copy_bank-rows": (_replace("copy_bank", lambda a: a[1:].copy()),
+                       "chunk array 'copy_bank' has 63 entries, not 64"),
+    # PE 1's copy, which has no banks, and PE 0's, whose store reads past the end
+    "bank-negative": (_set("copy_bank", 1, -1),
+                      "chunk array 'copy_bank': copy 1 reads outside 'bank'"),
+    "bank-past-end": (_set("copy_bank", 0, 1),
+                      "chunk array 'copy_bank': copy 0 reads outside 'bank'"),
+    "bank-unused": (_extra_bank,
+                    "chunk array 'bank' holds 3 banks, not 2"),
+    "bank-high": (_set("bank", 1, DESK.n_banks),
+                  "chunk array 'bank': a bank outside [0, 256)"),
+    "kind": (_set("kind", 1, 6),
+             "chunk array 'kind': op kind above 4 (template 0, op 1)"),
+    "kind-past-dma-wait": (_set("kind", 1, K_DMA_WAIT + 1),
+                           "chunk array 'kind': op kind above 4 (template 0, op 1)"),
+    "cls": (_set("cls", 1, 3),
+            "chunk array 'cls': a class above 2 (template 0, op 1)"),
+    "dep1": (_set("dep1", 2, DEP_RING),
+             "chunk array 'dep1': a dependence 256 or more ops back (template 0, op 2)"),
+    "dep2": (_set("dep2", 1, DEP_RING),
+             "chunk array 'dep2': a dependence 256 or more ops back (template 0, op 1)"),
+    "arg": (_set("arg", 1, 0),
+            "chunk array 'arg': a compute count below 1 (template 0, op 1)"),
+    "backend": (lambda c, d: d.append((DESK.n_subgroups, 4)),
+                'DMA segment backend outside [0, 8)'),
+    "words": (lambda c, d: d.append((0, 0)),
+              'DMA segment words must be at least 1'),
 }
 
 
@@ -249,25 +279,28 @@ def _run_bad_chunk(corrupt):
 
 @pytest.mark.parametrize("case", BAD_CHUNKS)
 def test_run_packed_rejects_chunks_the_stepper_cannot_take(case):
-    corrupt, column = BAD_CHUNKS[case]
+    corrupt, message = BAD_CHUNKS[case]
     assert _run_bad_chunk(lambda c, d: None).cycles == 4
-    with pytest.raises(ValueError, match=column):
+    with pytest.raises(ValueError) as error:
         _run_bad_chunk(corrupt)
+    assert str(error.value) == message
 
 
 # the chunk arrays whose dtype BAD_CHUNKS leaves unchecked (it has arg's
-# and n_ops')
-CHUNK_ARRAYS = ["tpl_ptr", "copy_ptr", "copy_tpl", "copy_bank", "bank", "kind", "cls",
-                "dep1", "dep2"]
+# and n_ops'), each with the dtype the check asks for
+CHUNK_ARRAYS = {"tpl_ptr": "int64", "copy_ptr": "int64", "copy_tpl": "int32",
+                "copy_bank": "int64", "bank": "uint16", "kind": "uint8", "cls": "uint8",
+                "dep1": "uint16", "dep2": "uint16"}
 
 
-@pytest.mark.parametrize("name", CHUNK_ARRAYS)
-def test_run_packed_rejects_each_chunk_array_in_another_dtype(name):
+@pytest.mark.parametrize("name,dtype", CHUNK_ARRAYS.items(), ids=list(CHUNK_ARRAYS))
+def test_run_packed_rejects_each_chunk_array_in_another_dtype(name, dtype):
     # every array keeps its values; only its dtype is a wider or a signed one
     other = {np.dtype(np.int64): np.int32, np.dtype(np.int32): np.int64,
              np.dtype(np.uint16): np.int32, np.dtype(np.uint8): np.int16}
-    with pytest.raises(ValueError, match=f"'{name}' must be a C-contiguous 1-D"):
+    with pytest.raises(ValueError) as error:
         _run_bad_chunk(_replace(name, lambda a: a.astype(other[a.dtype])))
+    assert str(error.value) == f"chunk array {name!r} must be a C-contiguous 1-D {dtype} array"
 
 
 @pytest.mark.parametrize("other_alus,release", [(0, 3), (5, 6)])
@@ -637,6 +670,22 @@ def test_a_phase_without_a_barrier_fills_its_row():
     assert row.wfi == 5 * DESK.n_pes - 6 == rep.per_pe["wfi_stall"].sum()
 
 
+@pytest.mark.parametrize("barrier", [False, True])
+def test_conservation_catches_a_ledger_that_loses_a_cycle(monkeypatch, barrier):
+    # the idle fill starts at each PE's free cycle, so a stepper whose
+    # ledger loses a cycle of PE 1's before it is a leak, not more idling
+    step = engine.step_segment
+
+    def lossy(chunk, acct, st, now):
+        end, fault = step(chunk, acct, st, now)
+        acct[1, _stepper.ACC_ISSUED] -= 1
+        return end, fault
+
+    monkeypatch.setattr(engine, "step_segment", lossy)
+    with pytest.raises(AssertionError, match="leak on PE 1:"):
+        simulate([[("compute", C_ALU, 3)], [("compute", C_ALU, 2)]], barrier=barrier)
+
+
 def test_run_state_on_terapool_stays_small():
     # mostly the dependence rings, [n_pe, DEP_RING] int64 records (2 MiB);
     # an array of 4 MiB or more may be backed by huge pages, so its
@@ -648,6 +697,63 @@ def test_run_state_on_terapool_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 9 << 18   # 2.25 MiB
+
+
+def test_run_state_arrays_cannot_be_rebound():
+    # the C call's arguments hold the state arrays' addresses, built once per
+    # run: an array bound anew would leave the stepper writing the old one
+    st = engine._State(DESK, EngineParams(), [])
+    abs_idx, args = st.abs_idx, st.c_args
+    with pytest.raises(AttributeError, match="'win' is bound for the run"):
+        st.win = np.zeros_like(st.win)
+    with pytest.raises(AttributeError, match="'out_ports' is bound for the run"):
+        st.out_ports = 2
+    st.abs_idx += 1     # in place, as a barrier updates it
+    assert st.abs_idx is abs_idx and st.c_args is args
+    assert st.c_args[0] == abs_idx.ctypes.data
+
+
+def _end_phase_by_axis_reductions(st, acct, start, end, barrier):
+    """_stepper.end_phase in numpy, by reductions over the arrays' short
+    axis, as run_packed applied a barrier before it was C: the reference
+    it is compared with. It sums each PE's ledger row."""
+    if barrier:
+        arrive = np.maximum(st.t_free, st.win.max(axis=1))
+        acct[:, _stepper.ACC_LSU] += arrive - st.t_free
+        acct[:, _stepper.ACC_ISSUED] += 1
+        st.ready[np.arange(len(arrive)), st.abs_idx & (DEP_RING - 1)] = (arrive + 1) << 1
+        st.abs_idx += 1
+        end = int(arrive.max()) + 1
+    acct[:, _stepper.ACC_WFI] += end - start - acct.sum(axis=1)
+    st.t_free[:] = end
+    return end
+
+
+@pytest.mark.parametrize("topo", [DESK, terapool_default()], ids=["64pe", "1024pe"])
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_end_phase_matches_axis_reductions(topo, window):
+    # random states as a stepper leaves them: each PE's ledger row sums to
+    # its free cycle less the phase start; window slots lie up to 40 cycles
+    # ahead of or behind it, and some PEs stay free at the start
+    rng = np.random.default_rng(window)
+    names = ("t_free", "win", "ready", "abs_idx")
+    for case in range(20):
+        st = engine._State(topo, EngineParams(window=window), [])
+        start = int(rng.integers(0, 1000))
+        busy = rng.random((topo.n_pes, 1)) < 0.9
+        acct = rng.integers(0, 50, (topo.n_pes, ACC_WIDTH)) * busy
+        st.t_free[:] = start + acct.sum(axis=1)
+        st.win[:] = np.maximum(0, st.t_free[:, None] + rng.integers(-40, 41, st.win.shape))
+        st.ready[:] = rng.integers(0, 1 << 20, st.ready.shape)
+        st.abs_idx[:] = rng.integers(0, 3 * DEP_RING, topo.n_pes)
+        end, barrier = int(st.t_free.max()), bool(case % 2)
+        want = SimpleNamespace(**{name: getattr(st, name).copy() for name in names})
+        want_acct = acct.copy()
+        want_end = _end_phase_by_axis_reductions(want, want_acct, start, end, barrier)
+        assert _stepper.end_phase(acct, st, end, barrier) == want_end
+        assert np.array_equal(acct, want_acct)
+        for name in names:
+            assert np.array_equal(getattr(st, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("knob,value", [
@@ -999,6 +1105,41 @@ def test_c_stepper_matches_oracle_at_queue_edges(monkeypatch, topo):
     for seed in range(12):
         plan, params = _queue_edge_case(seed, topo)
         _under_both_steppers(monkeypatch, lambda: run_plan(plan, params), f"seed {seed}")
+
+
+def _waits(*bursts):
+    """A program of loads, each after a burst of ALU issues: a PE whose
+    load issues at t is queued for its next one at t + 1 + the burst."""
+    return [op for i, n in enumerate(bursts)
+            for op in (("compute", C_ALU, n), ("load", bank_addr(i % 4)))]
+
+
+def _queue_waits(qh):
+    """Hand programs, one per PE from PE 0 on, whose waits in the
+    stepper's queue of ``qh`` buckets (one occupancy bit each, 64 to a
+    word) are each of one kind:
+    - occupancy-words: from a bucket in one word to one in a later word,
+      past empty words, and to buckets at a word's edges
+    - ring-wrap: from a bucket near the ring's end to one past its wrap,
+      the first in another word and the second in the same word below it,
+      and from the last bucket to the one just below it
+    - horizon: QH cycles and more, so that PEs take horizon visits
+    """
+    return {"occupancy-words": [_waits(10, 52, 1), _waits(63), _waits(64, 60),
+                                _waits(127, 128), _waits(200), _waits(300, 2)],
+            "ring-wrap": [_waits(qh - 12, 100), _waits(40, qh - 12), _waits(qh - 1, qh - 2),
+                          _waits(5)],
+            "horizon": [_waits(qh + 5), _waits(3 * qh, 1), _waits(10, qh)]}
+
+
+@pytest.mark.parametrize("case", _queue_waits(_stepper.QH))
+def test_c_stepper_matches_oracle_on_queue_waits(monkeypatch, case):
+    # every PE's loads hit four banks of tile 0, so they share bank and
+    # port bookings with the PEs whose waits end in the same cycle
+    progs = _queue_waits(_stepper.QH)[case]
+    rep = simulate(progs)
+    assert rep.cycles > max(sum(op[2] for op in prog if op[0] == "compute") for prog in progs)
+    _under_both_steppers(monkeypatch, lambda: simulate(progs), case)
 
 
 def test_far_pe_takes_its_id_turn_at_a_bank(monkeypatch):

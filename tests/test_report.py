@@ -95,15 +95,30 @@ def _labelled_report():
     return r
 
 
+def _edge_values_report():
+    # per-PE lists of no, one and many entries, negative and above 2^31;
+    # with no cycles the utilization of no PEs is 0
+    r = two_pe_report("das")
+    r.cycles = 0
+    r.per_pe = {"cycles_total": np.zeros(0, dtype=np.int64),
+                "instr_issued": np.array([7], dtype=np.int64),
+                "lsu_stall": np.array([-1, -(2 ** 40), 0], dtype=np.int64),
+                "raw_stall": np.array([2 ** 31, 2 ** 63 - 1, -(2 ** 63)], dtype=np.int64),
+                "ins_stall": np.array([-5], dtype=np.int64), "wfi_stall": np.zeros(0, np.int64)}
+    return r
+
+
 def _terapool_reports():
     return [run_plan(gen_gemv(terapool_default(), 256, 256, 1, s))
             for s in ("das", "interleaved")]
 
 
-# each case's reports: 2 PEs, 1 PE, speedup and baseline set, and both
-# schemes' reports of a 1,024-PE plan
+# each case's reports: 2 PEs, 1 PE, speedup and baseline set, per-PE lists
+# of edge lengths and values, and both schemes' reports of a 1,024-PE plan
 JSON_CASES = {"two-pe": lambda: [two_pe_report("das")], "one-pe": lambda: [_one_pe_report()],
-              "labelled": lambda: [_labelled_report()], "terapool": _terapool_reports}
+              "labelled": lambda: [_labelled_report()],
+              "edge-values": lambda: [_edge_values_report()],
+              "terapool": _terapool_reports}
 
 
 @pytest.mark.parametrize("case", JSON_CASES)

@@ -49,7 +49,7 @@ def test_c_call_declares_the_parameters_the_loader_passes():
     # argtypes or restype is undefined behaviour in the call, not an error
     with open(os.path.join(os.path.dirname(_stepper.__file__), "_stepper.c")) as f:
         functions = _c_functions(f.read())
-    assert sorted(functions) == ["resolve", "step_segment"]
+    assert sorted(functions) == ["end_phase", "resolve", "step_segment"]
     ctype = {ctypes.c_void_p: "*", ctypes.c_int64: "int64_t", None: "void"}
     for name, (ret, params) in functions.items():
         fn = getattr(_stepper._lib, name)
